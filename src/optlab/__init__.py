@@ -15,7 +15,7 @@ from .engine import (
     StepDiag,
     TensorDiag,
     Toggles,
-    adamw_step,
+    adamw_config,
     default_config,
     lookahead_sync,
     ranger21_step,
@@ -61,7 +61,7 @@ __all__ = [
     "TensorDiag",
     "Toggles",
     "adam_update",
-    "adamw_step",
+    "adamw_config",
     "adaptive_gradient_clip",
     "combined_decay",
     "default_config",

@@ -17,8 +17,11 @@ A run configuration is a JSON document (schema_version 1):
     }
 
 Every optimizer run rebuilds the problem from the same seed, so initial
-parameters and minibatch draws are identical across optimizers. Execution is
-sequential and single-threaded; identical configs produce byte-identical CSV.
+parameters and minibatch draws are identical across optimizers. Runs execute
+one after another. Identical configs produce byte-identical CSV at a fixed
+BLAS thread count; matrix products may round differently when that count
+changes, so across thread counts only some problems (the shipped blobs MLP,
+for one) are known to stay byte-identical.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .engine import (
     Ranger21Config,
     StepDiag,
     Toggles,
+    adamw_config,
 )
 from .moments import DecayConfig, MomentConfig
 from .problems import (
@@ -44,7 +48,7 @@ from .problems import (
     make_blobs,
     philox,
 )
-from .schedule import ScheduleSpec, lr_factor
+from .schedule import ScheduleSpec
 from .tensor import NonFiniteError
 from .transforms import ClipConfig
 
@@ -79,21 +83,44 @@ def _get_int(mapping: dict, key: str, path: str, default=None, minimum=None):
     return value
 
 
+def _check_float(value, where: str, minimum=None, exclusive=False) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
+    value = float(value)
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: expected a finite number, got {value}")
+    if minimum is not None:
+        if exclusive and not value > minimum:
+            raise ConfigError(f"{where}: must be > {minimum}, got {value}")
+        if not exclusive and not value >= minimum:
+            raise ConfigError(f"{where}: must be >= {minimum}, got {value}")
+    return value
+
+
 def _get_float(mapping: dict, key: str, path: str, default=None, minimum=None, exclusive=False):
     if key not in mapping:
         if default is ...:
             raise ConfigError(f"{path}: missing required key {key!r}")
         return default
+    return _check_float(mapping[key], f"{path}.{key}", minimum, exclusive)
+
+
+def _get_floats(
+    mapping: dict, key: str, path: str, default=None, length=None, minimum=None, exclusive=False
+):
+    """A non-empty list of finite numbers, of ``length`` entries when given."""
+    if key not in mapping:
+        if default is ...:
+            raise ConfigError(f"{path}: missing required key {key!r}")
+        return default
     value = mapping[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
-    value = float(value)
-    if minimum is not None:
-        if exclusive and not value > minimum:
-            raise ConfigError(f"{path}.{key}: must be > {minimum}, got {value}")
-        if not exclusive and not value >= minimum:
-            raise ConfigError(f"{path}.{key}: must be >= {minimum}, got {value}")
-    return value
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{path}.{key}: expected a non-empty list of numbers, got {value!r}")
+    if length is not None and len(value) != length:
+        raise ConfigError(f"{path}.{key}: expected {length} numbers, got {len(value)}")
+    return tuple(
+        _check_float(x, f"{path}.{key}[{i}]", minimum, exclusive) for i, x in enumerate(value)
+    )
 
 
 def _get_str(mapping: dict, key: str, path: str, default=None, choices=None):
@@ -141,30 +168,23 @@ class RunConfig:
     warnings: list[str] = field(default_factory=list)
 
 
-def _parse_problem(blob, t_max: int):
+def _parse_problem(blob):
     if not isinstance(blob, dict):
         raise ConfigError("problem: expected an object")
     name = _get_str(blob, "name", "problem", default=...)
     if name == "rosenbrock":
         _check_keys(blob, {"name", "start"}, "problem")
-        start = blob.get("start", [-1.5, 2.0])
-        if not (isinstance(start, list) and len(start) == 2):
-            raise ConfigError("problem.start: expected a list of two numbers")
-        return RosenbrockProblem(start=(float(start[0]), float(start[1])))
+        start = _get_floats(blob, "start", "problem", default=(-1.5, 2.0), length=2)
+        return RosenbrockProblem(start=start)
     if name == "quadratic":
         _check_keys(blob, {"name", "spectrum", "start"}, "problem")
-        spectrum = blob.get("spectrum")
-        if not (isinstance(spectrum, list) and spectrum):
-            raise ConfigError("problem.spectrum: expected a non-empty list of numbers")
-        if any(not isinstance(a, (int, float)) or a <= 0 for a in spectrum):
-            raise ConfigError("problem.spectrum: entries must be positive numbers")
-        start = blob.get("start", [1.0] * len(spectrum))
-        if not (isinstance(start, list) and len(start) == len(spectrum)):
-            raise ConfigError("problem.start: length must match spectrum")
-        return QuadraticProblem(
-            spectrum=tuple(float(a) for a in spectrum),
-            start=tuple(float(x) for x in start),
+        spectrum = _get_floats(
+            blob, "spectrum", "problem", default=..., minimum=0.0, exclusive=True
         )
+        start = _get_floats(
+            blob, "start", "problem", default=(1.0,) * len(spectrum), length=len(spectrum)
+        )
+        return QuadraticProblem(spectrum=spectrum, start=start)
     if name == "blobs_mlp":
         _check_keys(
             blob,
@@ -230,12 +250,7 @@ def _parse_optimizer(blob, index: int, t_max: int) -> OptimizerSpec:
 
     if preset == "adamw":
         _check_keys(blob, _ADAMW_KEYS, path)
-        config = Ranger21Config(
-            schedule=ScheduleSpec(eta=eta, t_max=t_max, beta2=beta2),
-            moments=MomentConfig(beta1=beta1, beta2=beta2, eps=eps),
-            decay=DecayConfig(weight_decay=weight_decay, norm_loss=False, stable=False),
-            toggles=Toggles.none(),
-        )
+        config = adamw_config(eta, t_max, weight_decay, beta1, beta2, eps)
         return OptimizerSpec(label=label, preset=preset, config=config)
 
     _check_keys(blob, _RANGER_KEYS, path)
@@ -304,7 +319,7 @@ def parse_config(text: str) -> RunConfig:
 
     if "problem" not in blob:
         raise ConfigError("top level: missing required key 'problem'")
-    problem = _parse_problem(blob["problem"], t_max)
+    problem = _parse_problem(blob["problem"])
 
     specs_blob = blob.get("optimizers")
     if not isinstance(specs_blob, list) or not specs_blob:
@@ -407,6 +422,7 @@ def run_benchmark(config: RunConfig) -> BenchmarkResult:
         for t in range(1, config.t_max + 1):
             batch = problem.sample_batch(batch_rng)
             captured: list[StepDiag] = []
+            observer = captured.append if t in record_steps else None
             try:
                 # a diverging run legitimately produces inf/nan on its way
                 # out; let them propagate silently and catch the rejection
@@ -415,7 +431,7 @@ def run_benchmark(config: RunConfig) -> BenchmarkResult:
                     if not math.isfinite(loss):
                         diverged = True
                         break
-                    opt.step(grads, observer=captured.append)
+                    opt.step(grads, observer=observer)
             except NonFiniteError:
                 diverged = True
                 break

@@ -35,39 +35,27 @@ def _load_config(path: str) -> RunConfig:
 
 
 def _cmd_run(args) -> int:
-    try:
-        config = _load_config(args.config)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
+    config = _load_config(args.config)
     if args.seed is not None:
         config.seed = args.seed
     out_dir = Path(args.out or config.out or ".")
 
     result = run_benchmark(config)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        emit_csv(result.records, out_dir / "records.csv")
-        (out_dir / "summary.json").write_text(
-            json.dumps(
-                {
-                    "run": result.run_id,
-                    "seed": config.seed,
-                    "problem": config.problem_name,
-                    "t_max": config.t_max,
-                    "optimizers": [s.to_dict() for s in result.summaries],
-                },
-                indent=2,
-            )
-            + "\n"
+    out_dir.mkdir(parents=True, exist_ok=True)
+    emit_csv(result.records, out_dir / "records.csv")
+    (out_dir / "summary.json").write_text(
+        json.dumps(
+            {
+                "run": result.run_id,
+                "seed": config.seed,
+                "problem": config.problem_name,
+                "t_max": config.t_max,
+                "optimizers": [s.to_dict() for s in result.summaries],
+            },
+            indent=2,
         )
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        + "\n"
+    )
 
     if not args.quiet:
         print(summary_text(result))
@@ -77,39 +65,19 @@ def _cmd_run(args) -> int:
 
 def _cmd_schedule(args) -> int:
     """Print the first optimizer's per-step learning rate as step,eta_t CSV."""
-    try:
-        config = _load_config(args.config)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    spec = config.optimizers[0]
-    sched = spec.config.schedule
-    toggles = spec.config.toggles
+    config = _load_config(args.config).optimizers[0].config
+    sched, toggles = config.schedule, config.toggles
     print("step,eta_t")
     for t in range(1, sched.t_max + 1):
-        if spec.preset == "adamw":
-            eta_t = sched.eta
-        else:
-            eta_t = sched.eta * lr_factor(
-                t, sched, warmup=toggles.warmup, warmdown=toggles.warmdown
-            )
+        eta_t = sched.eta * lr_factor(
+            t, sched, warmup=toggles.warmup, warmdown=toggles.warmdown
+        )
         print(f"{t},{eta_t!r}")
     return EXIT_OK
 
 
 def _cmd_validate(args) -> int:
-    try:
-        _load_config(args.config)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    _load_config(args.config)
     print(f"{args.config}: ok")
     return EXIT_OK
 
@@ -144,6 +112,12 @@ def main(argv=None) -> int:
         # downstream consumer (e.g. head) closed the pipe; not our error
         sys.stderr.close()
         return EXIT_OK
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

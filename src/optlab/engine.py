@@ -1,17 +1,17 @@
 """Optimizer presets and the step loop.
 
-Two presets share one config container and one state layout:
+One step function, ``ranger21_step``, serves both presets; a preset is a
+named ``Ranger21Config``:
 
-* ``adamw``: decoupled-decay adaptive moments, constant learning rate,
-  no gradient transforms, no lookahead.
 * ``ranger21``: unit-wise clipping, centralization, positive-negative
   momentum with second-moment max, the three-phase schedule, stable
   norm-pulling decay, and periodic lookahead interpolation.
+* ``adamw``: the same step with every toggle off, i.e. decoupled-decay
+  adaptive moments at a constant learning rate.
 
-Every component of the full preset can be toggled off individually; a
-disabled transform becomes the identity, disabled momentum falls back to the
-classic single-buffer estimate, disabled schedule phases pin their factor to
-1. With everything off the trajectory reduces to the adamw preset.
+Every component can be toggled off individually; a disabled transform
+becomes the identity, disabled momentum falls back to the classic
+single-buffer estimate, disabled schedule phases pin their factor to 1.
 
 The schedule multiplies the decay exactly once: the step subtracts
 ``eta_t * u + d`` where ``combined_decay`` already folded ``eta_t`` into d.
@@ -95,6 +95,26 @@ def default_config(eta: float, t_max: int, **overrides) -> Ranger21Config:
     return Ranger21Config(schedule=schedule, moments=moments, **overrides)
 
 
+def adamw_config(
+    eta: float,
+    t_max: int,
+    weight_decay: float = 1e-4,
+    beta1: float = 0.9,
+    beta2: float = 0.999,
+    eps: float = 1e-8,
+) -> Ranger21Config:
+    """The adamw preset: every toggle off, plain decoupled decay.
+
+    ``t_max`` is the run length; the step never reads it, as warm-down is off.
+    """
+    return Ranger21Config(
+        schedule=ScheduleSpec(eta=eta, t_max=t_max, beta2=beta2),
+        moments=MomentConfig(beta1=beta1, beta2=beta2, eps=eps),
+        decay=DecayConfig(weight_decay=weight_decay, norm_loss=False, stable=False),
+        toggles=Toggles.none(),
+    )
+
+
 @dataclass
 class OptimizerState:
     """Per-tensor moment slots, lookahead slow weights, and the step counter."""
@@ -168,49 +188,6 @@ def _check_aligned(params: Sequence[ParamTensor], grads: Sequence[ParamTensor]) 
             )
 
 
-def adamw_step(
-    params: Sequence[ParamTensor],
-    grads: Sequence[ParamTensor],
-    state: OptimizerState,
-    t: int,
-    config: Ranger21Config,
-    observer: Observer | None = None,
-) -> list[ParamTensor]:
-    """One decoupled-decay adaptive-moment step at constant rate eta.
-
-    theta' = theta - eta * u - eta * weight_decay * theta, with u the classic
-    bias-corrected moment ratio. Advances the moment buffers in ``state``.
-    """
-    if t < 1:
-        raise ValueError(f"step index must be >= 1, got {t}")
-    _check_aligned(params, grads)
-    eta = config.schedule.eta
-    lam = config.decay.weight_decay
-    diag = StepDiag(t=t, eta_t=eta)
-
-    new_params = []
-    for p, g in zip(params, grads):
-        u, v_hat, state.moments[p.name] = adam_update(
-            state.moments[p.name], g, t, config.moments
-        )
-        decay = eta * lam * p.values
-        new_params.append(p.with_values(p.values - eta * u.values - decay))
-        diag.tensors.append(
-            TensorDiag(
-                name=p.name,
-                units_clipped=0,
-                units_total=int(row_count(p)),
-                mean_vhat=float(np.mean(v_hat.values)),
-                size=p.size,
-                update=u.values,
-                decay=decay,
-            )
-        )
-    if observer is not None:
-        observer(diag)
-    return new_params
-
-
 def row_count(t: ParamTensor) -> int:
     """Number of clipping units: elements for rank-1, dim-0 slices otherwise."""
     return t.size if t.rank == 1 else t.shape[0]
@@ -231,19 +208,17 @@ def ranger21_step(
     interpolation. Disabled toggles drop out per the module docstring.
     """
     toggles = config.toggles
-    if not 1 <= t <= config.schedule.t_max:
-        raise ValueError(f"t must be in [1, {config.schedule.t_max}], got {t}")
-    _check_aligned(params, grads)
-
     eta_t = config.schedule.eta * lr_factor(
         t, config.schedule, warmup=toggles.warmup, warmdown=toggles.warmdown
     )
+    _check_aligned(params, grads)
     decay_cfg = DecayConfig(
         weight_decay=config.decay.weight_decay,
         norm_loss=toggles.norm_loss,
         stable=toggles.stable_decay,
     )
-    diag = StepDiag(t=t, eta_t=eta_t)
+    # diagnostics cost a mean over v_hat per tensor; build them only when read
+    diags: list[TensorDiag] | None = [] if observer is not None else None
 
     new_params = []
     for p, g in zip(params, grads):
@@ -260,24 +235,25 @@ def ranger21_step(
         )
         d = combined_decay(p, v_hat, eta_t, decay_cfg)
         new_params.append(p.with_values(p.values - eta_t * u.values - d.values))
-        diag.tensors.append(
-            TensorDiag(
-                name=p.name,
-                units_clipped=clipped,
-                units_total=int(row_count(p)),
-                mean_vhat=float(np.mean(v_hat.values)),
-                size=p.size,
-                update=u.values,
-                decay=d.values,
+        if diags is not None:
+            diags.append(
+                TensorDiag(
+                    name=p.name,
+                    units_clipped=clipped,
+                    units_total=int(row_count(p)),
+                    mean_vhat=float(np.mean(v_hat.values)),
+                    size=p.size,
+                    update=u.values,
+                    decay=d.values,
+                )
             )
-        )
 
     if toggles.lookahead:
         new_params, state.slow = lookahead_sync(
             new_params, state.slow, t, config.k_lookahead, config.beta_lookahead
         )
     if observer is not None:
-        observer(diag)
+        observer(StepDiag(t=t, eta_t=eta_t, tensors=diags))
     return new_params
 
 
@@ -338,13 +314,7 @@ class Optimizer:
         beta2: float = 0.999,
         eps: float = 1e-8,
     ) -> "Optimizer":
-        moments = MomentConfig(beta1=beta1, beta2=beta2, eps=eps)
-        config = Ranger21Config(
-            schedule=ScheduleSpec(eta=eta, t_max=1, beta2=beta2),
-            moments=moments,
-            decay=DecayConfig(weight_decay=weight_decay, norm_loss=False, stable=False),
-            toggles=Toggles.none(),
-        )
+        config = adamw_config(eta, 1, weight_decay, beta1, beta2, eps)
         return cls(params, config, preset="adamw")
 
     @classmethod
@@ -361,10 +331,7 @@ class Optimizer:
         self, grads: Sequence[ParamTensor], observer: Observer | None = None
     ) -> list[ParamTensor]:
         t = self.state.t + 1
-        if self.preset == "adamw":
-            new_params = adamw_step(self.params, grads, self.state, t, self.config, observer)
-        else:
-            new_params = ranger21_step(self.params, grads, self.state, t, self.config, observer)
+        new_params = ranger21_step(self.params, grads, self.state, t, self.config, observer)
         self.params = new_params
         self.state.t = t
         return new_params

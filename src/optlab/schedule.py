@@ -77,14 +77,17 @@ def lr_factor(
 
     The keyword flags drop the corresponding phase from the min/max (used by
     the engine's per-component toggles); with both flags the full three-phase
-    formula applies, with neither the factor is the constant 1.
+    formula applies, with neither the factor is the constant 1. Only the
+    warm-down reads ``t_max``, so only with it on must t stay <= t_max.
     """
-    if not 1 <= t <= spec.t_max:
-        raise ValueError(f"t must be in [1, {spec.t_max}], got {t}")
+    if t < 1:
+        raise ValueError(f"step index must be >= 1, got {t}")
     factor = 1.0
     if warmup:
         ramp = max((1.0 - spec.beta2) / 2.0 * t, t / spec.t_warmup)
         factor = min(factor, ramp)
     if warmdown:
+        if t > spec.t_max:
+            raise ValueError(f"t must be in [1, {spec.t_max}], got {t}")
         factor = min(factor, (spec.t_max - t) / spec.t_warmdown)
     return factor

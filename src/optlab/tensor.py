@@ -41,10 +41,6 @@ class ParamTensor:
         self.values = flat
 
     @classmethod
-    def from_array(cls, name: str, array) -> "ParamTensor":
-        return cls(name, np.shape(array), np.ravel(array))
-
-    @classmethod
     def zeros(cls, name: str, shape: Sequence[int]) -> "ParamTensor":
         return cls(name, shape, np.zeros(math.prod(tuple(shape))))
 

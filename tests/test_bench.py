@@ -133,6 +133,36 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="unknown problem"):
             parse(problem={"name": "ackley"})
 
+    @pytest.mark.parametrize(
+        "overrides,field",
+        [
+            ({"problem": {"name": "rosenbrock", "start": ["a", 1]}}, r"problem\.start\[0\]"),
+            ({"problem": {"name": "rosenbrock", "start": [1.0]}}, r"problem\.start"),
+            ({"problem": {"name": "quadratic", "spectrum": [1.0, "b"]}},
+             r"problem\.spectrum\[1\]"),
+            ({"problem": {"name": "quadratic", "spectrum": [1.0, 0.0]}},
+             r"problem\.spectrum\[1\]"),
+            ({"problem": {"name": "quadratic", "spectrum": [1.0], "start": ["a"]}},
+             r"problem\.start\[0\]"),
+            ({"problem": {"name": "quadratic", "spectrum": [1.0], "start": [1.0, 2.0]}},
+             r"problem\.start"),
+            ({"optimizers": [{"preset": "adamw", "eta": "1e400"}]}, r"optimizers\[0\]\.eta"),
+            ({"optimizers": [{"preset": "ranger21", "tau": float("inf")}]},
+             r"optimizers\[0\]\.tau"),
+            ({"loss_threshold": float("nan")}, r"loss_threshold"),
+        ],
+        ids=[
+            "start_entry", "start_length", "spectrum_entry", "spectrum_zero",
+            "quadratic_start_entry", "quadratic_start_length", "eta_overflow",
+            "tau_infinity", "threshold_nan",
+        ],
+    )
+    def test_malformed_value_rejected_with_field(self, overrides, field):
+        # json.dumps cannot write a literal that overflows; splice it in as text
+        text = json.dumps(config_dict(**overrides)).replace('"1e400"', "1e400")
+        with pytest.raises(ConfigError, match=field):
+            parse_config(text)
+
 
 class TestRunBenchmark:
     def test_two_optimizers_share_step_grid(self):
@@ -347,6 +377,19 @@ class TestCli:
         for line in lines[1:]:
             t, eta_t = line.split(",")
             assert float(eta_t) == sched.eta * lr_factor(int(t), sched)
+
+    def test_schedule_adamw_is_constant_eta(self, tmp_path, capsys):
+        config = self.write_config(
+            tmp_path, t_max=30, optimizers=[{"preset": "adamw", "eta": 0.0123}]
+        )
+        assert main(["schedule", config]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:] == [f"{t},{0.0123!r}" for t in range(1, 31)]
+
+    def test_malformed_start_is_config_error(self, tmp_path, capsys):
+        config = self.write_config(tmp_path, problem={"name": "rosenbrock", "start": ["a", 1]})
+        assert main(["validate", config]) == EXIT_CONFIG
+        assert "problem.start[0]" in capsys.readouterr().err
 
     def test_overlap_warning_printed(self, tmp_path, capsys):
         config = self.write_config(

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -488,3 +489,26 @@ class TestCheckpoint:
         restored = Optimizer.load(path)
         assert restored.config == opt.config
         assert restored.preset == opt.preset
+
+
+class TestObserver:
+    @pytest.mark.parametrize("preset", ["adamw", "ranger21"])
+    def test_observer_leaves_the_step_bit_identical(self, preset):
+        def run(observer):
+            rng = np.random.default_rng(29)
+            params = [
+                ParamTensor("w", (3, 2), rng.standard_normal(6)),
+                ParamTensor("b", (3,), rng.standard_normal(3)),
+            ]
+            if preset == "adamw":
+                opt = Optimizer.adamw(params)
+            else:
+                opt = Optimizer.ranger21(params, eta=3e-3, t_max=12)
+            for _ in range(12):
+                grads = [p.with_values(rng.standard_normal(p.size)) for p in opt.params]
+                opt.step(grads, observer=observer)
+            return json.dumps(opt.to_checkpoint())
+
+        diags = []
+        assert run(None) == run(diags.append)
+        assert [d.t for d in diags] == list(range(1, 13))

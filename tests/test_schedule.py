@@ -107,6 +107,14 @@ class TestPhaseToggles:
         assert lr_factor(1, REF, warmdown=False) == pytest.approx(5e-4, abs=1e-15)
         assert lr_factor(10000, REF, warmdown=False) == 1.0
 
+    def test_t_max_binds_only_with_warmdown(self):
+        assert lr_factor(10001, REF, warmdown=False) == 1.0
+        assert lr_factor(10001, REF, warmup=False, warmdown=False) == 1.0
+        with pytest.raises(ValueError):
+            lr_factor(10001, REF)
+        with pytest.raises(ValueError):
+            lr_factor(0, REF, warmdown=False)
+
 
 @settings(max_examples=200, derandomize=True)
 @given(
