@@ -40,7 +40,7 @@ from .engine import (
     Toggles,
     adamw_config,
 )
-from .moments import DecayConfig, MomentConfig
+from .moments import MomentConfig
 from .problems import (
     BlobsMLPProblem,
     QuadraticProblem,
@@ -273,15 +273,13 @@ def _parse_optimizer(blob, index: int, t_max: int) -> OptimizerSpec:
         **{k: _get_bool(toggles_blob, k, f"{path}.toggles", True) for k in _TOGGLE_KEYS}
     )
     try:
-        schedule = ScheduleSpec(
-            eta=eta, t_max=t_max, beta2=beta2, t_warmup=t_warmup, t_warmdown=t_warmdown
-        )
+        schedule = ScheduleSpec(eta=eta, t_max=t_max, t_warmup=t_warmup, t_warmdown=t_warmdown)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     config = Ranger21Config(
         schedule=schedule,
         moments=MomentConfig(beta0=beta0, beta1=beta1, beta2=beta2, eps=eps),
-        decay=DecayConfig(weight_decay=weight_decay),
+        weight_decay=weight_decay,
         clip=ClipConfig(tau=tau, eps=eps_clipping),
         k_lookahead=k_lookahead,
         beta_lookahead=beta_lookahead,
@@ -377,17 +375,6 @@ class RunSummary:
     best_loss: float | None
     final_accuracy: float | None
     steps_to_threshold: int | None
-
-    def to_dict(self) -> dict:
-        return {
-            "optimizer": self.optimizer,
-            "diverged": self.diverged,
-            "steps_completed": self.steps_completed,
-            "final_loss": self.final_loss,
-            "best_loss": self.best_loss,
-            "final_accuracy": self.final_accuracy,
-            "steps_to_threshold": self.steps_to_threshold,
-        }
 
 
 @dataclass

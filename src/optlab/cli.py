@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 config error, 2 I/O error, 3 every run diverged.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -50,7 +51,7 @@ def _cmd_run(args) -> int:
                 "seed": config.seed,
                 "problem": config.problem_name,
                 "t_max": config.t_max,
-                "optimizers": [s.to_dict() for s in result.summaries],
+                "optimizers": [dataclasses.asdict(s) for s in result.summaries],
             },
             indent=2,
         )
@@ -70,7 +71,7 @@ def _cmd_schedule(args) -> int:
     print("step,eta_t")
     for t in range(1, sched.t_max + 1):
         eta_t = sched.eta * lr_factor(
-            t, sched, warmup=toggles.warmup, warmdown=toggles.warmdown
+            t, sched, config.moments.beta2, warmup=toggles.warmup, warmdown=toggles.warmdown
         )
         print(f"{t},{eta_t!r}")
     return EXIT_OK

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -41,7 +42,8 @@ from .transforms import ClipConfig, gradient_centralize, scale_units, unit_scale
 
 PRESETS = ("adamw", "ranger21")
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+_MOMENT_BUFFERS = tuple(f.name for f in dataclasses.fields(MomentState))
 
 
 @dataclass(frozen=True)
@@ -66,33 +68,27 @@ class Toggles:
 class Ranger21Config:
     schedule: ScheduleSpec
     moments: MomentConfig = MomentConfig()
-    decay: DecayConfig = DecayConfig()
+    weight_decay: float = 1e-4
     clip: ClipConfig = ClipConfig()
     k_lookahead: int = 5
     beta_lookahead: float = 0.5
     toggles: Toggles = Toggles()
 
     def __post_init__(self) -> None:
+        if self.weight_decay < 0:
+            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.k_lookahead < 1:
             raise ValueError(f"k_lookahead must be >= 1, got {self.k_lookahead}")
         if not 0.0 <= self.beta_lookahead < 1.0:
             raise ValueError(
                 f"beta_lookahead must be in [0, 1), got {self.beta_lookahead}"
             )
-        if self.schedule.beta2 != self.moments.beta2:
-            raise ValueError(
-                "schedule.beta2 and moments.beta2 must agree, got "
-                f"{self.schedule.beta2} vs {self.moments.beta2}"
-            )
 
 
 def default_config(eta: float, t_max: int, **overrides) -> Ranger21Config:
     """Config with every hyperparameter at its preset default."""
-    moments = overrides.pop("moments", MomentConfig())
-    schedule = overrides.pop(
-        "schedule", ScheduleSpec(eta=eta, t_max=t_max, beta2=moments.beta2)
-    )
-    return Ranger21Config(schedule=schedule, moments=moments, **overrides)
+    schedule = overrides.pop("schedule", ScheduleSpec(eta=eta, t_max=t_max))
+    return Ranger21Config(schedule=schedule, **overrides)
 
 
 def adamw_config(
@@ -108,9 +104,9 @@ def adamw_config(
     ``t_max`` is the run length; the step never reads it, as warm-down is off.
     """
     return Ranger21Config(
-        schedule=ScheduleSpec(eta=eta, t_max=t_max, beta2=beta2),
+        schedule=ScheduleSpec(eta=eta, t_max=t_max),
         moments=MomentConfig(beta1=beta1, beta2=beta2, eps=eps),
-        decay=DecayConfig(weight_decay=weight_decay, norm_loss=False, stable=False),
+        weight_decay=weight_decay,
         toggles=Toggles.none(),
     )
 
@@ -206,14 +202,17 @@ def ranger21_step(
     Component order is fixed: clip, centralize, moment update, then
     theta' = theta - eta_t * u - d, then (every k steps) lookahead
     interpolation. Disabled toggles drop out per the module docstring.
+
+    ``state`` changes only once every tensor has been updated, so a step
+    that raises leaves it as it was.
     """
     toggles = config.toggles
     eta_t = config.schedule.eta * lr_factor(
-        t, config.schedule, warmup=toggles.warmup, warmdown=toggles.warmdown
+        t, config.schedule, config.moments.beta2, warmup=toggles.warmup, warmdown=toggles.warmdown
     )
     _check_aligned(params, grads)
     decay_cfg = DecayConfig(
-        weight_decay=config.decay.weight_decay,
+        weight_decay=config.weight_decay,
         norm_loss=toggles.norm_loss,
         stable=toggles.stable_decay,
     )
@@ -221,6 +220,7 @@ def ranger21_step(
     diags: list[TensorDiag] | None = [] if observer is not None else None
 
     new_params = []
+    new_moments = {}
     for p, g in zip(params, grads):
         clipped = 0
         if toggles.agc:
@@ -230,7 +230,7 @@ def ranger21_step(
         if toggles.centralization:
             g = gradient_centralize(g)
         moment_fn = pnm_update if toggles.pnm else adam_update
-        u, v_hat, state.moments[p.name] = moment_fn(
+        u, v_hat, new_moments[p.name] = moment_fn(
             state.moments[p.name], g, t, config.moments
         )
         d = combined_decay(p, v_hat, eta_t, decay_cfg)
@@ -248,12 +248,15 @@ def ranger21_step(
                 )
             )
 
+    slow = state.slow
     if toggles.lookahead:
-        new_params, state.slow = lookahead_sync(
-            new_params, state.slow, t, config.k_lookahead, config.beta_lookahead
+        new_params, slow = lookahead_sync(
+            new_params, slow, t, config.k_lookahead, config.beta_lookahead
         )
     if observer is not None:
         observer(StepDiag(t=t, eta_t=eta_t, tensors=diags))
+    state.moments.update(new_moments)
+    state.slow = slow
     return new_params
 
 
@@ -349,12 +352,7 @@ class Optimizer:
                 for p in self.params
             ],
             "moments": {
-                name: {
-                    "m_prev": ms.m_prev.tolist(),
-                    "m_prev2": ms.m_prev2.tolist(),
-                    "v": ms.v.tolist(),
-                    "v_max": ms.v_max.tolist(),
-                }
+                name: {buf: getattr(ms, buf).tolist() for buf in _MOMENT_BUFFERS}
                 for name, ms in self.state.moments.items()
             },
             "slow": {name: buf.tolist() for name, buf in self.state.slow.items()},
@@ -362,6 +360,8 @@ class Optimizer:
 
     @classmethod
     def from_checkpoint(cls, blob: dict) -> "Optimizer":
+        """Rebuild an optimizer from ``to_checkpoint`` output; raises ValueError
+        naming the field when the state does not fit the params or the schedule."""
         if blob.get("checkpoint_version") != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {blob.get('checkpoint_version')}")
         params = [
@@ -369,23 +369,39 @@ class Optimizer:
             for entry in blob["params"]
         ]
         opt = cls(params, config_from_dict(blob["config"]), preset=blob["preset"])
-        opt.state.t = int(blob["t"])
-        opt.state.moments = {
-            name: MomentState(
-                m_prev=np.asarray(ms["m_prev"], dtype=np.float64),
-                m_prev2=np.asarray(ms["m_prev2"], dtype=np.float64),
-                v=np.asarray(ms["v"], dtype=np.float64),
-                v_max=np.asarray(ms["v_max"], dtype=np.float64),
+        t, t_max = int(blob["t"]), opt.config.schedule.t_max
+        if t < 0 or (opt.config.toggles.warmdown and t > t_max):
+            raise ValueError(f"t: must be >= 0, and <= t_max = {t_max} with warm-down on, got {t}")
+        names = [p.name for p in params]
+        for key in ("moments", "slow"):
+            if sorted(blob[key]) != sorted(names):
+                raise ValueError(f"{key}: keys {sorted(blob[key])} do not match params {names}")
+        opt.state.t = t
+        for p in params:
+            ms = blob["moments"][p.name]
+            opt.state.moments[p.name] = MomentState(
+                **{
+                    buf: _checked_buffer(f"moments[{p.name!r}].{buf}", ms[buf], p.size)
+                    for buf in _MOMENT_BUFFERS
+                }
             )
-            for name, ms in blob["moments"].items()
-        }
-        opt.state.slow = {
-            name: np.asarray(buf, dtype=np.float64) for name, buf in blob["slow"].items()
-        }
+            opt.state.slow[p.name] = _checked_buffer(
+                f"slow[{p.name!r}]", blob["slow"][p.name], p.size
+            )
         return opt
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_checkpoint()))
+        """Write the checkpoint to a temp file beside ``path``, then rename it
+        over ``path``, so a failed save never leaves a truncated file there."""
+        path = Path(path)
+        tmp = path.with_name(path.name + ".tmp")
+        text = json.dumps(self.to_checkpoint())
+        try:
+            tmp.write_text(text)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     @classmethod
     def load(cls, path: str | Path) -> "Optimizer":
@@ -396,11 +412,20 @@ def config_to_dict(config: Ranger21Config) -> dict:
     return dataclasses.asdict(config)
 
 
+def _checked_buffer(where: str, values, size: int) -> np.ndarray:
+    buf = np.asarray(values, dtype=np.float64)
+    if buf.shape != (size,):
+        raise ValueError(f"{where}: expected {size} values, got shape {buf.shape}")
+    if not np.all(np.isfinite(buf)):
+        raise ValueError(f"{where}: non-finite values rejected")
+    return buf
+
+
 def config_from_dict(blob: dict) -> Ranger21Config:
     return Ranger21Config(
         schedule=ScheduleSpec(**blob["schedule"]),
         moments=MomentConfig(**blob["moments"]),
-        decay=DecayConfig(**blob["decay"]),
+        weight_decay=blob["weight_decay"],
         clip=ClipConfig(**blob["clip"]),
         k_lookahead=blob["k_lookahead"],
         beta_lookahead=blob["beta_lookahead"],

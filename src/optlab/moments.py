@@ -46,15 +46,15 @@ class MomentConfig:
 
 @dataclass(frozen=True)
 class DecayConfig:
-    """Weight-decay coefficient plus the two decay-shaping switches."""
+    """Weight-decay coefficient plus the two decay-shaping switches.
+
+    The step builds one from ``Ranger21Config.weight_decay``, which is
+    checked there, and the ``norm_loss``/``stable_decay`` toggles.
+    """
 
     weight_decay: float = 1e-4
     norm_loss: bool = True
     stable: bool = True
-
-    def __post_init__(self) -> None:
-        if self.weight_decay < 0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
 
 
 @dataclass

@@ -121,14 +121,29 @@ def _layers(params: Sequence[ParamTensor]) -> list[tuple[ParamTensor, ParamTenso
     return pairs
 
 
+def _forward(pairs, x: np.ndarray, act: Callable) -> tuple[list, list]:
+    """Pre-activations of every layer, and every layer's input followed by
+    the logits: affine layers with ``act`` between them, final layer linear."""
+    pre, acts = [], [x]
+    for i, (w, b) in enumerate(pairs):
+        z = acts[-1] @ w.array.T + b.values
+        pre.append(z)
+        acts.append(act(z) if i < len(pairs) - 1 else z)
+    return pre, acts
+
+
+def _smoothed_ce(logits: np.ndarray, labels, alpha: float) -> tuple[float, np.ndarray]:
+    """Batch-mean smoothed cross-entropy and its gradient w.r.t. the logits."""
+    batch, n_classes = logits.shape
+    q = smoothed_targets(labels, n_classes, alpha)
+    logp = _log_softmax(logits)
+    return float(-(q * logp).sum() / batch), (np.exp(logp) - q) / batch
+
+
 def mlp_logits(params: Sequence[ParamTensor], inputs, activation: str = "tanh") -> np.ndarray:
     act, _ = ACTIVATIONS[activation]
-    a = np.asarray(inputs, dtype=np.float64)
-    pairs = _layers(params)
-    for i, (w, b) in enumerate(pairs):
-        z = a @ w.array.T + b.values
-        a = act(z) if i < len(pairs) - 1 else z
-    return a
+    _, acts = _forward(_layers(params), np.asarray(inputs, dtype=np.float64), act)
+    return acts[-1]
 
 
 def mlp_eval(
@@ -152,24 +167,9 @@ def mlp_eval(
     y = np.asarray(labels)
     if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
         raise ValueError("inputs must be [n, d] with one label per row")
-    batch = x.shape[0]
-    n_classes = pairs[-1][0].shape[0]
 
-    pre = []
-    a = x
-    acts = [a]
-    for i, (w, b) in enumerate(pairs):
-        z = a @ w.array.T + b.values
-        pre.append(z)
-        a = act(z) if i < len(pairs) - 1 else z
-        acts.append(a)
-
-    logits = acts[-1]
-    q = smoothed_targets(y, n_classes, alpha)
-    logp = _log_softmax(logits)
-    loss = float(-(q * logp).sum() / batch)
-
-    d_z = (np.exp(logp) - q) / batch
+    pre, acts = _forward(pairs, x, act)
+    loss, d_z = _smoothed_ce(acts[-1], y, alpha)
     grads: list[ParamTensor | None] = [None] * len(params)
     for i in reversed(range(len(pairs))):
         w, b = pairs[i]
@@ -355,13 +355,8 @@ class BlobsMLPProblem:
         return mlp_eval(params, x, y, activation=self.activation, alpha=self.alpha)
 
     def metrics(self, params: Sequence[ParamTensor]):
-        loss, _ = mlp_eval(
-            params,
-            self.dataset.inputs,
-            self.dataset.labels,
-            activation=self.activation,
-            alpha=self.alpha,
-        )
+        """Full-dataset loss and accuracy from one forward pass."""
         logits = mlp_logits(params, self.dataset.inputs, activation=self.activation)
+        loss, _ = _smoothed_ce(logits, self.dataset.labels, self.alpha)
         accuracy = float(np.mean(logits.argmax(axis=1) == self.dataset.labels))
         return loss, accuracy

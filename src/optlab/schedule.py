@@ -5,7 +5,8 @@ The per-step factor is
     min(1, max((1 - beta2)/2 * t, t / t_warmup), (t_max - t) / t_warmdown)
 
 so the warm-up ramp is the faster of a beta2-derived slope and a budgeted
-linear ramp, and the tail decays linearly to exactly 0 at t_max.
+linear ramp, and the tail decays linearly to exactly 0 at t_max. beta2 is
+the moments' second-moment rate (``MomentConfig.beta2``), passed by the caller.
 """
 
 from __future__ import annotations
@@ -33,15 +34,12 @@ class ScheduleSpec:
 
     eta: float
     t_max: int
-    beta2: float = 0.999
     t_warmup: int | None = None
     t_warmdown: int | None = None
 
     def __post_init__(self) -> None:
         if not self.eta > 0:
             raise ValueError(f"eta must be > 0, got {self.eta}")
-        if not 0.0 <= self.beta2 < 1.0:
-            raise ValueError(f"beta2 must be in [0, 1), got {self.beta2}")
         if self.t_max < 1:
             raise ValueError(f"t_max must be >= 1, got {self.t_max}")
         if self.t_warmup is None:
@@ -71,9 +69,11 @@ class ScheduleSpec:
 
 
 def lr_factor(
-    t: int, spec: ScheduleSpec, *, warmup: bool = True, warmdown: bool = True
+    t: int, spec: ScheduleSpec, beta2: float, *, warmup: bool = True, warmdown: bool = True
 ) -> float:
     """Schedule factor in [0, 1] at 1-based step t; multiply by eta for the rate.
+
+    Only the warm-up reads ``beta2``, the second-moment rate of the moments.
 
     The keyword flags drop the corresponding phase from the min/max (used by
     the engine's per-component toggles); with both flags the full three-phase
@@ -84,7 +84,7 @@ def lr_factor(
         raise ValueError(f"step index must be >= 1, got {t}")
     factor = 1.0
     if warmup:
-        ramp = max((1.0 - spec.beta2) / 2.0 * t, t / spec.t_warmup)
+        ramp = max((1.0 - beta2) / 2.0 * t, t / spec.t_warmup)
         factor = min(factor, ramp)
     if warmdown:
         if t > spec.t_max:

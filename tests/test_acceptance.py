@@ -106,11 +106,12 @@ def test_criterion_02_ranger21_reduction_to_adamw():
 
 def test_criterion_03_schedule_conformance():
     start = time.perf_counter()
-    spec = ScheduleSpec(eta=1e-3, t_max=10000, beta2=0.999, t_warmup=2200, t_warmdown=2800)
+    spec = ScheduleSpec(eta=1e-3, t_max=10000, t_warmup=2200, t_warmdown=2800)
+    beta2 = 0.999
     points = {1: 5e-4, 2000: 1.0, 5000: 1.0, 8600: 0.5, 10000: 0.0}
-    point_ok = all(abs(lr_factor(t, spec) - v) <= 1e-15 for t, v in points.items())
+    point_ok = all(abs(lr_factor(t, spec, beta2) - v) <= 1e-15 for t, v in points.items())
 
-    curve = [lr_factor(t, spec) for t in range(1, 10001)]
+    curve = [lr_factor(t, spec, beta2) for t in range(1, 10001)]
     rise_end = curve.index(1.0)
     fall_start_t = spec.t_max - spec.t_warmdown
     shape_ok = (

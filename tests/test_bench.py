@@ -39,7 +39,7 @@ class TestParseConfig:
         spec = config.optimizers[1]
         assert spec.preset == "ranger21"
         cfg = spec.config
-        assert cfg.decay.weight_decay == 1e-4
+        assert cfg.weight_decay == 1e-4
         assert (cfg.moments.beta0, cfg.moments.beta1, cfg.moments.beta2) == (0.9, 0.9, 0.999)
         assert cfg.beta_lookahead == 0.5
         assert cfg.moments.eps == 1e-8
@@ -199,7 +199,11 @@ class TestRunBenchmark:
                 assert r.eta_t == sched.eta
             else:
                 expected = sched.eta * lr_factor(
-                    r.step, sched, warmup=toggles.warmup, warmdown=toggles.warmdown
+                    r.step,
+                    sched,
+                    spec[r.optimizer].config.moments.beta2,
+                    warmup=toggles.warmup,
+                    warmdown=toggles.warmdown,
                 )
                 assert r.eta_t == expected
 
@@ -373,10 +377,11 @@ class TestCli:
         assert lines[0] == "step,eta_t"
         assert len(lines) == 101
         config_obj = parse(t_max=100, optimizers=[{"preset": "ranger21", "eta": 1e-3}])
-        sched = config_obj.optimizers[0].config.schedule
+        cfg = config_obj.optimizers[0].config
+        sched = cfg.schedule
         for line in lines[1:]:
             t, eta_t = line.split(",")
-            assert float(eta_t) == sched.eta * lr_factor(int(t), sched)
+            assert float(eta_t) == sched.eta * lr_factor(int(t), sched, cfg.moments.beta2)
 
     def test_schedule_adamw_is_constant_eta(self, tmp_path, capsys):
         config = self.write_config(

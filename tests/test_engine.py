@@ -1,16 +1,19 @@
 import dataclasses
 import json
 import math
+import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from optlab import (
     DecayConfig,
-    MomentConfig,
     MomentState,
+    NonFiniteError,
     Optimizer,
     ParamTensor,
     Ranger21Config,
@@ -27,6 +30,8 @@ from optlab import (
 )
 
 from oracles import adamw_scalar_trajectory, ranger21_scalar_trajectory
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def scalar(x, name="x"):
@@ -269,7 +274,11 @@ class TestComponentIsolation:
             diag = diags[0]
 
             expected_eta = sched.eta * lr_factor(
-                t, sched, warmup=toggles.warmup, warmdown=toggles.warmdown
+                t,
+                sched,
+                opt.config.moments.beta2,
+                warmup=toggles.warmup,
+                warmdown=toggles.warmdown,
             )
             assert diag.eta_t == expected_eta
             for p, td in zip(opt.params, diag.tensors):
@@ -339,7 +348,7 @@ class TestComponentIsolation:
                 opt.step(gs, observer=diags.append)
                 diag = diags[0]
                 cfg = DecayConfig(
-                    weight_decay=opt.config.decay.weight_decay,
+                    weight_decay=opt.config.weight_decay,
                     norm_loss=toggles.norm_loss,
                     stable=toggles.stable_decay,
                 )
@@ -387,15 +396,38 @@ class TestFiniteness:
         assert np.all(np.isfinite(opt.params[0].values))
         assert np.all(np.isfinite(opt.state.slow["x"]))
 
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        st.booleans(),
+        st.lists(
+            st.lists(
+                st.one_of(st.floats(-10, 10), st.sampled_from([1.7e308, -1.7e308, 1e160])),
+                min_size=4,
+                max_size=4,
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    @example(agc=False, grad_rows=[[0.5, 0.5, 1.7e308, 1.0]])
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_raising_step_leaves_no_trace(self, agc, grad_rows):
+        params = [ParamTensor("a", (2,), [1.0, -0.5]), ParamTensor("b", (2,), [0.3, 2.0])]
+        opt = Optimizer.ranger21(params, eta=3e-3, t_max=10, toggles=Toggles(agc=agc))
+        for row in grad_rows:
+            grads = [ParamTensor("a", (2,), row[:2]), ParamTensor("b", (2,), row[2:])]
+            before = json.dumps(opt.to_checkpoint())
+            params_before, t_before = opt.params, opt.t
+            try:
+                opt.step(grads)
+            except NonFiniteError:
+                assert opt.params is params_before
+                assert opt.t == t_before
+                assert json.dumps(opt.to_checkpoint()) == before
+                return
+
 
 class TestConfigValidation:
-    def test_beta2_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            Ranger21Config(
-                schedule=ScheduleSpec(eta=1e-3, t_max=10, beta2=0.99),
-                moments=MomentConfig(beta2=0.999),
-            )
-
     def test_bad_lookahead_values_rejected(self):
         sched = ScheduleSpec(eta=1e-3, t_max=10)
         with pytest.raises(ValueError):
@@ -409,7 +441,7 @@ class TestConfigValidation:
 
     def test_defaults_match_preset_requirements(self):
         cfg = default_config(3e-3, t_max=1000)
-        assert cfg.decay.weight_decay == 1e-4
+        assert cfg.weight_decay == 1e-4
         assert (cfg.moments.beta0, cfg.moments.beta1, cfg.moments.beta2) == (0.9, 0.9, 0.999)
         assert cfg.beta_lookahead == 0.5
         assert cfg.moments.eps == 1e-8
@@ -489,6 +521,62 @@ class TestCheckpoint:
         restored = Optimizer.load(path)
         assert restored.config == opt.config
         assert restored.preset == opt.preset
+
+    def test_v2_format_pinned(self, tmp_path):
+        opt, rng = self.make_opt()
+        for g in self.grad_stream(rng, 7):
+            opt.step(g)
+        path = tmp_path / "ckpt.json"
+        opt.save(path)
+        assert path.read_text() == (FIXTURES / "checkpoint_v2.json").read_text()
+
+    def test_v1_blob_rejected(self):
+        blob = json.loads((FIXTURES / "checkpoint_v2.json").read_text())
+        config = blob["config"]
+        config["decay"] = {
+            "weight_decay": config.pop("weight_decay"), "norm_loss": True, "stable": True
+        }
+        config["schedule"]["beta2"] = config["moments"]["beta2"]
+        blob["checkpoint_version"] = 1
+        with pytest.raises(ValueError, match="unsupported checkpoint version 1"):
+            Optimizer.from_checkpoint(blob)
+
+    @pytest.mark.parametrize(
+        "mutate,field",
+        [
+            (lambda blob: blob["moments"]["a"].update(v=[float("nan"), 0.0]), "moments['a'].v"),
+            (lambda blob: blob["moments"]["a"].update(v=[0.0]), "moments['a'].v"),
+            (lambda blob: blob["slow"].pop("b"), "slow"),
+            (lambda blob: blob.update(t=500), "t"),
+            (lambda blob: blob.update(t=-1), "t"),
+        ],
+        ids=["nan_v", "short_v", "missing_slow", "t_past_t_max", "negative_t"],
+    )
+    def test_inconsistent_checkpoint_rejected(self, mutate, field):
+        params = [ParamTensor("a", (2,), [1.0, -0.5]), ParamTensor("b", (2,), [0.3, 2.0])]
+        opt = Optimizer.ranger21(params, eta=3e-3, t_max=100)
+        opt.step([p.with_values([0.1, -0.2]) for p in params])
+        blob = opt.to_checkpoint()
+        mutate(blob)
+        with pytest.raises(ValueError, match="^" + re.escape(field) + ":"):
+            Optimizer.from_checkpoint(blob)
+
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        opt, rng = self.make_opt()
+        path = tmp_path / "ckpt.json"
+        opt.save(path)
+        saved = path.read_text()
+        assert os.listdir(tmp_path) == ["ckpt.json"]
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        opt.step(self.grad_stream(rng, 1)[0])
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            opt.save(path)
+        assert path.read_text() == saved
+        assert os.listdir(tmp_path) == ["ckpt.json"]
 
 
 class TestObserver:

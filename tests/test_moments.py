@@ -112,7 +112,9 @@ class TestAdamUpdate:
 
 
 class TestMomentConfig:
-    @pytest.mark.parametrize("kwargs", [{"beta0": 1.0}, {"beta1": -0.1}, {"eps": 0.0}])
+    @pytest.mark.parametrize(
+        "kwargs", [{"beta0": 1.0}, {"beta1": -0.1}, {"eps": 0.0}, {"beta2": 1.0}]
+    )
     def test_rejects_out_of_range(self, kwargs):
         with pytest.raises(ValueError):
             MomentConfig(**kwargs)

@@ -6,7 +6,8 @@ from optlab import ScheduleSpec, lr_factor
 
 # the documented reference configuration: 10000 steps, beta2 = 0.999,
 # warm-up 2200, warm-down 2800
-REF = ScheduleSpec(eta=1e-3, t_max=10000, beta2=0.999, t_warmup=2200, t_warmdown=2800)
+REF = ScheduleSpec(eta=1e-3, t_max=10000, t_warmup=2200, t_warmdown=2800)
+BETA2 = 0.999
 
 
 class TestSpec:
@@ -33,7 +34,6 @@ class TestSpec:
             {"eta": 1.0, "t_max": 0},
             {"eta": 1.0, "t_max": 10, "t_warmup": 0},
             {"eta": 1.0, "t_max": 10, "t_warmup": 11},
-            {"eta": 1.0, "t_max": 10, "beta2": 1.0},
         ],
     )
     def test_invalid_specs_rejected(self, kwargs):
@@ -43,7 +43,7 @@ class TestSpec:
     def test_overlapping_phases_permitted(self):
         spec = ScheduleSpec(eta=1.0, t_max=10, t_warmup=8, t_warmdown=8)
         assert spec.phases_overlap
-        assert 0.0 <= lr_factor(5, spec) <= 1.0
+        assert 0.0 <= lr_factor(5, spec, BETA2) <= 1.0
 
 
 class TestReferenceCurve:
@@ -52,16 +52,16 @@ class TestReferenceCurve:
         [(1, 5e-4), (2000, 1.0), (5000, 1.0), (8600, 0.5), (10000, 0.0)],
     )
     def test_reference_points(self, t, expected):
-        assert lr_factor(t, REF) == pytest.approx(expected, abs=1e-15)
+        assert lr_factor(t, REF, BETA2) == pytest.approx(expected, abs=1e-15)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            lr_factor(0, REF)
+            lr_factor(0, REF, BETA2)
         with pytest.raises(ValueError):
-            lr_factor(10001, REF)
+            lr_factor(10001, REF, BETA2)
 
     def test_three_phase_shape(self):
-        curve = [lr_factor(t, REF) for t in range(1, 10001)]
+        curve = [lr_factor(t, REF, BETA2) for t in range(1, 10001)]
         # warm-up strictly rises to 1, flat in the middle, warm-down falls to 0
         rise_end = curve.index(1.0)
         fall_start = 10000 - REF.t_warmdown
@@ -73,7 +73,7 @@ class TestReferenceCurve:
         assert curve[-1] == 0.0
 
     def test_piecewise_linear_second_differences(self):
-        curve = [lr_factor(t, REF) for t in range(1, 10001)]
+        curve = [lr_factor(t, REF, BETA2) for t in range(1, 10001)]
         rise_end = curve.index(1.0)
         # factor is exactly 1 at t = t_max - t_warmdown, falling afterwards
         fall_start_t = REF.t_max - REF.t_warmdown
@@ -89,31 +89,31 @@ class TestReferenceCurve:
     def test_reaches_one_by_bounded_step(self):
         import math
 
-        t_star = min(math.ceil(2.0 / (1.0 - REF.beta2)), REF.t_warmup)
+        t_star = min(math.ceil(2.0 / (1.0 - BETA2)), REF.t_warmup)
         assert (REF.t_max - t_star) / REF.t_warmdown >= 1.0
-        assert lr_factor(t_star, REF) == 1.0
+        assert lr_factor(t_star, REF, BETA2) == 1.0
 
 
 class TestPhaseToggles:
     def test_no_phases_is_constant_one(self):
-        assert lr_factor(1, REF, warmup=False, warmdown=False) == 1.0
-        assert lr_factor(9999, REF, warmup=False, warmdown=False) == 1.0
+        assert lr_factor(1, REF, BETA2, warmup=False, warmdown=False) == 1.0
+        assert lr_factor(9999, REF, BETA2, warmup=False, warmdown=False) == 1.0
 
     def test_warmdown_only(self):
-        assert lr_factor(1, REF, warmup=False) == 1.0
-        assert lr_factor(8600, REF, warmup=False) == 0.5
+        assert lr_factor(1, REF, BETA2, warmup=False) == 1.0
+        assert lr_factor(8600, REF, BETA2, warmup=False) == 0.5
 
     def test_warmup_only(self):
-        assert lr_factor(1, REF, warmdown=False) == pytest.approx(5e-4, abs=1e-15)
-        assert lr_factor(10000, REF, warmdown=False) == 1.0
+        assert lr_factor(1, REF, BETA2, warmdown=False) == pytest.approx(5e-4, abs=1e-15)
+        assert lr_factor(10000, REF, BETA2, warmdown=False) == 1.0
 
     def test_t_max_binds_only_with_warmdown(self):
-        assert lr_factor(10001, REF, warmdown=False) == 1.0
-        assert lr_factor(10001, REF, warmup=False, warmdown=False) == 1.0
+        assert lr_factor(10001, REF, BETA2, warmdown=False) == 1.0
+        assert lr_factor(10001, REF, BETA2, warmup=False, warmdown=False) == 1.0
         with pytest.raises(ValueError):
-            lr_factor(10001, REF)
+            lr_factor(10001, REF, BETA2)
         with pytest.raises(ValueError):
-            lr_factor(0, REF, warmdown=False)
+            lr_factor(0, REF, BETA2, warmdown=False)
 
 
 @settings(max_examples=200, derandomize=True)
@@ -131,18 +131,18 @@ class TestPhaseToggles:
 def test_factor_in_unit_interval_and_terminal_zero(args, beta2):
     t_max, t, t_warmup, t_warmdown = args
     spec = ScheduleSpec(
-        eta=1.0, t_max=t_max, beta2=beta2, t_warmup=t_warmup, t_warmdown=t_warmdown
+        eta=1.0, t_max=t_max, t_warmup=t_warmup, t_warmdown=t_warmdown
     )
-    f = lr_factor(t, spec)
+    f = lr_factor(t, spec, beta2)
     assert 0.0 <= f <= 1.0
-    assert lr_factor(t_max, spec) == 0.0
+    assert lr_factor(t_max, spec, beta2) == 0.0
 
 
 @settings(max_examples=100, derandomize=True)
 @given(st.integers(2, 2000))
 def test_warmup_nondecreasing_warmdown_nonincreasing(t_max):
     spec = ScheduleSpec(eta=1.0, t_max=t_max)
-    curve = [lr_factor(t, spec) for t in range(1, t_max + 1)]
+    curve = [lr_factor(t, spec, BETA2) for t in range(1, t_max + 1)]
     warm_end = t_max - spec.t_warmdown
     for i in range(1, warm_end):
         assert curve[i] >= curve[i - 1]
