@@ -19,6 +19,7 @@ from .engine import (
     default_config,
     lookahead_sync,
     ranger21_step,
+    scheduled_eta,
 )
 from .moments import (
     DecayConfig,
@@ -29,18 +30,15 @@ from .moments import (
     pnm_update,
 )
 from .schedule import ScheduleSpec, lr_factor
-from .tensor import (
-    NonFiniteError,
-    ParamTensor,
-    frobenius_norm,
-    mean_all_but_first,
-    row_norms,
-)
+from .tensor import NonFiniteError, ParamTensor
 from .transforms import (
     ClipConfig,
     adaptive_gradient_clip,
+    frobenius_norm,
     global_threshold_clip,
     gradient_centralize,
+    mean_all_but_first,
+    row_norms,
     unit_scale_factors,
 )
 
@@ -74,5 +72,6 @@ __all__ = [
     "pnm_update",
     "ranger21_step",
     "row_norms",
+    "scheduled_eta",
     "unit_scale_factors",
 ]

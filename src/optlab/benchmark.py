@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -227,10 +227,7 @@ _RANGER_KEYS = _ADAMW_KEYS | {
     "beta0", "tau", "eps_clipping", "k_lookahead", "beta_lookahead",
     "t_warmup", "t_warmdown", "toggles",
 }
-_TOGGLE_KEYS = {
-    "agc", "centralization", "pnm", "norm_loss", "stable_decay",
-    "warmup", "warmdown", "lookahead",
-}
+_TOGGLE_KEYS = {f.name for f in fields(Toggles)}
 
 
 def _parse_optimizer(blob, index: int, t_max: int) -> OptimizerSpec:

@@ -19,7 +19,7 @@ from .benchmark import (
     run_benchmark,
     summary_text,
 )
-from .schedule import lr_factor
+from .engine import scheduled_eta
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -67,13 +67,9 @@ def _cmd_run(args) -> int:
 def _cmd_schedule(args) -> int:
     """Print the first optimizer's per-step learning rate as step,eta_t CSV."""
     config = _load_config(args.config).optimizers[0].config
-    sched, toggles = config.schedule, config.toggles
     print("step,eta_t")
-    for t in range(1, sched.t_max + 1):
-        eta_t = sched.eta * lr_factor(
-            t, sched, config.moments.beta2, warmup=toggles.warmup, warmdown=toggles.warmdown
-        )
-        print(f"{t},{eta_t!r}")
+    for t in range(1, config.schedule.t_max + 1):
+        print(f"{t},{scheduled_eta(t, config)!r}")
     return EXIT_OK
 
 

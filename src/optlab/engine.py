@@ -37,7 +37,7 @@ from .moments import (
     pnm_update,
 )
 from .schedule import ScheduleSpec, lr_factor
-from .tensor import ParamTensor
+from .tensor import NonFiniteError, ParamTensor
 from .transforms import ClipConfig, gradient_centralize, scale_units, unit_scale_factors
 
 PRESETS = ("adamw", "ranger21")
@@ -184,9 +184,13 @@ def _check_aligned(params: Sequence[ParamTensor], grads: Sequence[ParamTensor]) 
             )
 
 
-def row_count(t: ParamTensor) -> int:
-    """Number of clipping units: elements for rank-1, dim-0 slices otherwise."""
-    return t.size if t.rank == 1 else t.shape[0]
+def scheduled_eta(t: int, config: Ranger21Config) -> float:
+    """The learning rate at 1-based step t: eta times the schedule factor of
+    the phases the warm-up and warm-down toggles leave on."""
+    toggles = config.toggles
+    return config.schedule.eta * lr_factor(
+        t, config.schedule, config.moments.beta2, warmup=toggles.warmup, warmdown=toggles.warmdown
+    )
 
 
 def ranger21_step(
@@ -203,56 +207,59 @@ def ranger21_step(
     theta' = theta - eta_t * u - d, then (every k steps) lookahead
     interpolation. Disabled toggles drop out per the module docstring.
 
-    ``state`` changes only once every tensor has been updated, so a step
-    that raises leaves it as it was.
+    Components compute on arrays; the step builds one ``ParamTensor`` per
+    parameter, after lookahead. ``state`` changes only once every tensor has
+    been updated, so a step that raises leaves it as it was.
     """
     toggles = config.toggles
-    eta_t = config.schedule.eta * lr_factor(
-        t, config.schedule, config.moments.beta2, warmup=toggles.warmup, warmdown=toggles.warmdown
-    )
+    eta_t = scheduled_eta(t, config)
     _check_aligned(params, grads)
     decay_cfg = DecayConfig(
         weight_decay=config.weight_decay,
         norm_loss=toggles.norm_loss,
         stable=toggles.stable_decay,
     )
+    moment_fn = pnm_update if toggles.pnm else adam_update
     # diagnostics cost a mean over v_hat per tensor; build them only when read
     diags: list[TensorDiag] | None = [] if observer is not None else None
 
-    new_params = []
+    fast = {}
     new_moments = {}
     for p, g in zip(params, grads):
+        grad = g.array
         clipped = 0
         if toggles.agc:
-            factors = unit_scale_factors(g, p, config.clip)
+            factors = unit_scale_factors(grad, p.array, config.clip)
             clipped = int(np.count_nonzero(factors < 1.0))
-            g = scale_units(g, factors)
+            grad = scale_units(grad, factors)
         if toggles.centralization:
-            g = gradient_centralize(g)
-        moment_fn = pnm_update if toggles.pnm else adam_update
+            grad = gradient_centralize(grad)
         u, v_hat, new_moments[p.name] = moment_fn(
-            state.moments[p.name], g, t, config.moments
+            state.moments[p.name], grad.reshape(-1), t, config.moments
         )
-        d = combined_decay(p, v_hat, eta_t, decay_cfg)
-        new_params.append(p.with_values(p.values - eta_t * u.values - d.values))
+        # enough to check u and v_hat here: a clip keeps values finite, an overflow
+        # in centralize reaches u, and one in decay or theta' the new params
+        if not (np.isfinite(u).all() and np.isfinite(v_hat).all()):
+            raise NonFiniteError(f"{p.name}: non-finite values rejected")
+        d = combined_decay(p.values, v_hat, eta_t, decay_cfg)
+        fast[p.name] = p.values - eta_t * u - d
         if diags is not None:
             diags.append(
                 TensorDiag(
                     name=p.name,
                     units_clipped=clipped,
-                    units_total=int(row_count(p)),
-                    mean_vhat=float(np.mean(v_hat.values)),
+                    units_total=p.shape[0],
+                    mean_vhat=float(np.mean(v_hat)),
                     size=p.size,
-                    update=u.values,
-                    decay=d.values,
+                    update=u,
+                    decay=d,
                 )
             )
 
     slow = state.slow
     if toggles.lookahead:
-        new_params, slow = lookahead_sync(
-            new_params, slow, t, config.k_lookahead, config.beta_lookahead
-        )
+        fast, slow = lookahead_sync(fast, slow, t, config.k_lookahead, config.beta_lookahead)
+    new_params = [ParamTensor(p.name, p.shape, fast[p.name]) for p in params]
     if observer is not None:
         observer(StepDiag(t=t, eta_t=eta_t, tensors=diags))
     state.moments.update(new_moments)
@@ -261,26 +268,23 @@ def ranger21_step(
 
 
 def lookahead_sync(
-    params: Sequence[ParamTensor],
+    fast: dict[str, np.ndarray],
     slow: dict[str, np.ndarray],
     t: int,
     k: int,
     beta_la: float,
-) -> tuple[list[ParamTensor], dict[str, np.ndarray]]:
+) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
     """Every k-th step, interpolate the slow weights toward the fast ones
     and substitute them: l <- beta*l + (1-beta)*theta, theta <- l.
-    Other steps are a no-op."""
+    Other steps are a no-op. Both maps go from tensor name to flat values."""
     if t < 1:
         raise ValueError(f"step index must be >= 1, got {t}")
     if t % k != 0:
-        return list(params), slow
-    new_slow = {}
-    new_params = []
-    for p in params:
-        interpolated = beta_la * slow[p.name] + (1.0 - beta_la) * p.values
-        new_slow[p.name] = interpolated
-        new_params.append(p.with_values(interpolated))
-    return new_params, new_slow
+        return fast, slow
+    new_slow = {
+        name: beta_la * slow[name] + (1.0 - beta_la) * theta for name, theta in fast.items()
+    }
+    return dict(new_slow), new_slow
 
 
 class Optimizer:
@@ -334,10 +338,9 @@ class Optimizer:
         self, grads: Sequence[ParamTensor], observer: Observer | None = None
     ) -> list[ParamTensor]:
         t = self.state.t + 1
-        new_params = ranger21_step(self.params, grads, self.state, t, self.config, observer)
-        self.params = new_params
+        self.params = ranger21_step(self.params, grads, self.state, t, self.config, observer)
         self.state.t = t
-        return new_params
+        return self.params
 
     # -- checkpointing ------------------------------------------------------
 
@@ -345,7 +348,7 @@ class Optimizer:
         return {
             "checkpoint_version": CHECKPOINT_VERSION,
             "preset": self.preset,
-            "config": config_to_dict(self.config),
+            "config": dataclasses.asdict(self.config),
             "t": self.state.t,
             "params": [
                 {"name": p.name, "shape": list(p.shape), "values": p.values.tolist()}
@@ -361,16 +364,19 @@ class Optimizer:
     @classmethod
     def from_checkpoint(cls, blob: dict) -> "Optimizer":
         """Rebuild an optimizer from ``to_checkpoint`` output; raises ValueError
-        naming the field when the state does not fit the params or the schedule."""
+        naming the field when a field is missing or malformed, or when the
+        state does not fit the params or the schedule."""
         if blob.get("checkpoint_version") != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {blob.get('checkpoint_version')}")
-        params = [
-            ParamTensor(entry["name"], entry["shape"], entry["values"])
-            for entry in blob["params"]
-        ]
-        opt = cls(params, config_from_dict(blob["config"]), preset=blob["preset"])
-        t, t_max = int(blob["t"]), opt.config.schedule.t_max
-        if t < 0 or (opt.config.toggles.warmdown and t > t_max):
+        for key in ("preset", "config", "t", "params", "moments", "slow"):
+            _field(blob, key, key)
+        params = [_param_from_dict(entry, f"params[{i}]") for i, entry in enumerate(blob["params"])]
+        config = _config_from_dict(blob["config"])
+        opt = cls(params, config, preset=blob["preset"])
+        t, t_max = blob["t"], config.schedule.t_max
+        if not isinstance(t, int) or isinstance(t, bool):
+            raise ValueError(f"t: must be an integer, got {t!r}")
+        if t < 0 or (config.toggles.warmdown and t > t_max):
             raise ValueError(f"t: must be >= 0, and <= t_max = {t_max} with warm-down on, got {t}")
         names = [p.name for p in params]
         for key in ("moments", "slow"):
@@ -378,16 +384,11 @@ class Optimizer:
                 raise ValueError(f"{key}: keys {sorted(blob[key])} do not match params {names}")
         opt.state.t = t
         for p in params:
-            ms = blob["moments"][p.name]
+            ms, name = blob["moments"][p.name], repr(p.name)
             opt.state.moments[p.name] = MomentState(
-                **{
-                    buf: _checked_buffer(f"moments[{p.name!r}].{buf}", ms[buf], p.size)
-                    for buf in _MOMENT_BUFFERS
-                }
+                *(_checked_buffer(ms, b, f"moments[{name}].{b}", p.size) for b in _MOMENT_BUFFERS)
             )
-            opt.state.slow[p.name] = _checked_buffer(
-                f"slow[{p.name!r}]", blob["slow"][p.name], p.size
-            )
+            opt.state.slow[p.name] = _checked_buffer(blob["slow"], p.name, f"slow[{name}]", p.size)
         return opt
 
     def save(self, path: str | Path) -> None:
@@ -408,12 +409,8 @@ class Optimizer:
         return cls.from_checkpoint(json.loads(Path(path).read_text()))
 
 
-def config_to_dict(config: Ranger21Config) -> dict:
-    return dataclasses.asdict(config)
-
-
-def _checked_buffer(where: str, values, size: int) -> np.ndarray:
-    buf = np.asarray(values, dtype=np.float64)
+def _checked_buffer(mapping: dict, key: str, where: str, size: int) -> np.ndarray:
+    buf = np.asarray(_field(mapping, key, where), dtype=np.float64)
     if buf.shape != (size,):
         raise ValueError(f"{where}: expected {size} values, got shape {buf.shape}")
     if not np.all(np.isfinite(buf)):
@@ -421,13 +418,39 @@ def _checked_buffer(where: str, values, size: int) -> np.ndarray:
     return buf
 
 
-def config_from_dict(blob: dict) -> Ranger21Config:
-    return Ranger21Config(
-        schedule=ScheduleSpec(**blob["schedule"]),
-        moments=MomentConfig(**blob["moments"]),
-        weight_decay=blob["weight_decay"],
-        clip=ClipConfig(**blob["clip"]),
-        k_lookahead=blob["k_lookahead"],
-        beta_lookahead=blob["beta_lookahead"],
-        toggles=Toggles(**blob["toggles"]),
-    )
+def _field(mapping, key: str, where: str):
+    if key not in mapping:
+        raise ValueError(f"{where}: missing")
+    return mapping[key]
+
+
+def _exact_fields(cls, blob, where: str) -> dict:
+    names = cls.__dataclass_fields__.keys()
+    if not isinstance(blob, dict) or blob.keys() != names:
+        raise ValueError(f"{where}: expected an object with keys {sorted(names)}, got {blob!r}")
+    return blob
+
+
+def _config_from_dict(blob) -> Ranger21Config:
+    """Build the config from a dict holding exactly its fields, and its parts
+    from nested dicts; ValueError names the field at fault."""
+    kwargs = dict(_exact_fields(Ranger21Config, blob, "config"))
+    parts = {
+        "schedule": ScheduleSpec, "moments": MomentConfig, "clip": ClipConfig, "toggles": Toggles
+    }
+    for name, part in parts.items():
+        where = f"config.{name}"
+        kwargs[name] = _built(where, part, **_exact_fields(part, blob[name], where))
+    return _built("config", Ranger21Config, **kwargs)
+
+
+def _param_from_dict(entry, where: str) -> ParamTensor:
+    fields = [_field(entry, key, f"{where}.{key}") for key in ("name", "shape", "values")]
+    return _built(where, ParamTensor, *fields)
+
+
+def _built(where: str, cls, *args, **kwargs):
+    try:
+        return cls(*args, **kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: {exc}") from exc

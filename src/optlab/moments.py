@@ -1,4 +1,5 @@
-"""Moment machinery and the combined weight-decay term.
+"""Moment machinery and the combined weight-decay term, as pure array maths on
+flat float64 arrays of one tensor's element count.
 
 Two interchangeable moment updates share one state layout:
 
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ParamTensor, frobenius_norm
+from .transforms import frobenius_norm
 
 # Floor for sqrt(mean(v_hat)) in stable decay; inert once any gradient has flowed.
 STABLE_DECAY_FLOOR = 1e-8
@@ -79,17 +80,16 @@ class MomentState:
             v_max=np.zeros(size),
         )
 
-    def check_matches(self, g: ParamTensor) -> None:
+    def check_matches(self, g: np.ndarray) -> None:
         if self.m_prev.size != g.size:
             raise ValueError(
-                f"state buffers hold {self.m_prev.size} elements, "
-                f"gradient {g.name} has {g.size}"
+                f"state buffers hold {self.m_prev.size} elements, gradient has {g.size}"
             )
 
 
 def pnm_update(
-    state: MomentState, g: ParamTensor, t: int, cfg: MomentConfig
-) -> tuple[ParamTensor, ParamTensor, MomentState]:
+    state: MomentState, g: np.ndarray, t: int, cfg: MomentConfig
+) -> tuple[np.ndarray, np.ndarray, MomentState]:
     """Positive-negative momentum step with running second-moment max.
 
         m_t     = beta1^2 * m_{t-2} + (1 - beta1^2) * g
@@ -105,24 +105,23 @@ def pnm_update(
     if t < 1:
         raise ValueError(f"step index must be >= 1, got {t}")
     state.check_matches(g)
-    garr = g.values
     b0, b1, b2 = cfg.beta0, cfg.beta1, cfg.beta2
 
-    m_t = b1 * b1 * state.m_prev2 + (1.0 - b1 * b1) * garr
+    m_t = b1 * b1 * state.m_prev2 + (1.0 - b1 * b1) * g
     m_hat = ((1.0 + b0) * m_t - b0 * state.m_prev) / (1.0 - b1**t)
-    v_t = b2 * state.v + (1.0 - b2) * garr * garr
+    v_t = b2 * state.v + (1.0 - b2) * g * g
     v_max = np.maximum(v_t, state.v_max)
     v_hat = v_max / (1.0 - b2**t)
     normalizer = math.sqrt((1.0 + b0) ** 2 + b0**2)
     u = m_hat / (normalizer * (np.sqrt(v_hat) + cfg.eps))
 
     new_state = MomentState(m_prev=m_t, m_prev2=state.m_prev, v=v_t, v_max=v_max)
-    return g.with_values(u), g.with_values(v_hat), new_state
+    return u, v_hat, new_state
 
 
 def adam_update(
-    state: MomentState, g: ParamTensor, t: int, cfg: MomentConfig
-) -> tuple[ParamTensor, ParamTensor, MomentState]:
+    state: MomentState, g: np.ndarray, t: int, cfg: MomentConfig
+) -> tuple[np.ndarray, np.ndarray, MomentState]:
     """Classic adaptive moment step (single buffer, no second-moment max).
 
         m_t   = beta1 * m_{t-1} + (1 - beta1) * g
@@ -134,22 +133,21 @@ def adam_update(
     if t < 1:
         raise ValueError(f"step index must be >= 1, got {t}")
     state.check_matches(g)
-    garr = g.values
     b1, b2 = cfg.beta1, cfg.beta2
 
-    m_t = b1 * state.m_prev + (1.0 - b1) * garr
+    m_t = b1 * state.m_prev + (1.0 - b1) * g
     m_hat = m_t / (1.0 - b1**t)
-    v_t = b2 * state.v + (1.0 - b2) * garr * garr
+    v_t = b2 * state.v + (1.0 - b2) * g * g
     v_hat = v_t / (1.0 - b2**t)
     u = m_hat / (np.sqrt(v_hat) + cfg.eps)
 
     new_state = MomentState(m_prev=m_t, m_prev2=state.m_prev, v=v_t, v_max=state.v_max)
-    return g.with_values(u), g.with_values(v_hat), new_state
+    return u, v_hat, new_state
 
 
 def combined_decay(
-    theta: ParamTensor, v_hat: ParamTensor, eta_t: float, cfg: DecayConfig
-) -> ParamTensor:
+    theta: np.ndarray, v_hat: np.ndarray, eta_t: float, cfg: DecayConfig
+) -> np.ndarray:
     """Decay displacement d, already scaled by the scheduled learning rate:
 
         d = eta_t * [1 / sqrt(mean(v_hat))] * weight_decay * [1 - 1/|theta|] * theta
@@ -167,10 +165,10 @@ def combined_decay(
         raise ValueError(f"eta_t must be >= 0, got {eta_t}")
     scale = eta_t * cfg.weight_decay
     if cfg.stable:
-        scale /= max(math.sqrt(float(np.mean(v_hat.values))), STABLE_DECAY_FLOOR)
+        scale /= max(math.sqrt(float(np.mean(v_hat))), STABLE_DECAY_FLOOR)
     if cfg.norm_loss:
         norm = frobenius_norm(theta)
         if norm == 0.0:
-            return theta.with_values(np.zeros(theta.size))
+            return np.zeros(theta.size)
         scale *= 1.0 - 1.0 / norm
-    return theta.with_values(scale * theta.values)
+    return scale * theta

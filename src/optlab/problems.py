@@ -280,7 +280,6 @@ def finite_diff_grad(
 class RosenbrockProblem:
     start: tuple[float, float] = (-1.5, 2.0)
     name: str = "rosenbrock"
-    classification: bool = False
 
     def init_params(self, rng: np.random.Generator) -> list[ParamTensor]:
         return [ParamTensor("x", (2,), self.start)]
@@ -301,7 +300,6 @@ class QuadraticProblem:
     spectrum: tuple[float, ...]
     start: tuple[float, ...]
     name: str = "quadratic"
-    classification: bool = False
 
     def __post_init__(self) -> None:
         if len(self.spectrum) != len(self.start):
@@ -331,7 +329,6 @@ class BlobsMLPProblem:
     activation: str = "tanh"
     alpha: float = 0.1
     name: str = "blobs_mlp"
-    classification: bool = True
     widths: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:

@@ -1,4 +1,5 @@
-"""Minimal dense float64 tensor with the reductions the update rules need."""
+"""Minimal dense float64 tensor: the type ``Optimizer`` takes and returns.
+Components compute on plain arrays; a step builds one per parameter."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import numpy as np
 
 
 class NonFiniteError(ValueError):
-    """Raised when tensor construction sees NaN or Inf values."""
+    """Raised when a tensor, or an update the step computed for it, holds NaN or Inf."""
 
 
 class ParamTensor:
@@ -40,10 +41,6 @@ class ParamTensor:
         self.shape = shape
         self.values = flat
 
-    @classmethod
-    def zeros(cls, name: str, shape: Sequence[int]) -> "ParamTensor":
-        return cls(name, shape, np.zeros(math.prod(tuple(shape))))
-
     def with_values(self, values) -> "ParamTensor":
         """New tensor with the same name and shape but fresh values."""
         return ParamTensor(self.name, self.shape, values)
@@ -63,25 +60,3 @@ class ParamTensor:
 
     def __repr__(self) -> str:
         return f"ParamTensor({self.name!r}, shape={self.shape})"
-
-
-def frobenius_norm(t: ParamTensor) -> float:
-    """Square root of the sum of squared entries; 0 for an all-zero tensor."""
-    return float(np.linalg.norm(t.values))
-
-
-def row_norms(t: ParamTensor) -> np.ndarray:
-    """Frobenius norm of each dim-0 slice (remaining axes flattened).
-
-    A rank-1 tensor yields one norm per element: each entry is its own unit.
-    """
-    if t.rank == 1:
-        return np.abs(t.values)
-    return np.linalg.norm(t.array.reshape(t.shape[0], -1), axis=1)
-
-
-def mean_all_but_first(t: ParamTensor) -> np.ndarray:
-    """Arithmetic mean of each dim-0 slice. Requires rank >= 2."""
-    if t.rank < 2:
-        raise ValueError(f"{t.name}: mean_all_but_first needs rank >= 2, got rank 1")
-    return t.array.reshape(t.shape[0], -1).mean(axis=1)

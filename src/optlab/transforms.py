@@ -1,7 +1,7 @@
-"""Gradient-to-gradient transforms applied before moment estimation.
-
-All transforms are pure: they take tensors and return new tensors, so they
-compose in any order and property tests stay trivial. The preset order is
+"""Gradient transforms applied before moment estimation, and the unit reductions
+they use. Pure array maths: each function takes float64 arrays in the tensor's
+declared shape and returns one of that shape without writing to its inputs. A
+unit is a dim-0 slice, or one element of a rank-1 array. The preset order is
 unit-wise clipping first, centralization second.
 """
 
@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .tensor import ParamTensor, frobenius_norm, row_norms
 
 
 @dataclass(frozen=True)
@@ -28,7 +26,26 @@ class ClipConfig:
             raise ValueError(f"eps must be > 0, got {self.eps}")
 
 
-def unit_scale_factors(g: ParamTensor, theta: ParamTensor, cfg: ClipConfig) -> np.ndarray:
+def frobenius_norm(a: np.ndarray) -> float:
+    """Square root of the sum of squared entries; 0 for an all-zero array."""
+    return float(np.linalg.norm(a))
+
+
+def row_norms(a: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each unit: one per element for a rank-1 array."""
+    if a.ndim == 1:
+        return np.abs(a)
+    return np.linalg.norm(a.reshape(a.shape[0], -1), axis=1)
+
+
+def mean_all_but_first(a: np.ndarray) -> np.ndarray:
+    """Arithmetic mean of each dim-0 slice. Requires rank >= 2."""
+    if a.ndim < 2:
+        raise ValueError("mean_all_but_first needs rank >= 2, got rank 1")
+    return a.reshape(a.shape[0], -1).mean(axis=1)
+
+
+def unit_scale_factors(g: np.ndarray, theta: np.ndarray, cfg: ClipConfig) -> np.ndarray:
     """Per-unit multipliers for adaptive clipping.
 
     Unit r gets tau * max(|theta_r|, eps) / |g_r| when its gradient-to-parameter
@@ -47,26 +64,25 @@ def unit_scale_factors(g: ParamTensor, theta: ParamTensor, cfg: ClipConfig) -> n
     return factors
 
 
-def scale_units(g: ParamTensor, factors: np.ndarray) -> ParamTensor:
+def scale_units(g: np.ndarray, factors: np.ndarray) -> np.ndarray:
     """Multiply each unit (dim-0 slice, or element for rank-1) by its factor."""
-    if g.rank == 1:
-        return g.with_values(g.values * factors)
-    scaled = g.array.reshape(g.shape[0], -1) * factors[:, None]
-    return g.with_values(scaled.ravel())
+    if g.ndim == 1:
+        return g * factors
+    return (g.reshape(g.shape[0], -1) * factors[:, None]).reshape(g.shape)
 
 
 def adaptive_gradient_clip(
-    g: ParamTensor, theta: ParamTensor, cfg: ClipConfig = ClipConfig()
-) -> ParamTensor:
+    g: np.ndarray, theta: np.ndarray, cfg: ClipConfig = ClipConfig()
+) -> np.ndarray:
     """Rescale each unit whose gradient norm exceeds tau times its parameter norm.
 
     Clipped units keep their direction exactly; unclipped units pass through
-    unchanged. Units are dim-0 slices (per element for rank-1 tensors).
+    unchanged.
     """
     return scale_units(g, unit_scale_factors(g, theta, cfg))
 
 
-def global_threshold_clip(g: ParamTensor, tau: float) -> ParamTensor:
+def global_threshold_clip(g: np.ndarray, tau: float) -> np.ndarray:
     """Whole-tensor Frobenius clip: rescale to norm tau when the norm exceeds tau.
 
     Test oracle for the unit-wise clip; not used by any preset.
@@ -75,18 +91,17 @@ def global_threshold_clip(g: ParamTensor, tau: float) -> ParamTensor:
         raise ValueError(f"tau must be > 0, got {tau}")
     norm = frobenius_norm(g)
     if norm <= tau:
-        return g.with_values(g.values)
-    return g.with_values(g.values * (tau / norm))
+        return g
+    return g * (tau / norm)
 
 
-def gradient_centralize(g: ParamTensor) -> ParamTensor:
+def gradient_centralize(g: np.ndarray) -> np.ndarray:
     """Subtract each dim-0 slice's mean (over all remaining axes).
 
-    Applies only to tensors with more than one axis; rank-1 gradients
-    (biases, norm scales) pass through unchanged.
+    Applies only to arrays with more than one axis; rank-1 gradients
+    (biases, norm scales) are returned as they are.
     """
-    if g.rank == 1:
-        return g.with_values(g.values)
-    mat = g.array.reshape(g.shape[0], -1)
-    centered = mat - mat.mean(axis=1, keepdims=True)
-    return g.with_values(centered.ravel())
+    if g.ndim == 1:
+        return g
+    rows = g.reshape(g.shape[0], -1)
+    return (rows - mean_all_but_first(g)[:, None]).reshape(g.shape)

@@ -145,31 +145,31 @@ def test_criterion_04_transform_invariant_suite():
         g = ParamTensor("g", shape, 10.0 ** rng.uniform(-3, 3) * rng.standard_normal(n))
         theta = ParamTensor("g", shape, 10.0 ** rng.uniform(-3, 3) * rng.standard_normal(n))
 
-        clipped = adaptive_gradient_clip(g, theta, cfg)
-        limits = np.maximum(row_norms(theta), cfg.eps)
+        clipped = adaptive_gradient_clip(g.array, theta.array, cfg)
+        limits = np.maximum(row_norms(theta.array), cfg.eps)
         if not np.all(row_norms(clipped) / limits <= cfg.tau * (1 + 1e-12)):
             ok = False
         rows = g.array.reshape(shape[0], -1) if rank > 1 else g.values[:, None]
         rows_out = (
-            clipped.array.reshape(shape[0], -1) if rank > 1 else clipped.values[:, None]
+            clipped.reshape(shape[0], -1) if rank > 1 else clipped[:, None]
         )
         for r_in, r_out in zip(rows, rows_out):
             n1, n2 = np.linalg.norm(r_in), np.linalg.norm(r_out)
             if n1 > 0 and n2 > 0 and abs(np.dot(r_in, r_out) / (n1 * n2) - 1.0) > 1e-12:
                 ok = False
-        twice = adaptive_gradient_clip(clipped, theta, cfg)
-        if not np.allclose(twice.values, clipped.values, rtol=1e-15, atol=0):
+        twice = adaptive_gradient_clip(clipped, theta.array, cfg)
+        if not np.allclose(twice, clipped, rtol=1e-15, atol=0):
             ok = False
 
-        centered = gradient_centralize(g)
+        centered = gradient_centralize(g.array)
         if rank >= 2:
             scale = max(1.0, float(np.max(np.abs(g.values))))
             if np.any(np.abs(mean_all_but_first(centered)) > 1e-12 * scale):
                 ok = False
             again = gradient_centralize(centered)
-            if not np.allclose(again.values, centered.values, rtol=1e-13, atol=1e-13 * scale):
+            if not np.allclose(again, centered, rtol=1e-13, atol=1e-13 * scale):
                 ok = False
-        elif not np.array_equal(centered.values, g.values):
+        elif not np.array_equal(centered, g.values):
             ok = False
         checked += 1
     elapsed = time.perf_counter() - start
@@ -182,8 +182,8 @@ def test_criterion_04_transform_invariant_suite():
 
 def test_criterion_05_pnm_scalar_conformance():
     start = time.perf_counter()
-    u, _, _ = pnm_update(MomentState.zeros(1), scalar(1.0), 1, MomentConfig())
-    u_example = u.values[0]
+    u, _, _ = pnm_update(MomentState.zeros(1), scalar(1.0).values, 1, MomentConfig())
+    u_example = u[0]
     hand = 3.61 / (math.sqrt(4.42) * (1.0 + 1e-8))
     example_ok = abs(u_example - hand) < 1e-9
 
@@ -194,9 +194,9 @@ def test_criterion_05_pnm_scalar_conformance():
         expected_us, expected_vhats = pnm_scalar(grads)
         state = MomentState.zeros(1)
         for t, g in enumerate(grads, start=1):
-            u, v_hat, state = pnm_update(state, scalar(g), t, MomentConfig())
-            worst = max(worst, abs(u.values[0] - expected_us[t - 1]) / max(abs(expected_us[t - 1]), 1e-300))
-            worst = max(worst, abs(v_hat.values[0] - expected_vhats[t - 1]) / max(expected_vhats[t - 1], 1e-300))
+            u, v_hat, state = pnm_update(state, scalar(g).values, t, MomentConfig())
+            worst = max(worst, abs(u[0] - expected_us[t - 1]) / max(abs(expected_us[t - 1]), 1e-300))
+            worst = max(worst, abs(v_hat[0] - expected_vhats[t - 1]) / max(expected_vhats[t - 1], 1e-300))
     elapsed = time.perf_counter() - start
     report(
         5, "pnm scalar conformance",
@@ -378,10 +378,10 @@ def test_criterion_10_determinism(tmp_path):
 
 def test_criterion_11_lookahead_conformance():
     start = time.perf_counter()
-    params, slow = lookahead_sync([scalar(1.0)], {"x": np.array([0.0])}, t=5, k=5, beta_la=0.5)
-    example_ok = params[0].values[0] == 0.5 and slow["x"][0] == 0.5
-    params, slow = lookahead_sync([scalar(1.0)], {"x": np.array([0.25])}, t=5, k=5, beta_la=0.0)
-    endpoint_ok = params[0].values[0] == 1.0 and slow["x"][0] == 1.0
+    params, slow = lookahead_sync({"x": scalar(1.0).values}, {"x": np.array([0.0])}, t=5, k=5, beta_la=0.5)
+    example_ok = params["x"][0] == 0.5 and slow["x"][0] == 0.5
+    params, slow = lookahead_sync({"x": scalar(1.0).values}, {"x": np.array([0.25])}, t=5, k=5, beta_la=0.0)
+    endpoint_ok = params["x"][0] == 1.0 and slow["x"][0] == 1.0
 
     rng = np.random.default_rng(1111)
     grads = [float(g) for g in rng.uniform(-2, 2, size=40)]

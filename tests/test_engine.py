@@ -29,6 +29,8 @@ from optlab import (
     pnm_update,
 )
 
+from optlab.problems import RosenbrockProblem
+
 from oracles import adamw_scalar_trajectory, ranger21_scalar_trajectory
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -173,22 +175,22 @@ class TestLookahead:
     def test_interpolation_example(self):
         params = [scalar(1.0)]
         slow = {"x": np.array([0.0])}
-        new_params, new_slow = lookahead_sync(params, slow, t=5, k=5, beta_la=0.5)
-        assert new_params[0].values[0] == 0.5
+        new_params, new_slow = lookahead_sync({"x": params[0].values}, slow, t=5, k=5, beta_la=0.5)
+        assert new_params["x"][0] == 0.5
         assert new_slow["x"][0] == 0.5
 
     def test_beta_zero_endpoint(self):
         params = [scalar(1.0)]
         slow = {"x": np.array([0.25])}
-        new_params, new_slow = lookahead_sync(params, slow, t=5, k=5, beta_la=0.0)
-        assert new_params[0].values[0] == 1.0
+        new_params, new_slow = lookahead_sync({"x": params[0].values}, slow, t=5, k=5, beta_la=0.0)
+        assert new_params["x"][0] == 1.0
         assert new_slow["x"][0] == 1.0
 
     def test_non_multiple_is_noop(self):
         params = [scalar(1.0)]
         slow = {"x": np.array([0.0])}
-        new_params, new_slow = lookahead_sync(params, slow, t=6, k=5, beta_la=0.5)
-        assert new_params[0].values[0] == 1.0
+        new_params, new_slow = lookahead_sync({"x": params[0].values}, slow, t=6, k=5, beta_la=0.5)
+        assert new_params["x"][0] == 1.0
         assert new_slow["x"][0] == 0.0
 
     def test_disabled_lookahead_independent_of_k_and_beta(self):
@@ -298,11 +300,11 @@ class TestComponentIsolation:
             diags = []
             opt.step(gs, observer=diags.append)
             for p, g, td in zip(prev_params, gs, diags[0].tensors):
-                clipped = adaptive_gradient_clip(g, p, opt.config.clip)
+                clipped = adaptive_gradient_clip(g.array, p.array, opt.config.clip)
                 u, _, shadow[p.name] = adam_update(
-                    shadow[p.name], clipped, t, opt.config.moments
+                    shadow[p.name], clipped.ravel(), t, opt.config.moments
                 )
-                np.testing.assert_allclose(td.update, u.values, rtol=1e-15, atol=0)
+                np.testing.assert_allclose(td.update, u, rtol=1e-15, atol=0)
 
     def test_centralization_only_feeds_centered_gradient(self, problem):
         params, grads = problem
@@ -317,9 +319,9 @@ class TestComponentIsolation:
             opt.step(gs, observer=diags.append)
             for p, g, td in zip(params, gs, diags[0].tensors):
                 u, _, shadow[p.name] = adam_update(
-                    shadow[p.name], gradient_centralize(g), t, opt.config.moments
+                    shadow[p.name], gradient_centralize(g.array).ravel(), t, opt.config.moments
                 )
-                np.testing.assert_allclose(td.update, u.values, rtol=1e-15, atol=0)
+                np.testing.assert_allclose(td.update, u, rtol=1e-15, atol=0)
 
     def test_pnm_only_matches_pnm_update(self, problem):
         params, grads = problem
@@ -333,8 +335,8 @@ class TestComponentIsolation:
             diags = []
             opt.step(gs, observer=diags.append)
             for p, g, td in zip(params, gs, diags[0].tensors):
-                u, _, shadow[p.name] = pnm_update(shadow[p.name], g, t, opt.config.moments)
-                np.testing.assert_allclose(td.update, u.values, rtol=1e-15, atol=0)
+                u, _, shadow[p.name] = pnm_update(shadow[p.name], g.values, t, opt.config.moments)
+                np.testing.assert_allclose(td.update, u, rtol=1e-15, atol=0)
 
     def test_decay_toggles_match_combined_decay(self, problem):
         params, grads = problem
@@ -354,8 +356,8 @@ class TestComponentIsolation:
                 )
                 for p, td in zip(prev_params, diag.tensors):
                     v_hat = p.with_values(np.full(p.size, td.mean_vhat))
-                    d = combined_decay(p, v_hat, diag.eta_t, cfg)
-                    np.testing.assert_allclose(td.decay, d.values, rtol=1e-12, atol=1e-300)
+                    d = combined_decay(p.values, v_hat.values, diag.eta_t, cfg)
+                    np.testing.assert_allclose(td.decay, d, rtol=1e-12, atol=1e-300)
 
     def test_lookahead_only_interpolates_every_k_steps(self, problem):
         params, grads = problem
@@ -381,6 +383,20 @@ class TestComponentIsolation:
                     np.testing.assert_allclose(p.values, slow[p.name], rtol=1e-15)
                 else:
                     np.testing.assert_allclose(p.values, fast, rtol=1e-15)
+
+
+def overflow_case(agc, shape, grad):
+    opt = Optimizer.ranger21(
+        [ParamTensor("w", shape, np.linspace(0.5, 2.0, len(grad)))],
+        eta=3e-3, t_max=10, toggles=Toggles(agc=agc),
+    )
+    return opt, lambda params: [ParamTensor("w", shape, grad)]
+
+
+def rosenbrock_adamw_case(eta):
+    problem = RosenbrockProblem()
+    opt = Optimizer.adamw(problem.init_params(None), eta=eta)
+    return opt, lambda params: problem.evaluate(params)[1]
 
 
 class TestFiniteness:
@@ -425,6 +441,38 @@ class TestFiniteness:
                 assert opt.t == t_before
                 assert json.dumps(opt.to_checkpoint()) == before
                 return
+
+    @pytest.mark.parametrize(
+        "case,raises_at",
+        [
+            (lambda: overflow_case(False, (2, 2), [1e308, 1e308, 0.5, -0.5]), 1),
+            (lambda: overflow_case(False, (2,), [1e160, 1.0]), 1),
+            (lambda: overflow_case(True, (2,), [1e160, 1.0]), None),
+            (lambda: overflow_case(False, (2,), [1e150, 1.0]), None),
+            (lambda: rosenbrock_adamw_case(1e30), 3),
+        ],
+        ids=[
+            "centralize_mean_overflows",
+            "g_squared_overflows",
+            "agc_clips_1e160",
+            "g_1e150_steps",
+            "adamw_eta_1e30_rosenbrock",
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_pinned_overflow_cases(self, case, raises_at):
+        # the step checks only u, v_hat and the new params, so an overflow
+        # anywhere else must reach one of them
+        opt, grads_for = case()
+        for t in range(1, (raises_at or 1) + 1):
+            before = json.dumps(opt.to_checkpoint())
+            grads = grads_for(opt.params)
+            if t != raises_at:
+                opt.step(grads)
+                continue
+            with pytest.raises(NonFiniteError):
+                opt.step(grads)
+            assert json.dumps(opt.to_checkpoint()) == before
 
 
 class TestConfigValidation:
@@ -549,8 +597,23 @@ class TestCheckpoint:
             (lambda blob: blob["slow"].pop("b"), "slow"),
             (lambda blob: blob.update(t=500), "t"),
             (lambda blob: blob.update(t=-1), "t"),
+            (lambda blob: blob.pop("slow"), "slow"),
+            (lambda blob: blob.pop("params"), "params"),
+            (lambda blob: blob.pop("config"), "config"),
+            (lambda blob: blob.pop("t"), "t"),
+            (lambda blob: blob["moments"]["a"].pop("v"), "moments['a'].v"),
+            (lambda blob: blob["params"][0].pop("shape"), "params[0].shape"),
+            (lambda blob: blob["config"]["clip"].update(extra=1.0), "config.clip"),
+            (lambda blob: blob["config"]["toggles"].pop("agc"), "config.toggles"),
+            (lambda blob: blob.update(t=7.9), "t"),
+            (lambda blob: blob.update(t="7"), "t"),
         ],
-        ids=["nan_v", "short_v", "missing_slow", "t_past_t_max", "negative_t"],
+        ids=[
+            "nan_v", "short_v", "missing_slow", "t_past_t_max", "negative_t",
+            "no_slow_key", "no_params_key", "no_config_key", "no_t_key",
+            "moment_without_v", "param_without_shape", "unknown_clip_key",
+            "missing_toggle_key", "fractional_t", "string_t",
+        ],
     )
     def test_inconsistent_checkpoint_rejected(self, mutate, field):
         params = [ParamTensor("a", (2,), [1.0, -0.5]), ParamTensor("b", (2,), [0.3, 2.0])]

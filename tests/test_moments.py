@@ -24,27 +24,27 @@ def scalar(x, name="p"):
 
 class TestPnmUpdate:
     def test_zero_gradient_zero_state(self):
-        u, v_hat, state = pnm_update(MomentState.zeros(1), scalar(0.0), 1, MomentConfig())
-        assert u.values[0] == 0.0
-        assert v_hat.values[0] == 0.0
+        u, v_hat, state = pnm_update(MomentState.zeros(1), scalar(0.0).values, 1, MomentConfig())
+        assert u[0] == 0.0
+        assert v_hat[0] == 0.0
         assert np.all(state.v_max == 0.0)
 
     def test_first_step_worked_example(self):
         # g=1 at t=1 with defaults: m=0.19, m_hat=3.61, v_hat=1.0,
         # u = 3.61 / (sqrt(4.42) * (1 + 1e-8)) ~ 1.7171
-        u, v_hat, _ = pnm_update(MomentState.zeros(1), scalar(1.0), 1, MomentConfig())
+        u, v_hat, _ = pnm_update(MomentState.zeros(1), scalar(1.0).values, 1, MomentConfig())
         expected = 3.61 / (math.sqrt(4.42) * (1.0 + 1e-8))
-        assert v_hat.values[0] == pytest.approx(1.0, rel=1e-12)
-        assert u.values[0] == pytest.approx(expected, rel=1e-12)
-        assert u.values[0] == pytest.approx(1.7171, abs=1e-4)
+        assert v_hat[0] == pytest.approx(1.0, rel=1e-12)
+        assert u[0] == pytest.approx(expected, rel=1e-12)
+        assert u[0] == pytest.approx(1.7171, abs=1e-4)
 
     def test_beta0_zero_reduces_normalizer_to_one(self):
         cfg = MomentConfig(beta0=0.0)
-        u, v_hat, _ = pnm_update(MomentState.zeros(1), scalar(1.0), 1, cfg)
+        u, v_hat, _ = pnm_update(MomentState.zeros(1), scalar(1.0).values, 1, cfg)
         m = (1.0 - cfg.beta1**2) * 1.0
         m_hat = m / (1.0 - cfg.beta1)
-        assert u.values[0] == pytest.approx(
-            m_hat / (math.sqrt(v_hat.values[0]) + cfg.eps), rel=1e-15
+        assert u[0] == pytest.approx(
+            m_hat / (math.sqrt(v_hat[0]) + cfg.eps), rel=1e-15
         )
 
     def test_matches_scalar_oracle_over_trajectory(self):
@@ -53,15 +53,15 @@ class TestPnmUpdate:
         us, v_hats = pnm_scalar(list(grads))
         state = MomentState.zeros(1)
         for t, g in enumerate(grads, start=1):
-            u, v_hat, state = pnm_update(state, scalar(float(g)), t, MomentConfig())
-            assert u.values[0] == pytest.approx(us[t - 1], rel=1e-12)
-            assert v_hat.values[0] == pytest.approx(v_hats[t - 1], rel=1e-12)
+            u, v_hat, state = pnm_update(state, scalar(float(g)).values, t, MomentConfig())
+            assert u[0] == pytest.approx(us[t - 1], rel=1e-12)
+            assert v_hat[0] == pytest.approx(v_hats[t - 1], rel=1e-12)
 
     def test_buffer_rotation(self):
         state = MomentState.zeros(1)
         cfg = MomentConfig()
-        _, _, s1 = pnm_update(state, scalar(1.0), 1, cfg)
-        _, _, s2 = pnm_update(s1, scalar(2.0), 2, cfg)
+        _, _, s1 = pnm_update(state, scalar(1.0).values, 1, cfg)
+        _, _, s2 = pnm_update(s1, scalar(2.0).values, 2, cfg)
         # two interleaved chains: m2 is built from m0 = 0, not from m1
         assert s1.m_prev[0] == pytest.approx(0.19, rel=1e-12)
         assert s2.m_prev2[0] == s1.m_prev[0]
@@ -69,11 +69,11 @@ class TestPnmUpdate:
 
     def test_invalid_step_index(self):
         with pytest.raises(ValueError):
-            pnm_update(MomentState.zeros(1), scalar(1.0), 0, MomentConfig())
+            pnm_update(MomentState.zeros(1), scalar(1.0).values, 0, MomentConfig())
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            pnm_update(MomentState.zeros(2), scalar(1.0), 1, MomentConfig())
+            pnm_update(MomentState.zeros(2), scalar(1.0).values, 1, MomentConfig())
 
     @settings(max_examples=50, derandomize=True)
     @given(st.lists(st.floats(-10, 10), min_size=1, max_size=40))
@@ -81,7 +81,7 @@ class TestPnmUpdate:
         state = MomentState.zeros(1)
         prev_max = 0.0
         for t, g in enumerate(grads, start=1):
-            _, _, state = pnm_update(state, scalar(g), t, MomentConfig())
+            _, _, state = pnm_update(state, scalar(g).values, t, MomentConfig())
             assert state.v_max[0] >= prev_max
             prev_max = state.v_max[0]
 
@@ -91,7 +91,7 @@ class TestPnmUpdate:
         state = MomentState.zeros(1)
         m_hat = None
         for t in range(1, 10001):
-            u, v_hat, state = pnm_update(state, scalar(c), t, cfg)
+            u, v_hat, state = pnm_update(state, scalar(c).values, t, cfg)
             m_hat = (
                 (1 + cfg.beta0) * state.m_prev[0] - cfg.beta0 * state.m_prev2[0]
             ) / (1 - cfg.beta1**t)
@@ -101,13 +101,13 @@ class TestPnmUpdate:
 
 class TestAdamUpdate:
     def test_first_step(self):
-        u, v_hat, _ = adam_update(MomentState.zeros(1), scalar(1.0), 1, MomentConfig())
-        assert v_hat.values[0] == pytest.approx(1.0, rel=1e-12)
-        assert u.values[0] == pytest.approx(1.0 / (1.0 + 1e-8), rel=1e-15)
+        u, v_hat, _ = adam_update(MomentState.zeros(1), scalar(1.0).values, 1, MomentConfig())
+        assert v_hat[0] == pytest.approx(1.0, rel=1e-12)
+        assert u[0] == pytest.approx(1.0 / (1.0 + 1e-8), rel=1e-15)
 
     def test_v_max_untouched(self):
         state = MomentState.zeros(1)
-        _, _, state = adam_update(state, scalar(2.0), 1, MomentConfig())
+        _, _, state = adam_update(state, scalar(2.0).values, 1, MomentConfig())
         assert state.v_max[0] == 0.0
 
 
@@ -124,41 +124,41 @@ class TestCombinedDecay:
     def test_unit_norm_vanishes(self):
         theta = scalar(1.0)
         v_hat = scalar(0.5)
-        d = combined_decay(theta, v_hat, 1.0, DecayConfig())
-        assert d.values[0] == 0.0
+        d = combined_decay(theta.values, v_hat.values, 1.0, DecayConfig())
+        assert d[0] == 0.0
 
     def test_direct_evaluation(self):
         # v_hat = 1, |theta| = 2, eta = 1, lambda = 1e-4 -> d = 5e-5 * theta
         theta = ParamTensor("p", (2,), [2.0, 0.0])
         v_hat = ParamTensor("p", (2,), [1.0, 1.0])
-        d = combined_decay(theta, v_hat, 1.0, DecayConfig())
-        np.testing.assert_allclose(d.values, [1e-4, 0.0], rtol=1e-12)
+        d = combined_decay(theta.values, v_hat.values, 1.0, DecayConfig())
+        np.testing.assert_allclose(d, [1e-4, 0.0], rtol=1e-12)
 
     def test_zero_theta(self):
         theta = ParamTensor("p", (3,), np.zeros(3))
         v_hat = ParamTensor("p", (3,), np.ones(3))
-        d = combined_decay(theta, v_hat, 1.0, DecayConfig())
-        np.testing.assert_array_equal(d.values, np.zeros(3))
+        d = combined_decay(theta.values, v_hat.values, 1.0, DecayConfig())
+        np.testing.assert_array_equal(d, np.zeros(3))
 
     def test_both_flags_off_is_plain_decay(self):
         theta = ParamTensor("p", (2,), [3.0, -1.0])
         v_hat = ParamTensor("p", (2,), [0.25, 0.5])
         cfg = DecayConfig(weight_decay=1e-4, norm_loss=False, stable=False)
-        d = combined_decay(theta, v_hat, 2.0, cfg)
-        np.testing.assert_allclose(d.values, 2.0 * 1e-4 * theta.values, rtol=1e-15)
+        d = combined_decay(theta.values, v_hat.values, 2.0, cfg)
+        np.testing.assert_allclose(d, 2.0 * 1e-4 * theta.values, rtol=1e-15)
 
     def test_stable_reduction_when_vhat_is_one(self):
         theta = ParamTensor("p", (3,), [1.0, 2.0, 3.0])
         v_hat = ParamTensor("p", (3,), np.ones(3))
-        on = combined_decay(theta, v_hat, 1.5, DecayConfig(stable=True))
-        off = combined_decay(theta, v_hat, 1.5, DecayConfig(stable=False))
-        np.testing.assert_allclose(on.values, off.values, rtol=1e-15)
+        on = combined_decay(theta.values, v_hat.values, 1.5, DecayConfig(stable=True))
+        off = combined_decay(theta.values, v_hat.values, 1.5, DecayConfig(stable=False))
+        np.testing.assert_allclose(on, off, rtol=1e-15)
 
     def test_zero_vhat_floor(self):
         theta = ParamTensor("p", (1,), [2.0])
         v_hat = ParamTensor("p", (1,), [0.0])
-        d = combined_decay(theta, v_hat, 1.0, DecayConfig(norm_loss=False))
-        assert d.values[0] == pytest.approx(1e-4 / 1e-8 * 2.0, rel=1e-12)
+        d = combined_decay(theta.values, v_hat.values, 1.0, DecayConfig(norm_loss=False))
+        assert d[0] == pytest.approx(1e-4 / 1e-8 * 2.0, rel=1e-12)
 
     @settings(max_examples=200, derandomize=True)
     @given(
@@ -172,9 +172,9 @@ class TestCombinedDecay:
         if norm == 0.0 or abs(norm - 1.0) < 1e-9:
             return
         v_hat = theta.with_values(np.full(theta.size, c))
-        d = combined_decay(theta, v_hat, eta_t, DecayConfig())
-        inner = float(np.dot(d.values, theta.values))
+        d = combined_decay(theta.values, v_hat.values, eta_t, DecayConfig())
+        inner = float(np.dot(d, theta.values))
         assert math.copysign(1.0, inner) == math.copysign(1.0, norm - 1.0)
         # magnitude: |d| = eta_t * lambda / sqrt(c) * | |theta| - 1 |
         expected = eta_t * 1e-4 / math.sqrt(c) * abs(norm - 1.0)
-        assert float(np.linalg.norm(d.values)) == pytest.approx(expected, rel=1e-12)
+        assert float(np.linalg.norm(d)) == pytest.approx(expected, rel=1e-12)

@@ -54,52 +54,52 @@ class TestConstruction:
 
 class TestFrobeniusNorm:
     def test_all_zero(self):
-        assert frobenius_norm(ParamTensor("t", (3, 3), np.zeros(9))) == 0.0
+        assert frobenius_norm(ParamTensor("t", (3, 3), np.zeros(9)).array) == 0.0
 
     def test_three_four_five(self):
-        assert frobenius_norm(ParamTensor("t", (2, 2), [3, 4, 0, 0])) == 5.0
+        assert frobenius_norm(ParamTensor("t", (2, 2), [3, 4, 0, 0]).array) == 5.0
 
     def test_absolute_value(self):
-        assert frobenius_norm(ParamTensor("t", (1,), [-2.0])) == 2.0
+        assert frobenius_norm(ParamTensor("t", (1,), [-2.0]).array) == 2.0
 
 
 class TestRowNorms:
     def test_per_row(self):
         t = ParamTensor("t", (2, 2), [3, 4, 0, 0])
-        np.testing.assert_allclose(row_norms(t), [5.0, 0.0])
+        np.testing.assert_allclose(row_norms(t.array), [5.0, 0.0])
 
     def test_rank1_scalar_slices(self):
         t = ParamTensor("t", (3,), [1, -2, 0])
-        np.testing.assert_array_equal(row_norms(t), [1.0, 2.0, 0.0])
+        np.testing.assert_array_equal(row_norms(t.array), [1.0, 2.0, 0.0])
 
     def test_rank3_flattened_slices(self):
         t = ParamTensor("t", (2, 1, 2), [1, 1, 0, 2])
-        np.testing.assert_allclose(row_norms(t), [math.sqrt(2.0), 2.0], rtol=1e-15)
+        np.testing.assert_allclose(row_norms(t.array), [math.sqrt(2.0), 2.0], rtol=1e-15)
 
 
 class TestMeanAllButFirst:
     def test_row_means(self):
         t = ParamTensor("t", (2, 3), [1, 2, 3, 4, 5, 6])
-        np.testing.assert_allclose(mean_all_but_first(t), [2.0, 5.0])
+        np.testing.assert_allclose(mean_all_but_first(t.array), [2.0, 5.0])
 
     def test_constant(self):
         t = ParamTensor("t", (3, 2), np.full(6, 4.25))
-        np.testing.assert_array_equal(mean_all_but_first(t), [4.25, 4.25, 4.25])
+        np.testing.assert_array_equal(mean_all_but_first(t.array), [4.25, 4.25, 4.25])
 
     def test_rank3_hand_reduction(self):
         t = ParamTensor("t", (2, 2, 2), [1, 1, 1, 1, 0, 2, 4, 6])
-        np.testing.assert_allclose(mean_all_but_first(t), [1.0, 3.0])
+        np.testing.assert_allclose(mean_all_but_first(t.array), [1.0, 3.0])
 
     def test_rank1_rejected(self):
         with pytest.raises(ValueError):
-            mean_all_but_first(ParamTensor("t", (4,), [1, 2, 3, 4]))
+            mean_all_but_first(ParamTensor("t", (4,), [1, 2, 3, 4]).array)
 
 
 @settings(max_examples=200, derandomize=True)
 @given(tensors(max_value=1e6))
 def test_row_norms_decompose_frobenius(t):
-    whole = frobenius_norm(t) ** 2
-    parts = float(np.sum(row_norms(t) ** 2))
+    whole = frobenius_norm(t.array) ** 2
+    parts = float(np.sum(row_norms(t.array) ** 2))
     assert whole == pytest.approx(parts, rel=1e-12, abs=1e-300)
 
 
@@ -111,8 +111,8 @@ def test_mean_all_but_first_is_linear(t1, t2):
     t2 = ParamTensor(t2.name, t1.shape, np.resize(t2.values, t1.size))
     a = 3.5
     combined = ParamTensor("c", t1.shape, a * t1.values + t2.values)
-    lhs = mean_all_but_first(combined)
-    rhs = a * mean_all_but_first(t1) + mean_all_but_first(t2)
+    lhs = mean_all_but_first(combined.array)
+    rhs = a * mean_all_but_first(t1.array) + mean_all_but_first(t2.array)
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-9)
 
 
