@@ -26,9 +26,10 @@ for one) are known to stay byte-identical.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -39,8 +40,9 @@ from .engine import (
     StepDiag,
     Toggles,
     adamw_config,
+    checked_value,
+    default_config,
 )
-from .moments import MomentConfig
 from .problems import (
     BlobsMLPProblem,
     QuadraticProblem,
@@ -48,9 +50,7 @@ from .problems import (
     make_blobs,
     philox,
 )
-from .schedule import ScheduleSpec
 from .tensor import NonFiniteError
-from .transforms import ClipConfig
 
 SCHEMA_VERSION = 1
 
@@ -70,25 +70,27 @@ def _check_keys(mapping: dict, allowed: set[str], path: str) -> None:
             raise ConfigError(f"{path}: unknown key {key!r}")
 
 
+def _typed(kind: str, value, where: str):
+    """``engine.checked_value``, raising ConfigError."""
+    try:
+        return checked_value(kind, value, where)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _get_int(mapping: dict, key: str, path: str, default=None, minimum=None):
     if key not in mapping:
         if default is ...:
             raise ConfigError(f"{path}: missing required key {key!r}")
         return default
-    value = mapping[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}.{key}: expected an integer, got {value!r}")
+    value = _typed("int", mapping[key], f"{path}.{key}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{path}.{key}: must be >= {minimum}, got {value}")
     return value
 
 
 def _check_float(value, where: str, minimum=None, exclusive=False) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}: expected a number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise ConfigError(f"{where}: expected a finite number, got {value}")
+    value = _typed("float", value, where)
     if minimum is not None:
         if exclusive and not value > minimum:
             raise ConfigError(f"{where}: must be > {minimum}, got {value}")
@@ -133,15 +135,6 @@ def _get_str(mapping: dict, key: str, path: str, default=None, choices=None):
         raise ConfigError(f"{path}.{key}: expected a string, got {value!r}")
     if choices is not None and value not in choices:
         raise ConfigError(f"{path}.{key}: expected one of {sorted(choices)}, got {value!r}")
-    return value
-
-
-def _get_bool(mapping: dict, key: str, path: str, default):
-    if key not in mapping:
-        return default
-    value = mapping[key]
-    if not isinstance(value, bool):
-        raise ConfigError(f"{path}.{key}: expected true/false, got {value!r}")
     return value
 
 
@@ -199,7 +192,7 @@ def _parse_problem(blob):
         classes = _get_int(blob, "classes", "problem", default=..., minimum=2)
         batch_size = _get_int(blob, "batch_size", "problem", default=..., minimum=1)
         separation = _get_float(blob, "separation", "problem", default=10.0, minimum=0.0)
-        data_seed = _get_int(blob, "data_seed", "problem", default=0)
+        data_seed = _get_int(blob, "data_seed", "problem", default=0, minimum=0)
         hidden = blob.get("hidden", [32])
         if not isinstance(hidden, list) or any(
             isinstance(w, bool) or not isinstance(w, int) or w < 1 for w in hidden
@@ -211,77 +204,75 @@ def _parse_problem(blob):
         smoothing = _get_float(blob, "smoothing", "problem", default=0.1, minimum=0.0)
         if smoothing >= 1.0:
             raise ConfigError(f"problem.smoothing: must be < 1, got {smoothing}")
-        dataset = make_blobs(data_seed, n, d, classes, separation)
-        return BlobsMLPProblem(
-            dataset=dataset,
-            hidden=tuple(hidden),
-            batch_size=batch_size,
-            activation=activation,
-            alpha=smoothing,
-        )
+        try:
+            return BlobsMLPProblem(
+                dataset=make_blobs(data_seed, n, d, classes, separation),
+                hidden=tuple(hidden),
+                batch_size=batch_size,
+                activation=activation,
+                alpha=smoothing,
+            )
+        except ValueError as exc:
+            raise ConfigError(f"problem: {exc}") from exc
     raise ConfigError(f"problem.name: unknown problem {name!r}")
 
 
-_ADAMW_KEYS = {"preset", "label", "eta", "weight_decay", "beta1", "beta2", "eps"}
-_RANGER_KEYS = _ADAMW_KEYS | {
-    "beta0", "tau", "eps_clipping", "k_lookahead", "beta_lookahead",
-    "t_warmup", "t_warmdown", "toggles",
+# bench key -> the path of the config field it sets: a field of the config, or a
+# field of one of its parts; "toggles" holds one key per ``Toggles`` field
+_ADAMW_KEYS = {
+    "eta": ("schedule", "eta"),
+    "weight_decay": ("weight_decay",),
+    "beta1": ("moments", "beta1"),
+    "beta2": ("moments", "beta2"),
+    "eps": ("moments", "eps"),
 }
-_TOGGLE_KEYS = {f.name for f in fields(Toggles)}
+_RANGER_KEYS = {
+    **_ADAMW_KEYS,
+    "beta0": ("moments", "beta0"),
+    "tau": ("clip", "tau"),
+    "eps_clipping": ("clip", "eps"),
+    "k_lookahead": ("k_lookahead",),
+    "beta_lookahead": ("beta_lookahead",),
+    "t_warmup": ("schedule", "t_warmup"),
+    "t_warmdown": ("schedule", "t_warmdown"),
+    "toggles": ("toggles",),
+}
+
+
+def _with_field(obj, path: tuple[str, ...], value, where: str):
+    """``obj`` with the field at ``path`` set to ``value``, which must fit the
+    field's annotation and then the ranges of the dataclass that holds it."""
+    name, *rest = path
+    if rest:
+        part = _with_field(getattr(obj, name), rest, value, where)
+        return dataclasses.replace(obj, **{name: part})
+    value = _typed(obj.__dataclass_fields__[name].type, value, where)
+    try:
+        return dataclasses.replace(obj, **{name: value})
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _parse_optimizer(blob, index: int, t_max: int) -> OptimizerSpec:
+    """The preset's default config with each key of ``blob`` applied in turn."""
     path = f"optimizers[{index}]"
     if not isinstance(blob, dict):
         raise ConfigError(f"{path}: expected an object")
     preset = _get_str(blob, "preset", path, default=..., choices={"adamw", "ranger21"})
     label = _get_str(blob, "label", path, default=preset)
-    eta = _get_float(blob, "eta", path, default=3e-3, minimum=0.0, exclusive=True)
-    weight_decay = _get_float(blob, "weight_decay", path, default=1e-4, minimum=0.0)
-    beta1 = _get_float(blob, "beta1", path, default=0.9, minimum=0.0)
-    beta2 = _get_float(blob, "beta2", path, default=0.999, minimum=0.0)
-    eps = _get_float(blob, "eps", path, default=1e-8, minimum=0.0, exclusive=True)
-    for key, value in (("beta1", beta1), ("beta2", beta2)):
-        if value >= 1.0:
-            raise ConfigError(f"{path}.{key}: must be in [0, 1), got {value}")
-
-    if preset == "adamw":
-        _check_keys(blob, _ADAMW_KEYS, path)
-        config = adamw_config(eta, t_max, weight_decay, beta1, beta2, eps)
-        return OptimizerSpec(label=label, preset=preset, config=config)
-
-    _check_keys(blob, _RANGER_KEYS, path)
-    beta0 = _get_float(blob, "beta0", path, default=0.9, minimum=0.0)
-    if beta0 >= 1.0:
-        raise ConfigError(f"{path}.beta0: must be in [0, 1), got {beta0}")
-    tau = _get_float(blob, "tau", path, default=1e-2, minimum=0.0, exclusive=True)
-    eps_clipping = _get_float(blob, "eps_clipping", path, default=1e-3, minimum=0.0, exclusive=True)
-    k_lookahead = _get_int(blob, "k_lookahead", path, default=5, minimum=1)
-    beta_lookahead = _get_float(blob, "beta_lookahead", path, default=0.5, minimum=0.0)
-    if beta_lookahead >= 1.0:
-        raise ConfigError(f"{path}.beta_lookahead: must be in [0, 1), got {beta_lookahead}")
-    t_warmup = _get_int(blob, "t_warmup", path, default=None, minimum=1)
-    t_warmdown = _get_int(blob, "t_warmdown", path, default=None, minimum=1)
-    toggles_blob = blob.get("toggles", {})
-    if not isinstance(toggles_blob, dict):
-        raise ConfigError(f"{path}.toggles: expected an object")
-    _check_keys(toggles_blob, _TOGGLE_KEYS, f"{path}.toggles")
-    toggles = Toggles(
-        **{k: _get_bool(toggles_blob, k, f"{path}.toggles", True) for k in _TOGGLE_KEYS}
-    )
-    try:
-        schedule = ScheduleSpec(eta=eta, t_max=t_max, t_warmup=t_warmup, t_warmdown=t_warmdown)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    config = Ranger21Config(
-        schedule=schedule,
-        moments=MomentConfig(beta0=beta0, beta1=beta1, beta2=beta2, eps=eps),
-        weight_decay=weight_decay,
-        clip=ClipConfig(tau=tau, eps=eps_clipping),
-        k_lookahead=k_lookahead,
-        beta_lookahead=beta_lookahead,
-        toggles=toggles,
-    )
+    keys = _ADAMW_KEYS if preset == "adamw" else _RANGER_KEYS
+    make = adamw_config if preset == "adamw" else default_config
+    config = make(3e-3, t_max)  # eta is the one setting the config classes give no default
+    _check_keys(blob, {"preset", "label", *keys}, path)
+    for key, value in blob.items():
+        if key == "toggles":
+            if not isinstance(value, dict):
+                raise ConfigError(f"{path}.toggles: expected an object")
+            _check_keys(value, Toggles.__dataclass_fields__.keys(), f"{path}.toggles")
+            for name, flag in value.items():
+                config = _with_field(config, (*keys[key], name), flag, f"{path}.toggles.{name}")
+        elif key in keys:
+            config = _with_field(config, keys[key], value, f"{path}.{key}")
     return OptimizerSpec(label=label, preset=preset, config=config)
 
 
@@ -289,7 +280,7 @@ def parse_config(text: str) -> RunConfig:
     """Parse and fully resolve a run configuration, or raise ConfigError."""
     try:
         blob = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int past Python's digit limit
         raise ConfigError(f"not valid JSON: {exc}") from exc
     if not isinstance(blob, dict):
         raise ConfigError("top level: expected an object")
@@ -306,7 +297,7 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(
             f"schema_version: expected {SCHEMA_VERSION}, got {version}"
         )
-    seed = _get_int(blob, "seed", "top level", default=0)
+    seed = _get_int(blob, "seed", "top level", default=0, minimum=0)
     t_max = _get_int(blob, "t_max", "top level", default=..., minimum=1)
     cadence = _get_int(blob, "cadence", "top level", default=1, minimum=1)
     loss_threshold = _get_float(blob, "loss_threshold", "top level", default=None)

@@ -38,6 +38,8 @@ def _load_config(path: str) -> RunConfig:
 def _cmd_run(args) -> int:
     config = _load_config(args.config)
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError(f"--seed: must be >= 0, got {args.seed}")
         config.seed = args.seed
     out_dir = Path(args.out or config.out or ".")
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -362,26 +363,31 @@ class Optimizer:
         }
 
     @classmethod
-    def from_checkpoint(cls, blob: dict) -> "Optimizer":
+    def from_checkpoint(cls, blob) -> "Optimizer":
         """Rebuild an optimizer from ``to_checkpoint`` output; raises ValueError
-        naming the field when a field is missing or malformed, or when the
-        state does not fit the params or the schedule."""
-        if blob.get("checkpoint_version") != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {blob.get('checkpoint_version')}")
+        naming the field when a field is missing, has the wrong type or is out of
+        range, or when the state does not fit the params or the schedule."""
+        if not isinstance(blob, dict):
+            raise ValueError(f"checkpoint: expected an object, got {type(blob).__name__}")
+        version = blob.get("checkpoint_version")
+        if version != CHECKPOINT_VERSION:
+            raise ValueError(f"checkpoint_version: unsupported checkpoint version {version}")
         for key in ("preset", "config", "t", "params", "moments", "slow"):
             _field(blob, key, key)
+        if not isinstance(blob["params"], list):
+            raise ValueError(f"params: expected a list, got {type(blob['params']).__name__}")
         params = [_param_from_dict(entry, f"params[{i}]") for i, entry in enumerate(blob["params"])]
-        config = _config_from_dict(blob["config"])
-        opt = cls(params, config, preset=blob["preset"])
-        t, t_max = blob["t"], config.schedule.t_max
-        if not isinstance(t, int) or isinstance(t, bool):
-            raise ValueError(f"t: must be an integer, got {t!r}")
+        config = _from_dict(Ranger21Config, blob["config"], "config")
+        if blob["preset"] not in PRESETS:
+            raise ValueError(f"preset: expected one of {PRESETS}, got {blob['preset']!r}")
+        opt = _built("params", cls, params, config, preset=blob["preset"])
+        t, t_max = checked_value("int", blob["t"], "t"), config.schedule.t_max
         if t < 0 or (config.toggles.warmdown and t > t_max):
             raise ValueError(f"t: must be >= 0, and <= t_max = {t_max} with warm-down on, got {t}")
         names = [p.name for p in params]
         for key in ("moments", "slow"):
-            if sorted(blob[key]) != sorted(names):
-                raise ValueError(f"{key}: keys {sorted(blob[key])} do not match params {names}")
+            if not isinstance(blob[key], dict) or blob[key].keys() != set(names):
+                raise ValueError(f"{key}: expected an object keyed by the param names {names}")
         opt.state.t = t
         for p in params:
             ms, name = blob["moments"][p.name], repr(p.name)
@@ -410,7 +416,7 @@ class Optimizer:
 
 
 def _checked_buffer(mapping: dict, key: str, where: str, size: int) -> np.ndarray:
-    buf = np.asarray(_field(mapping, key, where), dtype=np.float64)
+    buf = _built(where, np.asarray, _field(mapping, key, where), dtype=np.float64)
     if buf.shape != (size,):
         raise ValueError(f"{where}: expected {size} values, got shape {buf.shape}")
     if not np.all(np.isfinite(buf)):
@@ -419,29 +425,52 @@ def _checked_buffer(mapping: dict, key: str, where: str, size: int) -> np.ndarra
 
 
 def _field(mapping, key: str, where: str):
-    if key not in mapping:
+    if not isinstance(mapping, dict) or key not in mapping:
         raise ValueError(f"{where}: missing")
     return mapping[key]
 
 
-def _exact_fields(cls, blob, where: str) -> dict:
-    names = cls.__dataclass_fields__.keys()
-    if not isinstance(blob, dict) or blob.keys() != names:
-        raise ValueError(f"{where}: expected an object with keys {sorted(names)}, got {blob!r}")
-    return blob
+_EXPECTED = {"bool": "true or false", "int": "an integer", "int | None": "an integer or null"}
 
 
-def _config_from_dict(blob) -> Ranger21Config:
-    """Build the config from a dict holding exactly its fields, and its parts
-    from nested dicts; ValueError names the field at fault."""
-    kwargs = dict(_exact_fields(Ranger21Config, blob, "config"))
-    parts = {
-        "schedule": ScheduleSpec, "moments": MomentConfig, "clip": ClipConfig, "toggles": Toggles
-    }
-    for name, part in parts.items():
-        where = f"config.{name}"
-        kwargs[name] = _built(where, part, **_exact_fields(part, blob[name], where))
-    return _built("config", Ranger21Config, **kwargs)
+def checked_value(kind: str, value, where: str):
+    """``value`` if it fits ``kind``, a config field's annotation: ``bool``, ``int``
+    (not a bool), ``int | None``, or ``float`` (a finite int or float, returned as
+    a float). ValueError names ``where``; ranges are the config classes' own."""
+    is_int = isinstance(value, int) and not isinstance(value, bool)
+    if kind == "bool":
+        ok = isinstance(value, bool)
+    elif kind == "float":
+        # abs() <= max rejects inf and nan, and ints a float cannot hold
+        ok = (is_int or isinstance(value, float)) and abs(value) <= sys.float_info.max
+        value = float(value) if ok else value
+    else:  # "int" or "int | None"
+        ok = is_int or (value is None and kind == "int | None")
+    if not ok:
+        expected = _EXPECTED.get(kind, "a finite number")
+        raise ValueError(f"{where}: expected {expected}, got {value!r}")
+    return value
+
+
+# the config parts a checkpoint nests, by their annotation in Ranger21Config
+_PARTS = {cls.__name__: cls for cls in (ScheduleSpec, MomentConfig, ClipConfig, Toggles)}
+
+
+def _from_dict(cls, blob, where: str):
+    """Build config dataclass ``cls`` from a dict holding exactly its fields, each
+    checked against its annotation, and its parts from nested dicts; ValueError
+    names the field at fault."""
+    fields = cls.__dataclass_fields__
+    if not isinstance(blob, dict) or blob.keys() != fields.keys():
+        raise ValueError(f"{where}: expected an object with keys {sorted(fields)}, got {blob!r}")
+    kwargs = {}
+    for name, f in fields.items():
+        path = f"{where}.{name}"
+        part = _PARTS.get(f.type)
+        kwargs[name] = (
+            _from_dict(part, blob[name], path) if part else checked_value(f.type, blob[name], path)
+        )
+    return _built(where, cls, **kwargs)
 
 
 def _param_from_dict(entry, where: str) -> ParamTensor:
@@ -449,8 +478,8 @@ def _param_from_dict(entry, where: str) -> ParamTensor:
     return _built(where, ParamTensor, *fields)
 
 
-def _built(where: str, cls, *args, **kwargs):
+def _built(where: str, make, *args, **kwargs):
     try:
-        return cls(*args, **kwargs)
-    except (TypeError, ValueError) as exc:
+        return make(*args, **kwargs)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{where}: {exc}") from exc

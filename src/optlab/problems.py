@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -189,7 +188,6 @@ class Dataset:
 
     inputs: np.ndarray
     labels: np.ndarray
-    seed: int
     n_classes: int
 
     def __post_init__(self) -> None:
@@ -210,27 +208,6 @@ class Dataset:
     def dim(self) -> int:
         return self.inputs.shape[1]
 
-    def to_csv(self, path: str | Path) -> None:
-        lines = [",".join([f"x{i}" for i in range(self.dim)] + ["label"])]
-        for row, label in zip(self.inputs, self.labels):
-            lines.append(",".join(repr(float(v)) for v in row) + f",{int(label)}")
-        Path(path).write_text("\n".join(lines) + "\n")
-
-    @classmethod
-    def from_csv(cls, path: str | Path, seed: int = 0, n_classes: int | None = None) -> "Dataset":
-        lines = Path(path).read_text().splitlines()
-        header = lines[0].split(",")
-        dim = len(header) - 1
-        inputs, labels = [], []
-        for line in lines[1:]:
-            cells = line.split(",")
-            inputs.append([float(c) for c in cells[:dim]])
-            labels.append(int(cells[dim]))
-        labels_arr = np.asarray(labels, dtype=np.int64)
-        if n_classes is None:
-            n_classes = int(labels_arr.max()) + 1
-        return cls(np.asarray(inputs), labels_arr, seed=seed, n_classes=n_classes)
-
 
 def make_blobs(seed: int, n: int, d: int, n_classes: int, separation: float) -> Dataset:
     """Gaussian class clusters (unit noise) at `separation` times random unit
@@ -244,7 +221,7 @@ def make_blobs(seed: int, n: int, d: int, n_classes: int, separation: float) -> 
     means = separation * directions
     labels = np.arange(n, dtype=np.int64) % n_classes
     inputs = means[labels] + rng.standard_normal((n, d))
-    return Dataset(inputs, labels, seed=seed, n_classes=n_classes)
+    return Dataset(inputs, labels, n_classes=n_classes)
 
 
 # -- finite differences --------------------------------------------------------

@@ -242,7 +242,7 @@ def test_criterion_06_gradient_correctness():
     report(6, "gradient correctness", ok and elapsed < 30.0, f"({elapsed:.1f}s)")
 
 
-def _rosenbrock_run(preset, t_max=20000, eta=3e-3):
+def _rosenbrock_run(preset, t_max=20000, eta=3e-3, **overrides):
     problem = RosenbrockProblem()
     params = problem.init_params(None)
     f0 = problem.evaluate(params)[0]
@@ -250,7 +250,7 @@ def _rosenbrock_run(preset, t_max=20000, eta=3e-3):
     if preset == "adamw":
         opt = Optimizer.adamw(params, eta=eta)
     else:
-        opt = Optimizer.ranger21(params, eta=eta, t_max=t_max)
+        opt = Optimizer.ranger21(params, eta=eta, t_max=t_max, **overrides)
     hit = None
     best = f0
     for t in range(1, t_max + 1):
@@ -277,6 +277,15 @@ def test_criterion_07_rosenbrock_convergence_proxy():
         f"ranger21 hit={ranger_hit} best={ranger_best:.2e}, reduction {f0 / ranger_best:.1f}x; "
         f"{elapsed:.1f}s)",
     )
+
+
+def test_rosenbrock_without_pnm_meets_criterion_7_target():
+    """Criterion 7's run with only positive-negative momentum off reaches the
+    1e4x reduction. With any other single component off it does not, so the
+    miss comes from PNM's two-buffer momentum as arXiv 2103.17182 defines it."""
+    hit, best, f0 = _rosenbrock_run("ranger21", toggles=Toggles(pnm=False))
+    assert hit == 10344
+    assert best <= f0 / 1e4
 
 
 def _train_blobs(preset, seed, dataset, hidden, steps, batch_size, eta=3e-3):

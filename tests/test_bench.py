@@ -108,6 +108,13 @@ class TestParseConfig:
         )
         assert [s.label for s in config.optimizers] == ["full", "no_lookahead"]
 
+    def test_null_phase_length_means_the_default(self):
+        config = parse(
+            t_max=1000, optimizers=[{"preset": "ranger21", "t_warmup": None, "t_warmdown": None}]
+        )
+        sched = config.optimizers[0].config.schedule
+        assert (sched.t_warmup, sched.t_warmdown) == (220, 280)
+
     def test_overlap_warning(self):
         config = parse(
             t_max=10,
@@ -150,11 +157,18 @@ class TestParseConfig:
             ({"optimizers": [{"preset": "ranger21", "tau": float("inf")}]},
              r"optimizers\[0\]\.tau"),
             ({"loss_threshold": float("nan")}, r"loss_threshold"),
+            ({"problem": {"name": "blobs_mlp", "n": 2, "d": 2, "classes": 3, "batch_size": 1}},
+             r"^problem: "),
+            ({"problem": {"name": "blobs_mlp", "n": 4, "d": 2, "classes": 2, "batch_size": 1,
+                          "data_seed": -1}}, r"problem\.data_seed"),
+            ({"optimizers": [{"preset": "ranger21", "eps_clipping": 0}]},
+             r"^optimizers\[0\]\.eps_clipping: "),
         ],
         ids=[
             "start_entry", "start_length", "spectrum_entry", "spectrum_zero",
             "quadratic_start_entry", "quadratic_start_length", "eta_overflow",
-            "tau_infinity", "threshold_nan",
+            "tau_infinity", "threshold_nan", "blobs_too_few_samples", "data_seed_negative",
+            "eps_clipping_zero",
         ],
     )
     def test_malformed_value_rejected_with_field(self, overrides, field):
@@ -395,6 +409,22 @@ class TestCli:
         config = self.write_config(tmp_path, problem={"name": "rosenbrock", "start": ["a", 1]})
         assert main(["validate", config]) == EXIT_CONFIG
         assert "problem.start[0]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides,args,field",
+        [
+            ({"seed": -1}, [], "top level.seed"),
+            ({"problem": {"name": "blobs_mlp", "n": 4, "d": 2, "classes": 2, "batch_size": 1,
+                          "data_seed": -1}}, [], "problem.data_seed"),
+            ({}, ["--seed", "-5"], "--seed"),
+        ],
+        ids=["seed", "data_seed", "seed_flag"],
+    )
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, overrides, args, field):
+        config = self.write_config(tmp_path, t_max=5, cadence=5, **overrides)
+        out = str(tmp_path / "o")
+        assert main(["run", config, "--out", out, "--quiet", *args]) == EXIT_CONFIG
+        assert f"config error: {field}: must be >= 0" in capsys.readouterr().err
 
     def test_overlap_warning_printed(self, tmp_path, capsys):
         config = self.write_config(

@@ -1,0 +1,126 @@
+"""Fuzz the two readers of optimizer configs: bench config entries and
+checkpoints. A mutated blob must either be rejected with a ConfigError or
+ValueError whose message starts with the path of a field, or parse to a
+config whose numbers are all finite; never a TypeError, KeyError or
+AttributeError."""
+
+import copy
+import dataclasses
+import json
+import math
+import re
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from optlab import Optimizer, Toggles
+from optlab.benchmark import ConfigError, parse_config
+
+CHECKPOINT = json.loads((Path(__file__).parent / "fixtures" / "checkpoint_v2.json").read_text())
+
+ADAMW = {
+    "preset": "adamw", "label": "a", "eta": 3e-3, "weight_decay": 1e-4,
+    "beta1": 0.9, "beta2": 0.999, "eps": 1e-8,
+}
+RANGER = {
+    **ADAMW, "preset": "ranger21", "label": "r", "beta0": 0.9, "tau": 1e-2,
+    "eps_clipping": 1e-3, "k_lookahead": 5, "beta_lookahead": 0.5, "t_warmup": 10,
+    "t_warmdown": 12, "toggles": {f.name: True for f in dataclasses.fields(Toggles)},
+}
+BENCH = {
+    "schema_version": 1, "seed": 0, "t_max": 50, "cadence": 10,
+    "problem": {"name": "rosenbrock"}, "optimizers": [ADAMW, RANGER],
+}
+
+# a field path: a name, then any run of .name, [index] or ['key']
+FIELD_PATH = re.compile(r"^\w+(\.\w+|\[\d+\]|\['[^']*'\])*: ")
+
+values = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=3),
+    st.lists(st.floats(), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+def paths(node, prefix=()):
+    """Every position in a JSON tree, the root included."""
+    yield prefix
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from paths(child, (*prefix, key))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from paths(child, (*prefix, i))
+
+
+def mutated(blob, path, op, value):
+    """A copy of ``blob`` with the node at ``path`` deleted, given an extra key
+    or entry, or replaced by ``value`` (the root, or a leaf, is never deleted or
+    added to: it is replaced)."""
+    root = {"blob": copy.deepcopy(blob)}
+    parent, key = root, "blob"
+    for step in path:
+        parent, key = parent[key], step
+    node = parent[key]
+    if op == "delete" and path:
+        del parent[key]
+    elif op == "add" and isinstance(node, dict):
+        node["extra"] = value
+    elif op == "add" and isinstance(node, list):
+        node.append(value)
+    else:
+        parent[key] = value
+    return root["blob"]
+
+
+def mutations(blob, within=()):
+    """One mutation of ``blob`` at or below the node at path ``within``."""
+    candidates = [p for p in paths(blob) if p[: len(within)] == within]
+    return st.tuples(
+        st.sampled_from(candidates),
+        st.sampled_from(["replace", "delete", "add"]),
+        values,
+    ).map(lambda m: mutated(blob, *m))
+
+
+def assert_finite_numbers(node):
+    """Every float in a config, walked through its nested parts, is finite."""
+    if dataclasses.is_dataclass(node):
+        for f in dataclasses.fields(node):
+            assert_finite_numbers(getattr(node, f.name))
+    elif isinstance(node, float):
+        assert math.isfinite(node)
+
+
+def assert_names_field(message):
+    assert FIELD_PATH.match(message), message
+
+
+@settings(max_examples=300, deadline=None)
+@given(blob=mutations(BENCH, within=("optimizers",)))
+def test_mutated_bench_optimizers(blob):
+    try:
+        config = parse_config(json.dumps(blob))
+    except ConfigError as exc:
+        assert_names_field(str(exc))
+        assert str(exc).startswith("optimizers")
+        return
+    for spec in config.optimizers:
+        assert_finite_numbers(spec.config)
+
+
+@settings(max_examples=300, deadline=None)
+@given(blob=mutations(CHECKPOINT))
+def test_mutated_checkpoint(blob):
+    try:
+        opt = Optimizer.from_checkpoint(blob)
+    except ValueError as exc:
+        assert_names_field(str(exc))
+        return
+    assert_finite_numbers(opt.config)

@@ -607,12 +607,19 @@ class TestCheckpoint:
             (lambda blob: blob["config"]["toggles"].pop("agc"), "config.toggles"),
             (lambda blob: blob.update(t=7.9), "t"),
             (lambda blob: blob.update(t="7"), "t"),
+            (lambda blob: blob["config"].update(k_lookahead=2.5), "config.k_lookahead"),
+            (lambda blob: blob["config"]["toggles"].update(agc="no"), "config.toggles.agc"),
+            (lambda blob: blob["config"]["schedule"].update(eta=math.inf), "config.schedule.eta"),
+            (lambda blob: blob["config"].update(weight_decay=math.inf), "config.weight_decay"),
+            (lambda blob: blob["config"]["schedule"].update(t_warmup=22.5),
+             "config.schedule.t_warmup"),
         ],
         ids=[
             "nan_v", "short_v", "missing_slow", "t_past_t_max", "negative_t",
             "no_slow_key", "no_params_key", "no_config_key", "no_t_key",
             "moment_without_v", "param_without_shape", "unknown_clip_key",
-            "missing_toggle_key", "fractional_t", "string_t",
+            "missing_toggle_key", "fractional_t", "string_t", "fractional_k_lookahead",
+            "string_toggle", "infinite_eta", "infinite_weight_decay", "fractional_t_warmup",
         ],
     )
     def test_inconsistent_checkpoint_rejected(self, mutate, field):
@@ -623,6 +630,11 @@ class TestCheckpoint:
         mutate(blob)
         with pytest.raises(ValueError, match="^" + re.escape(field) + ":"):
             Optimizer.from_checkpoint(blob)
+
+    def test_non_object_checkpoint_rejected(self):
+        blob = json.loads((FIXTURES / "checkpoint_v2.json").read_text())
+        with pytest.raises(ValueError, match="^checkpoint: expected an object, got list$"):
+            Optimizer.from_checkpoint([blob])
 
     def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
         opt, rng = self.make_opt()

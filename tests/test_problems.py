@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from optlab import Optimizer, ParamTensor
 from optlab.problems import (
     BlobsMLPProblem,
-    Dataset,
     QuadraticProblem,
     RosenbrockProblem,
     finite_diff_grad,
@@ -240,18 +239,6 @@ class TestMakeBlobs:
     def test_invalid_args_rejected(self):
         with pytest.raises(ValueError):
             make_blobs(0, 1, 3, 2, 1.0)
-
-
-class TestDatasetCSV:
-    def test_round_trip(self, tmp_path):
-        ds = make_blobs(7, 25, 3, 3, 2.0)
-        path = tmp_path / "blobs.csv"
-        ds.to_csv(path)
-        loaded = Dataset.from_csv(path, seed=7)
-        np.testing.assert_array_equal(loaded.inputs, ds.inputs)
-        np.testing.assert_array_equal(loaded.labels, ds.labels)
-        header = path.read_text().splitlines()[0]
-        assert header == "x0,x1,x2,label"
 
 
 class TestBenchmarkProblems:
