@@ -317,8 +317,8 @@ def parse_config(text: str) -> RunConfig:
 
     warnings = []
     for spec in optimizers:
-        sched = spec.config.schedule
-        if spec.preset == "ranger21" and sched.phases_overlap:
+        sched, toggles = spec.config.schedule, spec.config.toggles
+        if toggles.warmup and toggles.warmdown and sched.phases_overlap:
             warnings.append(
                 f"optimizer {spec.label!r}: warm-up ({sched.t_warmup}) plus "
                 f"warm-down ({sched.t_warmdown}) exceed t_max ({sched.t_max}); "

@@ -19,8 +19,10 @@ The schedule multiplies the decay exactly once: the step subtracts
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -43,7 +45,9 @@ from .transforms import ClipConfig, gradient_centralize, scale_units, unit_scale
 
 PRESETS = ("adamw", "ranger21")
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
+# v2 stores each buffer as a JSON list of numbers, v3 as base64 of its '<f8' bytes
+_READABLE_VERSIONS = (2, CHECKPOINT_VERSION)
 _MOMENT_BUFFERS = tuple(f.name for f in dataclasses.fields(MomentState))
 
 
@@ -346,37 +350,43 @@ class Optimizer:
     # -- checkpointing ------------------------------------------------------
 
     def to_checkpoint(self) -> dict:
+        """The full state as a JSON-ready dict; each float64 buffer is a base64
+        string of its little-endian bytes, so a round trip is bit-exact."""
         return {
             "checkpoint_version": CHECKPOINT_VERSION,
             "preset": self.preset,
             "config": dataclasses.asdict(self.config),
             "t": self.state.t,
             "params": [
-                {"name": p.name, "shape": list(p.shape), "values": p.values.tolist()}
+                {"name": p.name, "shape": list(p.shape), "values": _encoded(p.values)}
                 for p in self.params
             ],
             "moments": {
-                name: {buf: getattr(ms, buf).tolist() for buf in _MOMENT_BUFFERS}
+                name: {buf: _encoded(getattr(ms, buf)) for buf in _MOMENT_BUFFERS}
                 for name, ms in self.state.moments.items()
             },
-            "slow": {name: buf.tolist() for name, buf in self.state.slow.items()},
+            "slow": {name: _encoded(buf) for name, buf in self.state.slow.items()},
         }
 
     @classmethod
     def from_checkpoint(cls, blob) -> "Optimizer":
-        """Rebuild an optimizer from ``to_checkpoint`` output; raises ValueError
-        naming the field when a field is missing, has the wrong type or is out of
-        range, or when the state does not fit the params or the schedule."""
+        """Rebuild an optimizer from ``to_checkpoint`` output, or from a version-2
+        blob, whose buffers are lists of numbers; raises ValueError naming the
+        field when a field is missing, has the wrong type or is out of range, or
+        when the state does not fit the params or the schedule."""
         if not isinstance(blob, dict):
             raise ValueError(f"checkpoint: expected an object, got {type(blob).__name__}")
         version = blob.get("checkpoint_version")
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"checkpoint_version: unsupported checkpoint version {version}")
+        if not (isinstance(version, int) and version in _READABLE_VERSIONS):
+            raise ValueError(f"checkpoint_version: unsupported checkpoint version {version!r}")
         for key in ("preset", "config", "t", "params", "moments", "slow"):
             _field(blob, key, key)
         if not isinstance(blob["params"], list):
             raise ValueError(f"params: expected a list, got {type(blob['params']).__name__}")
-        params = [_param_from_dict(entry, f"params[{i}]") for i, entry in enumerate(blob["params"])]
+        params = [
+            _param_from_dict(entry, f"params[{i}]", version)
+            for i, entry in enumerate(blob["params"])
+        ]
         config = _from_dict(Ranger21Config, blob["config"], "config")
         if blob["preset"] not in PRESETS:
             raise ValueError(f"preset: expected one of {PRESETS}, got {blob['preset']!r}")
@@ -392,9 +402,14 @@ class Optimizer:
         for p in params:
             ms, name = blob["moments"][p.name], repr(p.name)
             opt.state.moments[p.name] = MomentState(
-                *(_checked_buffer(ms, b, f"moments[{name}].{b}", p.size) for b in _MOMENT_BUFFERS)
+                *(
+                    _checked_buffer(ms, b, f"moments[{name}].{b}", p.size, version)
+                    for b in _MOMENT_BUFFERS
+                )
             )
-            opt.state.slow[p.name] = _checked_buffer(blob["slow"], p.name, f"slow[{name}]", p.size)
+            opt.state.slow[p.name] = _checked_buffer(
+                blob["slow"], p.name, f"slow[{name}]", p.size, version
+            )
         return opt
 
     def save(self, path: str | Path) -> None:
@@ -415,10 +430,36 @@ class Optimizer:
         return cls.from_checkpoint(json.loads(Path(path).read_text()))
 
 
-def _checked_buffer(mapping: dict, key: str, where: str, size: int) -> np.ndarray:
-    buf = _built(where, np.asarray, _field(mapping, key, where), dtype=np.float64)
-    if buf.shape != (size,):
-        raise ValueError(f"{where}: expected {size} values, got shape {buf.shape}")
+def _encoded(buf: np.ndarray) -> str:
+    return base64.b64encode(buf.astype("<f8", copy=False).tobytes()).decode("ascii")
+
+
+def _decoded(text, where: str, size: int) -> np.ndarray:
+    """The float64 array a v3 buffer string encodes; it must hold ``size`` values."""
+    if not isinstance(text, str):
+        raise ValueError(f"{where}: expected a base64 string, got {type(text).__name__}")
+    raw = _built(where, base64.b64decode, text, validate=True)
+    if len(raw) != 8 * size:
+        raise ValueError(f"{where}: expected {8 * size} bytes ({size} values), got {len(raw)}")
+    # a native-order copy that owns its memory, not a read-only view of ``raw``
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64)
+
+
+def _listed(values, where: str, size: int) -> np.ndarray:
+    """The float64 array a v2 buffer list holds; it must hold ``size`` numbers."""
+    if not isinstance(values, list):
+        raise ValueError(f"{where}: expected a list of numbers, got {type(values).__name__}")
+    for i, x in enumerate(values):
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise ValueError(f"{where}: expected a list of numbers, got {x!r} at index {i}")
+    if len(values) != size:
+        raise ValueError(f"{where}: expected {size} values, got {len(values)}")
+    return _built(where, np.array, values, dtype=np.float64)
+
+
+def _checked_buffer(mapping: dict, key: str, where: str, size: int, version: int) -> np.ndarray:
+    read = _decoded if version == CHECKPOINT_VERSION else _listed
+    buf = read(_field(mapping, key, where), where, size)
     if not np.all(np.isfinite(buf)):
         raise ValueError(f"{where}: non-finite values rejected")
     return buf
@@ -473,9 +514,15 @@ def _from_dict(cls, blob, where: str):
     return _built(where, cls, **kwargs)
 
 
-def _param_from_dict(entry, where: str) -> ParamTensor:
-    fields = [_field(entry, key, f"{where}.{key}") for key in ("name", "shape", "values")]
-    return _built(where, ParamTensor, *fields)
+def _param_from_dict(entry, where: str, version: int) -> ParamTensor:
+    name, shape = (_field(entry, key, f"{where}.{key}") for key in ("name", "shape"))
+    if not isinstance(shape, list) or not shape:
+        raise ValueError(f"{where}.shape: expected a non-empty list, got {shape!r}")
+    for j, extent in enumerate(shape):
+        if checked_value("int", extent, f"{where}.shape[{j}]") < 1:
+            raise ValueError(f"{where}.shape[{j}]: must be >= 1, got {extent}")
+    values = _checked_buffer(entry, "values", f"{where}.values", math.prod(shape), version)
+    return _built(where, ParamTensor, name, shape, values)
 
 
 def _built(where: str, make, *args, **kwargs):

@@ -123,6 +123,18 @@ class TestParseConfig:
         assert len(config.warnings) == 1
         assert "no flat phase" in config.warnings[0]
 
+    @pytest.mark.parametrize(
+        "toggles", [{"warmup": False, "warmdown": False}, {"warmup": False}, {"warmdown": False}]
+    )
+    def test_no_overlap_warning_without_both_phases(self, toggles):
+        config = parse(
+            t_max=10,
+            optimizers=[
+                {"preset": "ranger21", "t_warmup": 8, "t_warmdown": 8, "toggles": toggles}
+            ],
+        )
+        assert config.warnings == []
+
     def test_blobs_problem_resolved(self):
         config = parse(
             problem={

@@ -1,9 +1,11 @@
 """Fuzz the two readers of optimizer configs: bench config entries and
-checkpoints. A mutated blob must either be rejected with a ConfigError or
+checkpoints (format v2, buffers as number lists, and v3, buffers as base64
+strings). A mutated blob must either be rejected with a ConfigError or
 ValueError whose message starts with the path of a field, or parse to a
 config whose numbers are all finite; never a TypeError, KeyError or
 AttributeError."""
 
+import base64
 import copy
 import dataclasses
 import json
@@ -17,7 +19,9 @@ from hypothesis import strategies as st
 from optlab import Optimizer, Toggles
 from optlab.benchmark import ConfigError, parse_config
 
-CHECKPOINT = json.loads((Path(__file__).parent / "fixtures" / "checkpoint_v2.json").read_text())
+FIXTURES = Path(__file__).parent / "fixtures"
+CHECKPOINT = json.loads((FIXTURES / "checkpoint_v2.json").read_text())
+CHECKPOINT_V3 = json.loads((FIXTURES / "checkpoint_v3.json").read_text())
 
 ADAMW = {
     "preset": "adamw", "label": "a", "eta": 3e-3, "weight_decay": 1e-4,
@@ -43,6 +47,8 @@ values = st.one_of(
     st.integers(),
     st.floats(),
     st.text(max_size=3),
+    # checkpoint v3 buffers: valid base64 of any length, NaN and Inf bytes included
+    st.binary(max_size=24).map(lambda raw: base64.b64encode(raw).decode("ascii")),
     st.lists(st.floats(), max_size=3),
     st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
 )
@@ -115,12 +121,23 @@ def test_mutated_bench_optimizers(blob):
         assert_finite_numbers(spec.config)
 
 
-@settings(max_examples=300, deadline=None)
-@given(blob=mutations(CHECKPOINT))
-def test_mutated_checkpoint(blob):
+def check_loads_or_names_field(blob):
+    # binascii.Error is a ValueError, so a bad base64 buffer must name its field too
     try:
         opt = Optimizer.from_checkpoint(blob)
     except ValueError as exc:
         assert_names_field(str(exc))
         return
     assert_finite_numbers(opt.config)
+
+
+@settings(max_examples=300, deadline=None)
+@given(blob=mutations(CHECKPOINT))
+def test_mutated_checkpoint(blob):
+    check_loads_or_names_field(blob)
+
+
+@settings(max_examples=300, deadline=None)
+@given(blob=mutations(CHECKPOINT_V3))
+def test_mutated_v3_checkpoint(blob):
+    check_loads_or_names_field(blob)

@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import json
 import math
@@ -34,6 +35,34 @@ from optlab.problems import RosenbrockProblem
 from oracles import adamw_scalar_trajectory, ranger21_scalar_trajectory
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def encoded(values):
+    """A checkpoint v3 buffer: base64 of the values' little-endian float64 bytes."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def as_v2(blob):
+    """Rewrite a v3 checkpoint dict in place into format v2, whose buffers are
+    lists of numbers."""
+    def listed(text):
+        return np.frombuffer(base64.b64decode(text), dtype="<f8").tolist()
+
+    blob["checkpoint_version"] = 2
+    for entry in blob["params"]:
+        entry["values"] = listed(entry["values"])
+    for buffers in (*blob["moments"].values(), blob["slow"]):
+        for key, text in buffers.items():
+            buffers[key] = listed(text)
+
+
+def in_v2(mutate):
+    """``mutate``, applied to the checkpoint after rewriting it into format v2."""
+    def apply(blob):
+        as_v2(blob)
+        mutate(blob)
+
+    return apply
 
 
 def scalar(x, name="x"):
@@ -570,13 +599,29 @@ class TestCheckpoint:
         assert restored.config == opt.config
         assert restored.preset == opt.preset
 
-    def test_v2_format_pinned(self, tmp_path):
+    def test_v3_format_pinned(self, tmp_path):
         opt, rng = self.make_opt()
         for g in self.grad_stream(rng, 7):
             opt.step(g)
         path = tmp_path / "ckpt.json"
         opt.save(path)
-        assert path.read_text() == (FIXTURES / "checkpoint_v2.json").read_text()
+        assert path.read_text() == (FIXTURES / "checkpoint_v3.json").read_text()
+
+    def test_v2_checkpoint_loads_to_the_same_state(self):
+        opt, rng = self.make_opt()
+        for g in self.grad_stream(rng, 7):
+            opt.step(g)
+        loaded = Optimizer.load(FIXTURES / "checkpoint_v2.json")
+        assert loaded.to_checkpoint() == opt.to_checkpoint()
+
+    def test_loaded_state_buffers_own_their_memory(self):
+        opt = Optimizer.load(FIXTURES / "checkpoint_v3.json")
+        buffers = list(opt.state.slow.values()) + [
+            getattr(ms, f.name) for ms in opt.state.moments.values() for f in dataclasses.fields(ms)
+        ]
+        for buf in buffers:
+            assert buf.dtype == np.float64 and buf.dtype.isnative
+            assert buf.flags.owndata and buf.flags.writeable
 
     def test_v1_blob_rejected(self):
         blob = json.loads((FIXTURES / "checkpoint_v2.json").read_text())
@@ -592,8 +637,9 @@ class TestCheckpoint:
     @pytest.mark.parametrize(
         "mutate,field",
         [
-            (lambda blob: blob["moments"]["a"].update(v=[float("nan"), 0.0]), "moments['a'].v"),
-            (lambda blob: blob["moments"]["a"].update(v=[0.0]), "moments['a'].v"),
+            (in_v2(lambda blob: blob["moments"]["a"].update(v=[float("nan"), 0.0])),
+             "moments['a'].v"),
+            (in_v2(lambda blob: blob["moments"]["a"].update(v=[0.0])), "moments['a'].v"),
             (lambda blob: blob["slow"].pop("b"), "slow"),
             (lambda blob: blob.update(t=500), "t"),
             (lambda blob: blob.update(t=-1), "t"),
@@ -613,6 +659,18 @@ class TestCheckpoint:
             (lambda blob: blob["config"].update(weight_decay=math.inf), "config.weight_decay"),
             (lambda blob: blob["config"]["schedule"].update(t_warmup=22.5),
              "config.schedule.t_warmup"),
+            (lambda blob: blob["moments"]["a"].update(v=encoded([math.nan, 0.0])),
+             "moments['a'].v"),
+            (lambda blob: blob["moments"]["a"].update(v=encoded([0.0])), "moments['a'].v"),
+            (lambda blob: blob["moments"]["a"].update(v="not base64!"), "moments['a'].v"),
+            (lambda blob: blob["moments"]["a"].update(v=[0.0, 0.0]), "moments['a'].v"),
+            (lambda blob: blob.update(checkpoint_version=2), "params[0].values"),
+            (lambda blob: blob.update(checkpoint_version=4), "checkpoint_version"),
+            (lambda blob: blob["params"][0].update(shape=[2.9]), "params[0].shape[0]"),
+            (lambda blob: blob["params"][0].update(shape=[2, True]), "params[0].shape[1]"),
+            (in_v2(lambda blob: blob["slow"].update(a=["0.9", "0.1"])), "slow['a']"),
+            (in_v2(lambda blob: blob["moments"]["b"].update(m_prev=[True, 0.0])),
+             "moments['b'].m_prev"),
         ],
         ids=[
             "nan_v", "short_v", "missing_slow", "t_past_t_max", "negative_t",
@@ -620,6 +678,9 @@ class TestCheckpoint:
             "moment_without_v", "param_without_shape", "unknown_clip_key",
             "missing_toggle_key", "fractional_t", "string_t", "fractional_k_lookahead",
             "string_toggle", "infinite_eta", "infinite_weight_decay", "fractional_t_warmup",
+            "nan_v_base64", "short_v_base64", "v_not_base64", "list_in_v3", "base64_in_v2",
+            "version_4", "fractional_extent", "bool_extent", "string_in_v2_slow",
+            "bool_in_v2_buffer",
         ],
     )
     def test_inconsistent_checkpoint_rejected(self, mutate, field):
