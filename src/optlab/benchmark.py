@@ -475,32 +475,6 @@ def emit_csv(records: list[RunRecord], path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_records(path: str | Path) -> list[RunRecord]:
-    """Inverse of emit_csv: reproduces the emitted records exactly."""
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError(f"{path}: unexpected CSV header")
-    records = []
-    for line in lines[1:]:
-        run, optimizer, step, eta_t, loss, accuracy, clip_ratio, mean_vhat, decay_norm = (
-            line.split(",")
-        )
-        records.append(
-            RunRecord(
-                run=run,
-                optimizer=optimizer,
-                step=int(step),
-                eta_t=float(eta_t),
-                loss=float(loss),
-                accuracy=None if accuracy == "" else float(accuracy),
-                clip_ratio=float(clip_ratio),
-                mean_vhat=float(mean_vhat),
-                decay_norm=float(decay_norm),
-            )
-        )
-    return records
-
-
 def summary_text(result: BenchmarkResult) -> str:
     lines = [f"run {result.run_id}"]
     for s in result.summaries:

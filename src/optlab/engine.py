@@ -118,18 +118,39 @@ def adamw_config(
 
 @dataclass
 class OptimizerState:
-    """Per-tensor moment slots, lookahead slow weights, and the step counter."""
+    """Each kind of optimizer state in one flat float64 buffer over all params,
+    in registration order: the moment slots (one flat ``MomentState``) and the
+    lookahead slow weights. ``bounds`` maps each tensor's name to its
+    ``(lo, hi)`` slice of them; ``moments`` and ``slow`` are per-name views.
 
-    moments: dict[str, MomentState]
-    slow: dict[str, np.ndarray]
+    A step swaps in new buffers and never writes to committed ones; after a
+    lookahead sync the returned params are views of ``flat_slow`` itself.
+    """
+
+    bounds: dict[str, tuple[int, int]]
+    flat_moments: MomentState
+    flat_slow: np.ndarray
     t: int = 0
 
     @classmethod
     def initial(cls, params: Sequence[ParamTensor]) -> "OptimizerState":
-        return cls(
-            moments={p.name: MomentState.zeros(p.size) for p in params},
-            slow={p.name: p.values.copy() for p in params},
-        )
+        bounds, lo = {}, 0
+        for p in params:
+            bounds[p.name] = (lo, lo + p.size)
+            lo += p.size
+        return cls(bounds, MomentState.zeros(lo), np.concatenate([p.values for p in params]))
+
+    @property
+    def moments(self) -> dict[str, MomentState]:
+        flat = [getattr(self.flat_moments, b) for b in _MOMENT_BUFFERS]
+        return {
+            name: MomentState(*(buf[lo:hi] for buf in flat))
+            for name, (lo, hi) in self.bounds.items()
+        }
+
+    @property
+    def slow(self) -> dict[str, np.ndarray]:
+        return {name: self.flat_slow[lo:hi] for name, (lo, hi) in self.bounds.items()}
 
 
 @dataclass
@@ -212,9 +233,12 @@ def ranger21_step(
     theta' = theta - eta_t * u - d, then (every k steps) lookahead
     interpolation. Disabled toggles drop out per the module docstring.
 
-    Components compute on arrays; the step builds one ``ParamTensor`` per
-    parameter, after lookahead. ``state`` changes only once every tensor has
-    been updated, so a step that raises leaves it as it was.
+    The step gathers gradients and params into flat buffers laid out as
+    ``state.bounds``. Per-tensor reductions (clip, centralize, decay) run on
+    each tensor's slice; the elementwise stages run once over the whole
+    buffer. The returned params are read-only views of one new buffer.
+    ``state`` changes only after every stage has run, so a step that raises
+    leaves it as it was.
     """
     toggles = config.toggles
     eta_t = scheduled_eta(t, config)
@@ -225,71 +249,84 @@ def ranger21_step(
         stable=toggles.stable_decay,
     )
     moment_fn = pnm_update if toggles.pnm else adam_update
-    # diagnostics cost a mean over v_hat per tensor; build them only when read
-    diags: list[TensorDiag] | None = [] if observer is not None else None
+    spans = [state.bounds[p.name] for p in params]
+    theta = np.concatenate([p.values for p in params])
+    grad = np.concatenate([g.values for g in grads])
 
-    fast = {}
-    new_moments = {}
-    for p, g in zip(params, grads):
-        grad = g.array
-        clipped = 0
-        if toggles.agc:
-            factors = unit_scale_factors(grad, p.array, config.clip)
-            clipped = int(np.count_nonzero(factors < 1.0))
-            grad = scale_units(grad, factors)
-        if toggles.centralization:
-            grad = gradient_centralize(grad)
-        u, v_hat, new_moments[p.name] = moment_fn(
-            state.moments[p.name], grad.reshape(-1), t, config.moments
-        )
-        # enough to check u and v_hat here: a clip keeps values finite, an overflow
-        # in centralize reaches u, and one in decay or theta' the new params
-        if not (np.isfinite(u).all() and np.isfinite(v_hat).all()):
-            raise NonFiniteError(f"{p.name}: non-finite values rejected")
-        d = combined_decay(p.values, v_hat, eta_t, decay_cfg)
-        fast[p.name] = p.values - eta_t * u - d
-        if diags is not None:
-            diags.append(
-                TensorDiag(
-                    name=p.name,
-                    units_clipped=clipped,
-                    units_total=p.shape[0],
-                    mean_vhat=float(np.mean(v_hat)),
-                    size=p.size,
-                    update=u,
-                    decay=d,
-                )
-            )
+    clipped = [0] * len(params)
+    if toggles.agc or toggles.centralization:
+        for i, (p, (lo, hi)) in enumerate(zip(params, spans)):
+            g = grad[lo:hi].reshape(p.shape)
+            if toggles.agc:
+                factors = unit_scale_factors(g, theta[lo:hi].reshape(p.shape), config.clip)
+                clipped[i] = int(np.count_nonzero(factors < 1.0))
+                g = scale_units(g, factors)
+            if toggles.centralization:
+                g = gradient_centralize(g)
+            grad[lo:hi] = g.reshape(-1)
 
-    slow = state.slow
+    u, v_hat, moments = moment_fn(state.flat_moments, grad, t, config.moments)
+    # enough to check u and v_hat here: a clip keeps values finite, an overflow
+    # in centralize reaches u, and one in decay or theta' the new params
+    if not (np.isfinite(u).all() and np.isfinite(v_hat).all()):
+        _raise_nonfinite(params, spans, u, v_hat)
+    d = np.concatenate(
+        [combined_decay(theta[lo:hi], v_hat[lo:hi], eta_t, decay_cfg) for lo, hi in spans]
+    )
+    fast = theta - eta_t * u - d
+    slow = state.flat_slow
     if toggles.lookahead:
         fast, slow = lookahead_sync(fast, slow, t, config.k_lookahead, config.beta_lookahead)
-    new_params = [ParamTensor(p.name, p.shape, fast[p.name]) for p in params]
+    if not np.isfinite(fast).all():
+        _raise_nonfinite(params, spans, fast)
+    new_params = [
+        ParamTensor._adopt(p.name, p.shape, fast[lo:hi]) for p, (lo, hi) in zip(params, spans)
+    ]
     if observer is not None:
+        diags = [
+            TensorDiag(
+                name=p.name,
+                units_clipped=n_clipped,
+                units_total=p.shape[0],
+                mean_vhat=float(np.mean(v_hat[lo:hi])),
+                size=p.size,
+                update=u[lo:hi],
+                decay=d[lo:hi],
+            )
+            for p, (lo, hi), n_clipped in zip(params, spans, clipped)
+        ]
         observer(StepDiag(t=t, eta_t=eta_t, tensors=diags))
-    state.moments.update(new_moments)
-    state.slow = slow
+    state.flat_moments, state.flat_slow = moments, slow
     return new_params
 
 
+def _raise_nonfinite(
+    params: Sequence[ParamTensor], spans: list[tuple[int, int]], *buffers: np.ndarray
+) -> None:
+    """Raise NonFiniteError naming the first tensor whose slice of any of
+    ``buffers`` holds NaN or Inf."""
+    for p, (lo, hi) in zip(params, spans):
+        if not all(np.isfinite(buf[lo:hi]).all() for buf in buffers):
+            raise NonFiniteError(f"{p.name}: non-finite values rejected")
+
+
 def lookahead_sync(
-    fast: dict[str, np.ndarray],
-    slow: dict[str, np.ndarray],
+    fast: np.ndarray,
+    slow: np.ndarray,
     t: int,
     k: int,
     beta_la: float,
-) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Every k-th step, interpolate the slow weights toward the fast ones
     and substitute them: l <- beta*l + (1-beta)*theta, theta <- l.
-    Other steps are a no-op. Both maps go from tensor name to flat values."""
+    Other steps are a no-op. Both are flat arrays over the same tensors; a
+    sync returns its one new array as both."""
     if t < 1:
         raise ValueError(f"step index must be >= 1, got {t}")
     if t % k != 0:
         return fast, slow
-    new_slow = {
-        name: beta_la * slow[name] + (1.0 - beta_la) * theta for name, theta in fast.items()
-    }
-    return dict(new_slow), new_slow
+    new_slow = beta_la * slow + (1.0 - beta_la) * fast
+    return new_slow, new_slow
 
 
 class Optimizer:
@@ -309,6 +346,8 @@ class Optimizer:
         if preset not in PRESETS:
             raise ValueError(f"unknown preset {preset!r}, expected one of {PRESETS}")
         names = [p.name for p in params]
+        if not names:
+            raise ValueError("an optimizer needs at least one parameter")
         if len(set(names)) != len(names):
             raise ValueError(f"parameter names must be unique, got {names}")
         self.params = list(params)
@@ -398,18 +437,20 @@ class Optimizer:
         for key in ("moments", "slow"):
             if not isinstance(blob[key], dict) or blob[key].keys() != set(names):
                 raise ValueError(f"{key}: expected an object keyed by the param names {names}")
-        opt.state.t = t
+        # one copy per buffer: each decoded array into its slice of the flat state
+        size = sum(p.size for p in params)
+        flat = {b: np.empty(size) for b in (*_MOMENT_BUFFERS, "slow")}
         for p in params:
+            lo, hi = opt.state.bounds[p.name]
             ms, name = blob["moments"][p.name], repr(p.name)
-            opt.state.moments[p.name] = MomentState(
-                *(
-                    _checked_buffer(ms, b, f"moments[{name}].{b}", p.size, version)
-                    for b in _MOMENT_BUFFERS
-                )
-            )
-            opt.state.slow[p.name] = _checked_buffer(
-                blob["slow"], p.name, f"slow[{name}]", p.size, version
-            )
+            for b in _MOMENT_BUFFERS:
+                where = f"moments[{name}].{b}"
+                flat[b][lo:hi] = _checked_buffer(ms, b, where, p.size, version)
+            where = f"slow[{name}]"
+            flat["slow"][lo:hi] = _checked_buffer(blob["slow"], p.name, where, p.size, version)
+        opt.state.flat_moments = MomentState(*(flat[b] for b in _MOMENT_BUFFERS))
+        opt.state.flat_slow = flat["slow"]
+        opt.state.t = t
         return opt
 
     def save(self, path: str | Path) -> None:
@@ -441,8 +482,9 @@ def _decoded(text, where: str, size: int) -> np.ndarray:
     raw = _built(where, base64.b64decode, text, validate=True)
     if len(raw) != 8 * size:
         raise ValueError(f"{where}: expected {8 * size} bytes ({size} values), got {len(raw)}")
-    # a native-order copy that owns its memory, not a read-only view of ``raw``
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    # a read-only view of ``raw``: the caller makes the one copy, into a ParamTensor
+    # or into the flat state
+    return np.frombuffer(raw, dtype="<f8")
 
 
 def _listed(values, where: str, size: int) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Moment machinery and the combined weight-decay term, as pure array maths on
-flat float64 arrays of one tensor's element count.
+flat float64 arrays. The moment updates are elementwise, so the step runs them
+once over all tensors' values end to end; ``combined_decay`` reduces over one
+tensor.
 
 Two interchangeable moment updates share one state layout:
 
@@ -60,10 +62,11 @@ class DecayConfig:
 
 @dataclass
 class MomentState:
-    """Per-tensor slots: first moments at t-1 and t-2, second moment, and its max.
+    """Moment slots: first moments at t-1 and t-2, second moment, and its max.
 
-    Buffers are flat float64 arrays matching the owning parameter's element
-    count. Updates return a fresh state; the t-2 slot is rotated, not copied.
+    Buffers are flat float64 arrays of the gradient's element count: one
+    tensor's, or in ``OptimizerState`` all tensors' end to end. Updates return
+    a fresh state; the t-2 slot is rotated, not copied.
     """
 
     m_prev: np.ndarray

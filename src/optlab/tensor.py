@@ -1,5 +1,6 @@
 """Minimal dense float64 tensor: the type ``Optimizer`` takes and returns.
-Components compute on plain arrays; a step builds one per parameter."""
+Components compute on plain arrays; a step returns its params as views of
+one flat buffer, through ``ParamTensor._adopt``."""
 
 from __future__ import annotations
 
@@ -40,6 +41,17 @@ class ParamTensor:
         self.name = name
         self.shape = shape
         self.values = flat
+
+    @classmethod
+    def _adopt(cls, name: str, shape: tuple[int, ...], values: np.ndarray) -> "ParamTensor":
+        """Wrap ``values``, a flat float64 array of ``shape``'s size whose
+        entries the caller has already checked to be finite, without copying
+        or validating it; ``values`` (often a view of a larger buffer) becomes
+        read-only."""
+        values.flags.writeable = False
+        tensor = cls.__new__(cls)
+        tensor.name, tensor.shape, tensor.values = name, shape, values
+        return tensor
 
     def with_values(self, values) -> "ParamTensor":
         """New tensor with the same name and shape but fresh values."""

@@ -387,10 +387,10 @@ def test_criterion_10_determinism(tmp_path):
 
 def test_criterion_11_lookahead_conformance():
     start = time.perf_counter()
-    params, slow = lookahead_sync({"x": scalar(1.0).values}, {"x": np.array([0.0])}, t=5, k=5, beta_la=0.5)
-    example_ok = params["x"][0] == 0.5 and slow["x"][0] == 0.5
-    params, slow = lookahead_sync({"x": scalar(1.0).values}, {"x": np.array([0.25])}, t=5, k=5, beta_la=0.0)
-    endpoint_ok = params["x"][0] == 1.0 and slow["x"][0] == 1.0
+    params, slow = lookahead_sync(scalar(1.0).values, np.array([0.0]), t=5, k=5, beta_la=0.5)
+    example_ok = params[0] == 0.5 and slow[0] == 0.5
+    params, slow = lookahead_sync(scalar(1.0).values, np.array([0.25]), t=5, k=5, beta_la=0.0)
+    endpoint_ok = params[0] == 1.0 and slow[0] == 1.0
 
     rng = np.random.default_rng(1111)
     grads = [float(g) for g in rng.uniform(-2, 2, size=40)]

@@ -1,19 +1,46 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from optlab import lr_factor
 from optlab.benchmark import (
+    CSV_HEADER,
     ConfigError,
     RunRecord,
     emit_csv,
-    load_records,
     parse_config,
     run_benchmark,
     summary_text,
 )
 from optlab.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, main
+
+
+def load_records(path: str | Path) -> list[RunRecord]:
+    """Inverse of emit_csv: reproduces the emitted records exactly."""
+    lines = Path(path).read_text().splitlines()
+    if not lines or lines[0] != CSV_HEADER:
+        raise ValueError(f"{path}: unexpected CSV header")
+    records = []
+    for line in lines[1:]:
+        run, optimizer, step, eta_t, loss, accuracy, clip_ratio, mean_vhat, decay_norm = (
+            line.split(",")
+        )
+        records.append(
+            RunRecord(
+                run=run,
+                optimizer=optimizer,
+                step=int(step),
+                eta_t=float(eta_t),
+                loss=float(loss),
+                accuracy=None if accuracy == "" else float(accuracy),
+                clip_ratio=float(clip_ratio),
+                mean_vhat=float(mean_vhat),
+                decay_norm=float(decay_norm),
+            )
+        )
+    return records
 
 
 def config_dict(**overrides):

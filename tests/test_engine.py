@@ -202,25 +202,31 @@ class TestRanger21Step:
 
 class TestLookahead:
     def test_interpolation_example(self):
-        params = [scalar(1.0)]
-        slow = {"x": np.array([0.0])}
-        new_params, new_slow = lookahead_sync({"x": params[0].values}, slow, t=5, k=5, beta_la=0.5)
-        assert new_params["x"][0] == 0.5
-        assert new_slow["x"][0] == 0.5
+        new_params, new_slow = lookahead_sync(
+            scalar(1.0).values, np.array([0.0]), t=5, k=5, beta_la=0.5
+        )
+        assert new_params[0] == 0.5
+        assert new_slow[0] == 0.5
 
     def test_beta_zero_endpoint(self):
-        params = [scalar(1.0)]
-        slow = {"x": np.array([0.25])}
-        new_params, new_slow = lookahead_sync({"x": params[0].values}, slow, t=5, k=5, beta_la=0.0)
-        assert new_params["x"][0] == 1.0
-        assert new_slow["x"][0] == 1.0
+        new_params, new_slow = lookahead_sync(
+            scalar(1.0).values, np.array([0.25]), t=5, k=5, beta_la=0.0
+        )
+        assert new_params[0] == 1.0
+        assert new_slow[0] == 1.0
 
     def test_non_multiple_is_noop(self):
-        params = [scalar(1.0)]
-        slow = {"x": np.array([0.0])}
-        new_params, new_slow = lookahead_sync({"x": params[0].values}, slow, t=6, k=5, beta_la=0.5)
-        assert new_params["x"][0] == 1.0
-        assert new_slow["x"][0] == 0.0
+        new_params, new_slow = lookahead_sync(
+            scalar(1.0).values, np.array([0.0]), t=6, k=5, beta_la=0.5
+        )
+        assert new_params[0] == 1.0
+        assert new_slow[0] == 0.0
+
+    def test_flat_buffers_interpolate_elementwise(self):
+        fast, slow = np.array([1.0, -2.0, 4.0]), np.array([0.0, 2.0, 0.5])
+        new_params, new_slow = lookahead_sync(fast, slow, t=10, k=5, beta_la=0.25)
+        np.testing.assert_array_equal(new_slow, 0.25 * slow + 0.75 * fast)
+        assert new_params is new_slow
 
     def test_disabled_lookahead_independent_of_k_and_beta(self):
         rng = np.random.default_rng(5)
@@ -516,6 +522,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             Optimizer.adamw([scalar(1.0), scalar(2.0)])
 
+    def test_empty_param_list_rejected(self):
+        with pytest.raises(ValueError, match="at least one parameter"):
+            Optimizer.adamw([])
+
     def test_defaults_match_preset_requirements(self):
         cfg = default_config(3e-3, t_max=1000)
         assert cfg.weight_decay == 1e-4
@@ -615,13 +625,21 @@ class TestCheckpoint:
         assert loaded.to_checkpoint() == opt.to_checkpoint()
 
     def test_loaded_state_buffers_own_their_memory(self):
-        opt = Optimizer.load(FIXTURES / "checkpoint_v3.json")
-        buffers = list(opt.state.slow.values()) + [
-            getattr(ms, f.name) for ms in opt.state.moments.values() for f in dataclasses.fields(ms)
-        ]
-        for buf in buffers:
+        state = Optimizer.load(FIXTURES / "checkpoint_v3.json").state
+        slots = [f.name for f in dataclasses.fields(MomentState)]
+        flat = {slot: getattr(state.flat_moments, slot) for slot in slots}
+        for buf in (*flat.values(), state.flat_slow):
             assert buf.dtype == np.float64 and buf.dtype.isnative
             assert buf.flags.owndata and buf.flags.writeable
+            assert buf.size == 9
+        assert list(state.bounds.items()) == [("w", (0, 6)), ("b", (6, 9))]
+        for name, (lo, hi) in state.bounds.items():
+            assert state.slow[name].base is state.flat_slow
+            np.testing.assert_array_equal(state.slow[name], state.flat_slow[lo:hi])
+            for slot in slots:
+                view = getattr(state.moments[name], slot)
+                assert view.base is flat[slot]
+                np.testing.assert_array_equal(view, flat[slot][lo:hi])
 
     def test_v1_blob_rejected(self):
         blob = json.loads((FIXTURES / "checkpoint_v2.json").read_text())

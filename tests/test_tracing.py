@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from optlab import Optimizer, benchmark
+from optlab import Optimizer, ParamTensor, benchmark
 from optlab.problems import RosenbrockProblem
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -49,8 +49,14 @@ def test_every_patched_name_records_spans(tmp_path):
     recorded = {tracer.names[i] for i in np.unique(table.name)}
     assert recorded == set(tracer.names)
 
-    # one ParamTensor per parameter per step: the returned params
+    # the step builds no ParamTensor: it returns read-only views of one buffer
     steps = int(table.select("engine.step").sum())
     constructs = int(table.select("tensor.construct", roots=["engine.step"]).sum())
     assert steps == 2 * CONFIG["t_max"]
-    assert constructs == steps * len(opt.params)
+    assert constructs == 0
+    params = [ParamTensor("w", (2, 2), [1.0, 2.0, 3.0, 4.0]), ParamTensor("b", (2,), [0.5, -0.5])]
+    returned = Optimizer.adamw(params).step([p.with_values(np.ones(p.size)) for p in params])
+    base = returned[0].values.base
+    assert base is not None and base.size == 6
+    for p in returned:
+        assert p.values.base is base and not p.values.flags.writeable
