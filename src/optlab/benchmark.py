@@ -29,21 +29,25 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .engine import (
+    PRESETS,
     Optimizer,
     Ranger21Config,
     StepDiag,
     Toggles,
     adamw_config,
+    checked_call,
     checked_value,
     default_config,
 )
 from .problems import (
+    ACTIVATIONS,
     BlobsMLPProblem,
     QuadraticProblem,
     RosenbrockProblem,
@@ -61,80 +65,45 @@ class ConfigError(ValueError):
     """Configuration rejected; the message names the offending field."""
 
 
-# -- strict typed readers ------------------------------------------------------
+# -- typed readers: each raises ValueError naming the field ------------------
 
 
 def _check_keys(mapping: dict, allowed: set[str], path: str) -> None:
     for key in mapping:
         if key not in allowed:
-            raise ConfigError(f"{path}: unknown key {key!r}")
+            raise ValueError(f"{path}: unknown key {key!r}")
 
 
-def _typed(kind: str, value, where: str):
-    """``engine.checked_value``, raising ConfigError."""
-    try:
-        return checked_value(kind, value, where)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _get_int(mapping: dict, key: str, path: str, default=None, minimum=None):
+def _get(mapping: dict, key: str, path: str, kind: str, default=...):
+    """``mapping[key]`` checked as ``kind`` (see ``engine.checked_value``), or
+    ``default`` when the key is absent; a ``...`` default makes it required."""
     if key not in mapping:
         if default is ...:
-            raise ConfigError(f"{path}: missing required key {key!r}")
+            raise ValueError(f"{path}: missing required key {key!r}")
         return default
-    value = _typed("int", mapping[key], f"{path}.{key}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{path}.{key}: must be >= {minimum}, got {value}")
-    return value
+    return checked_value(kind, mapping[key], f"{path}.{key}")
 
 
-def _check_float(value, where: str, minimum=None, exclusive=False) -> float:
-    value = _typed("float", value, where)
-    if minimum is not None:
-        if exclusive and not value > minimum:
-            raise ConfigError(f"{where}: must be > {minimum}, got {value}")
-        if not exclusive and not value >= minimum:
-            raise ConfigError(f"{where}: must be >= {minimum}, got {value}")
-    return value
+# a bound's keyword -> its sign in messages and its test
+_BOUNDS = {
+    "ge": (">=", operator.ge),
+    "gt": (">", operator.gt),
+    "le": ("<=", operator.le),
+    "lt": ("<", operator.lt),
+}
 
 
-def _get_float(mapping: dict, key: str, path: str, default=None, minimum=None, exclusive=False):
-    if key not in mapping:
-        if default is ...:
-            raise ConfigError(f"{path}: missing required key {key!r}")
-        return default
-    return _check_float(mapping[key], f"{path}.{key}", minimum, exclusive)
-
-
-def _get_floats(
-    mapping: dict, key: str, path: str, default=None, length=None, minimum=None, exclusive=False
-):
-    """A non-empty list of finite numbers, of ``length`` entries when given."""
-    if key not in mapping:
-        if default is ...:
-            raise ConfigError(f"{path}: missing required key {key!r}")
-        return default
-    value = mapping[key]
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{path}.{key}: expected a non-empty list of numbers, got {value!r}")
-    if length is not None and len(value) != length:
-        raise ConfigError(f"{path}.{key}: expected {length} numbers, got {len(value)}")
-    return tuple(
-        _check_float(x, f"{path}.{key}[{i}]", minimum, exclusive) for i, x in enumerate(value)
-    )
-
-
-def _get_str(mapping: dict, key: str, path: str, default=None, choices=None):
-    if key not in mapping:
-        if default is ...:
-            raise ConfigError(f"{path}: missing required key {key!r}")
-        return default
-    value = mapping[key]
-    if not isinstance(value, str):
-        raise ConfigError(f"{path}.{key}: expected a string, got {value!r}")
-    if choices is not None and value not in choices:
-        raise ConfigError(f"{path}.{key}: expected one of {sorted(choices)}, got {value!r}")
+def _get_in(mapping: dict, key: str, path: str, kind: str, default=..., **bounds):
+    """``_get`` of a number, or of a tuple of numbers, that must meet each bound
+    (``ge=0`` means >= 0; also ``gt``, ``lt``, ``le``)."""
+    value = _get(mapping, key, path, kind, default)
+    listed = isinstance(value, tuple)
+    for i, x in enumerate(value if listed else (value,)):
+        for name, bound in bounds.items():
+            sign, holds = _BOUNDS[name]
+            if not holds(x, bound):
+                where = f"{path}.{key}[{i}]" if listed else f"{path}.{key}"
+                raise ValueError(f"{where}: must be {sign} {bound}, got {x}")
     return value
 
 
@@ -161,22 +130,28 @@ class RunConfig:
     warnings: list[str] = field(default_factory=list)
 
 
+# the largest extent numpy can give an array axis
+_MAX_EXTENT = int(np.iinfo(np.intp).max)
+
+
 def _parse_problem(blob):
     if not isinstance(blob, dict):
-        raise ConfigError("problem: expected an object")
-    name = _get_str(blob, "name", "problem", default=...)
+        raise ValueError("problem: expected an object")
+    name = _get(blob, "name", "problem", "str")
     if name == "rosenbrock":
         _check_keys(blob, {"name", "start"}, "problem")
-        start = _get_floats(blob, "start", "problem", default=(-1.5, 2.0), length=2)
+        start = _get(blob, "start", "problem", "tuple[float, ...]", (-1.5, 2.0))
+        if len(start) != 2:
+            raise ValueError(f"problem.start: expected 2 numbers, got {len(start)}")
         return RosenbrockProblem(start=start)
     if name == "quadratic":
         _check_keys(blob, {"name", "spectrum", "start"}, "problem")
-        spectrum = _get_floats(
-            blob, "spectrum", "problem", default=..., minimum=0.0, exclusive=True
-        )
-        start = _get_floats(
-            blob, "start", "problem", default=(1.0,) * len(spectrum), length=len(spectrum)
-        )
+        spectrum = _get_in(blob, "spectrum", "problem", "tuple[float, ...]", gt=0.0)
+        if not spectrum:
+            raise ValueError("problem.spectrum: expected a non-empty list")
+        start = _get(blob, "start", "problem", "tuple[float, ...]", (1.0,) * len(spectrum))
+        if len(start) != len(spectrum):
+            raise ValueError(f"problem.start: expected {len(spectrum)} numbers, got {len(start)}")
         return QuadraticProblem(spectrum=spectrum, start=start)
     if name == "blobs_mlp":
         _check_keys(
@@ -187,34 +162,28 @@ def _parse_problem(blob):
             },
             "problem",
         )
-        n = _get_int(blob, "n", "problem", default=..., minimum=1)
-        d = _get_int(blob, "d", "problem", default=..., minimum=1)
-        classes = _get_int(blob, "classes", "problem", default=..., minimum=2)
-        batch_size = _get_int(blob, "batch_size", "problem", default=..., minimum=1)
-        separation = _get_float(blob, "separation", "problem", default=10.0, minimum=0.0)
-        data_seed = _get_int(blob, "data_seed", "problem", default=0, minimum=0)
-        hidden = blob.get("hidden", [32])
-        if not isinstance(hidden, list) or any(
-            isinstance(w, bool) or not isinstance(w, int) or w < 1 for w in hidden
-        ):
-            raise ConfigError("problem.hidden: expected a list of positive integers")
-        activation = _get_str(
-            blob, "activation", "problem", default="tanh", choices={"tanh", "relu"}
-        )
-        smoothing = _get_float(blob, "smoothing", "problem", default=0.1, minimum=0.0)
-        if smoothing >= 1.0:
-            raise ConfigError(f"problem.smoothing: must be < 1, got {smoothing}")
-        try:
-            return BlobsMLPProblem(
-                dataset=make_blobs(data_seed, n, d, classes, separation),
-                hidden=tuple(hidden),
-                batch_size=batch_size,
-                activation=activation,
-                alpha=smoothing,
+        n = _get_in(blob, "n", "problem", "int", ge=1)
+        d = _get_in(blob, "d", "problem", "int", ge=1)
+        classes = _get_in(blob, "classes", "problem", "int", ge=2)
+        batch_size = _get_in(blob, "batch_size", "problem", "int", ge=1, le=_MAX_EXTENT)
+        separation = _get_in(blob, "separation", "problem", "float", 10.0, ge=0.0)
+        data_seed = _get_in(blob, "data_seed", "problem", "int", 0, ge=0)
+        hidden = _get_in(blob, "hidden", "problem", "tuple[int, ...]", (32,), ge=1, le=_MAX_EXTENT)
+        activation = _get(blob, "activation", "problem", "str", "tanh")
+        if activation not in ACTIVATIONS:
+            raise ValueError(
+                f"problem.activation: expected one of {sorted(ACTIVATIONS)}, got {activation!r}"
             )
-        except ValueError as exc:
-            raise ConfigError(f"problem: {exc}") from exc
-    raise ConfigError(f"problem.name: unknown problem {name!r}")
+        smoothing = _get_in(blob, "smoothing", "problem", "float", 0.1, ge=0.0, lt=1.0)
+        dataset = checked_call("problem", make_blobs, data_seed, n, d, classes, separation)
+        return BlobsMLPProblem(
+            dataset=dataset,
+            hidden=hidden,
+            batch_size=batch_size,
+            activation=activation,
+            alpha=smoothing,
+        )
+    raise ValueError(f"problem.name: unknown problem {name!r}")
 
 
 # bench key -> the path of the config field it sets: a field of the config, or a
@@ -246,20 +215,19 @@ def _with_field(obj, path: tuple[str, ...], value, where: str):
     if rest:
         part = _with_field(getattr(obj, name), rest, value, where)
         return dataclasses.replace(obj, **{name: part})
-    value = _typed(obj.__dataclass_fields__[name].type, value, where)
-    try:
-        return dataclasses.replace(obj, **{name: value})
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    value = checked_value(obj.__dataclass_fields__[name].type, value, where)
+    return checked_call(where, dataclasses.replace, obj, **{name: value})
 
 
 def _parse_optimizer(blob, index: int, t_max: int) -> OptimizerSpec:
     """The preset's default config with each key of ``blob`` applied in turn."""
     path = f"optimizers[{index}]"
     if not isinstance(blob, dict):
-        raise ConfigError(f"{path}: expected an object")
-    preset = _get_str(blob, "preset", path, default=..., choices={"adamw", "ranger21"})
-    label = _get_str(blob, "label", path, default=preset)
+        raise ValueError(f"{path}: expected an object")
+    preset = _get(blob, "preset", path, "str")
+    if preset not in PRESETS:
+        raise ValueError(f"{path}.preset: expected one of {list(PRESETS)}, got {preset!r}")
+    label = _get(blob, "label", path, "str", preset)
     keys = _ADAMW_KEYS if preset == "adamw" else _RANGER_KEYS
     make = adamw_config if preset == "adamw" else default_config
     config = make(3e-3, t_max)  # eta is the one setting the config classes give no default
@@ -267,7 +235,7 @@ def _parse_optimizer(blob, index: int, t_max: int) -> OptimizerSpec:
     for key, value in blob.items():
         if key == "toggles":
             if not isinstance(value, dict):
-                raise ConfigError(f"{path}.toggles: expected an object")
+                raise ValueError(f"{path}.toggles: expected an object")
             _check_keys(value, Toggles.__dataclass_fields__.keys(), f"{path}.toggles")
             for name, flag in value.items():
                 config = _with_field(config, (*keys[key], name), flag, f"{path}.toggles.{name}")
@@ -282,8 +250,15 @@ def parse_config(text: str) -> RunConfig:
         blob = json.loads(text)
     except ValueError as exc:  # a JSONDecodeError, or an int past Python's digit limit
         raise ConfigError(f"not valid JSON: {exc}") from exc
+    try:
+        return _resolved(blob)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _resolved(blob) -> RunConfig:
     if not isinstance(blob, dict):
-        raise ConfigError("top level: expected an object")
+        raise ValueError("top level: expected an object")
     _check_keys(
         blob,
         {
@@ -292,28 +267,26 @@ def parse_config(text: str) -> RunConfig:
         },
         "top level",
     )
-    version = _get_int(blob, "schema_version", "top level", default=...)
+    version = _get(blob, "schema_version", "top level", "int")
     if version != SCHEMA_VERSION:
-        raise ConfigError(
-            f"schema_version: expected {SCHEMA_VERSION}, got {version}"
-        )
-    seed = _get_int(blob, "seed", "top level", default=0, minimum=0)
-    t_max = _get_int(blob, "t_max", "top level", default=..., minimum=1)
-    cadence = _get_int(blob, "cadence", "top level", default=1, minimum=1)
-    loss_threshold = _get_float(blob, "loss_threshold", "top level", default=None)
-    out = _get_str(blob, "out", "top level", default=None)
+        raise ValueError(f"schema_version: expected {SCHEMA_VERSION}, got {version}")
+    seed = _get_in(blob, "seed", "top level", "int", 0, ge=0)
+    t_max = _get_in(blob, "t_max", "top level", "int", ge=1)
+    cadence = _get_in(blob, "cadence", "top level", "int", 1, ge=1)
+    loss_threshold = _get(blob, "loss_threshold", "top level", "float", None)
+    out = _get(blob, "out", "top level", "str", None)
 
     if "problem" not in blob:
-        raise ConfigError("top level: missing required key 'problem'")
+        raise ValueError("top level: missing required key 'problem'")
     problem = _parse_problem(blob["problem"])
 
     specs_blob = blob.get("optimizers")
     if not isinstance(specs_blob, list) or not specs_blob:
-        raise ConfigError("optimizers: expected a non-empty list")
+        raise ValueError("optimizers: expected a non-empty list")
     optimizers = [_parse_optimizer(spec, i, t_max) for i, spec in enumerate(specs_blob)]
     labels = [spec.label for spec in optimizers]
     if len(set(labels)) != len(labels):
-        raise ConfigError(f"optimizers: labels must be unique, got {labels}")
+        raise ValueError(f"optimizers: labels must be unique, got {labels}")
 
     warnings = []
     for spec in optimizers:

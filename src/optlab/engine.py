@@ -99,12 +99,13 @@ def default_config(eta: float, t_max: int, **overrides) -> Ranger21Config:
 def adamw_config(
     eta: float,
     t_max: int,
-    weight_decay: float = 1e-4,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
+    weight_decay: float = Ranger21Config.weight_decay,
+    beta1: float = MomentConfig.beta1,
+    beta2: float = MomentConfig.beta2,
+    eps: float = MomentConfig.eps,
 ) -> Ranger21Config:
-    """The adamw preset: every toggle off, plain decoupled decay.
+    """The adamw preset: every toggle off, plain decoupled decay. The defaults
+    are the config classes' own.
 
     ``t_max`` is the run length; the step never reads it, as warm-down is off.
     """
@@ -357,16 +358,10 @@ class Optimizer:
 
     @classmethod
     def adamw(
-        cls,
-        params: Sequence[ParamTensor],
-        eta: float = 3e-3,
-        weight_decay: float = 1e-4,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
+        cls, params: Sequence[ParamTensor], eta: float = 3e-3, **overrides
     ) -> "Optimizer":
-        config = adamw_config(eta, 1, weight_decay, beta1, beta2, eps)
-        return cls(params, config, preset="adamw")
+        """``overrides`` are ``adamw_config``'s: weight_decay, beta1, beta2, eps."""
+        return cls(params, adamw_config(eta, 1, **overrides), preset="adamw")
 
     @classmethod
     def ranger21(
@@ -429,7 +424,7 @@ class Optimizer:
         config = _from_dict(Ranger21Config, blob["config"], "config")
         if blob["preset"] not in PRESETS:
             raise ValueError(f"preset: expected one of {PRESETS}, got {blob['preset']!r}")
-        opt = _built("params", cls, params, config, preset=blob["preset"])
+        opt = checked_call("params", cls, params, config, preset=blob["preset"])
         t, t_max = checked_value("int", blob["t"], "t"), config.schedule.t_max
         if t < 0 or (config.toggles.warmdown and t > t_max):
             raise ValueError(f"t: must be >= 0, and <= t_max = {t_max} with warm-down on, got {t}")
@@ -479,7 +474,7 @@ def _decoded(text, where: str, size: int) -> np.ndarray:
     """The float64 array a v3 buffer string encodes; it must hold ``size`` values."""
     if not isinstance(text, str):
         raise ValueError(f"{where}: expected a base64 string, got {type(text).__name__}")
-    raw = _built(where, base64.b64decode, text, validate=True)
+    raw = checked_call(where, base64.b64decode, text, validate=True)
     if len(raw) != 8 * size:
         raise ValueError(f"{where}: expected {8 * size} bytes ({size} values), got {len(raw)}")
     # a read-only view of ``raw``: the caller makes the one copy, into a ParamTensor
@@ -496,7 +491,7 @@ def _listed(values, where: str, size: int) -> np.ndarray:
             raise ValueError(f"{where}: expected a list of numbers, got {x!r} at index {i}")
     if len(values) != size:
         raise ValueError(f"{where}: expected {size} values, got {len(values)}")
-    return _built(where, np.array, values, dtype=np.float64)
+    return checked_call(where, np.array, values, dtype=np.float64)
 
 
 def _checked_buffer(mapping: dict, key: str, where: str, size: int, version: int) -> np.ndarray:
@@ -513,26 +508,46 @@ def _field(mapping, key: str, where: str):
     return mapping[key]
 
 
-_EXPECTED = {"bool": "true or false", "int": "an integer", "int | None": "an integer or null"}
+_EXPECTED = {
+    "bool": "true or false", "int": "an integer", "int | None": "an integer or null",
+    "float": "a finite number", "str": "a string",
+}
 
 
 def checked_value(kind: str, value, where: str):
-    """``value`` if it fits ``kind``, a config field's annotation: ``bool``, ``int``
-    (not a bool), ``int | None``, or ``float`` (a finite int or float, returned as
-    a float). ValueError names ``where``; ranges are the config classes' own."""
+    """``value`` if it fits ``kind``, a field's annotation: ``bool``, ``int`` (not
+    a bool), ``int | None``, ``float`` (a finite int or float, returned as a
+    float), ``str``, or ``tuple[T, ...]`` (a JSON list of ``T``, returned as a
+    tuple). ValueError names ``where``, or ``where[i]`` for a bad list entry;
+    ranges are the caller's."""
     is_int = isinstance(value, int) and not isinstance(value, bool)
-    if kind == "bool":
-        ok = isinstance(value, bool)
-    elif kind == "float":
+    if kind == "float":
         # abs() <= max rejects inf and nan, and ints a float cannot hold
         ok = (is_int or isinstance(value, float)) and abs(value) <= sys.float_info.max
         value = float(value) if ok else value
-    else:  # "int" or "int | None"
+    elif kind == "bool":
+        ok = isinstance(value, bool)
+    elif kind == "str":
+        ok = isinstance(value, str)
+    elif kind in ("int", "int | None"):
         ok = is_int or (value is None and kind == "int | None")
+    else:  # "tuple[T, ...]"
+        return _checked_entries(kind[len("tuple[") : -len(", ...]")], value, where)
     if not ok:
-        expected = _EXPECTED.get(kind, "a finite number")
-        raise ValueError(f"{where}: expected {expected}, got {value!r}")
+        raise ValueError(f"{where}: expected {_EXPECTED[kind]}, got {value!r}")
     return value
+
+
+def _checked_entries(item: str, value, where: str) -> tuple:
+    """``value``, a list, as a tuple of entries each checked as ``item``."""
+    if not isinstance(value, list):
+        raise ValueError(f"{where}: expected a list, got {value!r}")
+    try:
+        return tuple(checked_value(item, x, where) for x in value)
+    except ValueError:  # find the bad entry: its path is built only now
+        for i, x in enumerate(value):
+            checked_value(item, x, f"{where}[{i}]")
+        raise
 
 
 # the config parts a checkpoint nests, by their annotation in Ranger21Config
@@ -553,21 +568,26 @@ def _from_dict(cls, blob, where: str):
         kwargs[name] = (
             _from_dict(part, blob[name], path) if part else checked_value(f.type, blob[name], path)
         )
-    return _built(where, cls, **kwargs)
+    return checked_call(where, cls, **kwargs)
 
 
 def _param_from_dict(entry, where: str, version: int) -> ParamTensor:
-    name, shape = (_field(entry, key, f"{where}.{key}") for key in ("name", "shape"))
-    if not isinstance(shape, list) or not shape:
-        raise ValueError(f"{where}.shape: expected a non-empty list, got {shape!r}")
+    name, shape = (
+        checked_value(kind, _field(entry, key, f"{where}.{key}"), f"{where}.{key}")
+        for key, kind in (("name", "str"), ("shape", "tuple[int, ...]"))
+    )
+    if not shape:
+        raise ValueError(f"{where}.shape: expected a non-empty list, got []")
     for j, extent in enumerate(shape):
-        if checked_value("int", extent, f"{where}.shape[{j}]") < 1:
+        if extent < 1:
             raise ValueError(f"{where}.shape[{j}]: must be >= 1, got {extent}")
     values = _checked_buffer(entry, "values", f"{where}.values", math.prod(shape), version)
-    return _built(where, ParamTensor, name, shape, values)
+    return checked_call(where, ParamTensor, name, shape, values)
 
 
-def _built(where: str, make, *args, **kwargs):
+def checked_call(where: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``; a TypeError, ValueError or OverflowError it
+    raises becomes a ValueError that names ``where``."""
     try:
         return make(*args, **kwargs)
     except (TypeError, ValueError, OverflowError) as exc:

@@ -69,21 +69,20 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def label_smoothed_ce(logits, target: int, alpha: float) -> tuple[float, np.ndarray]:
-    """Cross-entropy of one sample against its smoothed target distribution.
-
-    Gradient with respect to the logits is softmax(logits) - target_dist.
-    """
+def label_smoothed_ce(logits, labels, alpha: float) -> tuple[float, np.ndarray]:
+    """Batch-mean cross-entropy of ``logits`` [batch, classes] against the
+    labels' smoothed target distributions, and its gradient w.r.t. the logits:
+    (softmax(logits) - target_dist) / batch."""
     logits = np.asarray(logits, dtype=np.float64)
-    n_classes = logits.shape[-1]
+    labels = np.asarray(labels)
+    batch, n_classes = logits.shape
     if n_classes < 2:
         raise ValueError(f"need at least 2 classes, got {n_classes}")
-    if not 0 <= target < n_classes:
-        raise ValueError(f"target {target} out of range [0, {n_classes})")
-    q = smoothed_targets(np.array([target]), n_classes, alpha)[0]
+    if labels.shape != (batch,) or labels.min() < 0 or labels.max() >= n_classes:
+        raise ValueError(f"need one label per row, each in [0, {n_classes})")
+    q = smoothed_targets(labels, n_classes, alpha)
     logp = _log_softmax(logits)
-    loss = float(-(q * logp).sum())
-    return loss, np.exp(logp) - q
+    return float(-(q * logp).sum() / batch), (np.exp(logp) - q) / batch
 
 
 # -- MLP with manual backprop -------------------------------------------------
@@ -131,14 +130,6 @@ def _forward(pairs, x: np.ndarray, act: Callable) -> tuple[list, list]:
     return pre, acts
 
 
-def _smoothed_ce(logits: np.ndarray, labels, alpha: float) -> tuple[float, np.ndarray]:
-    """Batch-mean smoothed cross-entropy and its gradient w.r.t. the logits."""
-    batch, n_classes = logits.shape
-    q = smoothed_targets(labels, n_classes, alpha)
-    logp = _log_softmax(logits)
-    return float(-(q * logp).sum() / batch), (np.exp(logp) - q) / batch
-
-
 def mlp_logits(params: Sequence[ParamTensor], inputs, activation: str = "tanh") -> np.ndarray:
     act, _ = ACTIVATIONS[activation]
     _, acts = _forward(_layers(params), np.asarray(inputs, dtype=np.float64), act)
@@ -168,7 +159,7 @@ def mlp_eval(
         raise ValueError("inputs must be [n, d] with one label per row")
 
     pre, acts = _forward(pairs, x, act)
-    loss, d_z = _smoothed_ce(acts[-1], y, alpha)
+    loss, d_z = label_smoothed_ce(acts[-1], y, alpha)
     grads: list[ParamTensor | None] = [None] * len(params)
     for i in reversed(range(len(pairs))):
         w, b = pairs[i]
@@ -331,6 +322,6 @@ class BlobsMLPProblem:
     def metrics(self, params: Sequence[ParamTensor]):
         """Full-dataset loss and accuracy from one forward pass."""
         logits = mlp_logits(params, self.dataset.inputs, activation=self.activation)
-        loss, _ = _smoothed_ce(logits, self.dataset.labels, self.alpha)
+        loss, _ = label_smoothed_ce(logits, self.dataset.labels, self.alpha)
         accuracy = float(np.mean(logits.argmax(axis=1) == self.dataset.labels))
         return loss, accuracy

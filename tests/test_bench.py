@@ -465,6 +465,17 @@ class TestCli:
         assert main(["run", config, "--out", out, "--quiet", *args]) == EXIT_CONFIG
         assert f"config error: {field}: must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key,value,field",
+        [("hidden", [2**63], "problem.hidden[0]"), ("batch_size", 2**63, "problem.batch_size")],
+        ids=["hidden", "batch_size"],
+    )
+    def test_oversized_extent_is_config_error(self, tmp_path, capsys, key, value, field):
+        # validate only: a run would allocate arrays of these extents
+        problem = {"name": "blobs_mlp", "n": 4, "d": 2, "classes": 2, "batch_size": 1, key: value}
+        assert main(["validate", self.write_config(tmp_path, problem=problem)]) == EXIT_CONFIG
+        assert f"config error: {field}: must be <= " in capsys.readouterr().err
+
     def test_overlap_warning_printed(self, tmp_path, capsys):
         config = self.write_config(
             tmp_path, t_max=10,

@@ -1,9 +1,12 @@
-"""Fuzz the two readers of optimizer configs: bench config entries and
-checkpoints (format v2, buffers as number lists, and v3, buffers as base64
-strings). A mutated blob must either be rejected with a ConfigError or
-ValueError whose message starts with the path of a field, or parse to a
-config whose numbers are all finite; never a TypeError, KeyError or
-AttributeError."""
+"""Fuzz the readers of JSON input: whole bench configs (a rosenbrock and a
+quadratic base) and checkpoints (format v2, buffers as number lists, and v3,
+buffers as base64 strings). A mutated blob must either be rejected with a
+ConfigError or ValueError whose message starts with the path of a field, or
+parse to a config whose numbers are all finite; never a TypeError, KeyError
+or AttributeError.
+
+``blobs_mlp`` is not fuzzed: its sizes ``n``, ``d`` and ``hidden`` allocate
+in proportion to their values."""
 
 import base64
 import copy
@@ -13,6 +16,7 @@ import math
 import re
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,9 +40,18 @@ BENCH = {
     "schema_version": 1, "seed": 0, "t_max": 50, "cadence": 10,
     "problem": {"name": "rosenbrock"}, "optimizers": [ADAMW, RANGER],
 }
+BENCH_BASES = {
+    "rosenbrock": {
+        **BENCH, "loss_threshold": 0.5, "out": "results",
+        "problem": {"name": "rosenbrock", "start": [-1.5, 2.0]},
+    },
+    "quadratic": {
+        **BENCH, "problem": {"name": "quadratic", "spectrum": [1.0, 10.0], "start": [1.0, -1.0]},
+    },
+}
 
-# a field path: a name, then any run of .name, [index] or ['key']
-FIELD_PATH = re.compile(r"^\w+(\.\w+|\[\d+\]|\['[^']*'\])*: ")
+# a field path: a name (or "top level"), then any run of .name, [index] or ['key']
+FIELD_PATH = re.compile(r"^(top level|\w+)(\.\w+|\[\d+\]|\['[^']*'\])*: ")
 
 values = st.one_of(
     st.none(),
@@ -96,10 +109,13 @@ def mutations(blob, within=()):
 
 
 def assert_finite_numbers(node):
-    """Every float in a config, walked through its nested parts, is finite."""
+    """Every float in a config, walked through its nested parts and lists, is finite."""
     if dataclasses.is_dataclass(node):
         for f in dataclasses.fields(node):
             assert_finite_numbers(getattr(node, f.name))
+    elif isinstance(node, (list, tuple)):
+        for entry in node:
+            assert_finite_numbers(entry)
     elif isinstance(node, float):
         assert math.isfinite(node)
 
@@ -119,6 +135,19 @@ def test_mutated_bench_optimizers(blob):
         return
     for spec in config.optimizers:
         assert_finite_numbers(spec.config)
+
+
+@pytest.mark.parametrize("base", sorted(BENCH_BASES))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_bench_config(base, data):
+    blob = data.draw(mutations(BENCH_BASES[base]))
+    try:
+        config = parse_config(json.dumps(blob))
+    except ConfigError as exc:
+        assert_names_field(str(exc))
+        return
+    assert_finite_numbers(config)
 
 
 def check_loads_or_names_field(blob):

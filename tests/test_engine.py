@@ -538,6 +538,13 @@ class TestConfigValidation:
         assert cfg.schedule.t_warmup == 220
         assert cfg.schedule.t_warmdown == 280
 
+    def test_adamw_is_the_default_config_with_every_toggle_off(self):
+        opt = Optimizer.adamw([scalar(1.0)], eta=1e-3)
+        assert opt.config == default_config(1e-3, t_max=1, toggles=Toggles.none())
+        for key in ("beta0", "tau"):
+            with pytest.raises(TypeError, match=key):
+                Optimizer.adamw([scalar(1.0)], **{key: 0.5})
+
 
 class TestCheckpoint:
     def make_opt(self):

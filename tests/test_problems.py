@@ -65,7 +65,7 @@ class TestQuadratic:
 class TestLabelSmoothedCE:
     def test_alpha_zero_is_plain_cross_entropy(self):
         logits = np.array([0.2, -1.0, 0.5])
-        loss, grad = label_smoothed_ce(logits, 2, 0.0)
+        loss, (grad,) = label_smoothed_ce([logits], [2], 0.0)
         p = np.exp(logits) / np.exp(logits).sum()
         assert loss == pytest.approx(-math.log(p[2]), rel=1e-12)
         np.testing.assert_allclose(grad, p - np.eye(3)[2], rtol=1e-12)
@@ -73,27 +73,27 @@ class TestLabelSmoothedCE:
     @pytest.mark.parametrize("alpha", [0.0, 0.1, 0.5])
     @pytest.mark.parametrize("target", [0, 3])
     def test_uniform_logits_give_log_c(self, alpha, target):
-        loss, _ = label_smoothed_ce(np.zeros(4), target, alpha)
+        loss, _ = label_smoothed_ce(np.zeros((1, 4)), [target], alpha)
         assert loss == pytest.approx(math.log(4.0), rel=1e-12)
 
     def test_two_class_hand_value(self):
         # p = (1/4, 3/4), q = (0.95, 0.05)
-        loss, grad = label_smoothed_ce([0.0, math.log(3.0)], 0, 0.1)
+        loss, (grad,) = label_smoothed_ce([[0.0, math.log(3.0)]], [0], 0.1)
         expected = -(0.95 * math.log(0.25) + 0.05 * math.log(0.75))
         assert loss == pytest.approx(expected, rel=1e-12)
         np.testing.assert_allclose(grad, [0.25 - 0.95, 0.75 - 0.05], rtol=1e-12)
 
     def test_target_out_of_range(self):
         with pytest.raises(ValueError):
-            label_smoothed_ce([0.0, 0.0], 2, 0.1)
+            label_smoothed_ce([[0.0, 0.0]], [2], 0.1)
 
     def test_gradient_matches_finite_differences(self):
         rng = philox(5)
         logits = rng.uniform(-3, 3, size=5)
-        _, grad = label_smoothed_ce(logits, 1, 0.1)
+        _, (grad,) = label_smoothed_ce([logits], [1], 0.1)
 
         def f(params):
-            return label_smoothed_ce(params[0].values, 1, 0.1)[0]
+            return label_smoothed_ce([params[0].values], [1], 0.1)[0]
 
         fd = finite_diff_grad(f, [ParamTensor("z", (5,), logits)])
         np.testing.assert_allclose(grad, fd[0].values, rtol=1e-6, atol=1e-9)
@@ -105,7 +105,7 @@ class TestLabelSmoothedCE:
     )
     def test_gibbs_inequality(self, logits, alpha):
         target = len(logits) // 2
-        loss, _ = label_smoothed_ce(logits, target, alpha)
+        loss, _ = label_smoothed_ce([logits], [target], alpha)
         q = smoothed_targets(np.array([target]), len(logits), alpha)[0]
         entropy = float(-(q[q > 0] * np.log(q[q > 0])).sum())
         assert loss >= entropy - 1e-10
