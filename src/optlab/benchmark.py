@@ -134,6 +134,22 @@ class RunConfig:
 _MAX_EXTENT = int(np.iinfo(np.intp).max)
 
 
+def _check_weight_sizes(d: int, hidden: tuple[int, ...], classes: int) -> None:
+    """Each MLP weight, fan_out x fan_in float64 values, must fit in one numpy
+    array; a layer that does not names its larger extent's key."""
+    keys = ["problem.d", *(f"problem.hidden[{i}]" for i in range(len(hidden))), "problem.classes"]
+    widths = [d, *hidden, classes]
+    for i in range(len(widths) - 1):
+        fan_in, fan_out = widths[i], widths[i + 1]
+        nbytes = 8 * fan_in * fan_out
+        if nbytes > _MAX_EXTENT:
+            where = keys[i] if fan_in > fan_out else keys[i + 1]
+            raise ValueError(
+                f"{where}: a {fan_out}x{fan_in} weight needs {nbytes} bytes,"
+                f" more than one array can hold ({_MAX_EXTENT})"
+            )
+
+
 def _parse_problem(blob):
     if not isinstance(blob, dict):
         raise ValueError("problem: expected an object")
@@ -175,6 +191,7 @@ def _parse_problem(blob):
                 f"problem.activation: expected one of {sorted(ACTIVATIONS)}, got {activation!r}"
             )
         smoothing = _get_in(blob, "smoothing", "problem", "float", 0.1, ge=0.0, lt=1.0)
+        _check_weight_sizes(d, hidden, classes)
         dataset = checked_call("problem", make_blobs, data_seed, n, d, classes, separation)
         return BlobsMLPProblem(
             dataset=dataset,

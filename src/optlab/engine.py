@@ -117,29 +117,53 @@ def adamw_config(
     )
 
 
+def _unit_width(p: ParamTensor) -> int | None:
+    """Elements per clip/centralize unit: a dim-0 slice, or None for a rank-1
+    tensor, whose units are its elements."""
+    return None if p.rank == 1 else p.size // p.shape[0]
+
+
 @dataclass
 class OptimizerState:
-    """Each kind of optimizer state in one flat float64 buffer over all params,
-    in registration order: the moment slots (one flat ``MomentState``) and the
-    lookahead slow weights. ``bounds`` maps each tensor's name to its
-    ``(lo, hi)`` slice of them; ``moments`` and ``slow`` are per-name views.
+    """Each kind of optimizer state in one flat float64 buffer over all params:
+    the moment slots (one flat ``MomentState``) and the lookahead slow weights.
+
+    The buffers are laid out by unit kind, so that the unit-wise stages run
+    once per group: every rank-1 tensor first, then the rank >= 2 tensors
+    grouped by unit width, registration order within a group. ``order`` lists
+    the params' registration indices in that layout, ``groups`` holds each
+    group's ``(lo, hi, width)`` (width None for the rank-1 group), and
+    ``bounds`` maps each tensor's name, in registration order, to its
+    ``(lo, hi)`` slice; ``moments`` and ``slow`` are per-name views.
 
     A step swaps in new buffers and never writes to committed ones; after a
     lookahead sync the returned params are views of ``flat_slow`` itself.
     """
 
     bounds: dict[str, tuple[int, int]]
+    order: tuple[int, ...]
+    groups: list[tuple[int, int, int | None]]
     flat_moments: MomentState
     flat_slow: np.ndarray
     t: int = 0
 
     @classmethod
     def initial(cls, params: Sequence[ParamTensor]) -> "OptimizerState":
-        bounds, lo = {}, 0
-        for p in params:
-            bounds[p.name] = (lo, lo + p.size)
-            lo += p.size
-        return cls(bounds, MomentState.zeros(lo), np.concatenate([p.values for p in params]))
+        widths = [_unit_width(p) for p in params]
+        # a stable sort: registration order within a group
+        order = tuple(sorted(range(len(params)), key=lambda i: widths[i] or 0))
+        spans, groups, lo = {}, [], 0
+        for i in order:
+            hi = lo + params[i].size
+            spans[i] = (lo, hi)
+            if groups and groups[-1][2] == widths[i]:
+                groups[-1] = (groups[-1][0], hi, widths[i])
+            else:
+                groups.append((lo, hi, widths[i]))
+            lo = hi
+        bounds = {p.name: spans[i] for i, p in enumerate(params)}
+        slow = np.concatenate([params[i].values for i in order])
+        return cls(bounds, order, groups, MomentState.zeros(lo), slow)
 
     @property
     def moments(self) -> dict[str, MomentState]:
@@ -235,11 +259,12 @@ def ranger21_step(
     interpolation. Disabled toggles drop out per the module docstring.
 
     The step gathers gradients and params into flat buffers laid out as
-    ``state.bounds``. Per-tensor reductions (clip, centralize, decay) run on
-    each tensor's slice; the elementwise stages run once over the whole
-    buffer. The returned params are read-only views of one new buffer.
-    ``state`` changes only after every stage has run, so a step that raises
-    leaves it as it was.
+    ``state`` lays out its own. The unit-wise stages (clip, centralize) run
+    once per group of ``state.groups``, on its ``(units, width)`` view, and
+    the decay's per-tensor reductions run on each tensor's slice; the
+    elementwise stages run once over the whole buffer. The returned params
+    are read-only views of one new buffer. ``state`` changes only after every
+    stage has run, so a step that raises leaves it as it was.
     """
     toggles = config.toggles
     eta_t = scheduled_eta(t, config)
@@ -251,17 +276,19 @@ def ranger21_step(
     )
     moment_fn = pnm_update if toggles.pnm else adam_update
     spans = [state.bounds[p.name] for p in params]
-    theta = np.concatenate([p.values for p in params])
-    grad = np.concatenate([g.values for g in grads])
+    order = state.order
+    theta = np.concatenate([params[i].values for i in order])
+    grad = np.concatenate([grads[i].values for i in order])
 
-    clipped = [0] * len(params)
+    factors = []
     if toggles.agc or toggles.centralization:
-        for i, (p, (lo, hi)) in enumerate(zip(params, spans)):
-            g = grad[lo:hi].reshape(p.shape)
+        for lo, hi, width in state.groups:
+            g, th = grad[lo:hi], theta[lo:hi]
+            if width is not None:
+                g, th = g.reshape(-1, width), th.reshape(-1, width)
             if toggles.agc:
-                factors = unit_scale_factors(g, theta[lo:hi].reshape(p.shape), config.clip)
-                clipped[i] = int(np.count_nonzero(factors < 1.0))
-                g = scale_units(g, factors)
+                factors.append(unit_scale_factors(g, th, config.clip))
+                g = scale_units(g, factors[-1])
             if toggles.centralization:
                 g = gradient_centralize(g)
             grad[lo:hi] = g.reshape(-1)
@@ -271,9 +298,7 @@ def ranger21_step(
     # in centralize reaches u, and one in decay or theta' the new params
     if not (np.isfinite(u).all() and np.isfinite(v_hat).all()):
         _raise_nonfinite(params, spans, u, v_hat)
-    d = np.concatenate(
-        [combined_decay(theta[lo:hi], v_hat[lo:hi], eta_t, decay_cfg) for lo, hi in spans]
-    )
+    d = combined_decay(theta, v_hat, eta_t, decay_cfg, spans=[spans[i] for i in order])
     fast = theta - eta_t * u - d
     slow = state.flat_slow
     if toggles.lookahead:
@@ -287,18 +312,31 @@ def ranger21_step(
         diags = [
             TensorDiag(
                 name=p.name,
-                units_clipped=n_clipped,
+                units_clipped=_units_clipped(state.groups, factors, lo, hi),
                 units_total=p.shape[0],
                 mean_vhat=float(np.mean(v_hat[lo:hi])),
                 size=p.size,
                 update=u[lo:hi],
                 decay=d[lo:hi],
             )
-            for p, (lo, hi), n_clipped in zip(params, spans, clipped)
+            for p, (lo, hi) in zip(params, spans)
         ]
         observer(StepDiag(t=t, eta_t=eta_t, tensors=diags))
     state.flat_moments, state.flat_slow = moments, slow
     return new_params
+
+
+def _units_clipped(
+    groups: list[tuple[int, int, int | None]], factors: list[np.ndarray], lo: int, hi: int
+) -> int:
+    """How many units of the tensor at ``lo:hi`` the clip scaled down, read
+    from its group's slice of ``factors`` (one array per group; none when
+    the clip is off)."""
+    if not factors:
+        return 0
+    (glo, _, width), f = next(gf for gf in zip(groups, factors) if gf[0][0] <= lo < gf[0][1])
+    w = width or 1
+    return int(np.count_nonzero(f[(lo - glo) // w : (hi - glo) // w] < 1.0))
 
 
 def _raise_nonfinite(

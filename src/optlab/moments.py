@@ -1,7 +1,7 @@
 """Moment machinery and the combined weight-decay term, as pure array maths on
 flat float64 arrays. The moment updates are elementwise, so the step runs them
-once over all tensors' values end to end; ``combined_decay`` reduces over one
-tensor.
+once over all tensors' values end to end; ``combined_decay`` reduces per
+tensor, over one tensor's values or over each tensor's slice of a flat buffer.
 
 Two interchangeable moment updates share one state layout:
 
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -149,7 +150,12 @@ def adam_update(
 
 
 def combined_decay(
-    theta: np.ndarray, v_hat: np.ndarray, eta_t: float, cfg: DecayConfig
+    theta: np.ndarray,
+    v_hat: np.ndarray,
+    eta_t: float,
+    cfg: DecayConfig,
+    *,
+    spans: Sequence[tuple[int, int]] | None = None,
 ) -> np.ndarray:
     """Decay displacement d, already scaled by the scheduled learning rate:
 
@@ -159,6 +165,11 @@ def combined_decay(
     with both off this is the plain decoupled decay eta_t * weight_decay * theta.
     |theta| is the whole-tensor Frobenius norm, mean(v_hat) the whole-tensor
     mean. An exactly-zero tensor decays to d = 0.
+
+    ``theta`` and ``v_hat`` are one tensor's values, or, with ``spans``, flat
+    buffers of several tensors whose ``(lo, hi)`` slices ``spans`` lists in
+    buffer order. Each tensor then gets its own factor, with the same bits as
+    a call on its slice alone, and d is one multiply over the whole buffer.
     """
     if theta.shape != v_hat.shape:
         raise ValueError(
@@ -167,11 +178,31 @@ def combined_decay(
     if eta_t < 0:
         raise ValueError(f"eta_t must be >= 0, got {eta_t}")
     scale = eta_t * cfg.weight_decay
-    if cfg.stable:
-        scale /= max(math.sqrt(float(np.mean(v_hat))), STABLE_DECAY_FLOOR)
-    if cfg.norm_loss:
-        norm = frobenius_norm(theta)
-        if norm == 0.0:
-            return np.zeros(theta.size)
-        scale *= 1.0 - 1.0 / norm
-    return scale * theta
+    if not (cfg.stable or cfg.norm_loss):
+        return scale * theta
+    if spans is None:
+        spans = [(0, theta.size)]
+    scales, sizes, zero, end = [], [], [], 0
+    for lo, hi in spans:
+        if lo != end:
+            raise ValueError(f"spans must tile the buffer in order, got ({lo}, {hi}) after {end}")
+        end = hi
+        s = scale
+        if cfg.stable:
+            # sum/n has the bits of np.mean
+            s /= max(math.sqrt(float(v_hat[lo:hi].sum() / (hi - lo))), STABLE_DECAY_FLOOR)
+        if cfg.norm_loss:
+            norm = frobenius_norm(theta[lo:hi])
+            if norm == 0.0:
+                zero.append((lo, hi))
+                s = 0.0
+            else:
+                s *= 1.0 - 1.0 / norm
+        scales.append(s)
+        sizes.append(hi - lo)
+    if end != theta.size:
+        raise ValueError(f"spans cover {end} of {theta.size} values")
+    d = np.repeat(scales, sizes) * theta
+    for lo, hi in zero:
+        d[lo:hi] = 0.0  # +0.0, also where theta holds -0.0
+    return d

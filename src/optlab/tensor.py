@@ -25,17 +25,16 @@ class ParamTensor:
     __slots__ = ("name", "shape", "values")
 
     def __init__(self, name: str, shape: Sequence[int], values) -> None:
-        shape = tuple(int(s) for s in shape)
+        shape = tuple(map(int, shape))
         if not shape:
             raise ValueError(f"{name}: shape must have at least one axis")
-        if any(s < 1 for s in shape):
+        if min(shape) < 1:
             raise ValueError(f"{name}: every extent must be >= 1, got {shape}")
         flat = np.array(values, dtype=np.float64, copy=True).reshape(-1)
-        if flat.size != math.prod(shape):
-            raise ValueError(
-                f"{name}: shape {shape} needs {math.prod(shape)} values, got {flat.size}"
-            )
-        if not np.all(np.isfinite(flat)):
+        size = math.prod(shape)
+        if flat.size != size:
+            raise ValueError(f"{name}: shape {shape} needs {size} values, got {flat.size}")
+        if not np.isfinite(flat).all():
             raise NonFiniteError(f"{name}: non-finite values rejected")
         flat.setflags(write=False)
         self.name = name

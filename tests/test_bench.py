@@ -476,6 +476,25 @@ class TestCli:
         assert main(["validate", self.write_config(tmp_path, problem=problem)]) == EXIT_CONFIG
         assert f"config error: {field}: must be <= " in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "sizes,field",
+        [({"hidden": [2**62], "d": 2}, "problem.hidden[0]"),
+         ({"hidden": [2], "d": 2**62}, "problem.d"),
+         ({"hidden": [2, 2**31, 2**31]}, "problem.hidden[2]")],
+        ids=["hidden", "d", "hidden_pair"],
+    )
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_oversized_weight_is_config_error(self, tmp_path, capsys, sizes, field, command):
+        # each extent fits an array axis, but the weight matrix would not fit
+        # one array; the check comes before the dataset or any weight exists
+        problem = {"name": "blobs_mlp", "n": 4, "d": 2, "classes": 2, "batch_size": 1, **sizes}
+        args = [command, self.write_config(tmp_path, t_max=5, cadence=5, problem=problem)]
+        if command == "run":
+            args += ["--out", str(tmp_path / "o"), "--quiet"]
+        assert main(args) == EXIT_CONFIG
+        assert f"config error: {field}: a " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_overlap_warning_printed(self, tmp_path, capsys):
         config = self.write_config(
             tmp_path, t_max=10,

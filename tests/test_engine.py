@@ -639,7 +639,8 @@ class TestCheckpoint:
             assert buf.dtype == np.float64 and buf.dtype.isnative
             assert buf.flags.owndata and buf.flags.writeable
             assert buf.size == 9
-        assert list(state.bounds.items()) == [("w", (0, 6)), ("b", (6, 9))]
+        # registration order, slices of the grouped layout: the rank-1 "b" first
+        assert list(state.bounds.items()) == [("w", (3, 9)), ("b", (0, 3))]
         for name, (lo, hi) in state.bounds.items():
             assert state.slow[name].base is state.flat_slow
             np.testing.assert_array_equal(state.slow[name], state.flat_slow[lo:hi])

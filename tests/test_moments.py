@@ -154,6 +154,34 @@ class TestCombinedDecay:
         off = combined_decay(theta.values, v_hat.values, 1.5, DecayConfig(stable=False))
         np.testing.assert_allclose(on, off, rtol=1e-15)
 
+    def test_negative_zero_theta_decays_to_positive_zero(self):
+        theta = np.array([-0.0, 0.0, -0.0])
+        for spans in (None, [(0, 1), (1, 3)]):
+            d = combined_decay(theta, np.ones(3), 1.0, DecayConfig(), spans=spans)
+            assert d.tolist() == [0.0, 0.0, 0.0] and not np.signbit(d).any()
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [DecayConfig(), DecayConfig(norm_loss=False), DecayConfig(stable=False),
+         DecayConfig(norm_loss=False, stable=False)],
+        ids=["both", "stable", "norm_loss", "plain"],
+    )
+    def test_spans_give_each_slice_its_own_bits(self, cfg):
+        rng = np.random.default_rng(3)
+        spans = [(0, 4), (4, 5), (5, 8), (8, 20)]
+        theta = rng.standard_normal(20)
+        theta[5:8] = 0.0  # a zero tensor among others
+        v_hat = 10.0 ** rng.uniform(-9, 1, size=20)
+        d = combined_decay(theta, v_hat, 0.7, cfg, spans=spans)
+        for lo, hi in spans:
+            alone = combined_decay(theta[lo:hi], v_hat[lo:hi], 0.7, cfg)
+            assert d[lo:hi].tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("spans", [[(0, 2), (3, 4)], [(0, 2)], [(2, 4), (0, 2)]])
+    def test_spans_must_tile_the_buffer(self, spans):
+        with pytest.raises(ValueError, match="spans"):
+            combined_decay(np.ones(4), np.ones(4), 1.0, DecayConfig(), spans=spans)
+
     def test_zero_vhat_floor(self):
         theta = ParamTensor("p", (1,), [2.0])
         v_hat = ParamTensor("p", (1,), [0.0])

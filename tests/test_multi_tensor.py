@@ -2,6 +2,7 @@
 components: the same bits for every toggle set, and a failure in one tensor
 still names it and leaves no trace."""
 
+import base64
 import dataclasses
 import json
 
@@ -13,6 +14,7 @@ from optlab import (
     MomentState,
     NonFiniteError,
     Optimizer,
+    OptimizerState,
     ParamTensor,
     ScheduleSpec,
     Toggles,
@@ -31,6 +33,12 @@ STEPS = 12
 # 2-D weights, 1-D biases (one starting at zero, where norm-loss decays by 0)
 # and a 3-D tensor
 SHAPES = {"w1": (4, 3), "b1": (4,), "k": (2, 3, 2), "w2": (2, 4), "b2": (2,)}
+# tensors of one unit kind, not adjacent in registration order: rank-1 "b1"
+# and "b2" (zero at start), 2-D "w1" and "w2" of width 3, "n" of width 1
+# (whose centralized gradient is 0), and 3-D "k" and 2-D "w3" of width 6
+GROUPED_SHAPES = {
+    "w1": (4, 3), "b1": (5,), "w2": (2, 3), "n": (3, 1), "b2": (1,), "k": (2, 3, 2), "w3": (4, 6),
+}
 
 TOGGLE_SETS = {
     "none": Toggles.none(),
@@ -47,17 +55,17 @@ def make_config(toggles):
     return default_config(3e-3, STEPS, schedule=schedule, k_lookahead=3, toggles=toggles)
 
 
-def make_problem(seed=41):
+def make_problem(shapes=SHAPES, seed=41):
     rng = np.random.default_rng(seed)
     params = [
         ParamTensor(name, shape, np.zeros(shape) if name == "b2" else rng.standard_normal(shape))
-        for name, shape in SHAPES.items()
+        for name, shape in shapes.items()
     ]
 
     def grads():
         # unit scales spread over 1e-5..3, so clipping hits some units and not others
         out = []
-        for name, shape in SHAPES.items():
+        for name, shape in shapes.items():
             scale = 10.0 ** rng.uniform(-5.0, 0.5, size=shape[0])
             grad = scale.reshape(-1, *[1] * (len(shape) - 1)) * rng.standard_normal(shape)
             out.append(ParamTensor(name, shape, grad))
@@ -109,7 +117,18 @@ def assert_bits_equal(a, b):
 
 @pytest.mark.parametrize("toggles", TOGGLE_SETS.values(), ids=TOGGLE_SETS.keys())
 def test_flat_step_matches_per_tensor_composition_bit_for_bit(toggles):
-    params, grad_stream = make_problem()
+    assert_matches_per_tensor_composition(SHAPES, toggles)
+
+
+@pytest.mark.parametrize("toggles", TOGGLE_SETS.values(), ids=TOGGLE_SETS.keys())
+def test_grouped_layout_matches_per_tensor_composition_bit_for_bit(toggles):
+    params, _ = make_problem(GROUPED_SHAPES)
+    assert [width for _, _, width in OptimizerState.initial(params).groups] == [None, 1, 3, 6]
+    assert_matches_per_tensor_composition(GROUPED_SHAPES, toggles)
+
+
+def assert_matches_per_tensor_composition(shapes, toggles):
+    params, grad_stream = make_problem(shapes)
     config = make_config(toggles)
     opt = Optimizer(params, config)
     reference = PerTensorStep(params, config)
@@ -122,7 +141,7 @@ def test_flat_step_matches_per_tensor_composition_bit_for_bit(toggles):
         for p in opt.params:
             assert_bits_equal(p.values, reference.theta[p.name])
         moments, slow = opt.state.moments, opt.state.slow
-        for name in SHAPES:
+        for name in shapes:
             for slot in slots:
                 expected_slot = getattr(reference.moments[name], slot)
                 assert_bits_equal(getattr(moments[name], slot), expected_slot)
@@ -194,3 +213,35 @@ def test_overflow_in_third_of_four_tensors_names_it_and_leaves_no_trace(case):
     assert opt.params is params_before
     assert opt.t == t_before
     assert json.dumps(opt.to_checkpoint()) == before
+
+
+def test_checkpoint_lists_tensors_in_registration_order():
+    rng = np.random.default_rng(5)
+    shapes = {"b0": (3,), "w0": (3, 2), "b1": (2,), "w1": (2, 3)}
+    params = [ParamTensor(n, s, rng.standard_normal(s)) for n, s in shapes.items()]
+    opt = Optimizer.ranger21(params, eta=3e-3, t_max=20, k_lookahead=2)
+    # the buffers hold the rank-1 tensors first, then one group per unit width
+    assert opt.state.order == (0, 2, 1, 3)
+    assert opt.state.groups == [(0, 5, None), (5, 11, 2), (11, 17, 3)]
+    assert list(opt.state.bounds.items()) == [
+        ("b0", (0, 3)), ("w0", (5, 11)), ("b1", (3, 5)), ("w1", (11, 17))
+    ]
+    for _ in range(3):
+        opt.step([ParamTensor(n, s, rng.standard_normal(s)) for n, s in shapes.items()])
+
+    blob = opt.to_checkpoint()
+    names = list(shapes)
+    assert [p["name"] for p in blob["params"]] == names
+    assert list(blob["moments"]) == names and list(blob["slow"]) == names
+    for p, entry in zip(opt.params, blob["params"]):
+        assert entry["values"] == base64.b64encode(p.values.tobytes()).decode("ascii")
+    for name, ms in opt.state.moments.items():
+        for slot, text in blob["moments"][name].items():
+            assert text == base64.b64encode(getattr(ms, slot).tobytes()).decode("ascii")
+        assert blob["slow"][name] == base64.b64encode(opt.state.slow[name].tobytes()).decode("ascii")
+
+    restored = Optimizer.from_checkpoint(json.loads(json.dumps(blob)))
+    assert restored.to_checkpoint() == blob
+    grads = [ParamTensor(n, s, rng.standard_normal(s)) for n, s in shapes.items()]
+    for a, b in zip(opt.step(grads), restored.step(grads)):
+        assert_bits_equal(a.values, b.values)

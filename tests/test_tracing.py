@@ -12,8 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from optlab import Optimizer, ParamTensor, benchmark
-from optlab.problems import RosenbrockProblem
+from optlab import Optimizer, OptimizerState, ParamTensor, benchmark
+from optlab.problems import BlobsMLPProblem, RosenbrockProblem
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -60,3 +60,30 @@ def test_every_patched_name_records_spans(tmp_path):
     assert base is not None and base.size == 6
     for p in returned:
         assert p.values.base is base and not p.values.flags.writeable
+
+
+def test_mlp_step_clips_once_per_group_and_decays_once():
+    # widths 3, 4, 4, 3, 2: weights of unit width 3 ("w0", "w3") and 4 ("w1",
+    # "w2"), so the biases and two weight widths make three groups
+    problem = {
+        "name": "blobs_mlp", "n": 40, "d": 3, "classes": 2, "batch_size": 8, "hidden": [4, 4, 3],
+    }
+    config = {**CONFIG, "problem": problem}
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    with tracer.installed(BlobsMLPProblem):
+        parsed = benchmark.parse_config(json.dumps(config))
+        benchmark.run_benchmark(parsed)
+    groups = OptimizerState.initial(parsed.problem.init_params(np.random.default_rng(0))).groups
+    assert len(groups) == 3
+
+    table = tracing.SpanTable(tracer)
+    for preset, clips in (("adamw", 0), ("ranger21", len(groups))):
+        steps = int(table.select("engine.step", tag=preset).sum())
+        assert steps == CONFIG["t_max"]
+        for name, per_step in (
+            ("transforms.unit_scale_factors", clips),
+            ("transforms.gradient_centralize", clips),
+            ("moments.combined_decay", 1),
+        ):
+            assert int(table.select(name, tag=preset).sum()) == per_step * steps, (preset, name)
