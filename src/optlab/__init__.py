@@ -33,9 +33,7 @@ from .schedule import ScheduleSpec, lr_factor
 from .tensor import NonFiniteError, ParamTensor
 from .transforms import (
     ClipConfig,
-    adaptive_gradient_clip,
     frobenius_norm,
-    global_threshold_clip,
     gradient_centralize,
     mean_all_but_first,
     row_norms,
@@ -60,11 +58,9 @@ __all__ = [
     "Toggles",
     "adam_update",
     "adamw_config",
-    "adaptive_gradient_clip",
     "combined_decay",
     "default_config",
     "frobenius_norm",
-    "global_threshold_clip",
     "gradient_centralize",
     "lookahead_sync",
     "lr_factor",

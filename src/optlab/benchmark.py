@@ -51,7 +51,6 @@ from .problems import (
     BlobsMLPProblem,
     QuadraticProblem,
     RosenbrockProblem,
-    make_blobs,
     philox,
 )
 from .tensor import NonFiniteError
@@ -123,7 +122,6 @@ class RunConfig:
     t_max: int
     cadence: int
     problem: object
-    problem_name: str
     optimizers: list[OptimizerSpec]
     out: str | None = None
     loss_threshold: float | None = None
@@ -192,14 +190,24 @@ def _parse_problem(blob):
             )
         smoothing = _get_in(blob, "smoothing", "problem", "float", 0.1, ge=0.0, lt=1.0)
         _check_weight_sizes(d, hidden, classes)
-        dataset = checked_call("problem", make_blobs, data_seed, n, d, classes, separation)
-        return BlobsMLPProblem(
-            dataset=dataset,
+        problem = checked_call(
+            "problem",
+            BlobsMLPProblem,
+            blobs=(data_seed, n, d, classes, separation),
             hidden=hidden,
             batch_size=batch_size,
             activation=activation,
             alpha=smoothing,
         )
+        # the n x d inputs, drawn on first use, must fit one array too; checked
+        # after the weights and n >= classes, so their messages come first
+        nbytes = 8 * n * d
+        if nbytes > _MAX_EXTENT:
+            raise ValueError(
+                f"{'problem.n' if n >= d else 'problem.d'}: {n}x{d} inputs need {nbytes}"
+                f" bytes, more than one array can hold ({_MAX_EXTENT})"
+            )
+        return problem
     raise ValueError(f"problem.name: unknown problem {name!r}")
 
 
@@ -320,7 +328,6 @@ def _resolved(blob) -> RunConfig:
         t_max=t_max,
         cadence=cadence,
         problem=problem,
-        problem_name=problem.name,
         optimizers=optimizers,
         out=out,
         loss_threshold=loss_threshold,
@@ -368,9 +375,7 @@ class BenchmarkResult:
 
 def run_benchmark(config: RunConfig) -> BenchmarkResult:
     """Run every optimizer spec on the shared seeded problem."""
-    run_id = f"{config.problem_name}-s{config.seed}"
-    record_steps = set(range(config.cadence, config.t_max + 1, config.cadence))
-    record_steps.add(config.t_max)
+    run_id = f"{config.problem.name}-s{config.seed}"
 
     records: list[RunRecord] = []
     summaries: list[RunSummary] = []
@@ -386,8 +391,9 @@ def run_benchmark(config: RunConfig) -> BenchmarkResult:
         steps_completed = 0
         for t in range(1, config.t_max + 1):
             batch = problem.sample_batch(batch_rng)
+            record = t % config.cadence == 0 or t == config.t_max
             captured: list[StepDiag] = []
-            observer = captured.append if t in record_steps else None
+            observer = captured.append if record else None
             try:
                 # a diverging run legitimately produces inf/nan on its way
                 # out; let them propagate silently and catch the rejection
@@ -401,7 +407,7 @@ def run_benchmark(config: RunConfig) -> BenchmarkResult:
                 diverged = True
                 break
             steps_completed = t
-            if t in record_steps:
+            if record:
                 full_loss, accuracy = problem.metrics(opt.params)
                 if not math.isfinite(full_loss):
                     diverged = True

@@ -51,7 +51,7 @@ def _cmd_run(args) -> int:
             {
                 "run": result.run_id,
                 "seed": config.seed,
-                "problem": config.problem_name,
+                "problem": config.problem.name,
                 "t_max": config.t_max,
                 "optimizers": [dataclasses.asdict(s) for s in result.summaries],
             },
@@ -116,6 +116,10 @@ def main(argv=None) -> int:
         return EXIT_IO
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        # a config that passes validate may still ask for more than this host has
+        print(f"config error: out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

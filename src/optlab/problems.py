@@ -1,10 +1,10 @@
 """Desk-scale differentiable problems with exact hand-written gradients.
 
 Analytic surfaces (rosenbrock, quadratic), label-smoothed cross-entropy, a
-small MLP with manual backpropagation, seeded Gaussian-cluster datasets, and
-a central-difference gradient oracle. Randomness everywhere comes from
-numpy's Philox counter-based generator so datasets and weight draws are
-reproducible bit-for-bit from their seeds.
+small MLP with manual backpropagation and seeded Gaussian-cluster data.
+Randomness everywhere comes from numpy's Philox counter-based generator so
+data and weight draws are reproducible bit-for-bit from their seeds. A
+problem draws its data on first use, so building one allocates nothing.
 
 Weight init is uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)]; biases start
 at zero.
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -170,75 +171,28 @@ def mlp_eval(
     return loss, grads
 
 
-# -- datasets -----------------------------------------------------------------
+# -- data -----------------------------------------------------------------------
 
 
-@dataclass
-class Dataset:
-    """Classification samples: inputs [n, d], integer labels [n]."""
-
-    inputs: np.ndarray
-    labels: np.ndarray
-    n_classes: int
-
-    def __post_init__(self) -> None:
-        self.inputs = np.asarray(self.inputs, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.inputs.ndim != 2 or self.labels.ndim != 1:
-            raise ValueError("inputs must be [n, d], labels [n]")
-        if self.inputs.shape[0] != self.labels.shape[0] or self.inputs.shape[0] < 1:
-            raise ValueError("need one label per sample and at least one sample")
-        if self.labels.min() < 0 or self.labels.max() >= self.n_classes:
-            raise ValueError(f"labels must lie in [0, {self.n_classes})")
-
-    @property
-    def n(self) -> int:
-        return self.inputs.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.inputs.shape[1]
-
-
-def make_blobs(seed: int, n: int, d: int, n_classes: int, separation: float) -> Dataset:
-    """Gaussian class clusters (unit noise) at `separation` times random unit
-    directions. Balanced labels (counts differ by at most 1); a pure function
-    of its arguments."""
+def _check_blob_counts(n: int, n_classes: int) -> None:
     if not n >= n_classes >= 2:
         raise ValueError(f"need n >= n_classes >= 2, got n={n}, n_classes={n_classes}")
+
+
+def make_blobs(
+    seed: int, n: int, d: int, n_classes: int, separation: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Float64 inputs [n, d] in Gaussian class clusters (unit noise) at
+    `separation` times random unit directions, and their int64 labels [n].
+    Balanced labels (counts differ by at most 1); a pure function of its
+    arguments."""
+    _check_blob_counts(n, n_classes)
     rng = philox(seed)
     directions = rng.standard_normal((n_classes, d))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     means = separation * directions
     labels = np.arange(n, dtype=np.int64) % n_classes
-    inputs = means[labels] + rng.standard_normal((n, d))
-    return Dataset(inputs, labels, n_classes=n_classes)
-
-
-# -- finite differences --------------------------------------------------------
-
-
-def finite_diff_grad(
-    f: Callable[[list[ParamTensor]], float],
-    params: Sequence[ParamTensor],
-    h: float = 1e-6,
-) -> list[ParamTensor]:
-    """Central differences (f(x + h e_i) - f(x - h e_i)) / 2h, per coordinate."""
-    if not h > 0:
-        raise ValueError(f"h must be > 0, got {h}")
-    grads = []
-    base = [p.values.copy() for p in params]
-    for k, p in enumerate(params):
-        grad = np.zeros(p.size)
-        for i in range(p.size):
-            bumped = [arr.copy() for arr in base]
-            bumped[k][i] += h
-            up = f([q.with_values(arr) for q, arr in zip(params, bumped)])
-            bumped[k][i] -= 2.0 * h
-            down = f([q.with_values(arr) for q, arr in zip(params, bumped)])
-            grad[i] = (up - down) / (2.0 * h)
-        grads.append(p.with_values(grad))
-    return grads
+    return means[labels] + rng.standard_normal((n, d)), labels
 
 
 # -- benchmark problems ---------------------------------------------------------
@@ -289,9 +243,12 @@ class QuadraticProblem:
 
 @dataclass
 class BlobsMLPProblem:
-    """Blob classification with an MLP; minibatches are sampled with replacement."""
+    """Blob classification with an MLP; minibatches are sampled with replacement.
 
-    dataset: Dataset
+    ``blobs`` holds ``make_blobs``'s arguments (data_seed, n, d, classes,
+    separation); the data is drawn on the first evaluate or metrics call."""
+
+    blobs: tuple[int, int, int, int, float]
     hidden: tuple[int, ...]
     batch_size: int
     activation: str = "tanh"
@@ -300,28 +257,35 @@ class BlobsMLPProblem:
     widths: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
+        _, n, d, n_classes, _ = self.blobs
+        _check_blob_counts(n, n_classes)
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
-        self.widths = (self.dataset.dim, *self.hidden, self.dataset.n_classes)
+        self.widths = (d, *self.hidden, n_classes)
+
+    @cached_property
+    def data(self) -> tuple[np.ndarray, np.ndarray]:
+        """``make_blobs(*self.blobs)``: the inputs [n, d] and labels [n]."""
+        return make_blobs(*self.blobs)
 
     def init_params(self, rng: np.random.Generator) -> list[ParamTensor]:
         return mlp_init(self.widths, rng)
 
     def sample_batch(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.integers(0, self.dataset.n, size=self.batch_size)
+        return rng.integers(0, self.blobs[1], size=self.batch_size)
 
     def evaluate(self, params: Sequence[ParamTensor], batch=None):
-        if batch is None:
-            x, y = self.dataset.inputs, self.dataset.labels
-        else:
-            x, y = self.dataset.inputs[batch], self.dataset.labels[batch]
+        x, y = self.data
+        if batch is not None:
+            x, y = x[batch], y[batch]
         return mlp_eval(params, x, y, activation=self.activation, alpha=self.alpha)
 
     def metrics(self, params: Sequence[ParamTensor]):
         """Full-dataset loss and accuracy from one forward pass."""
-        logits = mlp_logits(params, self.dataset.inputs, activation=self.activation)
-        loss, _ = label_smoothed_ce(logits, self.dataset.labels, self.alpha)
-        accuracy = float(np.mean(logits.argmax(axis=1) == self.dataset.labels))
+        x, y = self.data
+        logits = mlp_logits(params, x, activation=self.activation)
+        loss, _ = label_smoothed_ce(logits, y, self.alpha)
+        accuracy = float(np.mean(logits.argmax(axis=1) == y))
         return loss, accuracy

@@ -2,7 +2,8 @@
 they use. Pure array maths: each function takes float64 arrays in the tensor's
 declared shape and returns one of that shape without writing to its inputs. A
 unit is a dim-0 slice, or one element of a rank-1 array. The preset order is
-unit-wise clipping first, centralization second.
+unit-wise clipping first (``scale_units`` by ``unit_scale_factors``),
+centralization second.
 """
 
 from __future__ import annotations
@@ -73,30 +74,6 @@ def scale_units(g: np.ndarray, factors: np.ndarray) -> np.ndarray:
     if g.ndim == 1:
         return g * factors
     return (g.reshape(g.shape[0], -1) * factors[:, None]).reshape(g.shape)
-
-
-def adaptive_gradient_clip(
-    g: np.ndarray, theta: np.ndarray, cfg: ClipConfig = ClipConfig()
-) -> np.ndarray:
-    """Rescale each unit whose gradient norm exceeds tau times its parameter norm.
-
-    Clipped units keep their direction exactly; unclipped units pass through
-    unchanged.
-    """
-    return scale_units(g, unit_scale_factors(g, theta, cfg))
-
-
-def global_threshold_clip(g: np.ndarray, tau: float) -> np.ndarray:
-    """Whole-tensor Frobenius clip: rescale to norm tau when the norm exceeds tau.
-
-    Test oracle for the unit-wise clip; not used by any preset.
-    """
-    if not tau > 0:
-        raise ValueError(f"tau must be > 0, got {tau}")
-    norm = frobenius_norm(g)
-    if norm <= tau:
-        return g
-    return g * (tau / norm)
 
 
 def gradient_centralize(g: np.ndarray) -> np.ndarray:

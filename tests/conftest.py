@@ -1,7 +1,8 @@
 import hypothesis.strategies as st
 import numpy as np
 
-from optlab import ParamTensor
+from optlab import ClipConfig, ParamTensor
+from optlab.transforms import scale_units, unit_scale_factors
 
 
 def tensor_shapes(max_rank=4, max_extent=5):
@@ -23,3 +24,9 @@ def tensors(name="t", max_rank=4, max_extent=5, max_value=1e6):
         )
 
     return tensor_shapes(max_rank, max_extent).flatmap(build)
+
+
+def adaptive_gradient_clip(g, theta, cfg=ClipConfig()):
+    """The step's unit-wise clip of one gradient array: each unit whose norm
+    exceeds tau times its parameter norm is rescaled to that limit."""
+    return scale_units(g, unit_scale_factors(g, theta, cfg))

@@ -1,11 +1,44 @@
-"""Independent straight-line scalar transcriptions of the update rules.
+"""Independent oracles for the vectorized implementations.
 
-These are written directly from the algorithm definitions with plain Python
-floats and deliberately import nothing from the package, so they can serve
-as oracles for the vectorized implementations.
+Straight-line scalar transcriptions of the update rules, written directly
+from the algorithm definitions with plain Python floats; a whole-tensor clip;
+and a central-difference gradient. They use numpy at most and deliberately
+import nothing from the package.
 """
 
 import math
+
+import numpy as np
+
+
+def global_threshold_clip(g, tau):
+    """Whole-tensor Frobenius clip: rescale to norm tau when the norm exceeds tau."""
+    if not tau > 0:
+        raise ValueError(f"tau must be > 0, got {tau}")
+    norm = float(np.linalg.norm(g))
+    if norm <= tau:
+        return g
+    return g * (tau / norm)
+
+
+def finite_diff_grad(f, params, h=1e-6):
+    """Central differences (f(x + h e_i) - f(x - h e_i)) / 2h, per coordinate,
+    of ``f`` over a list of tensors; one gradient tensor per parameter."""
+    if not h > 0:
+        raise ValueError(f"h must be > 0, got {h}")
+    grads = []
+    base = [p.values.copy() for p in params]
+    for k, p in enumerate(params):
+        grad = np.zeros(p.size)
+        for i in range(p.size):
+            bumped = [arr.copy() for arr in base]
+            bumped[k][i] += h
+            up = f([q.with_values(arr) for q, arr in zip(params, bumped)])
+            bumped[k][i] -= 2.0 * h
+            down = f([q.with_values(arr) for q, arr in zip(params, bumped)])
+            grad[i] = (up - down) / (2.0 * h)
+        grads.append(p.with_values(grad))
+    return grads
 
 
 def adamw_scalar_trajectory(

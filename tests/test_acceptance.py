@@ -26,7 +26,6 @@ from optlab import (
     ParamTensor,
     ScheduleSpec,
     Toggles,
-    adaptive_gradient_clip,
     default_config,
     gradient_centralize,
     lookahead_sync,
@@ -36,10 +35,11 @@ from optlab import (
     row_norms,
 )
 from optlab.benchmark import parse_config, run_benchmark
-from optlab.problems import BlobsMLPProblem, RosenbrockProblem, finite_diff_grad, make_blobs, philox
+from optlab.problems import BlobsMLPProblem, RosenbrockProblem, philox
 from optlab.transforms import ClipConfig, unit_scale_factors
 
-from oracles import adamw_scalar_trajectory, pnm_scalar
+from conftest import adaptive_gradient_clip
+from oracles import adamw_scalar_trajectory, finite_diff_grad, pnm_scalar
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -210,10 +210,10 @@ def test_criterion_06_gradient_correctness():
     problems = [
         ("rosenbrock", RosenbrockProblem(), 0.5),
         ("quadratic-ish blobs 2-layer", BlobsMLPProblem(
-            dataset=make_blobs(6, 16, 4, 3, 3.0), hidden=(6,), batch_size=16
+            blobs=(6, 16, 4, 3, 3.0), hidden=(6,), batch_size=16
         ), 0.2),
         ("8-layer mlp", BlobsMLPProblem(
-            dataset=make_blobs(6, 12, 4, 3, 3.0), hidden=(6,) * 7, batch_size=12
+            blobs=(6, 12, 4, 3, 3.0), hidden=(6,) * 7, batch_size=12
         ), 0.2),
     ]
     from optlab.problems import QuadraticProblem
@@ -288,8 +288,8 @@ def test_rosenbrock_without_pnm_meets_criterion_7_target():
     assert best <= f0 / 1e4
 
 
-def _train_blobs(preset, seed, dataset, hidden, steps, batch_size, eta=3e-3):
-    problem = BlobsMLPProblem(dataset=dataset, hidden=hidden, batch_size=batch_size)
+def _train_blobs(preset, seed, blobs, hidden, steps, batch_size, eta=3e-3):
+    problem = BlobsMLPProblem(blobs=blobs, hidden=hidden, batch_size=batch_size)
     params = problem.init_params(philox((seed, 0)))
     batch_rng = philox((seed, 1))
     if preset == "adamw":
@@ -305,11 +305,11 @@ def _train_blobs(preset, seed, dataset, hidden, steps, batch_size, eta=3e-3):
 
 def test_criterion_08_classification_proxy():
     start = time.perf_counter()
-    dataset = make_blobs(0, 2000, 20, 4, 10.0)
+    blobs = (0, 2000, 20, 4, 10.0)
     results = {}
     for preset in ("adamw", "ranger21"):
         accs = [
-            _train_blobs(preset, seed, dataset, hidden=(32,), steps=2000, batch_size=128)[1]
+            _train_blobs(preset, seed, blobs, hidden=(32,), steps=2000, batch_size=128)[1]
             for seed in range(5)
         ]
         results[preset] = accs
@@ -325,12 +325,12 @@ def test_criterion_08_classification_proxy():
 
 def test_criterion_09_deep_unnormalized_proxy():
     start = time.perf_counter()
-    dataset = make_blobs(0, 2000, 20, 4, 8.0)
+    blobs = (0, 2000, 20, 4, 8.0)
     hidden = (16,) * 15
     medians = {}
     for preset in ("adamw", "ranger21"):
         losses = [
-            _train_blobs(preset, seed, dataset, hidden=hidden, steps=1500, batch_size=128)[0]
+            _train_blobs(preset, seed, blobs, hidden=hidden, steps=1500, batch_size=128)[0]
             for seed in range(5)
         ]
         medians[preset] = statistics.median(losses)

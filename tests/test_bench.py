@@ -1,10 +1,11 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from optlab import lr_factor
+from optlab import lr_factor, problems
 from optlab.benchmark import (
     CSV_HEADER,
     ConfigError,
@@ -58,6 +59,10 @@ def config_dict(**overrides):
 
 def parse(**overrides):
     return parse_config(json.dumps(config_dict(**overrides)))
+
+
+# 10**12 x 20 float64 inputs: 160 TB, yet each array is representable
+HUGE_BLOBS = {"name": "blobs_mlp", "n": 10**12, "d": 20, "classes": 4, "batch_size": 128}
 
 
 class TestParseConfig:
@@ -171,9 +176,19 @@ class TestParseConfig:
             }
         )
         problem = config.problem
-        assert problem.dataset.n == 30
+        assert problem.blobs[1] == 30
         assert problem.widths == (4, 8, 3)
         assert problem.activation == "relu"
+
+    def test_blobs_problem_parse_draws_no_data(self):
+        tracemalloc.start()
+        try:
+            config = parse(problem=HUGE_BLOBS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "data" not in vars(config.problem)
+        assert peak < 2**20
 
     def test_unknown_problem_rejected(self):
         with pytest.raises(ConfigError, match="unknown problem"):
@@ -494,6 +509,39 @@ class TestCli:
         assert main(args) == EXIT_CONFIG
         assert f"config error: {field}: a " in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "sizes,field",
+        [({"n": 2**62}, "problem.n"), ({"n": 10**30}, "problem.n"),
+         ({"n": 16, "d": 2**59, "hidden": [1]}, "problem.d")],
+        ids=["n", "n_past_int64", "d"],
+    )
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_oversized_inputs_are_config_error(self, tmp_path, capsys, sizes, field, command):
+        # the n x d inputs would not fit one array; the check needs no data
+        problem = {"name": "blobs_mlp", "n": 4, "d": 2, "classes": 2, "batch_size": 1, **sizes}
+        args = [command, self.write_config(tmp_path, t_max=5, cadence=5, problem=problem)]
+        if command == "run":
+            args += ["--out", str(tmp_path / "o"), "--quiet"]
+        assert main(args) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config error: {field}: " in err and " inputs need " in err
+        assert not (tmp_path / "o").exists()
+
+    def test_out_of_memory_is_one_line_config_error(self, tmp_path, capsys, monkeypatch):
+        config = self.write_config(tmp_path, t_max=5, cadence=5, problem=HUGE_BLOBS)
+        assert main(["validate", config]) == EXIT_OK
+        message = "Unable to allocate 146. TiB for an array with shape (1000000000000, 20)"
+
+        def refuse(*blobs):
+            # what numpy raises; a real draw of this size could get the process killed
+            raise MemoryError(message)
+
+        monkeypatch.setattr(problems, "make_blobs", refuse)
+        out = tmp_path / "o"
+        assert main(["run", config, "--out", str(out), "--quiet"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: out of memory: {message}\n"
+        assert not out.exists()
 
     def test_overlap_warning_printed(self, tmp_path, capsys):
         config = self.write_config(

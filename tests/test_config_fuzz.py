@@ -1,12 +1,13 @@
-"""Fuzz the readers of JSON input: whole bench configs (a rosenbrock and a
-quadratic base) and checkpoints (format v2, buffers as number lists, and v3,
-buffers as base64 strings). A mutated blob must either be rejected with a
-ConfigError or ValueError whose message starts with the path of a field, or
-parse to a config whose numbers are all finite; never a TypeError, KeyError
-or AttributeError.
+"""Fuzz the readers of JSON input: whole bench configs (a rosenbrock, a
+quadratic and a blobs_mlp base) and checkpoints (format v2, buffers as number
+lists, and v3, buffers as base64 strings). A mutated blob must either be
+rejected with a ConfigError or ValueError whose message starts with the path
+of a field, or parse to a config whose numbers are all finite; never a
+TypeError, KeyError or AttributeError.
 
-``blobs_mlp`` is not fuzzed: its sizes ``n``, ``d`` and ``hidden`` allocate
-in proportion to their values."""
+Parsing a ``blobs_mlp`` config allocates nothing in proportion to its sizes
+``n``, ``d`` and ``hidden`` (the data is drawn on first use), so any size
+the fuzzer picks is safe to parse."""
 
 import base64
 import copy
@@ -47,6 +48,13 @@ BENCH_BASES = {
     },
     "quadratic": {
         **BENCH, "problem": {"name": "quadratic", "spectrum": [1.0, 10.0], "start": [1.0, -1.0]},
+    },
+    "blobs_mlp": {
+        **BENCH, "problem": {
+            "name": "blobs_mlp", "n": 40, "d": 3, "classes": 2, "separation": 4.0,
+            "data_seed": 1, "batch_size": 8, "hidden": [4, 4], "activation": "tanh",
+            "smoothing": 0.1,
+        },
     },
 }
 

@@ -21,7 +21,6 @@ from optlab import (
     ScheduleSpec,
     Toggles,
     adam_update,
-    adaptive_gradient_clip,
     combined_decay,
     default_config,
     gradient_centralize,
@@ -32,6 +31,7 @@ from optlab import (
 
 from optlab.problems import RosenbrockProblem
 
+from conftest import adaptive_gradient_clip
 from oracles import adamw_scalar_trajectory, ranger21_scalar_trajectory
 
 FIXTURES = Path(__file__).parent / "fixtures"

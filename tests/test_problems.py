@@ -10,7 +10,6 @@ from optlab.problems import (
     BlobsMLPProblem,
     QuadraticProblem,
     RosenbrockProblem,
-    finite_diff_grad,
     label_smoothed_ce,
     make_blobs,
     mlp_eval,
@@ -21,6 +20,8 @@ from optlab.problems import (
     rosenbrock,
     smoothed_targets,
 )
+
+from oracles import finite_diff_grad
 
 
 class TestRosenbrock:
@@ -206,19 +207,19 @@ class TestFiniteDiff:
 
 class TestMakeBlobs:
     def test_deterministic(self):
-        a = make_blobs(11, 100, 5, 3, 4.0)
-        b = make_blobs(11, 100, 5, 3, 4.0)
-        assert a.inputs.tobytes() == b.inputs.tobytes()
-        assert a.labels.tobytes() == b.labels.tobytes()
+        a_inputs, a_labels = make_blobs(11, 100, 5, 3, 4.0)
+        b_inputs, b_labels = make_blobs(11, 100, 5, 3, 4.0)
+        assert a_inputs.tobytes() == b_inputs.tobytes()
+        assert a_labels.tobytes() == b_labels.tobytes()
 
     def test_balanced_labels(self):
-        ds = make_blobs(1, 103, 4, 4, 1.0)
-        counts = np.bincount(ds.labels, minlength=4)
+        _, labels = make_blobs(1, 103, 4, 4, 1.0)
+        counts = np.bincount(labels, minlength=4)
         assert counts.max() - counts.min() <= 1
 
     def test_zero_separation_shares_mean(self):
-        ds = make_blobs(2, 4000, 5, 4, 0.0)
-        class_means = [ds.inputs[ds.labels == c].mean(axis=0) for c in range(4)]
+        inputs, labels = make_blobs(2, 4000, 5, 4, 0.0)
+        class_means = [inputs[labels == c].mean(axis=0) for c in range(4)]
         for a in class_means:
             for b in class_means:
                 assert float(np.linalg.norm(a - b)) < 0.5
@@ -226,8 +227,7 @@ class TestMakeBlobs:
     def test_large_separation_is_linearly_separable(self):
         # a linear softmax model fit with the plain preset reaches 100%
         # train accuracy
-        ds = make_blobs(3, 400, 8, 4, 10.0)
-        problem = BlobsMLPProblem(dataset=ds, hidden=(), batch_size=400)
+        problem = BlobsMLPProblem(blobs=(3, 400, 8, 4, 10.0), hidden=(), batch_size=400)
         params = problem.init_params(philox(0))
         opt = Optimizer.adamw(params, eta=5e-2, weight_decay=0.0)
         for _ in range(300):
@@ -258,11 +258,27 @@ class TestBenchmarkProblems:
         assert loss == pytest.approx(5.5)
 
     def test_blobs_problem_batches_are_deterministic(self):
-        ds = make_blobs(5, 50, 4, 2, 3.0)
-        problem = BlobsMLPProblem(dataset=ds, hidden=(8,), batch_size=16)
+        problem = BlobsMLPProblem(blobs=(5, 50, 4, 2, 3.0), hidden=(8,), batch_size=16)
         b1 = problem.sample_batch(philox((1, 2)))
         b2 = problem.sample_batch(philox((1, 2)))
         np.testing.assert_array_equal(b1, b2)
+
+    def test_blobs_problem_draws_its_data_on_first_evaluate(self):
+        problem = BlobsMLPProblem(blobs=(5, 50, 4, 2, 3.0), hidden=(8,), batch_size=16)
+        params = problem.init_params(philox(0))
+        batch = problem.sample_batch(philox(1))
+        assert "data" not in vars(problem)
+        problem.evaluate(params, batch)
+        inputs, labels = make_blobs(*problem.blobs)
+        assert problem.data[0].tobytes() == inputs.tobytes()
+        assert problem.data[1].tobytes() == labels.tobytes()
+
+    def test_blobs_problem_rejects_what_make_blobs_rejects(self):
+        with pytest.raises(ValueError) as drawn:
+            make_blobs(0, 1, 3, 2, 1.0)
+        with pytest.raises(ValueError) as built:
+            BlobsMLPProblem(blobs=(0, 1, 3, 2, 1.0), hidden=(4,), batch_size=1)
+        assert str(built.value) == str(drawn.value)
 
     @pytest.mark.parametrize(
         "make",
@@ -270,7 +286,7 @@ class TestBenchmarkProblems:
             lambda: RosenbrockProblem(start=(0.3, -0.7)),
             lambda: QuadraticProblem(spectrum=(1.0, 25.0, 100.0), start=(1.0, -1.0, 0.5)),
             lambda: BlobsMLPProblem(
-                dataset=make_blobs(8, 12, 3, 2, 2.0), hidden=(4,), batch_size=12
+                blobs=(8, 12, 3, 2, 2.0), hidden=(4,), batch_size=12
             ),
         ],
         ids=["rosenbrock", "quadratic", "blobs_mlp"],

@@ -5,16 +5,15 @@ from hypothesis import given, settings
 from optlab import (
     ClipConfig,
     ParamTensor,
-    adaptive_gradient_clip,
     frobenius_norm,
-    global_threshold_clip,
     gradient_centralize,
     mean_all_but_first,
     row_norms,
     unit_scale_factors,
 )
 
-from conftest import tensors
+from conftest import adaptive_gradient_clip, tensors
+from oracles import global_threshold_clip
 
 
 class TestClipConfig:
