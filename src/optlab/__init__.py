@@ -15,10 +15,8 @@ from .engine import (
     StepDiag,
     TensorDiag,
     Toggles,
-    adamw_config,
     default_config,
     lookahead_sync,
-    ranger21_step,
     scheduled_eta,
 )
 from .moments import (
@@ -57,7 +55,6 @@ __all__ = [
     "TensorDiag",
     "Toggles",
     "adam_update",
-    "adamw_config",
     "combined_decay",
     "default_config",
     "frobenius_norm",
@@ -66,7 +63,6 @@ __all__ = [
     "lr_factor",
     "mean_all_but_first",
     "pnm_update",
-    "ranger21_step",
     "row_norms",
     "scheduled_eta",
     "unit_scale_factors",

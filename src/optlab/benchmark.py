@@ -41,7 +41,6 @@ from .engine import (
     Ranger21Config,
     StepDiag,
     Toggles,
-    adamw_config,
     checked_call,
     checked_value,
     default_config,
@@ -154,7 +153,7 @@ def _parse_problem(blob):
     name = _get(blob, "name", "problem", "str")
     if name == "rosenbrock":
         _check_keys(blob, {"name", "start"}, "problem")
-        start = _get(blob, "start", "problem", "tuple[float, ...]", (-1.5, 2.0))
+        start = _get(blob, "start", "problem", "tuple[float, ...]", RosenbrockProblem.start)
         if len(start) != 2:
             raise ValueError(f"problem.start: expected 2 numbers, got {len(start)}")
         return RosenbrockProblem(start=start)
@@ -183,12 +182,14 @@ def _parse_problem(blob):
         separation = _get_in(blob, "separation", "problem", "float", 10.0, ge=0.0)
         data_seed = _get_in(blob, "data_seed", "problem", "int", 0, ge=0)
         hidden = _get_in(blob, "hidden", "problem", "tuple[int, ...]", (32,), ge=1, le=_MAX_EXTENT)
-        activation = _get(blob, "activation", "problem", "str", "tanh")
+        activation = _get(blob, "activation", "problem", "str", BlobsMLPProblem.activation)
         if activation not in ACTIVATIONS:
             raise ValueError(
                 f"problem.activation: expected one of {sorted(ACTIVATIONS)}, got {activation!r}"
             )
-        smoothing = _get_in(blob, "smoothing", "problem", "float", 0.1, ge=0.0, lt=1.0)
+        smoothing = _get_in(
+            blob, "smoothing", "problem", "float", BlobsMLPProblem.alpha, ge=0.0, lt=1.0
+        )
         _check_weight_sizes(d, hidden, classes)
         problem = checked_call(
             "problem",
@@ -254,8 +255,9 @@ def _parse_optimizer(blob, index: int, t_max: int) -> OptimizerSpec:
         raise ValueError(f"{path}.preset: expected one of {list(PRESETS)}, got {preset!r}")
     label = _get(blob, "label", path, "str", preset)
     keys = _ADAMW_KEYS if preset == "adamw" else _RANGER_KEYS
-    make = adamw_config if preset == "adamw" else default_config
-    config = make(3e-3, t_max)  # eta is the one setting the config classes give no default
+    toggles = Toggles.none() if preset == "adamw" else Toggles()
+    # eta is the one setting the config classes give no default
+    config = default_config(3e-3, t_max, toggles=toggles)
     _check_keys(blob, {"preset", "label", *keys}, path)
     for key, value in blob.items():
         if key == "toggles":

@@ -1,7 +1,7 @@
 """Optimizer presets and the step loop.
 
-One step function, ``ranger21_step``, serves both presets; a preset is a
-named ``Ranger21Config``:
+One step, ``Optimizer.step``, serves both presets; a preset is a named
+``Ranger21Config``:
 
 * ``ranger21``: unit-wise clipping, centralization, positive-negative
   momentum with second-moment max, the three-phase schedule, stable
@@ -80,7 +80,7 @@ class Ranger21Config:
     toggles: Toggles = Toggles()
 
     def __post_init__(self) -> None:
-        if self.weight_decay < 0:
+        if not self.weight_decay >= 0:  # also rejects NaN
             raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.k_lookahead < 1:
             raise ValueError(f"k_lookahead must be >= 1, got {self.k_lookahead}")
@@ -91,30 +91,10 @@ class Ranger21Config:
 
 
 def default_config(eta: float, t_max: int, **overrides) -> Ranger21Config:
-    """Config with every hyperparameter at its preset default."""
+    """Config with every hyperparameter at its preset default; the adamw preset
+    is this with ``toggles=Toggles.none()``."""
     schedule = overrides.pop("schedule", ScheduleSpec(eta=eta, t_max=t_max))
     return Ranger21Config(schedule=schedule, **overrides)
-
-
-def adamw_config(
-    eta: float,
-    t_max: int,
-    weight_decay: float = Ranger21Config.weight_decay,
-    beta1: float = MomentConfig.beta1,
-    beta2: float = MomentConfig.beta2,
-    eps: float = MomentConfig.eps,
-) -> Ranger21Config:
-    """The adamw preset: every toggle off, plain decoupled decay. The defaults
-    are the config classes' own.
-
-    ``t_max`` is the run length; the step never reads it, as warm-down is off.
-    """
-    return Ranger21Config(
-        schedule=ScheduleSpec(eta=eta, t_max=t_max),
-        moments=MomentConfig(beta1=beta1, beta2=beta2, eps=eps),
-        weight_decay=weight_decay,
-        toggles=Toggles.none(),
-    )
 
 
 def _unit_width(p: ParamTensor) -> int | None:
@@ -138,6 +118,8 @@ class OptimizerState:
 
     A step swaps in new buffers and never writes to committed ones; after a
     lookahead sync the returned params are views of ``flat_slow`` itself.
+    A checkpoint load copies each decoded buffer into the per-name views of
+    the state its new optimizer built, before anything else holds them.
     """
 
     bounds: dict[str, tuple[int, int]]
@@ -244,88 +226,6 @@ def scheduled_eta(t: int, config: Ranger21Config) -> float:
     )
 
 
-def ranger21_step(
-    params: Sequence[ParamTensor],
-    grads: Sequence[ParamTensor],
-    state: OptimizerState,
-    t: int,
-    config: Ranger21Config,
-    observer: Observer | None = None,
-) -> list[ParamTensor]:
-    """One full composed step: transforms, moments, schedule, decay, lookahead.
-
-    Component order is fixed: clip, centralize, moment update, then
-    theta' = theta - eta_t * u - d, then (every k steps) lookahead
-    interpolation. Disabled toggles drop out per the module docstring.
-
-    The step gathers gradients and params into flat buffers laid out as
-    ``state`` lays out its own. The unit-wise stages (clip, centralize) run
-    once per group of ``state.groups``, on its ``(units, width)`` view, and
-    the decay's per-tensor reductions run on each tensor's slice; the
-    elementwise stages run once over the whole buffer. The returned params
-    are read-only views of one new buffer. ``state`` changes only after every
-    stage has run, so a step that raises leaves it as it was.
-    """
-    toggles = config.toggles
-    eta_t = scheduled_eta(t, config)
-    _check_aligned(params, grads)
-    decay_cfg = DecayConfig(
-        weight_decay=config.weight_decay,
-        norm_loss=toggles.norm_loss,
-        stable=toggles.stable_decay,
-    )
-    moment_fn = pnm_update if toggles.pnm else adam_update
-    spans = [state.bounds[p.name] for p in params]
-    order = state.order
-    theta = np.concatenate([params[i].values for i in order])
-    grad = np.concatenate([grads[i].values for i in order])
-
-    factors = []
-    if toggles.agc or toggles.centralization:
-        for lo, hi, width in state.groups:
-            g, th = grad[lo:hi], theta[lo:hi]
-            if width is not None:
-                g, th = g.reshape(-1, width), th.reshape(-1, width)
-            if toggles.agc:
-                factors.append(unit_scale_factors(g, th, config.clip))
-                g = scale_units(g, factors[-1])
-            if toggles.centralization:
-                g = gradient_centralize(g)
-            grad[lo:hi] = g.reshape(-1)
-
-    u, v_hat, moments = moment_fn(state.flat_moments, grad, t, config.moments)
-    # enough to check u and v_hat here: a clip keeps values finite, an overflow
-    # in centralize reaches u, and one in decay or theta' the new params
-    if not (np.isfinite(u).all() and np.isfinite(v_hat).all()):
-        _raise_nonfinite(params, spans, u, v_hat)
-    d = combined_decay(theta, v_hat, eta_t, decay_cfg, spans=[spans[i] for i in order])
-    fast = theta - eta_t * u - d
-    slow = state.flat_slow
-    if toggles.lookahead:
-        fast, slow = lookahead_sync(fast, slow, t, config.k_lookahead, config.beta_lookahead)
-    if not np.isfinite(fast).all():
-        _raise_nonfinite(params, spans, fast)
-    new_params = [
-        ParamTensor._adopt(p.name, p.shape, fast[lo:hi]) for p, (lo, hi) in zip(params, spans)
-    ]
-    if observer is not None:
-        diags = [
-            TensorDiag(
-                name=p.name,
-                units_clipped=_units_clipped(state.groups, factors, lo, hi),
-                units_total=p.shape[0],
-                mean_vhat=float(np.mean(v_hat[lo:hi])),
-                size=p.size,
-                update=u[lo:hi],
-                decay=d[lo:hi],
-            )
-            for p, (lo, hi) in zip(params, spans)
-        ]
-        observer(StepDiag(t=t, eta_t=eta_t, tensors=diags))
-    state.flat_moments, state.flat_slow = moments, slow
-    return new_params
-
-
 def _units_clipped(
     groups: list[tuple[int, int, int | None]], factors: list[np.ndarray], lo: int, hi: int
 ) -> int:
@@ -398,8 +298,9 @@ class Optimizer:
     def adamw(
         cls, params: Sequence[ParamTensor], eta: float = 3e-3, **overrides
     ) -> "Optimizer":
-        """``overrides`` are ``adamw_config``'s: weight_decay, beta1, beta2, eps."""
-        return cls(params, adamw_config(eta, 1, **overrides), preset="adamw")
+        """Every toggle off; ``overrides`` are ``Ranger21Config`` fields. The step
+        never reads ``t_max`` (1 here), as warm-down is off."""
+        return cls(params, default_config(eta, 1, toggles=Toggles.none(), **overrides), "adamw")
 
     @classmethod
     def ranger21(
@@ -414,10 +315,81 @@ class Optimizer:
     def step(
         self, grads: Sequence[ParamTensor], observer: Observer | None = None
     ) -> list[ParamTensor]:
-        t = self.state.t + 1
-        self.params = ranger21_step(self.params, grads, self.state, t, self.config, observer)
-        self.state.t = t
-        return self.params
+        """One full composed step: transforms, moments, schedule, decay, lookahead.
+
+        Component order is fixed: clip, centralize, moment update, then
+        theta' = theta - eta_t * u - d, then (every k steps) lookahead
+        interpolation. Disabled toggles drop out per the module docstring.
+
+        The step gathers gradients and params into flat buffers laid out as
+        ``self.state`` lays out its own. The unit-wise stages (clip, centralize) run
+        once per group of ``state.groups``, on its ``(units, width)`` view, and
+        the decay's per-tensor reductions run on each tensor's slice; the
+        elementwise stages run once over the whole buffer. The returned params
+        are read-only views of one new buffer. The optimizer changes only after
+        every stage and the observer have run, so a step that raises leaves it
+        as it was.
+        """
+        params, state, config = self.params, self.state, self.config
+        toggles = config.toggles
+        t = state.t + 1
+        eta_t = scheduled_eta(t, config)
+        _check_aligned(params, grads)
+        decay_cfg = DecayConfig(
+            weight_decay=config.weight_decay,
+            norm_loss=toggles.norm_loss,
+            stable=toggles.stable_decay,
+        )
+        moment_fn = pnm_update if toggles.pnm else adam_update
+        spans = list(state.bounds.values())  # registration order, as ``params``
+        order = state.order
+        theta = np.concatenate([params[i].values for i in order])
+        grad = np.concatenate([grads[i].values for i in order])
+
+        factors = []
+        if toggles.agc or toggles.centralization:
+            for lo, hi, width in state.groups:
+                g, th = grad[lo:hi], theta[lo:hi]
+                if width is not None:
+                    g, th = g.reshape(-1, width), th.reshape(-1, width)
+                if toggles.agc:
+                    factors.append(unit_scale_factors(g, th, config.clip))
+                    g = scale_units(g, factors[-1])
+                if toggles.centralization:
+                    g = gradient_centralize(g)
+                grad[lo:hi] = g.reshape(-1)
+
+        u, v_hat, moments = moment_fn(state.flat_moments, grad, t, config.moments)
+        # enough to check u and v_hat here: a clip keeps values finite, an overflow
+        # in centralize reaches u, and one in decay or theta' the new params
+        if not (np.isfinite(u).all() and np.isfinite(v_hat).all()):
+            _raise_nonfinite(params, spans, u, v_hat)
+        d = combined_decay(theta, v_hat, eta_t, decay_cfg, spans=[spans[i] for i in order])
+        fast = theta - eta_t * u - d
+        slow = state.flat_slow
+        if toggles.lookahead:
+            fast, slow = lookahead_sync(fast, slow, t, config.k_lookahead, config.beta_lookahead)
+        if not np.isfinite(fast).all():
+            _raise_nonfinite(params, spans, fast)
+        new_params = [
+            ParamTensor._adopt(p.name, p.shape, fast[lo:hi]) for p, (lo, hi) in zip(params, spans)
+        ]
+        if observer is not None:
+            diags = [
+                TensorDiag(
+                    name=p.name,
+                    units_clipped=_units_clipped(state.groups, factors, lo, hi),
+                    units_total=p.shape[0],
+                    mean_vhat=float(np.mean(v_hat[lo:hi])),
+                    size=p.size,
+                    update=u[lo:hi],
+                    decay=d[lo:hi],
+                )
+                for p, (lo, hi) in zip(params, spans)
+            ]
+            observer(StepDiag(t=t, eta_t=eta_t, tensors=diags))
+        self.params, state.flat_moments, state.flat_slow, state.t = new_params, moments, slow, t
+        return new_params
 
     # -- checkpointing ------------------------------------------------------
 
@@ -470,19 +442,15 @@ class Optimizer:
         for key in ("moments", "slow"):
             if not isinstance(blob[key], dict) or blob[key].keys() != set(names):
                 raise ValueError(f"{key}: expected an object keyed by the param names {names}")
-        # one copy per buffer: each decoded array into its slice of the flat state
-        size = sum(p.size for p in params)
-        flat = {b: np.empty(size) for b in (*_MOMENT_BUFFERS, "slow")}
+        # one copy per buffer: each decoded array into its view of the new state
+        moments, slow = opt.state.moments, opt.state.slow
         for p in params:
-            lo, hi = opt.state.bounds[p.name]
             ms, name = blob["moments"][p.name], repr(p.name)
             for b in _MOMENT_BUFFERS:
                 where = f"moments[{name}].{b}"
-                flat[b][lo:hi] = _checked_buffer(ms, b, where, p.size, version)
+                getattr(moments[p.name], b)[:] = _checked_buffer(ms, b, where, p.size, version)
             where = f"slow[{name}]"
-            flat["slow"][lo:hi] = _checked_buffer(blob["slow"], p.name, where, p.size, version)
-        opt.state.flat_moments = MomentState(*(flat[b] for b in _MOMENT_BUFFERS))
-        opt.state.flat_slow = flat["slow"]
+            slow[p.name][:] = _checked_buffer(blob["slow"], p.name, where, p.size, version)
         opt.state.t = t
         return opt
 

@@ -5,6 +5,7 @@ one flat buffer, through ``ParamTensor._adopt``."""
 from __future__ import annotations
 
 import math
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -25,7 +26,10 @@ class ParamTensor:
     __slots__ = ("name", "shape", "values")
 
     def __init__(self, name: str, shape: Sequence[int], values) -> None:
-        shape = tuple(map(int, shape))
+        try:
+            shape = tuple(map(operator.index, shape))
+        except TypeError:
+            raise ValueError(f"{name}: every extent must be an integer, got {shape!r}") from None
         if not shape:
             raise ValueError(f"{name}: shape must have at least one axis")
         if min(shape) < 1:

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from optlab import (
     DecayConfig,
+    MomentConfig,
     MomentState,
     NonFiniteError,
     Optimizer,
@@ -518,6 +520,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             Ranger21Config(schedule=sched, beta_lookahead=1.0)
 
+    def test_nan_weight_decay_rejected(self):
+        with pytest.raises(ValueError, match="weight_decay must be >= 0, got nan"):
+            Ranger21Config(schedule=ScheduleSpec(eta=1e-3, t_max=10), weight_decay=math.nan)
+        with pytest.raises(ValueError, match="weight_decay"):
+            Optimizer.adamw([scalar(1.0)], weight_decay=math.nan)
+
     def test_duplicate_param_names_rejected(self):
         with pytest.raises(ValueError):
             Optimizer.adamw([scalar(1.0), scalar(2.0)])
@@ -544,6 +552,13 @@ class TestConfigValidation:
         for key in ("beta0", "tau"):
             with pytest.raises(TypeError, match=key):
                 Optimizer.adamw([scalar(1.0)], **{key: 0.5})
+
+    def test_adamw_takes_the_config_fields_as_overrides(self):
+        moments = MomentConfig(beta1=0.8)
+        opt = Optimizer.adamw([scalar(1.0)], moments=moments)
+        assert opt.config == default_config(3e-3, 1, moments=moments, toggles=Toggles.none())
+        with pytest.raises(TypeError, match="toggles"):
+            Optimizer.adamw([scalar(1.0)], toggles=Toggles())
 
 
 class TestCheckpoint:
@@ -648,6 +663,24 @@ class TestCheckpoint:
                 view = getattr(state.moments[name], slot)
                 assert view.base is flat[slot]
                 np.testing.assert_array_equal(view, flat[slot][lo:hi])
+
+    def test_load_allocates_the_state_once(self):
+        # three tensors, 80,200 values: the load's peak is the decoded params,
+        # the state the new optimizer builds and the buffer being decoded
+        rng = np.random.default_rng(5)
+        shapes = {"w1": (200, 200), "w2": (200, 200), "b": (200,)}
+        params = [ParamTensor(n, s, rng.standard_normal(math.prod(s))) for n, s in shapes.items()]
+        opt = Optimizer.ranger21(params, eta=3e-3, t_max=40)
+        opt.step([p.with_values(rng.standard_normal(p.size)) for p in params])
+        blob = opt.to_checkpoint()
+        tracemalloc.start()
+        try:
+            loaded = Optimizer.from_checkpoint(blob)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded.to_checkpoint() == blob
+        assert peak < 9 * opt.state.flat_slow.nbytes
 
     def test_v1_blob_rejected(self):
         blob = json.loads((FIXTURES / "checkpoint_v2.json").read_text())

@@ -1,0 +1,67 @@
+"""Source hygiene that a linter would check: the public names resolve, and no
+module of the package imports a name it never uses."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import optlab
+
+PACKAGE = Path(optlab.__file__).parent
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in optlab.__all__ if not hasattr(optlab, name)]
+    assert not missing
+    assert len(set(optlab.__all__)) == len(optlab.__all__)
+
+
+def imported_names(tree: ast.Module) -> dict[str, int]:
+    """Each name an import binds, with the line of its import."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def annotations(tree: ast.Module):
+    """Every annotation in the module: of arguments, returns and fields."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            args = [a for a in ast.walk(node.args) if isinstance(a, ast.arg)]
+            found = [node.returns, *(a.annotation for a in args)]
+        elif isinstance(node, ast.AnnAssign):
+            found = [node.annotation]
+        else:
+            continue
+        yield from (a for a in found if a is not None)
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    """Every name the module reads, including those in quoted annotations and
+    those its ``__all__`` lists (a package ``__init__`` re-exports them)."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for annotation in annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                quoted = ast.parse(node.value, mode="eval")
+                used.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
+    for node in tree.body:
+        targets = [getattr(t, "id", None) for t in getattr(node, "targets", ())]
+        if targets == ["__all__"]:
+            used.update(ast.literal_eval(node.value))
+    return used
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text())
+    used = used_names(tree)
+    unused = {name: line for name, line in imported_names(tree).items() if name not in used}
+    assert not unused, f"{path.name}: imported but never used: {unused}"

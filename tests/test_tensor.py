@@ -31,6 +31,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ParamTensor("w", (2, 0), [])
 
+    @pytest.mark.parametrize("shape, values", [((2.7,), [1, 2]), (("3",), [1, 2, 3])])
+    def test_non_integer_extent_rejected(self, shape, values):
+        with pytest.raises(ValueError, match="w: every extent must be an integer"):
+            ParamTensor("w", shape, values)
+
+    def test_numpy_integer_extents_accepted(self):
+        t = ParamTensor("w", (np.int64(2), np.uint8(1)), [1, 2])
+        assert t.shape == (2, 1) and all(type(n) is int for n in t.shape)
+
     def test_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
             ParamTensor("w", (2, 2), [1, 2, 3])
