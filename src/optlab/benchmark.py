@@ -131,20 +131,15 @@ class RunConfig:
 _MAX_EXTENT = int(np.iinfo(np.intp).max)
 
 
-def _check_weight_sizes(d: int, hidden: tuple[int, ...], classes: int) -> None:
-    """Each MLP weight, fan_out x fan_in float64 values, must fit in one numpy
-    array; a layer that does not names its larger extent's key."""
-    keys = ["problem.d", *(f"problem.hidden[{i}]" for i in range(len(hidden))), "problem.classes"]
-    widths = [d, *hidden, classes]
-    for i in range(len(widths) - 1):
-        fan_in, fan_out = widths[i], widths[i + 1]
-        nbytes = 8 * fan_in * fan_out
-        if nbytes > _MAX_EXTENT:
-            where = keys[i] if fan_in > fan_out else keys[i + 1]
-            raise ValueError(
-                f"{where}: a {fan_out}x{fan_in} weight needs {nbytes} bytes,"
-                f" more than one array can hold ({_MAX_EXTENT})"
-            )
+def _check_fits(rows: int, cols: int, row_key: str, col_key: str, what: str) -> None:
+    """A rows x cols float64 array must fit one numpy array; the error, ``what`` of
+    the two extents, names the key of the larger one (the row key on a tie)."""
+    nbytes = 8 * rows * cols
+    if nbytes > _MAX_EXTENT:
+        raise ValueError(
+            f"{row_key if rows >= cols else col_key}: {what.format(rows, cols)} {nbytes}"
+            f" bytes, more than one array can hold ({_MAX_EXTENT})"
+        )
 
 
 def _parse_problem(blob):
@@ -190,7 +185,10 @@ def _parse_problem(blob):
         smoothing = _get_in(
             blob, "smoothing", "problem", "float", BlobsMLPProblem.alpha, ge=0.0, lt=1.0
         )
-        _check_weight_sizes(d, hidden, classes)
+        keys = [f"problem.hidden[{i}]" for i in range(len(hidden))]
+        keys, widths = ["problem.d", *keys, "problem.classes"], [d, *hidden, classes]
+        for i in range(len(widths) - 1):  # each weight is fan_out x fan_in
+            _check_fits(widths[i + 1], widths[i], keys[i + 1], keys[i], "a {}x{} weight needs")
         problem = checked_call(
             "problem",
             BlobsMLPProblem,
@@ -202,12 +200,7 @@ def _parse_problem(blob):
         )
         # the n x d inputs, drawn on first use, must fit one array too; checked
         # after the weights and n >= classes, so their messages come first
-        nbytes = 8 * n * d
-        if nbytes > _MAX_EXTENT:
-            raise ValueError(
-                f"{'problem.n' if n >= d else 'problem.d'}: {n}x{d} inputs need {nbytes}"
-                f" bytes, more than one array can hold ({_MAX_EXTENT})"
-            )
+        _check_fits(n, d, "problem.n", "problem.d", "{}x{} inputs need")
         return problem
     raise ValueError(f"problem.name: unknown problem {name!r}")
 

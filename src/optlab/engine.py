@@ -88,13 +88,14 @@ class Ranger21Config:
             raise ValueError(
                 f"beta_lookahead must be in [0, 1), got {self.beta_lookahead}"
             )
+        _check_leaves(self, "")  # last, so a value out of range gets its message above
 
 
 def default_config(eta: float, t_max: int, **overrides) -> Ranger21Config:
-    """Config with every hyperparameter at its preset default; the adamw preset
-    is this with ``toggles=Toggles.none()``."""
-    schedule = overrides.pop("schedule", ScheduleSpec(eta=eta, t_max=t_max))
-    return Ranger21Config(schedule=schedule, **overrides)
+    """The default schedule for ``eta`` and ``t_max``, ``overrides`` (any fields of
+    ``Ranger21Config`` but ``schedule``) and defaults for the rest; the adamw
+    preset is this with ``toggles=Toggles.none()``."""
+    return Ranger21Config(schedule=ScheduleSpec(eta=eta, t_max=t_max), **overrides)
 
 
 def _unit_width(p: ParamTensor) -> int | None:
@@ -538,26 +539,29 @@ def checked_value(kind: str, value, where: str):
     elif kind in ("int", "int | None"):
         ok = is_int or (value is None and kind == "int | None")
     else:  # "tuple[T, ...]"
-        return _checked_entries(kind[len("tuple[") : -len(", ...]")], value, where)
+        if not isinstance(value, list):
+            raise ValueError(f"{where}: expected a list, got {value!r}")
+        item = kind[len("tuple[") : -len(", ...]")]
+        return tuple(checked_value(item, x, f"{where}[{i}]") for i, x in enumerate(value))
     if not ok:
         raise ValueError(f"{where}: expected {_EXPECTED[kind]}, got {value!r}")
     return value
 
 
-def _checked_entries(item: str, value, where: str) -> tuple:
-    """``value``, a list, as a tuple of entries each checked as ``item``."""
-    if not isinstance(value, list):
-        raise ValueError(f"{where}: expected a list, got {value!r}")
-    try:
-        return tuple(checked_value(item, x, where) for x in value)
-    except ValueError:  # find the bad entry: its path is built only now
-        for i, x in enumerate(value):
-            checked_value(item, x, f"{where}[{i}]")
-        raise
-
-
 # the config parts a checkpoint nests, by their annotation in Ranger21Config
 _PARTS = {cls.__name__: cls for cls in (ScheduleSpec, MomentConfig, ClipConfig, Toggles)}
+
+
+def _check_leaves(config, where: str) -> None:
+    """Check every field of ``config`` and of its parts against its annotation."""
+    for name, f in config.__dataclass_fields__.items():
+        value, part = getattr(config, name), _PARTS.get(f.type)
+        if part is None:
+            checked_value(f.type, value, f"{where}{name}")
+        elif not isinstance(value, part):
+            raise ValueError(f"{where}{name}: expected a {part.__name__}, got {value!r}")
+        else:
+            _check_leaves(value, f"{where}{name}.")
 
 
 def _from_dict(cls, blob, where: str):

@@ -94,6 +94,12 @@ ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
 }
 
 
+def _activation(name: str) -> tuple[Callable, Callable]:
+    if name not in ACTIVATIONS:
+        raise ValueError(f"unknown activation {name!r}")
+    return ACTIVATIONS[name]
+
+
 def mlp_init(widths: Sequence[int], rng: np.random.Generator) -> list[ParamTensor]:
     """Affine-layer parameters for the width chain; weights are [out, in]."""
     if len(widths) < 2:
@@ -132,7 +138,7 @@ def _forward(pairs, x: np.ndarray, act: Callable) -> tuple[list, list]:
 
 
 def mlp_logits(params: Sequence[ParamTensor], inputs, activation: str = "tanh") -> np.ndarray:
-    act, _ = ACTIVATIONS[activation]
+    act, _ = _activation(activation)
     _, acts = _forward(_layers(params), np.asarray(inputs, dtype=np.float64), act)
     return acts[-1]
 
@@ -150,9 +156,7 @@ def mlp_eval(
     layer linear. Backward is the usual reverse pass; all gradients are
     divided by the batch size to match the mean reduction.
     """
-    if activation not in ACTIVATIONS:
-        raise ValueError(f"unknown activation {activation!r}")
-    act, act_deriv = ACTIVATIONS[activation]
+    act, act_deriv = _activation(activation)
     pairs = _layers(params)
     x = np.asarray(inputs, dtype=np.float64)
     y = np.asarray(labels)
@@ -261,8 +265,7 @@ class BlobsMLPProblem:
         _check_blob_counts(n, n_classes)
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
+        _activation(self.activation)
         self.widths = (d, *self.hidden, n_classes)
 
     @cached_property

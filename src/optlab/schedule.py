@@ -42,26 +42,16 @@ class ScheduleSpec:
             raise ValueError(f"eta must be > 0, got {self.eta}")
         if self.t_max < 1:
             raise ValueError(f"t_max must be >= 1, got {self.t_max}")
-        if self.t_warmup is None:
-            object.__setattr__(
-                self,
-                "t_warmup",
-                max(1, _round_half_up(WARMUP_DEFAULT_FRACTION * self.t_max)),
-            )
-        if self.t_warmdown is None:
-            object.__setattr__(
-                self,
-                "t_warmdown",
-                max(1, _round_half_up(WARMDOWN_DEFAULT_FRACTION * self.t_max)),
-            )
-        if not 0 < self.t_warmup <= self.t_max:
-            raise ValueError(
-                f"t_warmup must be in [1, t_max], got {self.t_warmup} (t_max={self.t_max})"
-            )
-        if not 0 < self.t_warmdown <= self.t_max:
-            raise ValueError(
-                f"t_warmdown must be in [1, t_max], got {self.t_warmdown} (t_max={self.t_max})"
-            )
+        for name, fraction in (
+            ("t_warmup", WARMUP_DEFAULT_FRACTION),
+            ("t_warmdown", WARMDOWN_DEFAULT_FRACTION),
+        ):
+            length = getattr(self, name)
+            if length is None:
+                length = max(1, _round_half_up(fraction * self.t_max))
+                object.__setattr__(self, name, length)
+            if not 0 < length <= self.t_max:
+                raise ValueError(f"{name} must be in [1, t_max], got {length} (t_max={self.t_max})")
 
     @property
     def phases_overlap(self) -> bool:

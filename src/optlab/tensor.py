@@ -27,6 +27,8 @@ class ParamTensor:
 
     def __init__(self, name: str, shape: Sequence[int], values) -> None:
         try:
+            if bool in map(type, shape):  # operator.index would read True as 1
+                raise TypeError
             shape = tuple(map(operator.index, shape))
         except TypeError:
             raise ValueError(f"{name}: every extent must be an integer, got {shape!r}") from None

@@ -7,7 +7,6 @@ are frozen below.
 """
 
 import dataclasses
-import json
 import math
 import os
 import statistics
@@ -17,7 +16,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from optlab import (
     MomentConfig,
@@ -36,7 +34,7 @@ from optlab import (
 )
 from optlab.benchmark import parse_config, run_benchmark
 from optlab.problems import BlobsMLPProblem, RosenbrockProblem, philox
-from optlab.transforms import ClipConfig, unit_scale_factors
+from optlab.transforms import ClipConfig
 
 from conftest import adaptive_gradient_clip
 from oracles import adamw_scalar_trajectory, finite_diff_grad, pnm_scalar

@@ -1,8 +1,8 @@
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from optlab import lr_factor, problems
@@ -217,12 +217,33 @@ class TestParseConfig:
                           "data_seed": -1}}, r"problem\.data_seed"),
             ({"optimizers": [{"preset": "ranger21", "eps_clipping": 0}]},
              r"^optimizers\[0\]\.eps_clipping: "),
+            ({"problem": {"name": "quadratic", "spectrum": [1.0, 2.0, "x"]}},
+             r"^problem\.spectrum\[2\]: expected a finite number, got 'x'$"),
+            ({"problem": {"name": "quadratic", "spectrum": 3}},
+             r"^problem\.spectrum: expected a list, got 3$"),
+            # an r x c array names the key of its larger extent, the row's on a tie
+            ({"problem": {"name": "blobs_mlp", "n": 4, "d": 2, "classes": 2, "batch_size": 1,
+                          "hidden": [2**31, 2**31]}},
+             "^" + re.escape(
+                 "problem.hidden[1]: a 2147483648x2147483648 weight needs 36893488147419103232"
+                 " bytes, more than one array can hold (9223372036854775807)") + "$"),
+            ({"problem": {"name": "blobs_mlp", "n": 4, "d": 2**62, "classes": 2, "batch_size": 1,
+                          "hidden": [2]}},
+             "^" + re.escape(
+                 "problem.d: a 2x4611686018427387904 weight needs 73786976294838206464"
+                 " bytes, more than one array can hold (9223372036854775807)") + "$"),
+            ({"problem": {"name": "blobs_mlp", "n": 2**31, "d": 2**31, "classes": 2,
+                          "batch_size": 1, "hidden": [1]}},
+             "^" + re.escape(
+                 "problem.n: 2147483648x2147483648 inputs need 36893488147419103232"
+                 " bytes, more than one array can hold (9223372036854775807)") + "$"),
         ],
         ids=[
             "start_entry", "start_length", "spectrum_entry", "spectrum_zero",
             "quadratic_start_entry", "quadratic_start_length", "eta_overflow",
             "tau_infinity", "threshold_nan", "blobs_too_few_samples", "data_seed_negative",
-            "eps_clipping_zero",
+            "eps_clipping_zero", "spectrum_entry_2", "spectrum_not_list", "weight_tie",
+            "weight_columns", "inputs_tie",
         ],
     )
     def test_malformed_value_rejected_with_field(self, overrides, field):

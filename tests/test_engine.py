@@ -526,6 +526,34 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="weight_decay"):
             Optimizer.adamw([scalar(1.0)], weight_decay=math.nan)
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"eta": True}, "schedule.eta: expected a finite number, got True"),
+            ({"eta": math.inf}, "schedule.eta: expected a finite number, got inf"),
+            ({"k_lookahead": True}, "k_lookahead: expected an integer, got True"),
+            ({"weight_decay": math.inf}, "weight_decay: expected a finite number, got inf"),
+            ({"moments": MomentConfig(eps=True)},
+             "moments.eps: expected a finite number, got True"),
+            ({"toggles": None}, "toggles: expected a Toggles, got None"),
+        ],
+        ids=[
+            "eta_true", "eta_inf", "k_lookahead_true", "weight_decay_inf", "eps_true", "no_toggles",
+        ],
+    )
+    def test_value_a_checkpoint_cannot_hold_rejected(self, overrides, message):
+        # a checkpoint's config reader refuses each of these, so building refuses it too
+        kwargs = {"eta": 1e-3, "t_max": 5, **overrides}
+        with pytest.raises(ValueError) as excinfo:
+            Optimizer.ranger21([scalar(1.0)], **kwargs)
+        assert str(excinfo.value) == message
+
+    def test_ranger21_takes_no_schedule_override(self):
+        with pytest.raises(TypeError, match="schedule"):
+            Optimizer.ranger21(
+                [scalar(1.0)], eta=1.0, t_max=10, schedule=ScheduleSpec(eta=3e-3, t_max=100)
+            )
+
     def test_duplicate_param_names_rejected(self):
         with pytest.raises(ValueError):
             Optimizer.adamw([scalar(1.0), scalar(2.0)])

@@ -1,5 +1,5 @@
 """Source hygiene that a linter would check: the public names resolve, and no
-module of the package imports a name it never uses."""
+module of the package or of its tests imports a name it never uses."""
 
 import ast
 from pathlib import Path
@@ -9,6 +9,7 @@ import pytest
 import optlab
 
 PACKAGE = Path(optlab.__file__).parent
+TESTS = Path(__file__).parent
 
 
 def test_every_exported_name_resolves():
@@ -59,7 +60,9 @@ def used_names(tree: ast.Module) -> set[str]:
     return used
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", [*sorted(PACKAGE.glob("*.py")), *sorted(TESTS.glob("*.py"))], ids=lambda p: p.name
+)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text())
     used = used_names(tree)

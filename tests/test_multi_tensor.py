@@ -16,11 +16,11 @@ from optlab import (
     Optimizer,
     OptimizerState,
     ParamTensor,
+    Ranger21Config,
     ScheduleSpec,
     Toggles,
     adam_update,
     combined_decay,
-    default_config,
     gradient_centralize,
     lookahead_sync,
     pnm_update,
@@ -52,7 +52,7 @@ TOGGLE_SETS = {
 
 def make_config(toggles):
     schedule = ScheduleSpec(eta=3e-3, t_max=STEPS, t_warmup=4, t_warmdown=4)
-    return default_config(3e-3, STEPS, schedule=schedule, k_lookahead=3, toggles=toggles)
+    return Ranger21Config(schedule=schedule, k_lookahead=3, toggles=toggles)
 
 
 def make_problem(shapes=SHAPES, seed=41):

@@ -165,6 +165,21 @@ class TestMLP:
         for g, g_fd in zip(grads, fd):
             np.testing.assert_allclose(g.values, g_fd.values, rtol=1e-5, atol=1e-8)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda ps, x, y: mlp_logits(ps, x, activation="bogus"),
+            lambda ps, x, y: mlp_eval(ps, x, y, activation="bogus"),
+            lambda ps, x, y: BlobsMLPProblem((0, 4, 6, 4, 1.0), (5,), 1, activation="bogus"),
+        ],
+        ids=["mlp_logits", "mlp_eval", "blobs_mlp"],
+    )
+    def test_unknown_activation_rejected(self, call):
+        x, y = self.batch()
+        with pytest.raises(ValueError) as excinfo:
+            call(mlp_init(self.widths(), philox(5)), x, y)
+        assert str(excinfo.value) == "unknown activation 'bogus'"
+
     def test_init_respects_fan_in_bound(self):
         params = mlp_init((100, 50, 10), philox(6))
         w0 = params[0]

@@ -40,6 +40,21 @@ class TestSpec:
         with pytest.raises(ValueError):
             ScheduleSpec(**kwargs)
 
+    @pytest.mark.parametrize("name", ["t_warmup", "t_warmdown"])
+    @pytest.mark.parametrize("length", [0, 11])
+    def test_phase_length_error_text(self, name, length):
+        with pytest.raises(ValueError) as excinfo:
+            ScheduleSpec(eta=1.0, t_max=10, **{name: length})
+        assert str(excinfo.value) == f"{name} must be in [1, t_max], got {length} (t_max=10)"
+
+    @pytest.mark.parametrize(
+        "t_max, t_warmup, t_warmdown",
+        [(1, 1, 1), (2, 1, 1), (7, 2, 2), (10000, 2200, 2800), (12345, 2716, 3457)],
+    )
+    def test_default_phase_lengths_for_t_max(self, t_max, t_warmup, t_warmdown):
+        spec = ScheduleSpec(eta=1.0, t_max=t_max)
+        assert (spec.t_warmup, spec.t_warmdown) == (t_warmup, t_warmdown)
+
     def test_overlapping_phases_permitted(self):
         spec = ScheduleSpec(eta=1.0, t_max=10, t_warmup=8, t_warmdown=8)
         assert spec.phases_overlap

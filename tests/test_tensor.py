@@ -31,7 +31,9 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ParamTensor("w", (2, 0), [])
 
-    @pytest.mark.parametrize("shape, values", [((2.7,), [1, 2]), (("3",), [1, 2, 3])])
+    @pytest.mark.parametrize(
+        "shape, values", [((2.7,), [1, 2]), (("3",), [1, 2, 3]), ((True,), [1.0])]
+    )
     def test_non_integer_extent_rejected(self, shape, values):
         with pytest.raises(ValueError, match="w: every extent must be an integer"):
             ParamTensor("w", shape, values)

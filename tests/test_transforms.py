@@ -9,7 +9,6 @@ from optlab import (
     gradient_centralize,
     mean_all_but_first,
     row_norms,
-    unit_scale_factors,
 )
 
 from conftest import adaptive_gradient_clip, tensors
