@@ -88,9 +88,13 @@ def label_smoothed_ce(logits, labels, alpha: float) -> tuple[float, np.ndarray]:
 
 # -- MLP with manual backprop -------------------------------------------------
 
+# name -> (activation, its derivative written in the activation's output a),
+# so the backward pass reads the stored activations instead of recomputing
+# them. 1 - a*a and a > 0 must give the same bits as the pre-activation forms
+# 1 - tanh(z)**2 and z > 0 (tests/test_problems.py pins both).
 ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
-    "tanh": (np.tanh, lambda z: 1.0 - np.tanh(z) ** 2),
-    "relu": (lambda z: np.maximum(z, 0.0), lambda z: (z > 0.0).astype(np.float64)),
+    "tanh": (np.tanh, lambda a: 1.0 - a * a),
+    "relu": (lambda z: np.maximum(z, 0.0), lambda a: (a > 0.0).astype(np.float64)),
 }
 
 
@@ -126,21 +130,36 @@ def _layers(params: Sequence[ParamTensor]) -> list[tuple[ParamTensor, ParamTenso
     return pairs
 
 
-def _forward(pairs, x: np.ndarray, act: Callable) -> tuple[list, list]:
-    """Pre-activations of every layer, and every layer's input followed by
-    the logits: affine layers with ``act`` between them, final layer linear."""
-    pre, acts = [], [x]
+def _check_width(w0: ParamTensor, x: np.ndarray) -> None:
+    if x.shape[1] != w0.shape[1]:
+        raise ValueError(
+            f"{w0.name} takes inputs of width {w0.shape[1]}, got inputs of width {x.shape[1]}"
+        )
+
+
+def _forward(pairs, x: np.ndarray, act: Callable) -> list:
+    """Every layer's input followed by the logits: affine layers with
+    ``act`` between them, final layer linear."""
+    acts = [x]
     for i, (w, b) in enumerate(pairs):
         z = acts[-1] @ w.array.T + b.values
-        pre.append(z)
         acts.append(act(z) if i < len(pairs) - 1 else z)
-    return pre, acts
+    return acts
 
 
 def mlp_logits(params: Sequence[ParamTensor], inputs, activation: str = "tanh") -> np.ndarray:
     act, _ = _activation(activation)
-    _, acts = _forward(_layers(params), np.asarray(inputs, dtype=np.float64), act)
-    return acts[-1]
+    pairs = _layers(params)
+    x = np.asarray(inputs, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError("inputs must be [n, d]")
+    _check_width(pairs[0][0], x)
+    return _forward(pairs, x, act)[-1]
+
+
+def _wrap_grad(p: ParamTensor, grad: np.ndarray) -> ParamTensor:
+    # grad is a fresh array that nothing else holds: wrap it, don't copy it
+    return ParamTensor._adopt(p.name, p.shape, grad.reshape(-1), check_finite=True)
 
 
 def mlp_eval(
@@ -154,7 +173,9 @@ def mlp_eval(
 
     Forward: affine layers with the chosen activation between them, final
     layer linear. Backward is the usual reverse pass; all gradients are
-    divided by the batch size to match the mean reduction.
+    divided by the batch size to match the mean reduction. Each gradient is
+    a read-only ``ParamTensor`` around its own fresh array, checked finite
+    but not copied.
     """
     act, act_deriv = _activation(activation)
     pairs = _layers(params)
@@ -162,16 +183,17 @@ def mlp_eval(
     y = np.asarray(labels)
     if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
         raise ValueError("inputs must be [n, d] with one label per row")
+    _check_width(pairs[0][0], x)
 
-    pre, acts = _forward(pairs, x, act)
+    acts = _forward(pairs, x, act)
     loss, d_z = label_smoothed_ce(acts[-1], y, alpha)
     grads: list[ParamTensor | None] = [None] * len(params)
     for i in reversed(range(len(pairs))):
         w, b = pairs[i]
-        grads[2 * i] = w.with_values(d_z.T @ acts[i])
-        grads[2 * i + 1] = b.with_values(d_z.sum(axis=0))
+        grads[2 * i] = _wrap_grad(w, d_z.T @ acts[i])
+        grads[2 * i + 1] = _wrap_grad(b, d_z.sum(axis=0))
         if i > 0:
-            d_z = (d_z @ w.array) * act_deriv(pre[i - 1])
+            d_z = (d_z @ w.array) * act_deriv(acts[i])
     return loss, grads
 
 

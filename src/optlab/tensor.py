@@ -1,6 +1,7 @@
 """Minimal dense float64 tensor: the type ``Optimizer`` takes and returns.
 Components compute on plain arrays; a step returns its params as views of
-one flat buffer, through ``ParamTensor._adopt``."""
+one flat buffer, and an MLP evaluate its fresh gradients, through
+``ParamTensor._adopt``."""
 
 from __future__ import annotations
 
@@ -48,11 +49,18 @@ class ParamTensor:
         self.values = flat
 
     @classmethod
-    def _adopt(cls, name: str, shape: tuple[int, ...], values: np.ndarray) -> "ParamTensor":
-        """Wrap ``values``, a flat float64 array of ``shape``'s size whose
-        entries the caller has already checked to be finite, without copying
-        or validating it; ``values`` (often a view of a larger buffer) becomes
-        read-only."""
+    def _adopt(
+        cls, name: str, shape: tuple[int, ...], values: np.ndarray, *, check_finite: bool = False
+    ) -> "ParamTensor":
+        """Wrap ``values``, a flat float64 array of ``shape``'s size that
+        nothing else writes, without copying it or checking its shape;
+        ``values`` (often a view of a larger buffer, or a problem's fresh
+        gradient) becomes read-only. With ``check_finite`` a non-finite entry
+        raises ``NonFiniteError`` naming the tensor; without it the caller
+        has checked the entries already (a step checks its whole buffer once).
+        """
+        if check_finite and not np.isfinite(values).all():
+            raise NonFiniteError(f"{name}: non-finite values rejected")
         values.flags.writeable = False
         tensor = cls.__new__(cls)
         tensor.name, tensor.shape, tensor.values = name, shape, values

@@ -2,7 +2,8 @@
 
 Straight-line scalar transcriptions of the update rules, written directly
 from the algorithm definitions with plain Python floats; a whole-tensor clip;
-and a central-difference gradient. They use numpy at most and deliberately
+a central-difference gradient; and the MLP activations' derivatives in the
+pre-activation. They use numpy at most and deliberately
 import nothing from the package.
 """
 
@@ -39,6 +40,14 @@ def finite_diff_grad(f, params, h=1e-6):
             grad[i] = (up - down) / (2.0 * h)
         grads.append(p.with_values(grad))
     return grads
+
+
+# The MLP activations' derivatives in the pre-activation z, as mlp_eval once
+# computed them; the package writes them in the activation's output instead.
+PRE_ACTIVATION_DERIVATIVES = {
+    "tanh": lambda z: 1.0 - np.tanh(z) ** 2,
+    "relu": lambda z: (z > 0.0).astype(np.float64),
+}
 
 
 def adamw_scalar_trajectory(

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from optlab import Optimizer, ParamTensor
+from optlab import NonFiniteError, Optimizer, ParamTensor
 from optlab.problems import (
+    ACTIVATIONS,
     BlobsMLPProblem,
     QuadraticProblem,
     RosenbrockProblem,
@@ -21,7 +22,7 @@ from optlab.problems import (
     smoothed_targets,
 )
 
-from oracles import finite_diff_grad
+from oracles import PRE_ACTIVATION_DERIVATIVES, finite_diff_grad
 
 
 class TestRosenbrock:
@@ -179,6 +180,86 @@ class TestMLP:
         with pytest.raises(ValueError) as excinfo:
             call(mlp_init(self.widths(), philox(5)), x, y)
         assert str(excinfo.value) == "unknown activation 'bogus'"
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    def test_output_derivative_matches_pre_activation_oracle(self, activation):
+        act, deriv = ACTIVATIONS[activation]
+        oracle = PRE_ACTIVATION_DERIVATIVES[activation]
+        edges = [0.0, -0.0, 20.0, -20.0, 25.0, -37.5, 400.0, -1e300, 1e-300, -5e-324]
+        z = np.concatenate([edges, 3.0 * philox(12).standard_normal(500)])
+        assert deriv(act(z)).tobytes() == oracle(z).tobytes()
+
+        # the whole backward pass, against one that differentiates at z
+        params = mlp_init((6, 5, 5, 4), philox(13))
+        x, y = self.batch(n=11)
+        pairs = list(zip(params[0::2], params[1::2]))
+        pre, acts = [], [x]
+        for i, (w, b) in enumerate(pairs):
+            z = acts[-1] @ w.array.T + b.values
+            pre.append(z)
+            acts.append(act(z) if i < len(pairs) - 1 else z)
+        _, d_z = label_smoothed_ce(acts[-1], y, 0.1)
+        expected = [None] * len(params)
+        for i in reversed(range(len(pairs))):
+            expected[2 * i] = d_z.T @ acts[i]
+            expected[2 * i + 1] = d_z.sum(axis=0)
+            if i > 0:
+                d_z = (d_z @ pairs[i][0].array) * oracle(pre[i - 1])
+        _, grads = mlp_eval(params, x, y, activation=activation)
+        assert [g.values.tobytes() for g in grads] == [e.tobytes() for e in expected]
+
+    def test_non_finite_gradient_names_its_tensor(self):
+        # w0 and b0 zero keep the forward pass finite; the backward pass
+        # carries 1e308-sized terms into w0's gradient, which overflows.
+        params = [
+            ParamTensor("w0", (4, 3), np.zeros(12)),
+            ParamTensor("b0", (4,), np.zeros(4)),
+            ParamTensor("w1", (2, 4), np.full(8, 1e308)),
+            ParamTensor("b1", (2,), np.zeros(2)),
+        ]
+        x = np.full((5, 3), 1e308)
+        y = np.array([0, 1, 0, 1, 0])
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteError) as excinfo:
+            mlp_eval(params, x, y)
+        assert str(excinfo.value) == "w0: non-finite values rejected"
+
+    @pytest.mark.parametrize("batched", [True, False], ids=["batch", "full"])
+    def test_evaluate_wraps_its_gradients_without_a_copy(self, monkeypatch, batched):
+        problem = BlobsMLPProblem(blobs=(5, 40, 6, 4, 3.0), hidden=(5, 5), batch_size=9)
+        params = problem.init_params(philox(0))
+        batch = problem.sample_batch(philox(1)) if batched else None
+        held = [p.values for p in params] + list(problem.data)  # drawn before counting
+        constructed = []
+        init = ParamTensor.__init__
+
+        def counting_init(tensor, *args, **kwargs):
+            constructed.append(args[0])
+            init(tensor, *args, **kwargs)
+
+        monkeypatch.setattr(ParamTensor, "__init__", counting_init)
+        _, grads = problem.evaluate(params, batch)
+        monkeypatch.undo()
+        assert constructed == []
+        assert [(g.name, g.shape) for g in grads] == [(p.name, p.shape) for p in params]
+        for g in grads:
+            assert not g.values.flags.writeable
+        for i, g in enumerate(grads):
+            others = held + [h.values for h in grads[:i] + grads[i + 1 :]]
+            assert not any(np.shares_memory(g.values, other) for other in others), g.name
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda ps, x, y: mlp_logits(ps, x),
+            lambda ps, x, y: mlp_eval(ps, x, y),
+        ],
+        ids=["mlp_logits", "mlp_eval"],
+    )
+    def test_wrong_input_width_rejected(self, call):
+        params = mlp_init((3, 4, 2), philox(7))
+        with pytest.raises(ValueError) as excinfo:
+            call(params, np.zeros((5, 7)), np.zeros(5, dtype=np.int64))
+        assert str(excinfo.value) == "w0 takes inputs of width 3, got inputs of width 7"
 
     def test_init_respects_fan_in_bound(self):
         params = mlp_init((100, 50, 10), philox(6))
