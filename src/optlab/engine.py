@@ -35,6 +35,7 @@ from .moments import (
     DecayConfig,
     MomentConfig,
     MomentState,
+    SpanRuns,
     adam_update,
     combined_decay,
     pnm_update,
@@ -206,16 +207,45 @@ class StepDiag:
 Observer = Callable[[StepDiag], None]
 
 
-def _check_aligned(params: Sequence[ParamTensor], grads: Sequence[ParamTensor]) -> None:
-    if len(params) != len(grads):
-        raise ValueError(f"{len(params)} parameters but {len(grads)} gradients")
-    for p, g in zip(params, grads):
-        if p.name != g.name:
-            raise ValueError(f"gradient name {g.name!r} does not match parameter {p.name!r}")
-        if p.shape != g.shape:
-            raise ValueError(
-                f"{p.name}: gradient shape {g.shape} does not match parameter {p.shape}"
-            )
+@dataclass(frozen=True)
+class _StepPlan:
+    """What every step of one optimizer reads that depends only on its config
+    and its params' layout, built once with the optimizer: the params' names
+    and shapes and their ``(lo, hi)`` spans in registration order, the decay
+    config, and the spans in buffer order as the decay's runs of equal-size
+    tensors."""
+
+    names: list[str]
+    shapes: list[tuple[int, ...]]
+    spans: list[tuple[int, int]]
+    decay: DecayConfig
+    decay_spans: SpanRuns
+
+    @classmethod
+    def build(
+        cls, params: Sequence[ParamTensor], config: Ranger21Config, state: OptimizerState
+    ) -> "_StepPlan":
+        toggles = config.toggles
+        decay = DecayConfig(
+            weight_decay=config.weight_decay,
+            norm_loss=toggles.norm_loss,
+            stable=toggles.stable_decay,
+        )
+        spans = list(state.bounds.values())
+        decay_spans = SpanRuns.of([spans[i] for i in state.order])
+        return cls([p.name for p in params], [p.shape for p in params], spans, decay, decay_spans)
+
+
+def _check_aligned(plan: _StepPlan, grads: Sequence[ParamTensor]) -> None:
+    if [g.name for g in grads] == plan.names and [g.shape for g in grads] == plan.shapes:
+        return
+    if len(plan.names) != len(grads):
+        raise ValueError(f"{len(plan.names)} parameters but {len(grads)} gradients")
+    for name, shape, g in zip(plan.names, plan.shapes, grads):
+        if name != g.name:
+            raise ValueError(f"gradient name {g.name!r} does not match parameter {name!r}")
+        if shape != g.shape:
+            raise ValueError(f"{name}: gradient shape {g.shape} does not match parameter {shape}")
 
 
 def scheduled_eta(t: int, config: Ranger21Config) -> float:
@@ -291,9 +321,10 @@ class Optimizer:
         if len(set(names)) != len(names):
             raise ValueError(f"parameter names must be unique, got {names}")
         self.params = list(params)
-        self.config = config
+        self._config = config
         self.preset = preset
         self.state = OptimizerState.initial(params)
+        self._plan = _StepPlan.build(params, config, self.state)
 
     @classmethod
     def adamw(
@@ -308,6 +339,12 @@ class Optimizer:
         cls, params: Sequence[ParamTensor], eta: float, t_max: int, **overrides
     ) -> "Optimizer":
         return cls(params, default_config(eta, t_max, **overrides), preset="ranger21")
+
+    @property
+    def config(self) -> Ranger21Config:
+        """The config this optimizer was built with, fixed for its life: the
+        step plan is derived from it."""
+        return self._config
 
     @property
     def t(self) -> int:
@@ -325,25 +362,22 @@ class Optimizer:
         The step gathers gradients and params into flat buffers laid out as
         ``self.state`` lays out its own. The unit-wise stages (clip, centralize) run
         once per group of ``state.groups``, on its ``(units, width)`` view, and
-        the decay's per-tensor reductions run on each tensor's slice; the
-        elementwise stages run once over the whole buffer. The returned params
-        are read-only views of one new buffer. The optimizer changes only after
-        every stage and the observer have run, so a step that raises leaves it
-        as it was.
+        the decay's per-tensor reductions once per run of equal-size tensors;
+        the elementwise stages run once over the whole buffer. What depends
+        only on the config and the layout comes from the plan built with the
+        optimizer; the components are looked up in this module's globals at
+        each call, so a wrapper patched in there sees every step. The returned
+        params are read-only views of one new buffer. The optimizer changes
+        only after every stage and the observer have run, so a step that
+        raises leaves it as it was.
         """
-        params, state, config = self.params, self.state, self.config
+        params, state, config, plan = self.params, self.state, self._config, self._plan
         toggles = config.toggles
         t = state.t + 1
         eta_t = scheduled_eta(t, config)
-        _check_aligned(params, grads)
-        decay_cfg = DecayConfig(
-            weight_decay=config.weight_decay,
-            norm_loss=toggles.norm_loss,
-            stable=toggles.stable_decay,
-        )
+        _check_aligned(plan, grads)
         moment_fn = pnm_update if toggles.pnm else adam_update
-        spans = list(state.bounds.values())  # registration order, as ``params``
-        order = state.order
+        spans, order = plan.spans, state.order
         theta = np.concatenate([params[i].values for i in order])
         grad = np.concatenate([grads[i].values for i in order])
 
@@ -365,7 +399,7 @@ class Optimizer:
         # in centralize reaches u, and one in decay or theta' the new params
         if not (np.isfinite(u).all() and np.isfinite(v_hat).all()):
             _raise_nonfinite(params, spans, u, v_hat)
-        d = combined_decay(theta, v_hat, eta_t, decay_cfg, spans=[spans[i] for i in order])
+        d = combined_decay(theta, v_hat, eta_t, plan.decay, spans=plan.decay_spans)
         fast = theta - eta_t * u - d
         slow = state.flat_slow
         if toggles.lookahead:

@@ -1,7 +1,9 @@
 """Moment machinery and the combined weight-decay term, as pure array maths on
 flat float64 arrays. The moment updates are elementwise, so the step runs them
 once over all tensors' values end to end; ``combined_decay`` reduces per
-tensor, over one tensor's values or over each tensor's slice of a flat buffer.
+tensor, over one tensor's values or over the tensors of a flat buffer, one
+``(count, size)`` view per run of equal-size tensors (``SpanRuns``), and
+computes the per-tensor factors in one pass of array arithmetic.
 
 Two interchangeable moment updates share one state layout:
 
@@ -25,8 +27,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-
-from .transforms import frobenius_norm
 
 # Floor for sqrt(mean(v_hat)) in stable decay; inert once any gradient has flowed.
 STABLE_DECAY_FLOOR = 1e-8
@@ -149,13 +149,44 @@ def adam_update(
     return u, v_hat, new_state
 
 
+@dataclass(frozen=True)
+class SpanRuns:
+    """Tensors' ``(lo, hi)`` spans, which tile a flat buffer in order, and the
+    same tensors as runs of consecutive equal-size tensors ``(lo, count,
+    size)``. A run's values are one ``(count, size)`` view, so a per-tensor
+    reduction is one call per run. ``sizes`` holds each tensor's size, the
+    repeat counts that spread one scalar per tensor over the buffer, in the
+    form of the decay's per-tensor values: an array, or a numpy scalar when
+    there is one tensor. ``size`` is the buffer's."""
+
+    spans: tuple[tuple[int, int], ...]
+    runs: tuple[tuple[int, int, int], ...]
+    sizes: np.ndarray | np.int64
+    size: int
+
+    @classmethod
+    def of(cls, spans: Sequence[tuple[int, int]]) -> "SpanRuns":
+        spans = tuple((lo, hi) for lo, hi in spans)
+        runs, end = [], 0
+        for lo, hi in spans:
+            if lo != end or hi <= lo:
+                raise ValueError(f"spans must tile the buffer in order, got ({lo}, {hi}) after {end}")
+            if runs and runs[-1][2] == hi - lo:
+                runs[-1][1] += 1
+            else:
+                runs.append([lo, 1, hi - lo])
+            end = hi
+        sizes = _per_tensor([np.array([hi - lo for lo, hi in spans], dtype=np.int64)])
+        return cls(spans, tuple(map(tuple, runs)), sizes, end)
+
+
 def combined_decay(
     theta: np.ndarray,
     v_hat: np.ndarray,
     eta_t: float,
     cfg: DecayConfig,
     *,
-    spans: Sequence[tuple[int, int]] | None = None,
+    spans: SpanRuns | Sequence[tuple[int, int]] | None = None,
 ) -> np.ndarray:
     """Decay displacement d, already scaled by the scheduled learning rate:
 
@@ -164,12 +195,17 @@ def combined_decay(
     The bracketed factors are dropped when ``stable`` / ``norm_loss`` are off;
     with both off this is the plain decoupled decay eta_t * weight_decay * theta.
     |theta| is the whole-tensor Frobenius norm, mean(v_hat) the whole-tensor
-    mean. An exactly-zero tensor decays to d = 0.
+    mean. An exactly-zero tensor decays to d = +0.0.
 
     ``theta`` and ``v_hat`` are one tensor's values, or, with ``spans``, flat
     buffers of several tensors whose ``(lo, hi)`` slices ``spans`` lists in
-    buffer order. Each tensor then gets its own factor, with the same bits as
-    a call on its slice alone, and d is one multiply over the whole buffer.
+    buffer order (or a ``SpanRuns`` built from them once). Each tensor gets
+    its own factor, with the same bits as a call on its slice alone: the sums
+    and squared norms come from one ``(count, size)`` view per run of
+    equal-size tensors, ``rows.sum(axis=1)`` and ``np.vecdot(rows, rows)``
+    (each row's ``.sum()`` and ``np.dot`` on the numpy build the tests pin),
+    the scalar arithmetic runs once over all tensors, and d is one multiply
+    over the whole buffer.
     """
     if theta.shape != v_hat.shape:
         raise ValueError(
@@ -180,29 +216,39 @@ def combined_decay(
     scale = eta_t * cfg.weight_decay
     if not (cfg.stable or cfg.norm_loss):
         return scale * theta
-    if spans is None:
-        spans = [(0, theta.size)]
-    scales, sizes, zero, end = [], [], [], 0
-    for lo, hi in spans:
-        if lo != end:
-            raise ValueError(f"spans must tile the buffer in order, got ({lo}, {hi}) after {end}")
-        end = hi
-        s = scale
+    if not isinstance(spans, SpanRuns):
+        spans = SpanRuns.of([(0, theta.size)] if spans is None else spans)
+    if spans.size != theta.size:
+        raise ValueError(f"spans cover {spans.size} of {theta.size} values")
+    sums, dots = [], []
+    for lo, count, size in spans.runs:
+        hi = lo + count * size
         if cfg.stable:
-            # sum/n has the bits of np.mean
-            s /= max(math.sqrt(float(v_hat[lo:hi].sum() / (hi - lo))), STABLE_DECAY_FLOOR)
+            sums.append(v_hat[lo:hi].reshape(count, size).sum(axis=1))
         if cfg.norm_loss:
-            norm = frobenius_norm(theta[lo:hi])
-            if norm == 0.0:
-                zero.append((lo, hi))
-                s = 0.0
-            else:
-                s *= 1.0 - 1.0 / norm
-        scales.append(s)
-        sizes.append(hi - lo)
-    if end != theta.size:
-        raise ValueError(f"spans cover {end} of {theta.size} values")
-    d = np.repeat(scales, sizes) * theta
-    for lo, hi in zero:
+            rows = theta[lo:hi].reshape(count, size)
+            dots.append(np.vecdot(rows, rows))
+    s, zero = scale, ()
+    if cfg.stable:
+        means = _per_tensor(sums) / spans.sizes  # sum/n has the bits of np.mean
+        s = s / np.maximum(np.sqrt(means), STABLE_DECAY_FLOOR)
+    if cfg.norm_loss:
+        norms = np.sqrt(_per_tensor(dots))
+        if np.count_nonzero(norms) < norms.size:
+            zero = np.flatnonzero(norms == 0.0)
+            norms = np.where(norms == 0.0, 1.0, norms)  # a quiet 1/norm; these tensors' factor is 0
+        s = s * (1.0 - 1.0 / norms)
+    d = (s if len(spans.spans) == 1 else np.repeat(s, spans.sizes)) * theta
+    for i in zero:
+        lo, hi = spans.spans[i]
         d[lo:hi] = 0.0  # +0.0, also where theta holds -0.0
     return d
+
+
+def _per_tensor(parts: list[np.ndarray]) -> np.ndarray | np.float64:
+    """Per-run arrays joined into one value per tensor, in buffer order. One
+    tensor's value is a numpy scalar: its arithmetic gives the same bits as
+    an array's, without the array dispatch."""
+    if len(parts) > 1:
+        return np.concatenate(parts)
+    return parts[0] if parts[0].size > 1 else parts[0][0]

@@ -4,6 +4,10 @@ declared shape and returns one of that shape without writing to its inputs. A
 unit is a dim-0 slice, or one element of a rank-1 array. The preset order is
 unit-wise clipping first (``scale_units`` by ``unit_scale_factors``),
 centralization second.
+
+The unit reductions run on the ``(units, width)`` view with the arithmetic
+of ``np.linalg.norm(..., axis=1)`` and ``np.mean(..., axis=1)`` written out,
+so they give those functions' bits without their per-call dispatch.
 """
 
 from __future__ import annotations
@@ -37,17 +41,22 @@ def frobenius_norm(a: np.ndarray) -> float:
 
 
 def row_norms(a: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each unit: one per element for a rank-1 array."""
+    """Frobenius norm of each unit: one per element for a rank-1 array.
+    The arithmetic of ``np.linalg.norm(rows, axis=1)``, without its dispatch."""
     if a.ndim == 1:
         return np.abs(a)
-    return np.linalg.norm(a.reshape(a.shape[0], -1), axis=1)
+    rows = a.reshape(a.shape[0], -1)
+    return np.sqrt((rows * rows).sum(axis=1))
 
 
 def mean_all_but_first(a: np.ndarray) -> np.ndarray:
-    """Arithmetic mean of each dim-0 slice. Requires rank >= 2."""
+    """Arithmetic mean of each dim-0 slice. Requires rank >= 2. The
+    arithmetic of ``np.mean(rows, axis=1)``, sum over count, without its
+    dispatch."""
     if a.ndim < 2:
         raise ValueError("mean_all_but_first needs rank >= 2, got rank 1")
-    return a.reshape(a.shape[0], -1).mean(axis=1)
+    rows = a.reshape(a.shape[0], -1)
+    return rows.sum(axis=1) / rows.shape[1]
 
 
 def unit_scale_factors(g: np.ndarray, theta: np.ndarray, cfg: ClipConfig) -> np.ndarray:
@@ -63,10 +72,7 @@ def unit_scale_factors(g: np.ndarray, theta: np.ndarray, cfg: ClipConfig) -> np.
         )
     g_norms = row_norms(g)
     limits = cfg.tau * np.maximum(row_norms(theta), cfg.eps)
-    factors = np.ones_like(g_norms)
-    mask = g_norms > limits
-    factors[mask] = limits[mask] / g_norms[mask]
-    return factors
+    return np.divide(limits, g_norms, out=np.ones(g_norms.shape), where=g_norms > limits)
 
 
 def scale_units(g: np.ndarray, factors: np.ndarray) -> np.ndarray:

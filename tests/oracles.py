@@ -2,9 +2,9 @@
 
 Straight-line scalar transcriptions of the update rules, written directly
 from the algorithm definitions with plain Python floats; a whole-tensor clip;
-a central-difference gradient; and the MLP activations' derivatives in the
-pre-activation. They use numpy at most and deliberately
-import nothing from the package.
+a central-difference gradient; the MLP activations' derivatives in the
+pre-activation; and the decay's per-slice loop. They use numpy at most and
+deliberately import nothing from the package.
 """
 
 import math
@@ -48,6 +48,39 @@ PRE_ACTIVATION_DERIVATIVES = {
     "tanh": lambda z: 1.0 - np.tanh(z) ** 2,
     "relu": lambda z: (z > 0.0).astype(np.float64),
 }
+
+
+STABLE_DECAY_FLOOR = 1e-8  # the package's floor for sqrt(mean(v_hat))
+
+
+def combined_decay_by_slice(theta, v_hat, eta_t, cfg, spans):
+    """``combined_decay`` with ``spans`` as it was written before the per-run
+    reductions: a Python loop over the spans for each tensor's two scalars,
+    the sum and the squared norm of its slice, then one multiply. ``cfg`` is
+    a ``DecayConfig``; the norm is ``frobenius_norm``'s ``np.dot``."""
+    scale = eta_t * cfg.weight_decay
+    if not (cfg.stable or cfg.norm_loss):
+        return scale * theta
+    scales, sizes, zero = [], [], []
+    for lo, hi in spans:
+        s = scale
+        if cfg.stable:
+            # sum/n has the bits of np.mean
+            s /= max(math.sqrt(float(v_hat[lo:hi].sum() / (hi - lo))), STABLE_DECAY_FLOOR)
+        if cfg.norm_loss:
+            flat = theta[lo:hi].ravel(order="K")
+            norm = math.sqrt(float(np.dot(flat, flat)))
+            if norm == 0.0:
+                zero.append((lo, hi))
+                s = 0.0
+            else:
+                s *= 1.0 - 1.0 / norm
+        scales.append(s)
+        sizes.append(hi - lo)
+    d = np.repeat(scales, sizes) * theta
+    for lo, hi in zero:
+        d[lo:hi] = 0.0  # +0.0, also where theta holds -0.0
+    return d
 
 
 def adamw_scalar_trajectory(

@@ -31,7 +31,8 @@ from optlab import (
     pnm_update,
 )
 
-from optlab.problems import RosenbrockProblem
+from optlab.engine import PRESETS
+from optlab.problems import BlobsMLPProblem, RosenbrockProblem
 
 from conftest import adaptive_gradient_clip
 from oracles import adamw_scalar_trajectory, ranger21_scalar_trajectory
@@ -479,6 +480,30 @@ class TestFiniteness:
                 assert json.dumps(opt.to_checkpoint()) == before
                 return
 
+    @pytest.mark.parametrize("preset", PRESETS)
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            BlobsMLPProblem(blobs=(0, 40, 3, 2, 4.0), hidden=(4, 4), batch_size=8),
+            RosenbrockProblem(start=(0.0, 0.0)),
+        ],
+        ids=["blobs_mlp", "rosenbrock_at_origin"],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_steps_raise_no_floating_point_warning(self, preset, problem):
+        # the MLP's biases and Rosenbrock's x start at zero, so the norm-loss
+        # factor 1 - 1/|theta| meets |theta| = 0 at step 1
+        rng = np.random.default_rng(0)
+        params = problem.init_params(rng)
+        assert any(not p.values.any() for p in params)
+        if preset == "adamw":
+            opt = Optimizer.adamw(params)
+        else:
+            opt = Optimizer.ranger21(params, eta=3e-3, t_max=100)
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            for _ in range(3):
+                opt.step(problem.evaluate(opt.params, problem.sample_batch(rng))[1])
+
     @pytest.mark.parametrize(
         "case,raises_at",
         [
@@ -553,6 +578,11 @@ class TestConfigValidation:
             Optimizer.ranger21(
                 [scalar(1.0)], eta=1.0, t_max=10, schedule=ScheduleSpec(eta=3e-3, t_max=100)
             )
+
+    def test_config_is_fixed_for_the_optimizers_life(self):
+        opt = Optimizer.adamw([scalar(1.0)])
+        with pytest.raises(AttributeError):
+            opt.config = default_config(1.0, 1)
 
     def test_duplicate_param_names_rejected(self):
         with pytest.raises(ValueError):

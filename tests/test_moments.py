@@ -14,12 +14,49 @@ from optlab import (
     combined_decay,
     pnm_update,
 )
+from optlab.moments import SpanRuns
 
-from oracles import pnm_scalar
+from oracles import combined_decay_by_slice, pnm_scalar
 
 
 def scalar(x, name="p"):
     return ParamTensor(name, (1,), [x])
+
+
+DECAY_CONFIGS = {
+    "both": DecayConfig(),
+    "stable": DecayConfig(norm_loss=False),
+    "norm_loss": DecayConfig(stable=False),
+    "plain": DecayConfig(norm_loss=False, stable=False),
+}
+
+# the 16-layer MLP's tensor sizes in buffer order: 15 biases of 16 and one of
+# 4, 14 weights of 16 x 16 and one of 4 x 16, the 16 x 20 input weight
+DEEP_MLP_SIZES = [16] * 15 + [4] + [256] * 14 + [64] + [320]
+
+
+def spans_of(sizes):
+    ends = np.cumsum(sizes).tolist()
+    return [(hi - n, hi) for n, hi in zip(sizes, ends)]
+
+
+def decay_layout(name, rng):
+    """theta, v_hat and spans of a layout whose tensors form runs."""
+    if name == "deep_mlp":
+        sizes = DEEP_MLP_SIZES
+    else:
+        sizes = [3, 5, 5, 5, 5, 2]
+    spans = spans_of(sizes)
+    theta = rng.standard_normal(spans[-1][1]) * 10.0 ** rng.uniform(-3, 3)
+    v_hat = 10.0 ** rng.uniform(-12, 1, size=theta.size)
+    if name == "zeros_in_run":
+        (lo1, hi1), (lo2, hi2) = spans[2], spans[3]
+        theta[lo1:hi1] = 0.0
+        theta[lo2:hi2] = -0.0
+    elif name == "zero_vhat":
+        lo, hi = spans[1]
+        v_hat[lo:hi] = 0.0  # its sqrt(mean) is below the floor
+    return theta, v_hat, spans
 
 
 class TestPnmUpdate:
@@ -160,12 +197,7 @@ class TestCombinedDecay:
             d = combined_decay(theta, np.ones(3), 1.0, DecayConfig(), spans=spans)
             assert d.tolist() == [0.0, 0.0, 0.0] and not np.signbit(d).any()
 
-    @pytest.mark.parametrize(
-        "cfg",
-        [DecayConfig(), DecayConfig(norm_loss=False), DecayConfig(stable=False),
-         DecayConfig(norm_loss=False, stable=False)],
-        ids=["both", "stable", "norm_loss", "plain"],
-    )
+    @pytest.mark.parametrize("cfg", DECAY_CONFIGS.values(), ids=DECAY_CONFIGS.keys())
     def test_spans_give_each_slice_its_own_bits(self, cfg):
         rng = np.random.default_rng(3)
         spans = [(0, 4), (4, 5), (5, 8), (8, 20)]
@@ -176,6 +208,33 @@ class TestCombinedDecay:
         for lo, hi in spans:
             alone = combined_decay(theta[lo:hi], v_hat[lo:hi], 0.7, cfg)
             assert d[lo:hi].tobytes() == alone.tobytes()
+
+    def test_deep_mlp_layout_forms_five_runs(self):
+        runs = SpanRuns.of(spans_of(DEEP_MLP_SIZES)).runs
+        assert runs == ((0, 15, 16), (240, 1, 4), (244, 14, 256), (3828, 1, 64), (3892, 1, 320))
+
+    @pytest.mark.parametrize("cfg", DECAY_CONFIGS.values(), ids=DECAY_CONFIGS.keys())
+    @pytest.mark.parametrize("layout", ["deep_mlp", "zeros_in_run", "zero_vhat"])
+    def test_runs_match_the_per_slice_oracle(self, cfg, layout):
+        rng = np.random.default_rng(11)
+        for eta_t in (0.7, 3e-3, 1e-9):
+            theta, v_hat, spans = decay_layout(layout, rng)
+            expected = combined_decay_by_slice(theta, v_hat, eta_t, cfg, spans).tobytes()
+            for given in (spans, SpanRuns.of(spans)):
+                d = combined_decay(theta, v_hat, eta_t, cfg, spans=given)
+                assert d.tobytes() == expected
+            if layout == "zeros_in_run" and cfg.norm_loss:
+                lo, hi = spans[2][0], spans[3][1]
+                assert d[lo:hi].tolist() == [0.0] * (hi - lo) and not np.signbit(d[lo:hi]).any()
+
+    @pytest.mark.parametrize("cfg", DECAY_CONFIGS.values(), ids=DECAY_CONFIGS.keys())
+    def test_one_tensor_matches_the_per_slice_oracle(self, cfg):
+        rng = np.random.default_rng(12)
+        for theta in (rng.standard_normal(7), np.array([0.0, -0.0]), np.array([-3.0])):
+            v_hat = 10.0 ** rng.uniform(-12, 1, size=theta.size)
+            for v in (v_hat, np.zeros(theta.size)):
+                expected = combined_decay_by_slice(theta, v, 0.3, cfg, [(0, theta.size)])
+                assert combined_decay(theta, v, 0.3, cfg).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("spans", [[(0, 2), (3, 4)], [(0, 2)], [(2, 4), (0, 2)]])
     def test_spans_must_tile_the_buffer(self, spans):

@@ -39,6 +39,9 @@ SHAPES = {"w1": (4, 3), "b1": (4,), "k": (2, 3, 2), "w2": (2, 4), "b2": (2,)}
 GROUPED_SHAPES = {
     "w1": (4, 3), "b1": (5,), "w2": (2, 3), "n": (3, 1), "b2": (1,), "k": (2, 3, 2), "w3": (4, 6),
 }
+# equal-size tensors next to each other in buffer order, so the decay reduces
+# them as runs: three (4,) biases ("b2" zero at start), three (4, 4) weights
+RUN_SHAPES = {"w1": (4, 4), "b1": (4,), "w2": (4, 4), "b2": (4,), "w3": (4, 4), "b3": (4,)}
 
 TOGGLE_SETS = {
     "none": Toggles.none(),
@@ -125,6 +128,14 @@ def test_grouped_layout_matches_per_tensor_composition_bit_for_bit(toggles):
     params, _ = make_problem(GROUPED_SHAPES)
     assert [width for _, _, width in OptimizerState.initial(params).groups] == [None, 1, 3, 6]
     assert_matches_per_tensor_composition(GROUPED_SHAPES, toggles)
+
+
+@pytest.mark.parametrize("toggles", TOGGLE_SETS.values(), ids=TOGGLE_SETS.keys())
+def test_run_layout_matches_per_tensor_composition_bit_for_bit(toggles):
+    params, _ = make_problem(RUN_SHAPES)
+    opt = Optimizer(params, make_config(toggles))
+    assert opt._plan.decay_spans.runs == ((0, 3, 4), (12, 3, 16))
+    assert_matches_per_tensor_composition(RUN_SHAPES, toggles)
 
 
 def assert_matches_per_tensor_composition(shapes, toggles):
