@@ -31,7 +31,6 @@ from .schedule import ScheduleSpec, lr_factor
 from .tensor import NonFiniteError, ParamTensor
 from .transforms import (
     ClipConfig,
-    frobenius_norm,
     gradient_centralize,
     mean_all_but_first,
     row_norms,
@@ -57,7 +56,6 @@ __all__ = [
     "adam_update",
     "combined_decay",
     "default_config",
-    "frobenius_norm",
     "gradient_centralize",
     "lookahead_sync",
     "lr_factor",

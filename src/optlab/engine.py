@@ -114,9 +114,11 @@ class OptimizerState:
     once per group: every rank-1 tensor first, then the rank >= 2 tensors
     grouped by unit width, registration order within a group. ``order`` lists
     the params' registration indices in that layout, ``groups`` holds each
-    group's ``(lo, hi, width)`` (width None for the rank-1 group), and
-    ``bounds`` maps each tensor's name, in registration order, to its
-    ``(lo, hi)`` slice; ``moments`` and ``slow`` are per-name views.
+    group's ``(lo, hi, width)`` (width None for the rank-1 group), ``runs``
+    holds the tensors in that layout as runs of equal-size tensors, the
+    decay's per-tensor reductions, and ``bounds`` maps each tensor's name, in
+    registration order, to its ``(lo, hi)`` slice; ``moments`` and ``slow``
+    are per-name views.
 
     A step swaps in new buffers and never writes to committed ones; after a
     lookahead sync the returned params are views of ``flat_slow`` itself.
@@ -127,6 +129,7 @@ class OptimizerState:
     bounds: dict[str, tuple[int, int]]
     order: tuple[int, ...]
     groups: list[tuple[int, int, int | None]]
+    runs: SpanRuns
     flat_moments: MomentState
     flat_slow: np.ndarray
     t: int = 0
@@ -147,7 +150,8 @@ class OptimizerState:
             lo = hi
         bounds = {p.name: spans[i] for i, p in enumerate(params)}
         slow = np.concatenate([params[i].values for i in order])
-        return cls(bounds, order, groups, MomentState.zeros(lo), slow)
+        runs = SpanRuns.of(spans.values())  # filled in buffer order
+        return cls(bounds, order, groups, runs, MomentState.zeros(lo), slow)
 
     @property
     def moments(self) -> dict[str, MomentState]:
@@ -207,45 +211,16 @@ class StepDiag:
 Observer = Callable[[StepDiag], None]
 
 
-@dataclass(frozen=True)
-class _StepPlan:
-    """What every step of one optimizer reads that depends only on its config
-    and its params' layout, built once with the optimizer: the params' names
-    and shapes and their ``(lo, hi)`` spans in registration order, the decay
-    config, and the spans in buffer order as the decay's runs of equal-size
-    tensors."""
-
-    names: list[str]
-    shapes: list[tuple[int, ...]]
-    spans: list[tuple[int, int]]
-    decay: DecayConfig
-    decay_spans: SpanRuns
-
-    @classmethod
-    def build(
-        cls, params: Sequence[ParamTensor], config: Ranger21Config, state: OptimizerState
-    ) -> "_StepPlan":
-        toggles = config.toggles
-        decay = DecayConfig(
-            weight_decay=config.weight_decay,
-            norm_loss=toggles.norm_loss,
-            stable=toggles.stable_decay,
-        )
-        spans = list(state.bounds.values())
-        decay_spans = SpanRuns.of([spans[i] for i in state.order])
-        return cls([p.name for p in params], [p.shape for p in params], spans, decay, decay_spans)
-
-
-def _check_aligned(plan: _StepPlan, grads: Sequence[ParamTensor]) -> None:
-    if [g.name for g in grads] == plan.names and [g.shape for g in grads] == plan.shapes:
-        return
-    if len(plan.names) != len(grads):
-        raise ValueError(f"{len(plan.names)} parameters but {len(grads)} gradients")
-    for name, shape, g in zip(plan.names, plan.shapes, grads):
-        if name != g.name:
-            raise ValueError(f"gradient name {g.name!r} does not match parameter {name!r}")
-        if shape != g.shape:
-            raise ValueError(f"{name}: gradient shape {g.shape} does not match parameter {shape}")
+def _check_aligned(params: Sequence[ParamTensor], grads: Sequence[ParamTensor]) -> None:
+    if len(params) != len(grads):
+        raise ValueError(f"{len(params)} parameters but {len(grads)} gradients")
+    for p, g in zip(params, grads):
+        if p.name != g.name:
+            raise ValueError(f"gradient name {g.name!r} does not match parameter {p.name!r}")
+        if p.shape != g.shape:
+            raise ValueError(
+                f"{p.name}: gradient shape {g.shape} does not match parameter {p.shape}"
+            )
 
 
 def scheduled_eta(t: int, config: Ranger21Config) -> float:
@@ -324,7 +299,11 @@ class Optimizer:
         self._config = config
         self.preset = preset
         self.state = OptimizerState.initial(params)
-        self._plan = _StepPlan.build(params, config, self.state)
+        self._decay = DecayConfig(
+            weight_decay=config.weight_decay,
+            norm_loss=config.toggles.norm_loss,
+            stable=config.toggles.stable_decay,
+        )
 
     @classmethod
     def adamw(
@@ -342,8 +321,8 @@ class Optimizer:
 
     @property
     def config(self) -> Ranger21Config:
-        """The config this optimizer was built with, fixed for its life: the
-        step plan is derived from it."""
+        """The config this optimizer was built with, fixed for its life: its
+        decay config is derived from it once."""
         return self._config
 
     @property
@@ -363,21 +342,21 @@ class Optimizer:
         ``self.state`` lays out its own. The unit-wise stages (clip, centralize) run
         once per group of ``state.groups``, on its ``(units, width)`` view, and
         the decay's per-tensor reductions once per run of equal-size tensors;
-        the elementwise stages run once over the whole buffer. What depends
-        only on the config and the layout comes from the plan built with the
-        optimizer; the components are looked up in this module's globals at
-        each call, so a wrapper patched in there sees every step. The returned
-        params are read-only views of one new buffer. The optimizer changes
-        only after every stage and the observer have run, so a step that
-        raises leaves it as it was.
+        the elementwise stages run once over the whole buffer. The decay config
+        is built with the optimizer and the runs with its state; the components
+        are looked up in this module's globals at each call, so a wrapper
+        patched in there sees every step. The returned params are read-only
+        views of one new buffer. The optimizer changes only after every stage
+        and the observer have run, so a step that raises leaves it as it was.
         """
-        params, state, config, plan = self.params, self.state, self._config, self._plan
+        params, state, config = self.params, self.state, self._config
         toggles = config.toggles
         t = state.t + 1
         eta_t = scheduled_eta(t, config)
-        _check_aligned(plan, grads)
+        _check_aligned(params, grads)
         moment_fn = pnm_update if toggles.pnm else adam_update
-        spans, order = plan.spans, state.order
+        spans = list(state.bounds.values())  # registration order, as ``params``
+        order = state.order
         theta = np.concatenate([params[i].values for i in order])
         grad = np.concatenate([grads[i].values for i in order])
 
@@ -399,7 +378,7 @@ class Optimizer:
         # in centralize reaches u, and one in decay or theta' the new params
         if not (np.isfinite(u).all() and np.isfinite(v_hat).all()):
             _raise_nonfinite(params, spans, u, v_hat)
-        d = combined_decay(theta, v_hat, eta_t, plan.decay, spans=plan.decay_spans)
+        d = combined_decay(theta, v_hat, eta_t, self._decay, spans=state.runs)
         fast = theta - eta_t * u - d
         slow = state.flat_slow
         if toggles.lookahead:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -151,23 +151,19 @@ def adam_update(
 
 @dataclass(frozen=True)
 class SpanRuns:
-    """Tensors' ``(lo, hi)`` spans, which tile a flat buffer in order, and the
-    same tensors as runs of consecutive equal-size tensors ``(lo, count,
-    size)``. A run's values are one ``(count, size)`` view, so a per-tensor
-    reduction is one call per run. ``sizes`` holds each tensor's size, the
-    repeat counts that spread one scalar per tensor over the buffer, in the
-    form of the decay's per-tensor values: an array, or a numpy scalar when
-    there is one tensor. ``size`` is the buffer's."""
+    """Tensors' ``(lo, hi)`` spans, which tile a flat buffer in order, as runs
+    of consecutive equal-size tensors ``(lo, count, size)``. A run's values are
+    one ``(count, size)`` view, so a per-tensor reduction is one call per run.
+    ``sizes`` holds each tensor's size, the repeat counts that spread one
+    scalar per tensor over the buffer; ``size`` is the buffer's."""
 
-    spans: tuple[tuple[int, int], ...]
     runs: tuple[tuple[int, int, int], ...]
-    sizes: np.ndarray | np.int64
+    sizes: np.ndarray
     size: int
 
     @classmethod
-    def of(cls, spans: Sequence[tuple[int, int]]) -> "SpanRuns":
-        spans = tuple((lo, hi) for lo, hi in spans)
-        runs, end = [], 0
+    def of(cls, spans: Iterable[tuple[int, int]]) -> "SpanRuns":
+        runs, sizes, end = [], [], 0
         for lo, hi in spans:
             if lo != end or hi <= lo:
                 raise ValueError(f"spans must tile the buffer in order, got ({lo}, {hi}) after {end}")
@@ -175,9 +171,17 @@ class SpanRuns:
                 runs[-1][1] += 1
             else:
                 runs.append([lo, 1, hi - lo])
+            sizes.append(hi - lo)
             end = hi
-        sizes = _per_tensor([np.array([hi - lo for lo, hi in spans], dtype=np.int64)])
-        return cls(spans, tuple(map(tuple, runs)), sizes, end)
+        return cls(tuple(map(tuple, runs)), np.array(sizes, dtype=np.int64), end)
+
+    def per_tensor(
+        self, reduce: Callable[[np.ndarray], np.ndarray], buf: np.ndarray
+    ) -> np.ndarray:
+        """One value per tensor of ``buf``, in buffer order: ``reduce`` maps
+        each run's ``(count, size)`` view to one value per row."""
+        parts = [reduce(buf[lo : lo + n * size].reshape(n, size)) for lo, n, size in self.runs]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def combined_decay(
@@ -195,7 +199,8 @@ def combined_decay(
     The bracketed factors are dropped when ``stable`` / ``norm_loss`` are off;
     with both off this is the plain decoupled decay eta_t * weight_decay * theta.
     |theta| is the whole-tensor Frobenius norm, mean(v_hat) the whole-tensor
-    mean. An exactly-zero tensor decays to d = +0.0.
+    mean. An exactly-zero tensor decays to d = +0.0. A norm past the float
+    range is inf, so its tensor's factor is 1, without an overflow warning.
 
     ``theta`` and ``v_hat`` are one tensor's values, or, with ``spans``, flat
     buffers of several tensors whose ``(lo, hi)`` slices ``spans`` lists in
@@ -220,35 +225,25 @@ def combined_decay(
         spans = SpanRuns.of([(0, theta.size)] if spans is None else spans)
     if spans.size != theta.size:
         raise ValueError(f"spans cover {spans.size} of {theta.size} values")
-    sums, dots = [], []
-    for lo, count, size in spans.runs:
-        hi = lo + count * size
-        if cfg.stable:
-            sums.append(v_hat[lo:hi].reshape(count, size).sum(axis=1))
-        if cfg.norm_loss:
-            rows = theta[lo:hi].reshape(count, size)
-            dots.append(np.vecdot(rows, rows))
-    s, zero = scale, ()
+    s, zero = scale, None
     if cfg.stable:
-        means = _per_tensor(sums) / spans.sizes  # sum/n has the bits of np.mean
+        sums = spans.per_tensor(lambda rows: rows.sum(axis=1), v_hat)
+        means = sums / spans.sizes  # sum/n has the bits of np.mean
         s = s / np.maximum(np.sqrt(means), STABLE_DECAY_FLOOR)
     if cfg.norm_loss:
-        norms = np.sqrt(_per_tensor(dots))
+        norms = np.sqrt(_squared_norms(theta, spans))
         if np.count_nonzero(norms) < norms.size:
-            zero = np.flatnonzero(norms == 0.0)
-            norms = np.where(norms == 0.0, 1.0, norms)  # a quiet 1/norm; these tensors' factor is 0
+            zero = norms == 0.0
+            norms[zero] = 1.0  # a quiet 1/norm; these tensors' d is set below
         s = s * (1.0 - 1.0 / norms)
-    d = (s if len(spans.spans) == 1 else np.repeat(s, spans.sizes)) * theta
-    for i in zero:
-        lo, hi = spans.spans[i]
-        d[lo:hi] = 0.0  # +0.0, also where theta holds -0.0
+    d = np.repeat(s, spans.sizes) * theta
+    if zero is not None:
+        d[np.repeat(zero, spans.sizes)] = 0.0  # +0.0, also where theta holds -0.0
     return d
 
 
-def _per_tensor(parts: list[np.ndarray]) -> np.ndarray | np.float64:
-    """Per-run arrays joined into one value per tensor, in buffer order. One
-    tensor's value is a numpy scalar: its arithmetic gives the same bits as
-    an array's, without the array dispatch."""
-    if len(parts) > 1:
-        return np.concatenate(parts)
-    return parts[0] if parts[0].size > 1 else parts[0][0]
+@np.errstate(over="ignore")  # past the float range a squared norm is inf: 1 - 1/|theta| is 1
+def _squared_norms(theta: np.ndarray, spans: SpanRuns) -> np.ndarray:
+    """Each tensor's squared Frobenius norm, from ``np.vecdot`` on each run's
+    rows (the bits of each row's ``np.dot`` on the numpy build the tests pin)."""
+    return spans.per_tensor(lambda rows: np.vecdot(rows, rows), theta)

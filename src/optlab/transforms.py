@@ -12,7 +12,6 @@ so they give those functions' bits without their per-call dispatch.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,14 +29,6 @@ class ClipConfig:
             raise ValueError(f"tau must be > 0, got {self.tau}")
         if not self.eps > 0:
             raise ValueError(f"eps must be > 0, got {self.eps}")
-
-
-def frobenius_norm(a: np.ndarray) -> float:
-    """Square root of the sum of squared entries; 0 for an all-zero array.
-    The same dot product as ``np.linalg.norm(a)``, so the same bits, without
-    its dispatch."""
-    flat = a.ravel(order="K")
-    return math.sqrt(float(np.dot(flat, flat)))
 
 
 def row_norms(a: np.ndarray) -> np.ndarray:

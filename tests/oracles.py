@@ -1,15 +1,22 @@
 """Independent oracles for the vectorized implementations.
 
 Straight-line scalar transcriptions of the update rules, written directly
-from the algorithm definitions with plain Python floats; a whole-tensor clip;
-a central-difference gradient; the MLP activations' derivatives in the
-pre-activation; and the decay's per-slice loop. They use numpy at most and
-deliberately import nothing from the package.
+from the algorithm definitions with plain Python floats; a Frobenius norm; a
+whole-tensor clip; a central-difference gradient; the MLP activations'
+derivatives in the pre-activation; and the decay's per-slice loop. They use
+numpy at most and deliberately import nothing from the package.
 """
 
 import math
 
 import numpy as np
+
+
+def frobenius_norm(a):
+    """Square root of the sum of squared entries; 0 for an all-zero array.
+    The same dot product as ``np.linalg.norm(a)``, so the same bits."""
+    flat = a.ravel(order="K")
+    return math.sqrt(float(np.dot(flat, flat)))
 
 
 def global_threshold_clip(g, tau):
@@ -57,7 +64,7 @@ def combined_decay_by_slice(theta, v_hat, eta_t, cfg, spans):
     """``combined_decay`` with ``spans`` as it was written before the per-run
     reductions: a Python loop over the spans for each tensor's two scalars,
     the sum and the squared norm of its slice, then one multiply. ``cfg`` is
-    a ``DecayConfig``; the norm is ``frobenius_norm``'s ``np.dot``."""
+    a ``DecayConfig``."""
     scale = eta_t * cfg.weight_decay
     if not (cfg.stable or cfg.norm_loss):
         return scale * theta
@@ -68,8 +75,7 @@ def combined_decay_by_slice(theta, v_hat, eta_t, cfg, spans):
             # sum/n has the bits of np.mean
             s /= max(math.sqrt(float(v_hat[lo:hi].sum() / (hi - lo))), STABLE_DECAY_FLOOR)
         if cfg.norm_loss:
-            flat = theta[lo:hi].ravel(order="K")
-            norm = math.sqrt(float(np.dot(flat, flat)))
+            norm = frobenius_norm(theta[lo:hi])
             if norm == 0.0:
                 zero.append((lo, hi))
                 s = 0.0

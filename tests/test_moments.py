@@ -236,6 +236,23 @@ class TestCombinedDecay:
                 expected = combined_decay_by_slice(theta, v, 0.3, cfg, [(0, theta.size)])
                 assert combined_decay(theta, v, 0.3, cfg).tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("cfg", DECAY_CONFIGS.values(), ids=DECAY_CONFIGS.keys())
+    def test_norm_past_the_float_range_decays_quietly(self, cfg):
+        # the first tensor's squared norm overflows to inf: factor 1 - 1/inf = 1
+        theta = np.array([1e160, -3e160, 2.0, -1e-160, 0.5])
+        v_hat = np.array([1e-3, 4.0, 0.25, 1e-9, 7.0])
+        for spans in (None, [(0, 2), (2, 4), (4, 5)]):
+            with np.errstate(over="ignore"):
+                expected = combined_decay_by_slice(
+                    theta, v_hat, 0.5, cfg, spans or [(0, theta.size)]
+                )
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                d = combined_decay(theta, v_hat, 0.5, cfg, spans=spans)
+            assert d.tobytes() == expected.tobytes()
+        if cfg.norm_loss:
+            plain = DecayConfig(norm_loss=False, stable=cfg.stable)
+            assert d[:2].tobytes() == combined_decay(theta[:2], v_hat[:2], 0.5, plain).tobytes()
+
     @pytest.mark.parametrize("spans", [[(0, 2), (3, 4)], [(0, 2)], [(2, 4), (0, 2)]])
     def test_spans_must_tile_the_buffer(self, spans):
         with pytest.raises(ValueError, match="spans"):

@@ -133,8 +133,7 @@ def test_grouped_layout_matches_per_tensor_composition_bit_for_bit(toggles):
 @pytest.mark.parametrize("toggles", TOGGLE_SETS.values(), ids=TOGGLE_SETS.keys())
 def test_run_layout_matches_per_tensor_composition_bit_for_bit(toggles):
     params, _ = make_problem(RUN_SHAPES)
-    opt = Optimizer(params, make_config(toggles))
-    assert opt._plan.decay_spans.runs == ((0, 3, 4), (12, 3, 16))
+    assert OptimizerState.initial(params).runs.runs == ((0, 3, 4), (12, 3, 16))
     assert_matches_per_tensor_composition(RUN_SHAPES, toggles)
 
 

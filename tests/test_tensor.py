@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from optlab import (
     NonFiniteError,
     ParamTensor,
-    frobenius_norm,
     mean_all_but_first,
     row_norms,
 )
 
 from conftest import tensors
+from oracles import frobenius_norm
 
 
 class TestConstruction:

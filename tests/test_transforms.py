@@ -5,14 +5,13 @@ from hypothesis import given, settings
 from optlab import (
     ClipConfig,
     ParamTensor,
-    frobenius_norm,
     gradient_centralize,
     mean_all_but_first,
     row_norms,
 )
 
 from conftest import adaptive_gradient_clip, tensors
-from oracles import global_threshold_clip
+from oracles import frobenius_norm, global_threshold_clip
 
 
 class TestClipConfig:
