@@ -19,9 +19,12 @@ A run configuration is a JSON document (schema_version 1):
 Every optimizer run rebuilds the problem from the same seed, so initial
 parameters and minibatch draws are identical across optimizers. Runs execute
 one after another. Identical configs produce byte-identical CSV at a fixed
-BLAS thread count; matrix products may round differently when that count
-changes, so across thread counts only some problems (the shipped blobs MLP,
-for one) are known to stay byte-identical.
+BLAS thread count. When that count changes, a squared norm over a tensor of
+more than about 8,000 values may round differently: it comes from BLAS
+``ddot`` (``np.vecdot`` in ``moments._squared_norms``, ``np.dot`` in
+``StepDiag.decay_norm``), which splits such a vector across threads. So
+across thread counts only problems whose tensors are all smaller (the
+shipped blobs MLP, for one) are known to stay byte-identical.
 """
 
 from __future__ import annotations

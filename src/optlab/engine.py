@@ -20,12 +20,14 @@ The schedule multiplies the decay exactly once: the step subtracts
 from __future__ import annotations
 
 import base64
+import binascii
 import dataclasses
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -410,21 +412,30 @@ class Optimizer:
     def to_checkpoint(self) -> dict:
         """The full state as a JSON-ready dict; each float64 buffer is a base64
         string of its little-endian bytes, so a round trip is bit-exact."""
-        return {
+        head, body = self._checkpoint(lambda buf: _encoded(buf).decode("ascii"))
+        return {**head, **body}
+
+    def _checkpoint(self, payload: Callable[[np.ndarray], object]) -> tuple[dict, dict]:
+        """The checkpoint's two halves: the head, which holds no buffer, and the
+        body, which holds each float64 buffer as ``payload(buf)``."""
+        head = {
             "checkpoint_version": CHECKPOINT_VERSION,
             "preset": self.preset,
             "config": dataclasses.asdict(self.config),
             "t": self.state.t,
+        }
+        body = {
             "params": [
-                {"name": p.name, "shape": list(p.shape), "values": _encoded(p.values)}
+                {"name": p.name, "shape": list(p.shape), "values": payload(p.values)}
                 for p in self.params
             ],
             "moments": {
-                name: {buf: _encoded(getattr(ms, buf)) for buf in _MOMENT_BUFFERS}
+                name: {buf: payload(getattr(ms, buf)) for buf in _MOMENT_BUFFERS}
                 for name, ms in self.state.moments.items()
             },
-            "slow": {name: _encoded(buf) for name, buf in self.state.slow.items()},
+            "slow": {name: payload(buf) for name, buf in self.state.slow.items()},
         }
+        return head, body
 
     @classmethod
     def from_checkpoint(cls, blob) -> "Optimizer":
@@ -469,13 +480,15 @@ class Optimizer:
         return opt
 
     def save(self, path: str | Path) -> None:
-        """Write the checkpoint to a temp file beside ``path``, then rename it
-        over ``path``, so a failed save never leaves a truncated file there."""
+        """Write the checkpoint, the bytes of ``json.dumps(self.to_checkpoint())``,
+        to a temp file beside ``path``, then rename it over ``path``, so a failed
+        save never leaves a truncated file there."""
         path = Path(path)
         tmp = path.with_name(path.name + ".tmp")
-        text = json.dumps(self.to_checkpoint())
+        data = _json_bytes(*self._checkpoint(_encoded))
         try:
-            tmp.write_text(text)
+            with open(tmp, "wb") as f:
+                f.write(data)
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)
@@ -483,11 +496,57 @@ class Optimizer:
 
     @classmethod
     def load(cls, path: str | Path) -> "Optimizer":
-        return cls.from_checkpoint(json.loads(Path(path).read_text()))
+        """The optimizer a ``save`` wrote to ``path``; raises ValueError when the
+        file is not JSON, or as ``from_checkpoint`` does."""
+        try:
+            blob = json.loads(Path(path).read_text())
+        except ValueError as exc:  # a UnicodeDecodeError, a JSONDecodeError, or an int
+            # past Python's digit limit
+            raise ValueError(f"checkpoint: not valid JSON: {exc}") from exc
+        return cls.from_checkpoint(blob)
 
 
-def _encoded(buf: np.ndarray) -> str:
-    return base64.b64encode(buf.astype("<f8", copy=False).tobytes()).decode("ascii")
+def _encoded(buf: np.ndarray) -> bytes:
+    """The base64 text of ``buf``'s little-endian float64 bytes, read in place."""
+    return binascii.b2a_base64(np.ascontiguousarray(buf, dtype="<f8"), newline=False)
+
+
+def _json_bytes(head: dict, body: dict) -> bytes:
+    """The bytes of ``json.dumps({**head, **body})``. The head goes through one
+    ``json.dumps``. The body is a tree of dicts and lists over ints, strs and
+    bytes: each str goes through the escaping ``json.dumps`` applies, and each
+    bytes leaf, base64 text, is written between quotes as it is, since base64
+    needs no escapes; so no escape scan reads the buffers. The parts are joined
+    so that the file takes one write, not one per buffer."""
+    parts = [json.dumps(head)[:-1].encode("ascii")]
+    _append_json(body, parts)
+    parts[1] = b", "  # the body's opening brace: its entries continue the head's
+    return b"".join(parts)
+
+
+def _append_json(obj, parts: list[bytes]) -> None:
+    if isinstance(obj, bytes):
+        parts += (b'"', obj, b'"')
+    elif isinstance(obj, str):
+        parts.append(_quoted(obj))
+    elif isinstance(obj, dict):
+        parts.append(b"{")
+        for i, (key, value) in enumerate(obj.items()):
+            parts += (b", " if i else b"", _quoted(key), b": ")
+            _append_json(value, parts)
+        parts.append(b"}")
+    elif isinstance(obj, list):
+        parts.append(b"[")
+        for i, value in enumerate(obj):
+            parts.append(b", " if i else b"")
+            _append_json(value, parts)
+        parts.append(b"]")
+    else:  # an int
+        parts.append(b"%d" % obj)
+
+
+def _quoted(text: str) -> bytes:
+    return encode_basestring_ascii(text).encode("ascii")
 
 
 def _decoded(text, where: str, size: int) -> np.ndarray:
@@ -517,7 +576,7 @@ def _listed(values, where: str, size: int) -> np.ndarray:
 def _checked_buffer(mapping: dict, key: str, where: str, size: int, version: int) -> np.ndarray:
     read = _decoded if version == CHECKPOINT_VERSION else _listed
     buf = read(_field(mapping, key, where), where, size)
-    if not np.all(np.isfinite(buf)):
+    if not np.isfinite(buf).all():
         raise ValueError(f"{where}: non-finite values rejected")
     return buf
 

@@ -5,6 +5,11 @@ rejected with a ConfigError or ValueError whose message starts with the path
 of a field, or parse to a config whose numbers are all finite; never a
 TypeError, KeyError or AttributeError.
 
+The checkpoint writer is checked against ``json.dumps``: for any param
+names, shapes and step count, the file ``Optimizer.save`` writes holds the
+bytes of ``json.dumps(opt.to_checkpoint())``, and loads back to the same
+checkpoint.
+
 Parsing a ``blobs_mlp`` config allocates nothing in proportion to its sizes
 ``n``, ``d`` and ``hidden`` (the data is drawn on first use), so any size
 the fuzzer picks is safe to parse."""
@@ -17,11 +22,12 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from optlab import Optimizer, Toggles
+from optlab import Optimizer, ParamTensor, Toggles
 from optlab.benchmark import ConfigError, parse_config
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -178,3 +184,40 @@ def test_mutated_checkpoint(blob):
 @given(blob=mutations(CHECKPOINT_V3))
 def test_mutated_v3_checkpoint(blob):
     check_loads_or_names_field(blob)
+
+
+# any name a param may have: non-ASCII, quotes, backslashes, control
+# characters and lone surrogates, each of which json.dumps escapes
+names = st.text(
+    st.characters(exclude_categories=()) | st.sampled_from(['"', "\\", "\x00", "\x1f", "\ud800"]),
+    min_size=1,
+)
+
+
+@st.composite
+def stepped_optimizers(draw):
+    """An optimizer of either preset over 1-4 params, after 0-7 steps."""
+    param_names = draw(st.lists(names, min_size=1, max_size=4, unique=True))
+    shapes = [draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)) for _ in param_names]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    params = [
+        ParamTensor(name, shape, rng.standard_normal(math.prod(shape)))
+        for name, shape in zip(param_names, shapes)
+    ]
+    if draw(st.sampled_from(["adamw", "ranger21"])) == "adamw":
+        opt = Optimizer.adamw(params)
+    else:
+        opt = Optimizer.ranger21(params, eta=3e-3, t_max=10)
+    for _ in range(draw(st.integers(0, 7))):
+        opt.step([p.with_values(rng.standard_normal(p.size)) for p in params])
+    return opt
+
+
+@settings(max_examples=150, deadline=None)
+@given(opt=stepped_optimizers())
+def test_saved_bytes_are_json_dumps_of_the_checkpoint(opt, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "checkpoint.json"
+    opt.save(path)
+    blob = opt.to_checkpoint()
+    assert path.read_bytes() == json.dumps(blob).encode("ascii")
+    assert Optimizer.load(path).to_checkpoint() == blob

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -31,12 +32,16 @@ from optlab import (
     pnm_update,
 )
 
+from optlab import engine
+from optlab.benchmark import parse_config
 from optlab.engine import PRESETS
-from optlab.problems import BlobsMLPProblem, RosenbrockProblem
+from optlab.problems import BlobsMLPProblem, RosenbrockProblem, philox
 
 from conftest import adaptive_gradient_clip
 from oracles import adamw_scalar_trajectory, ranger21_scalar_trajectory
 
+REPO = Path(__file__).resolve().parent.parent
+CONFIGS = REPO / "configs"
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -830,6 +835,83 @@ class TestCheckpoint:
             opt.save(path)
         assert path.read_text() == saved
         assert os.listdir(tmp_path) == ["ckpt.json"]
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        opt, rng = self.make_opt()
+        path = tmp_path / "ckpt.json"
+        opt.save(path)
+        saved = path.read_bytes()
+        on_disk = []
+
+        class FailingFile:
+            """A file whose write puts its first bytes on disk, then fails."""
+
+            def __init__(self, file, mode):
+                self.f = open(file, mode)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                self.f.write(data[:64])
+                self.f.flush()
+                on_disk.append(os.path.getsize(self.f.name))
+                raise OSError("disk full")
+
+        opt.step(self.grad_stream(rng, 1)[0])
+        # the name ``save`` opens its temp file through
+        monkeypatch.setattr(engine, "open", FailingFile, raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            opt.save(path)
+        assert on_disk and on_disk[0] > 0
+        assert path.read_bytes() == saved
+        assert os.listdir(tmp_path) == ["ckpt.json"]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param(None, id="truncated"),
+            pytest.param(b"\xff", id="not_utf8"),
+            pytest.param(
+                b"1" * 5000,
+                id="int_past_digit_limit",
+                marks=pytest.mark.skipif(
+                    not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python has no limit on the digits of an int",
+                ),
+            ),
+        ],
+    )
+    def test_file_that_is_not_json_rejected(self, tmp_path, text):
+        path = tmp_path / "ckpt.json"
+        if text is None:
+            self.make_opt()[0].save(path)
+            text = path.read_bytes()[:-100]
+        path.write_bytes(text)
+        with pytest.raises(ValueError, match="^checkpoint: not valid JSON: "):
+            Optimizer.load(path)
+
+    @pytest.mark.parametrize(
+        "config_path", [*sorted(CONFIGS.glob("*.json")), REPO / "perfbench" / "wide_mlp.json"],
+        ids=lambda path: path.stem,
+    )
+    def test_saved_file_is_json_dumps_of_the_checkpoint(self, tmp_path, config_path):
+        config = parse_config(config_path.read_text())
+        problem = config.problem
+        for spec in config.optimizers:
+            opt = Optimizer(
+                problem.init_params(philox((config.seed, 0))), spec.config, preset=spec.preset
+            )
+            batch_rng = philox((config.seed, 1))
+            for _ in range(5):
+                _, grads = problem.evaluate(opt.params, problem.sample_batch(batch_rng))
+                opt.step(grads)
+            path = tmp_path / f"{spec.label}.json"
+            opt.save(path)
+            assert path.read_bytes() == json.dumps(opt.to_checkpoint()).encode("ascii")
 
 
 class TestObserver:
