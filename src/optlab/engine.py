@@ -29,7 +29,7 @@ import sys
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -110,7 +110,8 @@ def _unit_width(p: ParamTensor) -> int | None:
 @dataclass
 class OptimizerState:
     """Each kind of optimizer state in one flat float64 buffer over all params:
-    the moment slots (one flat ``MomentState``) and the lookahead slow weights.
+    the params θ themselves, the moment slots (one flat ``MomentState``) and
+    the lookahead slow weights.
 
     The buffers are laid out by unit kind, so that the unit-wise stages run
     once per group: every rank-1 tensor first, then the rank >= 2 tensors
@@ -122,16 +123,20 @@ class OptimizerState:
     registration order, to its ``(lo, hi)`` slice; ``moments`` and ``slow``
     are per-name views.
 
-    A step swaps in new buffers and never writes to committed ones; after a
-    lookahead sync the returned params are views of ``flat_slow`` itself.
-    A checkpoint load copies each decoded buffer into the per-name views of
-    the state its new optimizer built, before anything else holds them.
+    ``initial`` gathers θ into ``flat_theta`` once, and the slow weights
+    start as a copy of it; from then on the optimizer's params are read-only
+    views of ``flat_theta``. A step swaps in new buffers and never writes to
+    committed ones; after a lookahead sync ``flat_theta`` is ``flat_slow``
+    itself. A checkpoint load copies each decoded buffer into the per-name
+    views of the state its new optimizer built, before anything else holds
+    them.
     """
 
     bounds: dict[str, tuple[int, int]]
     order: tuple[int, ...]
     groups: list[tuple[int, int, int | None]]
     runs: SpanRuns
+    flat_theta: np.ndarray
     flat_moments: MomentState
     flat_slow: np.ndarray
     t: int = 0
@@ -151,9 +156,9 @@ class OptimizerState:
                 groups.append((lo, hi, widths[i]))
             lo = hi
         bounds = {p.name: spans[i] for i, p in enumerate(params)}
-        slow = np.concatenate([params[i].values for i in order])
+        theta = np.concatenate([params[i].values for i in order])
         runs = SpanRuns.of(spans.values())  # filled in buffer order
-        return cls(bounds, order, groups, runs, MomentState.zeros(lo), slow)
+        return cls(bounds, order, groups, runs, theta, MomentState.zeros(lo), theta.copy())
 
     @property
     def moments(self) -> dict[str, MomentState]:
@@ -257,6 +262,13 @@ def _raise_nonfinite(
             raise NonFiniteError(f"{p.name}: non-finite values rejected")
 
 
+def _param_views(
+    params: Sequence[ParamTensor], spans: Iterable[tuple[int, int]], flat: np.ndarray
+) -> list[ParamTensor]:
+    """Each of ``params``, as a read-only view of its slice of ``flat``."""
+    return [ParamTensor._adopt(p.name, p.shape, flat[lo:hi]) for p, (lo, hi) in zip(params, spans)]
+
+
 def lookahead_sync(
     fast: np.ndarray,
     slow: np.ndarray,
@@ -297,10 +309,10 @@ class Optimizer:
             raise ValueError("an optimizer needs at least one parameter")
         if len(set(names)) != len(names):
             raise ValueError(f"parameter names must be unique, got {names}")
-        self.params = list(params)
         self._config = config
         self.preset = preset
         self.state = OptimizerState.initial(params)
+        self._params = _param_views(params, self.state.bounds.values(), self.state.flat_theta)
         self._decay = DecayConfig(
             weight_decay=config.weight_decay,
             norm_loss=config.toggles.norm_loss,
@@ -328,6 +340,12 @@ class Optimizer:
         return self._config
 
     @property
+    def params(self) -> list[ParamTensor]:
+        """The params as read-only views of ``state.flat_theta``; only a step
+        replaces them, so θ and the moments always move together."""
+        return self._params
+
+    @property
     def t(self) -> int:
         return self.state.t
 
@@ -340,27 +358,28 @@ class Optimizer:
         theta' = theta - eta_t * u - d, then (every k steps) lookahead
         interpolation. Disabled toggles drop out per the module docstring.
 
-        The step gathers gradients and params into flat buffers laid out as
-        ``self.state`` lays out its own. The unit-wise stages (clip, centralize) run
-        once per group of ``state.groups``, on its ``(units, width)`` view, and
-        the decay's per-tensor reductions once per run of equal-size tensors;
-        the elementwise stages run once over the whole buffer. The decay config
-        is built with the optimizer and the runs with its state; the components
-        are looked up in this module's globals at each call, so a wrapper
-        patched in there sees every step. The returned params are read-only
-        views of one new buffer. The optimizer changes only after every stage
-        and the observer have run, so a step that raises leaves it as it was.
+        The step reads θ from ``state.flat_theta`` and gathers only the
+        gradients, into a flat buffer laid out as the state's. The unit-wise
+        stages (clip, centralize) run once per group of ``state.groups``, on
+        its ``(units, width)`` view, and the decay's per-tensor reductions
+        once per run of equal-size tensors; the elementwise stages run once
+        over the whole buffer. The decay config is built with the optimizer
+        and the runs with its state; the components are looked up in this
+        module's globals at each call, so a wrapper patched in there sees
+        every step. The returned params are read-only views of one new
+        buffer, the new ``flat_theta``. The optimizer changes only after
+        every stage and the observer have run, so a step that raises leaves
+        it as it was.
         """
-        params, state, config = self.params, self.state, self._config
+        params, state, config = self._params, self.state, self._config
         toggles = config.toggles
         t = state.t + 1
         eta_t = scheduled_eta(t, config)
         _check_aligned(params, grads)
         moment_fn = pnm_update if toggles.pnm else adam_update
         spans = list(state.bounds.values())  # registration order, as ``params``
-        order = state.order
-        theta = np.concatenate([params[i].values for i in order])
-        grad = np.concatenate([grads[i].values for i in order])
+        theta = state.flat_theta
+        grad = np.concatenate([grads[i].values for i in state.order])
 
         factors = []
         if toggles.agc or toggles.centralization:
@@ -387,9 +406,7 @@ class Optimizer:
             fast, slow = lookahead_sync(fast, slow, t, config.k_lookahead, config.beta_lookahead)
         if not np.isfinite(fast).all():
             _raise_nonfinite(params, spans, fast)
-        new_params = [
-            ParamTensor._adopt(p.name, p.shape, fast[lo:hi]) for p, (lo, hi) in zip(params, spans)
-        ]
+        new_params = _param_views(params, spans, fast)
         if observer is not None:
             diags = [
                 TensorDiag(
@@ -404,7 +421,9 @@ class Optimizer:
                 for p, (lo, hi) in zip(params, spans)
             ]
             observer(StepDiag(t=t, eta_t=eta_t, tensors=diags))
-        self.params, state.flat_moments, state.flat_slow, state.t = new_params, moments, slow, t
+        self._params, state.flat_theta, state.flat_moments, state.flat_slow, state.t = (
+            new_params, fast, moments, slow, t
+        )
         return new_params
 
     # -- checkpointing ------------------------------------------------------
@@ -460,6 +479,7 @@ class Optimizer:
         if blob["preset"] not in PRESETS:
             raise ValueError(f"preset: expected one of {PRESETS}, got {blob['preset']!r}")
         opt = checked_call("params", cls, params, config, preset=blob["preset"])
+        params = opt.params  # the decoded values are in opt.state now: let them go
         t, t_max = checked_value("int", blob["t"], "t"), config.schedule.t_max
         if t < 0 or (config.toggles.warmdown and t > t_max):
             raise ValueError(f"t: must be >= 0, and <= t_max = {t_max} with warm-down on, got {t}")
@@ -556,8 +576,7 @@ def _decoded(text, where: str, size: int) -> np.ndarray:
     raw = checked_call(where, base64.b64decode, text, validate=True)
     if len(raw) != 8 * size:
         raise ValueError(f"{where}: expected {8 * size} bytes ({size} values), got {len(raw)}")
-    # a read-only view of ``raw``: the caller makes the one copy, into a ParamTensor
-    # or into the flat state
+    # a read-only view of ``raw``: the caller makes the one copy, into the flat state
     return np.frombuffer(raw, dtype="<f8")
 
 
@@ -628,8 +647,8 @@ def _check_leaves(config, where: str) -> None:
     """Check every field of ``config`` and of its parts against its annotation."""
     for name, f in config.__dataclass_fields__.items():
         value, part = getattr(config, name), _PARTS.get(f.type)
-        if part is None:
-            checked_value(f.type, value, f"{where}{name}")
+        if part is None:  # stored as checked: a float field holds a float
+            object.__setattr__(config, name, checked_value(f.type, value, f"{where}{name}"))
         elif not isinstance(value, part):
             raise ValueError(f"{where}{name}: expected a {part.__name__}, got {value!r}")
         else:
@@ -664,7 +683,7 @@ def _param_from_dict(entry, where: str, version: int) -> ParamTensor:
         if extent < 1:
             raise ValueError(f"{where}.shape[{j}]: must be >= 1, got {extent}")
     values = _checked_buffer(entry, "values", f"{where}.values", math.prod(shape), version)
-    return checked_call(where, ParamTensor, name, shape, values)
+    return ParamTensor._adopt(name, shape, values)  # checked above as ParamTensor checks
 
 
 def checked_call(where: str, make, *args, **kwargs):

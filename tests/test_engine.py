@@ -624,6 +624,52 @@ class TestConfigValidation:
             Optimizer.adamw([scalar(1.0)], toggles=Toggles())
 
 
+class TestStateOwnsTheta:
+    def make_opt(self):
+        rng = np.random.default_rng(3)
+        # the rank-1 "b" comes first in the buffer, so slice and registration order differ
+        params = [
+            ParamTensor("w", (3, 2), rng.standard_normal(6)),
+            ParamTensor("b", (3,), rng.standard_normal(3)),
+        ]
+        grads = [[p.with_values(rng.standard_normal(p.size)) for p in params] for _ in range(5)]
+        return Optimizer.ranger21(params, eta=3e-3, t_max=40), grads
+
+    def assert_params_view_the_state(self, opt):
+        flat = opt.state.flat_theta
+        for p, (lo, hi) in zip(opt.params, opt.state.bounds.values()):
+            assert p.values.base is flat
+            assert not p.values.flags.writeable
+            assert (p.values.ctypes.data, p.values.size) == (flat[lo:hi].ctypes.data, hi - lo)
+
+    def test_params_are_views_of_flat_theta(self, tmp_path):
+        opt, grads = self.make_opt()
+        self.assert_params_view_the_state(opt)
+        for g in grads:  # the fifth step syncs lookahead
+            opt.step(g)
+            self.assert_params_view_the_state(opt)
+        opt.save(tmp_path / "ckpt.json")
+        self.assert_params_view_the_state(Optimizer.load(tmp_path / "ckpt.json"))
+
+    def test_step_reads_theta_from_the_state(self, monkeypatch):
+        opt, grads = self.make_opt()
+        seen = []
+
+        def spy(theta, *args, **kwargs):
+            seen.append(theta is opt.state.flat_theta)
+            return combined_decay(theta, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "combined_decay", spy)
+        for g in grads:
+            opt.step(g)
+        assert seen == [True] * len(grads)
+
+    def test_params_are_read_only(self):
+        opt = Optimizer.adamw([scalar(1.0)])
+        with pytest.raises(AttributeError):
+            opt.params = []
+
+
 class TestCheckpoint:
     def make_opt(self):
         rng = np.random.default_rng(23)
@@ -702,6 +748,15 @@ class TestCheckpoint:
         opt.save(path)
         assert path.read_text() == (FIXTURES / "checkpoint_v3.json").read_text()
 
+    def test_save_load_save_is_byte_stable_for_int_floats(self, tmp_path):
+        opt = Optimizer.ranger21(
+            [ParamTensor("x", (2,), [1.0, 2.0])], eta=1, t_max=10, weight_decay=0
+        )
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        opt.save(first)
+        Optimizer.load(first).save(second)
+        assert second.read_bytes() == first.read_bytes()
+
     def test_v2_checkpoint_loads_to_the_same_state(self):
         opt, rng = self.make_opt()
         for g in self.grad_stream(rng, 7):
@@ -743,7 +798,7 @@ class TestCheckpoint:
         finally:
             tracemalloc.stop()
         assert loaded.to_checkpoint() == blob
-        assert peak < 9 * opt.state.flat_slow.nbytes
+        assert peak < 8 * opt.state.flat_slow.nbytes
 
     def test_v1_blob_rejected(self):
         blob = json.loads((FIXTURES / "checkpoint_v2.json").read_text())

@@ -1,5 +1,6 @@
-"""Source hygiene that a linter would check: the public names resolve, and no
-module of the package or of its tests imports a name it never uses."""
+"""Source hygiene that a linter would check: the public names resolve, no
+module of the package or of its tests imports a name it never uses, and the
+package reads every private helper it defines."""
 
 import ast
 from pathlib import Path
@@ -68,3 +69,31 @@ def test_no_unused_imports(path):
     used = used_names(tree)
     unused = {name: line for name, line in imported_names(tree).items() if name not in used}
     assert not unused, f"{path.name}: imported but never used: {unused}"
+
+
+def private_definitions(tree: ast.Module):
+    """Each module-level statement that binds a private name (``_x``, not a
+    dunder), with that name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield node, name
+
+
+def test_every_private_helper_is_used():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    unused = []
+    for module, tree in trees.items():
+        others = set().union(*(used_names(t) for m, t in trees.items() if m != module))
+        for node, name in private_definitions(tree):
+            rest = ast.Module(body=[n for n in tree.body if n is not node], type_ignores=[])
+            if name not in others | used_names(rest):
+                unused.append(f"{module}: {name}")
+    assert not unused, f"defined but never read: {unused}"
