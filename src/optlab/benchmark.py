@@ -466,7 +466,7 @@ def emit_csv(records: list[RunRecord], path: str | Path) -> None:
             f"{r.run},{r.optimizer},{r.step},{_fmt(r.eta_t)},{_fmt(r.loss)},"
             f"{accuracy},{_fmt(r.clip_ratio)},{_fmt(r.mean_vhat)},{_fmt(r.decay_norm)}"
         )
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def summary_text(result: BenchmarkResult) -> str:

@@ -28,7 +28,10 @@ EXIT_DIVERGED = 3
 
 
 def _load_config(path: str) -> RunConfig:
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"not valid UTF-8: {exc}") from exc
     config = parse_config(text)
     for warning in config.warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -57,7 +60,8 @@ def _cmd_run(args) -> int:
             },
             indent=2,
         )
-        + "\n"
+        + "\n",
+        encoding="utf-8",
     )
 
     if not args.quiet:

@@ -27,7 +27,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring_ascii
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -48,9 +48,11 @@ from .transforms import ClipConfig, gradient_centralize, scale_units, unit_scale
 
 PRESETS = ("adamw", "ranger21")
 
-CHECKPOINT_VERSION = 3
-# v2 stores each buffer as a JSON list of numbers, v3 as base64 of its '<f8' bytes
-_READABLE_VERSIONS = (2, CHECKPOINT_VERSION)
+CHECKPOINT_VERSION = 4
+# v2 stores each buffer as a JSON list of numbers, v3 as base64 of its '<f8' bytes, and
+# v4, the file ``save`` writes, as the byte offset of those bytes after the document line
+_DICT_VERSION = 3
+_V4_START = b'{"checkpoint_version": 4, '
 _MOMENT_BUFFERS = tuple(f.name for f in dataclasses.fields(MomentState))
 
 
@@ -429,32 +431,38 @@ class Optimizer:
     # -- checkpointing ------------------------------------------------------
 
     def to_checkpoint(self) -> dict:
-        """The full state as a JSON-ready dict; each float64 buffer is a base64
-        string of its little-endian bytes, so a round trip is bit-exact."""
-        head, body = self._checkpoint(lambda buf: _encoded(buf).decode("ascii"))
-        return {**head, **body}
+        """The full state as a JSON-ready dict, format v3: each float64 buffer is a
+        base64 string of its little-endian bytes, so a round trip is bit-exact."""
+        bufs = self._buffers()
+        return self._checkpoint(
+            _DICT_VERSION, lambda k, lo, hi: _encoded(bufs[k][lo:hi]).decode("ascii")
+        )
 
-    def _checkpoint(self, payload: Callable[[np.ndarray], object]) -> tuple[dict, dict]:
-        """The checkpoint's two halves: the head, which holds no buffer, and the
-        body, which holds each float64 buffer as ``payload(buf)``."""
-        head = {
-            "checkpoint_version": CHECKPOINT_VERSION,
+    def _buffers(self) -> tuple[np.ndarray, ...]:
+        """The state's six flat buffers: θ, the moment slots, the slow weights."""
+        state = self.state
+        moments = (getattr(state.flat_moments, b) for b in _MOMENT_BUFFERS)
+        return (state.flat_theta, *moments, state.flat_slow)
+
+    def _checkpoint(self, version: int, leaf: Callable[[int, int, int], object]) -> dict:
+        """The checkpoint document; a tensor's leaf for buffer k of ``_buffers()``
+        is ``leaf(k, lo, hi)``, with ``lo:hi`` its slice of that buffer."""
+        bounds = self.state.bounds
+        return {
+            "checkpoint_version": version,
             "preset": self.preset,
             "config": dataclasses.asdict(self.config),
             "t": self.state.t,
-        }
-        body = {
             "params": [
-                {"name": p.name, "shape": list(p.shape), "values": payload(p.values)}
+                {"name": p.name, "shape": list(p.shape), "values": leaf(0, *bounds[p.name])}
                 for p in self.params
             ],
             "moments": {
-                name: {buf: payload(getattr(ms, buf)) for buf in _MOMENT_BUFFERS}
-                for name, ms in self.state.moments.items()
+                name: {b: leaf(k, *span) for k, b in enumerate(_MOMENT_BUFFERS, 1)}
+                for name, span in bounds.items()
             },
-            "slow": {name: payload(buf) for name, buf in self.state.slow.items()},
+            "slow": {name: leaf(len(_MOMENT_BUFFERS) + 1, *span) for name, span in bounds.items()},
         }
-        return head, body
 
     @classmethod
     def from_checkpoint(cls, blob) -> "Optimizer":
@@ -462,17 +470,29 @@ class Optimizer:
         blob, whose buffers are lists of numbers; raises ValueError naming the
         field when a field is missing, has the wrong type or is out of range, or
         when the state does not fit the params or the schedule."""
+        return cls._rebuilt(blob, None)
+
+    @classmethod
+    def _rebuilt(cls, blob, section: memoryview | None) -> "Optimizer":
+        """The optimizer the checkpoint ``blob`` describes: ``from_checkpoint``'s
+        when ``section`` is None, else that of a v4 file's document line, whose
+        buffer leaves are offsets into ``section``, the file's raw section."""
         if not isinstance(blob, dict):
             raise ValueError(f"checkpoint: expected an object, got {type(blob).__name__}")
         version = blob.get("checkpoint_version")
-        if not (isinstance(version, int) and version in _READABLE_VERSIONS):
+        readers = (
+            {2: _listed, _DICT_VERSION: _decoded} if section is None
+            else {CHECKPOINT_VERSION: partial(_sliced, section)}
+        )
+        if not (isinstance(version, int) and version in readers):
             raise ValueError(f"checkpoint_version: unsupported checkpoint version {version!r}")
+        read = readers[version]
         for key in ("preset", "config", "t", "params", "moments", "slow"):
             _field(blob, key, key)
         if not isinstance(blob["params"], list):
             raise ValueError(f"params: expected a list, got {type(blob['params']).__name__}")
         params = [
-            _param_from_dict(entry, f"params[{i}]", version)
+            _param_from_dict(entry, f"params[{i}]", read)
             for i, entry in enumerate(blob["params"])
         ]
         config = _from_dict(Ranger21Config, blob["config"], "config")
@@ -493,22 +513,28 @@ class Optimizer:
             ms, name = blob["moments"][p.name], repr(p.name)
             for b in _MOMENT_BUFFERS:
                 where = f"moments[{name}].{b}"
-                getattr(moments[p.name], b)[:] = _checked_buffer(ms, b, where, p.size, version)
+                getattr(moments[p.name], b)[:] = _checked_buffer(ms, b, where, p.size, read)
             where = f"slow[{name}]"
-            slow[p.name][:] = _checked_buffer(blob["slow"], p.name, where, p.size, version)
+            slow[p.name][:] = _checked_buffer(blob["slow"], p.name, where, p.size, read)
         opt.state.t = t
         return opt
 
     def save(self, path: str | Path) -> None:
-        """Write the checkpoint, the bytes of ``json.dumps(self.to_checkpoint())``,
-        to a temp file beside ``path``, then rename it over ``path``, so a failed
-        save never leaves a truncated file there."""
+        """Write the checkpoint in format v4 to a temp file beside ``path``, then
+        rename it over ``path``, so a failed save never leaves a truncated file
+        there. The file's first line is ``json.dumps`` of the ``to_checkpoint``
+        document at version 4, each buffer leaf an int; the raw section after its
+        newline holds the six ``_buffers()`` of length n as '<f8' bytes, so a
+        tensor's slice ``lo:hi`` of buffer k starts at byte ``8 * (k * n + lo)``."""
         path = Path(path)
         tmp = path.with_name(path.name + ".tmp")
-        data = _json_bytes(*self._checkpoint(_encoded))
+        n = self.state.flat_theta.size
+        doc = json.dumps(self._checkpoint(CHECKPOINT_VERSION, lambda k, lo, hi: 8 * (k * n + lo)))
         try:
             with open(tmp, "wb") as f:
-                f.write(data)
+                f.write(doc.encode("ascii") + b"\n")
+                for buf in self._buffers():
+                    f.write(np.ascontiguousarray(buf, dtype="<f8"))
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)
@@ -516,14 +542,21 @@ class Optimizer:
 
     @classmethod
     def load(cls, path: str | Path) -> "Optimizer":
-        """The optimizer a ``save`` wrote to ``path``; raises ValueError when the
-        file is not JSON, or as ``from_checkpoint`` does."""
+        """The optimizer a ``save`` wrote to ``path``. A file that starts as
+        ``save`` starts it is read as v4, any other as one JSON document (v2 or
+        v3); raises ValueError when the document is not JSON, or as
+        ``from_checkpoint`` does."""
+        data = Path(path).read_bytes()
+        v4 = data.startswith(_V4_START)
+        end = data.find(b"\n") if v4 else len(data)
         try:
-            blob = json.loads(Path(path).read_text())
+            if end < 0:
+                raise ValueError("the document line has no newline")
+            blob = json.loads(data[:end])
         except ValueError as exc:  # a UnicodeDecodeError, a JSONDecodeError, or an int
             # past Python's digit limit
             raise ValueError(f"checkpoint: not valid JSON: {exc}") from exc
-        return cls.from_checkpoint(blob)
+        return cls._rebuilt(blob, memoryview(data)[end + 1 :] if v4 else None)
 
 
 def _encoded(buf: np.ndarray) -> bytes:
@@ -531,42 +564,16 @@ def _encoded(buf: np.ndarray) -> bytes:
     return binascii.b2a_base64(np.ascontiguousarray(buf, dtype="<f8"), newline=False)
 
 
-def _json_bytes(head: dict, body: dict) -> bytes:
-    """The bytes of ``json.dumps({**head, **body})``. The head goes through one
-    ``json.dumps``. The body is a tree of dicts and lists over ints, strs and
-    bytes: each str goes through the escaping ``json.dumps`` applies, and each
-    bytes leaf, base64 text, is written between quotes as it is, since base64
-    needs no escapes; so no escape scan reads the buffers. The parts are joined
-    so that the file takes one write, not one per buffer."""
-    parts = [json.dumps(head)[:-1].encode("ascii")]
-    _append_json(body, parts)
-    parts[1] = b", "  # the body's opening brace: its entries continue the head's
-    return b"".join(parts)
-
-
-def _append_json(obj, parts: list[bytes]) -> None:
-    if isinstance(obj, bytes):
-        parts += (b'"', obj, b'"')
-    elif isinstance(obj, str):
-        parts.append(_quoted(obj))
-    elif isinstance(obj, dict):
-        parts.append(b"{")
-        for i, (key, value) in enumerate(obj.items()):
-            parts += (b", " if i else b"", _quoted(key), b": ")
-            _append_json(value, parts)
-        parts.append(b"}")
-    elif isinstance(obj, list):
-        parts.append(b"[")
-        for i, value in enumerate(obj):
-            parts.append(b", " if i else b"")
-            _append_json(value, parts)
-        parts.append(b"]")
-    else:  # an int
-        parts.append(b"%d" % obj)
-
-
-def _quoted(text: str) -> bytes:
-    return encode_basestring_ascii(text).encode("ascii")
+def _sliced(section: memoryview, offset, where: str, size: int) -> np.ndarray:
+    """The ``size`` float64 values at byte ``offset`` of a v4 file's raw section."""
+    offset = checked_value("int", offset, where)
+    if not 0 <= offset <= len(section) - 8 * size:
+        raise ValueError(
+            f"{where}: expected the byte offset of {size} values "
+            f"in the {len(section)}-byte section, got {offset}"
+        )
+    # a read-only view of the file's bytes: the caller makes the one copy, into the flat state
+    return np.frombuffer(section, dtype="<f8", count=size, offset=offset)
 
 
 def _decoded(text, where: str, size: int) -> np.ndarray:
@@ -592,8 +599,9 @@ def _listed(values, where: str, size: int) -> np.ndarray:
     return checked_call(where, np.array, values, dtype=np.float64)
 
 
-def _checked_buffer(mapping: dict, key: str, where: str, size: int, version: int) -> np.ndarray:
-    read = _decoded if version == CHECKPOINT_VERSION else _listed
+def _checked_buffer(mapping: dict, key: str, where: str, size: int, read) -> np.ndarray:
+    """The buffer ``read``, the reader of the checkpoint's version, takes from
+    ``mapping[key]``; it must hold ``size`` finite values."""
     buf = read(_field(mapping, key, where), where, size)
     if not np.isfinite(buf).all():
         raise ValueError(f"{where}: non-finite values rejected")
@@ -672,7 +680,7 @@ def _from_dict(cls, blob, where: str):
     return checked_call(where, cls, **kwargs)
 
 
-def _param_from_dict(entry, where: str, version: int) -> ParamTensor:
+def _param_from_dict(entry, where: str, read) -> ParamTensor:
     name, shape = (
         checked_value(kind, _field(entry, key, f"{where}.{key}"), f"{where}.{key}")
         for key, kind in (("name", "str"), ("shape", "tuple[int, ...]"))
@@ -682,7 +690,7 @@ def _param_from_dict(entry, where: str, version: int) -> ParamTensor:
     for j, extent in enumerate(shape):
         if extent < 1:
             raise ValueError(f"{where}.shape[{j}]: must be >= 1, got {extent}")
-    values = _checked_buffer(entry, "values", f"{where}.values", math.prod(shape), version)
+    values = _checked_buffer(entry, "values", f"{where}.values", math.prod(shape), read)
     return ParamTensor._adopt(name, shape, values)  # checked above as ParamTensor checks
 
 

@@ -3,10 +3,13 @@
 Straight-line scalar transcriptions of the update rules, written directly
 from the algorithm definitions with plain Python floats; a Frobenius norm; a
 whole-tensor clip; a central-difference gradient; the MLP activations'
-derivatives in the pre-activation; and the decay's per-slice loop. They use
-numpy at most and deliberately import nothing from the package.
+derivatives in the pre-activation; the decay's per-slice loop; and a reader
+of checkpoint format v4. They use numpy at most and deliberately import
+nothing from the package.
 """
 
+import base64
+import json
 import math
 
 import numpy as np
@@ -201,3 +204,33 @@ def ranger21_scalar_trajectory(
             theta = slow
         out.append(theta)
     return out
+
+
+def v4_as_v3(data: bytes) -> dict:
+    """The v3 checkpoint dict that the bytes of a v4 file hold, read from the
+    format's definition. The first line is ``json.dumps`` of the document, the
+    v3 document at version 4 with each buffer leaf an int: the byte offset, in
+    the raw section after the newline, of that tensor's '<f8' values. The
+    section holds six buffers over all the tensors' values. Asserts each of
+    these; each leaf of the result is the base64 of the bytes at its offset."""
+    line, section = data.split(b"\n", 1)
+    doc = json.loads(line)
+    assert line == json.dumps(doc).encode("ascii")
+    assert doc["checkpoint_version"] == 4
+    sizes = {entry["name"]: math.prod(entry["shape"]) for entry in doc["params"]}
+    assert len(section) == 6 * 8 * sum(sizes.values())
+
+    def buffer(offset, name):
+        assert type(offset) is int and 0 <= offset <= len(section) - 8 * sizes[name]
+        return base64.b64encode(section[offset : offset + 8 * sizes[name]]).decode("ascii")
+
+    return {
+        **doc,
+        "checkpoint_version": 3,
+        "params": [{**e, "values": buffer(e["values"], e["name"])} for e in doc["params"]],
+        "moments": {
+            name: {slot: buffer(offset, name) for slot, offset in slots.items()}
+            for name, slots in doc["moments"].items()
+        },
+        "slow": {name: buffer(offset, name) for name, offset in doc["slow"].items()},
+    }

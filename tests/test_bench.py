@@ -1,10 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
+import optlab
 from optlab import lr_factor, problems
 from optlab.benchmark import (
     CSV_HEADER,
@@ -563,6 +567,41 @@ class TestCli:
         assert main(["run", config, "--out", str(out), "--quiet"]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: out of memory: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run", "schedule"])
+    def test_config_that_is_not_utf8_is_config_error(self, tmp_path, capsys, command):
+        path = tmp_path / "config.json"
+        path.write_bytes(json.dumps(config_dict()).encode("ascii") + b"\xff")
+        args = [command, str(path)]
+        if command == "run":
+            args += ["--out", str(tmp_path / "o"), "--quiet"]
+        assert main(args) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and not (tmp_path / "o").exists()
+        assert re.fullmatch(r"config error: not valid UTF-8: .*\n", captured.err)
+
+    def test_outputs_are_utf8_whatever_the_locale(self, tmp_path):
+        # the config holds the label as UTF-8, not as a JSON escape
+        config = tmp_path / "config.json"
+        labels = [{"preset": "adamw", "label": "adamw-é"}]
+        config.write_text(
+            json.dumps(config_dict(t_max=10, cadence=5, optimizers=labels), ensure_ascii=False),
+            encoding="utf-8",
+        )
+        src = str(Path(optlab.__file__).resolve().parent.parent)
+        default = dict(os.environ, PYTHONPATH=src)
+        ascii_locale = dict(default, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+        outputs = []
+        for env in (default, ascii_locale):
+            out = tmp_path / f"out{len(outputs)}"
+            subprocess.run(
+                [sys.executable, "-m", "optlab.cli", "run", str(config), "--out", str(out),
+                 "--quiet"],
+                env=env, check=True, capture_output=True,
+            )
+            outputs.append([(out / name).read_bytes() for name in ("records.csv", "summary.json")])
+        assert outputs[0] == outputs[1]
+        assert ",adamw-é,".encode("utf-8") in outputs[0][0]
 
     def test_overlap_warning_printed(self, tmp_path, capsys):
         config = self.write_config(

@@ -5,10 +5,11 @@ rejected with a ConfigError or ValueError whose message starts with the path
 of a field, or parse to a config whose numbers are all finite; never a
 TypeError, KeyError or AttributeError.
 
-The checkpoint writer is checked against ``json.dumps``: for any param
-names, shapes and step count, the file ``Optimizer.save`` writes holds the
-bytes of ``json.dumps(opt.to_checkpoint())``, and loads back to the same
-checkpoint.
+The checkpoint writer is checked against ``json.dumps`` and the format's
+definition: for any param names, shapes and step count, the file
+``Optimizer.save`` writes is the v4 file of ``opt.to_checkpoint()`` (its first
+line ``json.dumps`` of the document, each buffer's bytes at its offset), loads
+back to the same checkpoint, and saves again to the same bytes.
 
 Parsing a ``blobs_mlp`` config allocates nothing in proportion to its sizes
 ``n``, ``d`` and ``hidden`` (the data is drawn on first use), so any size
@@ -29,6 +30,8 @@ from hypothesis import strategies as st
 
 from optlab import Optimizer, ParamTensor, Toggles
 from optlab.benchmark import ConfigError, parse_config
+
+from oracles import v4_as_v3
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CHECKPOINT = json.loads((FIXTURES / "checkpoint_v2.json").read_text())
@@ -216,8 +219,12 @@ def stepped_optimizers(draw):
 @settings(max_examples=150, deadline=None)
 @given(opt=stepped_optimizers())
 def test_saved_bytes_are_json_dumps_of_the_checkpoint(opt, tmp_path_factory):
-    path = tmp_path_factory.getbasetemp() / "checkpoint.json"
+    path = tmp_path_factory.getbasetemp() / "checkpoint.ckpt"
+    again = tmp_path_factory.getbasetemp() / "again.ckpt"
     opt.save(path)
     blob = opt.to_checkpoint()
-    assert path.read_bytes() == json.dumps(blob).encode("ascii")
-    assert Optimizer.load(path).to_checkpoint() == blob
+    assert v4_as_v3(path.read_bytes()) == blob
+    loaded = Optimizer.load(path)
+    assert loaded.to_checkpoint() == blob
+    loaded.save(again)
+    assert again.read_bytes() == path.read_bytes()

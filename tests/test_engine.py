@@ -38,7 +38,7 @@ from optlab.engine import PRESETS
 from optlab.problems import BlobsMLPProblem, RosenbrockProblem, philox
 
 from conftest import adaptive_gradient_clip
-from oracles import adamw_scalar_trajectory, ranger21_scalar_trajectory
+from oracles import adamw_scalar_trajectory, ranger21_scalar_trajectory, v4_as_v3
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -740,13 +740,29 @@ class TestCheckpoint:
         assert restored.config == opt.config
         assert restored.preset == opt.preset
 
-    def test_v3_format_pinned(self, tmp_path):
+    def test_v3_format_pinned(self):
         opt, rng = self.make_opt()
         for g in self.grad_stream(rng, 7):
             opt.step(g)
-        path = tmp_path / "ckpt.json"
+        assert json.dumps(opt.to_checkpoint()) == (FIXTURES / "checkpoint_v3.json").read_text()
+
+    def test_v4_format_pinned(self, tmp_path):
+        opt, rng = self.make_opt()
+        for g in self.grad_stream(rng, 7):
+            opt.step(g)
+        path = tmp_path / "ckpt"
         opt.save(path)
-        assert path.read_text() == (FIXTURES / "checkpoint_v3.json").read_text()
+        fixture = (FIXTURES / "checkpoint_v4.ckpt").read_bytes()
+        assert path.read_bytes() == fixture
+        assert v4_as_v3(fixture) == json.loads((FIXTURES / "checkpoint_v3.json").read_text())
+        # buffer k of n = 9 values: flat_theta, m_prev, m_prev2, v, v_max, flat_slow; the
+        # rank-1 "b" starts each buffer, "w" follows at value 3
+        doc = json.loads(fixture.split(b"\n", 1)[0])
+        offsets = [doc["params"][0]["values"], doc["params"][1]["values"]]
+        offsets += [doc["moments"][name][slot] for slot in ("m_prev", "m_prev2", "v", "v_max")
+                    for name in ("w", "b")]
+        offsets += [doc["slow"]["w"], doc["slow"]["b"]]
+        assert offsets == [8 * (k * 9 + lo) for k in range(6) for lo in (3, 0)]
 
     def test_save_load_save_is_byte_stable_for_int_floats(self, tmp_path):
         opt = Optimizer.ranger21(
@@ -782,14 +798,19 @@ class TestCheckpoint:
                 assert view.base is flat[slot]
                 np.testing.assert_array_equal(view, flat[slot][lo:hi])
 
-    def test_load_allocates_the_state_once(self):
-        # three tensors, 80,200 values: the load's peak is the decoded params,
-        # the state the new optimizer builds and the buffer being decoded
+    def make_large_opt(self):
+        """Three tensors, 80,200 values, after one step."""
         rng = np.random.default_rng(5)
         shapes = {"w1": (200, 200), "w2": (200, 200), "b": (200,)}
         params = [ParamTensor(n, s, rng.standard_normal(math.prod(s))) for n, s in shapes.items()]
         opt = Optimizer.ranger21(params, eta=3e-3, t_max=40)
         opt.step([p.with_values(rng.standard_normal(p.size)) for p in params])
+        return opt
+
+    def test_load_allocates_the_state_once(self):
+        # the load's peak is the decoded params, the state the new optimizer
+        # builds and the buffer being decoded
+        opt = self.make_large_opt()
         blob = opt.to_checkpoint()
         tracemalloc.start()
         try:
@@ -799,6 +820,49 @@ class TestCheckpoint:
             tracemalloc.stop()
         assert loaded.to_checkpoint() == blob
         assert peak < 8 * opt.state.flat_slow.nbytes
+
+    def test_v4_save_writes_the_buffers_in_place(self, tmp_path):
+        opt = self.make_large_opt()
+        tracemalloc.start()
+        try:
+            opt.save(tmp_path / "ckpt")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < opt.state.flat_slow.nbytes
+
+    def test_v4_load_reads_the_file_once(self, tmp_path):
+        # the file's bytes (six buffers) and the state the new optimizer builds
+        opt = self.make_large_opt()
+        opt.save(tmp_path / "ckpt")
+        tracemalloc.start()
+        try:
+            loaded = Optimizer.load(tmp_path / "ckpt")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded.to_checkpoint() == opt.to_checkpoint()
+        assert peak < 13 * opt.state.flat_slow.nbytes
+
+    def test_v4_load_keeps_nothing_of_the_file(self, tmp_path, monkeypatch):
+        opt, rng = self.make_opt()
+        for g in self.grad_stream(rng, 3):
+            opt.step(g)
+        opt.save(tmp_path / "ckpt")
+        read, read_bytes = [], Path.read_bytes
+
+        def recorded(path):
+            read.append(read_bytes(path))
+            return read[-1]
+
+        monkeypatch.setattr(Path, "read_bytes", recorded)
+        loaded = Optimizer.load(tmp_path / "ckpt")
+        state = loaded.state
+        held = [p.values for p in loaded.params] + [state.flat_theta, state.flat_slow]
+        held += [getattr(state.flat_moments, f.name) for f in dataclasses.fields(MomentState)]
+        (data,) = read
+        raw = np.frombuffer(data, dtype=np.uint8)
+        assert not any(np.may_share_memory(buf, raw) for buf in held)
 
     def test_v1_blob_rejected(self):
         blob = json.loads((FIXTURES / "checkpoint_v2.json").read_text())
@@ -878,7 +942,7 @@ class TestCheckpoint:
         opt, rng = self.make_opt()
         path = tmp_path / "ckpt.json"
         opt.save(path)
-        saved = path.read_text()
+        saved = path.read_bytes()
         assert os.listdir(tmp_path) == ["ckpt.json"]
 
         def fail(src, dst):
@@ -888,7 +952,7 @@ class TestCheckpoint:
         monkeypatch.setattr(os, "replace", fail)
         with pytest.raises(OSError, match="disk full"):
             opt.save(path)
-        assert path.read_text() == saved
+        assert path.read_bytes() == saved
         assert os.listdir(tmp_path) == ["ckpt.json"]
 
     def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
@@ -926,27 +990,59 @@ class TestCheckpoint:
         assert os.listdir(tmp_path) == ["ckpt.json"]
 
     @pytest.mark.parametrize(
-        "text",
+        "contents",
         [
-            pytest.param(None, id="truncated"),
-            pytest.param(b"\xff", id="not_utf8"),
+            pytest.param(lambda v4: (FIXTURES / "checkpoint_v3.json").read_bytes()[:-100],
+                         id="truncated"),
+            pytest.param(lambda v4: b"\xff", id="not_utf8"),
             pytest.param(
-                b"1" * 5000,
+                lambda v4: b"1" * 5000,
                 id="int_past_digit_limit",
                 marks=pytest.mark.skipif(
                     not hasattr(sys, "get_int_max_str_digits"),
                     reason="this Python has no limit on the digits of an int",
                 ),
             ),
+            pytest.param(lambda v4: v4[: v4.index(b"\n") // 2], id="v4_line_cut"),
+            pytest.param(lambda v4: v4[: v4.index(b"\n")], id="v4_line_cut_at_its_newline"),
         ],
     )
-    def test_file_that_is_not_json_rejected(self, tmp_path, text):
+    def test_file_that_is_not_json_rejected(self, tmp_path, contents):
         path = tmp_path / "ckpt.json"
-        if text is None:
-            self.make_opt()[0].save(path)
-            text = path.read_bytes()[:-100]
-        path.write_bytes(text)
+        self.make_opt()[0].save(path)
+        path.write_bytes(contents(path.read_bytes()))
         with pytest.raises(ValueError, match="^checkpoint: not valid JSON: "):
+            Optimizer.load(path)
+
+    @pytest.mark.parametrize(
+        "field,mutate",
+        [
+            ("params[0].values", lambda doc, section: doc["params"][0].update(values=True)),
+            ("params[0].values", lambda doc, section: doc["params"][0].update(values=8.0)),
+            ("params[1].values", lambda doc, section: doc["params"][1].update(values="16")),
+            ("moments['a'].v", lambda doc, section: doc["moments"]["a"].update(v=-8)),
+            ("slow['b']", lambda doc, section: doc["slow"].update(b=len(section) - 8)),
+            ("slow['b']", lambda doc, section: section.__delitem__(slice(-8, None))),
+            ("moments['a'].v_max", lambda doc, section: section.__setitem__(
+                slice(doc["moments"]["a"]["v_max"] + 8, doc["moments"]["a"]["v_max"] + 16),
+                np.array([math.inf]).tobytes())),
+        ],
+        ids=[
+            "bool_offset", "float_offset", "string_offset", "negative_offset",
+            "offset_past_the_end", "section_cut", "infinite_value",
+        ],
+    )
+    def test_inconsistent_v4_file_rejected(self, tmp_path, field, mutate):
+        params = [ParamTensor("a", (2,), [1.0, -0.5]), ParamTensor("b", (2,), [0.3, 2.0])]
+        opt = Optimizer.ranger21(params, eta=3e-3, t_max=100)
+        opt.step([p.with_values([0.1, -0.2]) for p in params])
+        path = tmp_path / "ckpt"
+        opt.save(path)
+        line, section = path.read_bytes().split(b"\n", 1)
+        doc, section = json.loads(line), bytearray(section)
+        mutate(doc, section)
+        path.write_bytes(json.dumps(doc).encode("ascii") + b"\n" + section)
+        with pytest.raises(ValueError, match="^" + re.escape(field) + ":"):
             Optimizer.load(path)
 
     @pytest.mark.parametrize(
@@ -964,9 +1060,14 @@ class TestCheckpoint:
             for _ in range(5):
                 _, grads = problem.evaluate(opt.params, problem.sample_batch(batch_rng))
                 opt.step(grads)
-            path = tmp_path / f"{spec.label}.json"
+            path, again = tmp_path / f"{spec.label}.ckpt", tmp_path / f"{spec.label}-again.ckpt"
             opt.save(path)
-            assert path.read_bytes() == json.dumps(opt.to_checkpoint()).encode("ascii")
+            blob = opt.to_checkpoint()
+            assert v4_as_v3(path.read_bytes()) == blob
+            loaded = Optimizer.load(path)
+            assert loaded.to_checkpoint() == blob
+            loaded.save(again)
+            assert again.read_bytes() == path.read_bytes()
 
 
 class TestObserver:

@@ -97,3 +97,32 @@ def test_every_private_helper_is_used():
             if name not in others | used_names(rest):
                 unused.append(f"{module}: {name}")
     assert not unused, f"defined but never read: {unused}"
+
+
+def unnamed_encodings(tree: ast.Module):
+    """The line of each ``read_text``, ``write_text`` and text-mode ``open``
+    call that does not name its ``encoding``; a mode that is not a literal
+    counts as text."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        keywords = {k.arg: k.value for k in node.keywords}
+        if name == "open":
+            mode = keywords.get("mode", node.args[1] if len(node.args) > 1 else None)
+            if isinstance(mode, ast.Constant) and "b" in mode.value:
+                continue
+        elif name not in ("read_text", "write_text"):
+            continue
+        if "encoding" not in keywords:
+            yield node.lineno
+
+
+def test_every_text_read_and_write_names_its_encoding():
+    unnamed = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line in unnamed_encodings(ast.parse(path.read_text()))
+    ]
+    assert not unnamed, f"text I/O with the locale's encoding: {unnamed}"
