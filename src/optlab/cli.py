@@ -109,6 +109,10 @@ def main(argv=None) -> int:
     val_p.set_defaults(fn=_cmd_validate)
 
     args = parser.parse_args(argv)
+    # UTF-8 whatever the locale, as the config and the output files are, so a label
+    # prints as the config spells it; surrogateescape writes a path argument that did
+    # not decode back as its bytes
+    sys.stdout.reconfigure(encoding="utf-8", errors="surrogateescape")
     try:
         return args.fn(args)
     except BrokenPipeError:

@@ -129,9 +129,11 @@ class OptimizerState:
     start as a copy of it; from then on the optimizer's params are read-only
     views of ``flat_theta``. A step swaps in new buffers and never writes to
     committed ones; after a lookahead sync ``flat_theta`` is ``flat_slow``
-    itself. A checkpoint load copies each decoded buffer into the per-name
-    views of the state its new optimizer built, before anything else holds
-    them.
+    itself. A checkpoint load fills the moment and slow-weight buffers of the
+    state its new optimizer built, before anything else holds them: a v4 load
+    copies each of the five whole from the file's section when its offsets
+    are the ones ``save`` writes, any other load copies each decoded buffer
+    into its per-name view.
     """
 
     bounds: dict[str, tuple[int, int]]
@@ -476,7 +478,11 @@ class Optimizer:
     def _rebuilt(cls, blob, section: memoryview | None) -> "Optimizer":
         """The optimizer the checkpoint ``blob`` describes: ``from_checkpoint``'s
         when ``section`` is None, else that of a v4 file's document line, whose
-        buffer leaves are offsets into ``section``, the file's raw section."""
+        buffer leaves are offsets into ``section``, the file's raw section. When
+        those offsets are the ones ``save`` writes and the values are finite,
+        the five moment and slow-weight buffers are checked and copied whole;
+        otherwise the walk over each tensor's fields copies them, and raises
+        at the first field at fault."""
         if not isinstance(blob, dict):
             raise ValueError(f"checkpoint: expected an object, got {type(blob).__name__}")
         version = blob.get("checkpoint_version")
@@ -507,15 +513,17 @@ class Optimizer:
         for key in ("moments", "slow"):
             if not isinstance(blob[key], dict) or blob[key].keys() != set(names):
                 raise ValueError(f"{key}: expected an object keyed by the param names {names}")
-        # one copy per buffer: each decoded array into its view of the new state
-        moments, slow = opt.state.moments, opt.state.slow
-        for p in params:
-            ms, name = blob["moments"][p.name], repr(p.name)
-            for b in _MOMENT_BUFFERS:
-                where = f"moments[{name}].{b}"
-                getattr(moments[p.name], b)[:] = _checked_buffer(ms, b, where, p.size, read)
-            where = f"slow[{name}]"
-            slow[p.name][:] = _checked_buffer(blob["slow"], p.name, where, p.size, read)
+        if section is None or not _copied_whole(opt, blob, section):
+            # one copy per buffer: each decoded array into its view of the new state;
+            # the walk names the first field at fault
+            moments, slow = opt.state.moments, opt.state.slow
+            for p in params:
+                ms, name = blob["moments"][p.name], repr(p.name)
+                for b in _MOMENT_BUFFERS:
+                    where = f"moments[{name}].{b}"
+                    getattr(moments[p.name], b)[:] = _checked_buffer(ms, b, where, p.size, read)
+                where = f"slow[{name}]"
+                slow[p.name][:] = _checked_buffer(blob["slow"], p.name, where, p.size, read)
         opt.state.t = t
         return opt
 
@@ -574,6 +582,31 @@ def _sliced(section: memoryview, offset, where: str, size: int) -> np.ndarray:
         )
     # a read-only view of the file's bytes: the caller makes the one copy, into the flat state
     return np.frombuffer(section, dtype="<f8", count=size, offset=offset)
+
+
+def _copied_whole(opt: Optimizer, blob: dict, section: memoryview) -> bool:
+    """Copy a v4 file's moment and slow-weight buffers whole into ``opt``'s state,
+    one finiteness check and one copy per buffer. True when ``section`` holds the
+    six buffers, each of these entries of ``blob`` is the int offset ``save``
+    writes and every value is finite; else False, the state perhaps part filled,
+    and the field-by-field walk must fill it or name the first field at fault."""
+    bufs = opt._buffers()
+    n = bufs[0].size
+    if len(section) != 8 * len(bufs) * n:
+        return False
+    for name, (lo, _) in opt.state.bounds.items():
+        ms = blob["moments"][name]
+        if not isinstance(ms, dict):
+            return False
+        leaves = [*(ms.get(b) for b in _MOMENT_BUFFERS), blob["slow"][name]]
+        if any(type(x) is not int or x != 8 * (k * n + lo) for k, x in enumerate(leaves, 1)):
+            return False
+    for k, buf in enumerate(bufs[1:], 1):
+        view = np.frombuffer(section, dtype="<f8", count=n, offset=8 * k * n)
+        if not np.isfinite(view).all():
+            return False
+        buf[:] = view
+    return True
 
 
 def _decoded(text, where: str, size: int) -> np.ndarray:

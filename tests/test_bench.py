@@ -581,7 +581,8 @@ class TestCli:
         assert re.fullmatch(r"config error: not valid UTF-8: .*\n", captured.err)
 
     def test_outputs_are_utf8_whatever_the_locale(self, tmp_path):
-        # the config holds the label as UTF-8, not as a JSON escape
+        # the config holds the label as UTF-8, not as a JSON escape; the run under
+        # an ASCII locale prints its summary, the other is quiet
         config = tmp_path / "config.json"
         labels = [{"preset": "adamw", "label": "adamw-é"}]
         config.write_text(
@@ -591,17 +592,22 @@ class TestCli:
         src = str(Path(optlab.__file__).resolve().parent.parent)
         default = dict(os.environ, PYTHONPATH=src)
         ascii_locale = dict(default, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
-        outputs = []
-        for env in (default, ascii_locale):
+        outputs, procs = [], []
+        for env, flags in ((default, ["--quiet"]), (ascii_locale, [])):
             out = tmp_path / f"out{len(outputs)}"
-            subprocess.run(
+            procs.append(subprocess.run(
                 [sys.executable, "-m", "optlab.cli", "run", str(config), "--out", str(out),
-                 "--quiet"],
-                env=env, check=True, capture_output=True,
-            )
+                 *flags],
+                env=env, capture_output=True,
+            ))
             outputs.append([(out / name).read_bytes() for name in ("records.csv", "summary.json")])
+        assert [proc.returncode for proc in procs] == [EXIT_OK, EXIT_OK], procs[-1].stderr
         assert outputs[0] == outputs[1]
         assert ",adamw-é,".encode("utf-8") in outputs[0][0]
+        assert procs[0].stdout == procs[1].stderr == b""
+        lines = procs[1].stdout.decode("utf-8").splitlines()
+        assert lines[1].startswith("  adamw-é: final loss ")
+        assert lines[-1] == f"records written to {tmp_path / 'out1' / 'records.csv'}"
 
     def test_overlap_warning_printed(self, tmp_path, capsys):
         config = self.write_config(

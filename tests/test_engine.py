@@ -1033,6 +1033,13 @@ class TestCheckpoint:
         ],
     )
     def test_inconsistent_v4_file_rejected(self, tmp_path, field, mutate):
+        _, path = self.rewritten_v4(tmp_path, mutate)
+        with pytest.raises(ValueError, match="^" + re.escape(field) + ":"):
+            Optimizer.load(path)
+
+    def rewritten_v4(self, tmp_path, mutate):
+        """A two-tensor optimizer after one step, and the path of its v4 file, rewritten
+        after ``mutate(doc, section)`` edits the document and the raw section."""
         params = [ParamTensor("a", (2,), [1.0, -0.5]), ParamTensor("b", (2,), [0.3, 2.0])]
         opt = Optimizer.ranger21(params, eta=3e-3, t_max=100)
         opt.step([p.with_values([0.1, -0.2]) for p in params])
@@ -1042,14 +1049,36 @@ class TestCheckpoint:
         doc, section = json.loads(line), bytearray(section)
         mutate(doc, section)
         path.write_bytes(json.dumps(doc).encode("ascii") + b"\n" + section)
-        with pytest.raises(ValueError, match="^" + re.escape(field) + ":"):
+        return opt, path
+
+    def test_v4_file_with_other_valid_offsets_loads_the_same_state(self, tmp_path):
+        # "a" and "b" hold two values each: their slow slices swap places in the
+        # section and their offsets follow, so the load must read where they point
+        def swap_slow(doc, section):
+            a, b = doc["slow"]["a"], doc["slow"]["b"]
+            assert section[a : a + 16] != section[b : b + 16]
+            section[a : a + 16], section[b : b + 16] = section[b : b + 16], section[a : a + 16]
+            doc["slow"].update(a=b, b=a)
+
+        opt, path = self.rewritten_v4(tmp_path, swap_slow)
+        assert Optimizer.load(path).to_checkpoint() == opt.to_checkpoint()
+
+    def test_v4_load_raises_the_first_error_of_the_walk(self, tmp_path):
+        # the whole-buffer check finds the NaN and falls back to the walk, whose first
+        # fault is a's first moment slot, before b's offset past the end
+        def corrupt(doc, section):
+            at = doc["moments"]["a"]["m_prev"]
+            section[at : at + 8] = np.array([math.nan]).tobytes()
+            doc["slow"]["b"] = len(section)
+
+        _, path = self.rewritten_v4(tmp_path, corrupt)
+        message = "moments['a'].m_prev: non-finite values rejected"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             Optimizer.load(path)
 
-    @pytest.mark.parametrize(
-        "config_path", [*sorted(CONFIGS.glob("*.json")), REPO / "perfbench" / "wide_mlp.json"],
-        ids=lambda path: path.stem,
-    )
-    def test_saved_file_is_json_dumps_of_the_checkpoint(self, tmp_path, config_path):
+    def stepped(self, config_path):
+        """Each optimizer of the config at ``config_path``, as (its spec, the
+        optimizer) after five steps on the config's problem."""
         config = parse_config(config_path.read_text())
         problem = config.problem
         for spec in config.optimizers:
@@ -1060,6 +1089,32 @@ class TestCheckpoint:
             for _ in range(5):
                 _, grads = problem.evaluate(opt.params, problem.sample_batch(batch_rng))
                 opt.step(grads)
+            yield spec, opt
+
+    def test_clean_v4_load_reads_only_the_params_one_by_one(self, tmp_path, monkeypatch):
+        # the moment and slow-weight buffers of a file ``save`` wrote are checked and
+        # copied whole, not read tensor by tensor
+        where, sliced = [], engine._sliced
+
+        def counted(section, offset, at, size):
+            where.append(at)
+            return sliced(section, offset, at, size)
+
+        monkeypatch.setattr(engine, "_sliced", counted)
+        for spec, opt in self.stepped(CONFIGS / "deep_mlp.json"):
+            path = tmp_path / f"{spec.label}.ckpt"
+            opt.save(path)
+            where.clear()
+            assert Optimizer.load(path).to_checkpoint() == opt.to_checkpoint()
+            assert len(opt.params) == 32
+            assert where == [f"params[{i}].values" for i in range(32)]
+
+    @pytest.mark.parametrize(
+        "config_path", [*sorted(CONFIGS.glob("*.json")), REPO / "perfbench" / "wide_mlp.json"],
+        ids=lambda path: path.stem,
+    )
+    def test_saved_file_is_json_dumps_of_the_checkpoint(self, tmp_path, config_path):
+        for spec, opt in self.stepped(config_path):
             path, again = tmp_path / f"{spec.label}.ckpt", tmp_path / f"{spec.label}-again.ckpt"
             opt.save(path)
             blob = opt.to_checkpoint()
