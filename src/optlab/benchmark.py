@@ -18,13 +18,15 @@ A run configuration is a JSON document (schema_version 1):
 
 Every optimizer run rebuilds the problem from the same seed, so initial
 parameters and minibatch draws are identical across optimizers. Runs execute
-one after another. Identical configs produce byte-identical CSV at a fixed
-BLAS thread count. When that count changes, a squared norm over a tensor of
-more than about 8,000 values may round differently: it comes from BLAS
-``ddot`` (``np.vecdot`` in ``moments._squared_norms``, ``np.dot`` in
-``StepDiag.decay_norm``), which splits such a vector across threads. So
-across thread counts only problems whose tensors are all smaller (the
-shipped blobs MLP, for one) are known to stay byte-identical.
+one after another. Identical configs produce byte-identical CSV for one
+numpy SIMD level, one OpenBLAS kernel set and one BLAS thread count. numpy's
+SIMD level moves ``np.exp``, ``np.log`` and ``np.tanh``, so the MLP problems'
+losses; OpenBLAS's kernel set moves gemm and ``ddot``; the thread count
+moves ``ddot`` over more than about 8,000 values, which OpenBLAS splits
+across threads. The one ``ddot`` is ``SpanRuns.squared_norms``, the decay's
+squared norms and the ``decay_norm`` column's, so across thread counts only
+problems whose tensors are all smaller (the shipped configs) are known to
+stay byte-identical.
 """
 
 from __future__ import annotations

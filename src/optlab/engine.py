@@ -120,10 +120,11 @@ class OptimizerState:
     grouped by unit width, registration order within a group. ``order`` lists
     the params' registration indices in that layout, ``groups`` holds each
     group's ``(lo, hi, width)`` (width None for the rank-1 group), ``runs``
-    holds the tensors in that layout as runs of equal-size tensors, the
-    decay's per-tensor reductions, and ``bounds`` maps each tensor's name, in
-    registration order, to its ``(lo, hi)`` slice; ``moments`` and ``slow``
-    are per-name views.
+    holds the tensors in that layout as runs of equal-size tensors, for every
+    per-tensor reduction, ``unit_starts`` the index of each tensor's first
+    unit among all groups' units end to end, and ``bounds`` maps each tensor's
+    name, in registration order, to its ``(lo, hi)`` slice; ``moments`` and
+    ``slow`` are per-name views.
 
     ``initial`` gathers θ into ``flat_theta`` once, and the slow weights
     start as a copy of it; from then on the optimizer's params are read-only
@@ -140,6 +141,7 @@ class OptimizerState:
     order: tuple[int, ...]
     groups: list[tuple[int, int, int | None]]
     runs: SpanRuns
+    unit_starts: np.ndarray
     flat_theta: np.ndarray
     flat_moments: MomentState
     flat_slow: np.ndarray
@@ -162,7 +164,8 @@ class OptimizerState:
         bounds = {p.name: spans[i] for i, p in enumerate(params)}
         theta = np.concatenate([params[i].values for i in order])
         runs = SpanRuns.of(spans.values())  # filled in buffer order
-        return cls(bounds, order, groups, runs, theta, MomentState.zeros(lo), theta.copy())
+        starts = np.cumsum([0] + [params[i].shape[0] for i in order[:-1]])
+        return cls(bounds, order, groups, runs, starts, theta, MomentState.zeros(lo), theta.copy())
 
     @property
     def moments(self) -> dict[str, MomentState]:
@@ -179,7 +182,8 @@ class OptimizerState:
 
 @dataclass
 class TensorDiag:
-    """Per-tensor intermediates from one step, pre-lookahead."""
+    """Per-tensor intermediates from one step, pre-lookahead; ``decay_norm_sq``
+    is ``decay``'s squared Frobenius norm."""
 
     name: str
     units_clipped: int
@@ -188,6 +192,7 @@ class TensorDiag:
     size: int
     update: np.ndarray
     decay: np.ndarray
+    decay_norm_sq: float
 
 
 @dataclass
@@ -214,9 +219,7 @@ class StepDiag:
 
     @property
     def decay_norm(self) -> float:
-        return float(
-            np.sqrt(sum(float(np.dot(d.decay, d.decay)) for d in self.tensors))
-        )
+        return float(np.sqrt(sum(d.decay_norm_sq for d in self.tensors)))
 
 
 Observer = Callable[[StepDiag], None]
@@ -241,19 +244,6 @@ def scheduled_eta(t: int, config: Ranger21Config) -> float:
     return config.schedule.eta * lr_factor(
         t, config.schedule, config.moments.beta2, warmup=toggles.warmup, warmdown=toggles.warmdown
     )
-
-
-def _units_clipped(
-    groups: list[tuple[int, int, int | None]], factors: list[np.ndarray], lo: int, hi: int
-) -> int:
-    """How many units of the tensor at ``lo:hi`` the clip scaled down, read
-    from its group's slice of ``factors`` (one array per group; none when
-    the clip is off)."""
-    if not factors:
-        return 0
-    (glo, _, width), f = next(gf for gf in zip(groups, factors) if gf[0][0] <= lo < gf[0][1])
-    w = width or 1
-    return int(np.count_nonzero(f[(lo - glo) // w : (hi - glo) // w] < 1.0))
 
 
 def _raise_nonfinite(
@@ -365,15 +355,15 @@ class Optimizer:
         The step reads θ from ``state.flat_theta`` and gathers only the
         gradients, into a flat buffer laid out as the state's. The unit-wise
         stages (clip, centralize) run once per group of ``state.groups``, on
-        its ``(units, width)`` view, and the decay's per-tensor reductions
-        once per run of equal-size tensors; the elementwise stages run once
-        over the whole buffer. The decay config is built with the optimizer
-        and the runs with its state; the components are looked up in this
-        module's globals at each call, so a wrapper patched in there sees
-        every step. The returned params are read-only views of one new
-        buffer, the new ``flat_theta``. The optimizer changes only after
-        every stage and the observer have run, so a step that raises leaves
-        it as it was.
+        its ``(units, width)`` view, and the per-tensor reductions, the
+        decay's and the observer's, once per run of ``state.runs``; the
+        elementwise stages run once over the whole buffer. The decay config
+        is built with the optimizer and the runs with its state; the
+        components are looked up in this module's globals at each call, so a
+        wrapper patched in there sees every step. The returned params are
+        read-only views of one new buffer, the new ``flat_theta``. The
+        optimizer changes only after every stage and the observer have run,
+        so a step that raises leaves it as it was.
         """
         params, state, config = self._params, self.state, self._config
         toggles = config.toggles
@@ -412,17 +402,18 @@ class Optimizer:
             _raise_nonfinite(params, spans, fast)
         new_params = _param_views(params, spans, fast)
         if observer is not None:
+            runs = state.runs
+            clipped = np.zeros(len(params))
+            if factors:
+                clipped = np.add.reduceat(np.concatenate(factors) < 1.0, state.unit_starts)
+            # one row per value, one column per tensor, in registration order
+            per_tensor = np.empty((3, len(params)))
+            per_tensor[:, state.order] = (
+                runs.sums(v_hat) / runs.sizes, runs.squared_norms(d), clipped
+            )
             diags = [
-                TensorDiag(
-                    name=p.name,
-                    units_clipped=_units_clipped(state.groups, factors, lo, hi),
-                    units_total=p.shape[0],
-                    mean_vhat=float(np.mean(v_hat[lo:hi])),
-                    size=p.size,
-                    update=u[lo:hi],
-                    decay=d[lo:hi],
-                )
-                for p, (lo, hi) in zip(params, spans)
+                TensorDiag(p.name, int(n), p.shape[0], mean, p.size, u[lo:hi], d[lo:hi], sq)
+                for p, (lo, hi), mean, sq, n in zip(params, spans, *per_tensor.tolist())
             ]
             observer(StepDiag(t=t, eta_t=eta_t, tensors=diags))
         self._params, state.flat_theta, state.flat_moments, state.flat_slow, state.t = (

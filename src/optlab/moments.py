@@ -154,8 +154,10 @@ class SpanRuns:
     """Tensors' ``(lo, hi)`` spans, which tile a flat buffer in order, as runs
     of consecutive equal-size tensors ``(lo, count, size)``. A run's values are
     one ``(count, size)`` view, so a per-tensor reduction is one call per run.
-    ``sizes`` holds each tensor's size, the repeat counts that spread one
-    scalar per tensor over the buffer; ``size`` is the buffer's."""
+    ``sums`` and ``squared_norms`` are every per-tensor reduction of a step,
+    the decay's and its diagnostics'. ``sizes`` holds each tensor's size, the
+    repeat counts that spread one scalar per tensor over the buffer; ``size``
+    is the buffer's."""
 
     runs: tuple[tuple[int, int, int], ...]
     sizes: np.ndarray
@@ -175,11 +177,19 @@ class SpanRuns:
             end = hi
         return cls(tuple(map(tuple, runs)), np.array(sizes, dtype=np.int64), end)
 
-    def per_tensor(
-        self, reduce: Callable[[np.ndarray], np.ndarray], buf: np.ndarray
-    ) -> np.ndarray:
-        """One value per tensor of ``buf``, in buffer order: ``reduce`` maps
-        each run's ``(count, size)`` view to one value per row."""
+    def sums(self, buf: np.ndarray) -> np.ndarray:
+        """Each tensor's sum, in buffer order: ``rows.sum(axis=1)`` on each
+        run's view (the bits of each slice's ``.sum()``)."""
+        return self._per_tensor(lambda rows: rows.sum(axis=1), buf)
+
+    @np.errstate(over="ignore")  # past the float range a squared norm is inf
+    def squared_norms(self, buf: np.ndarray) -> np.ndarray:
+        """Each tensor's squared Frobenius norm, in buffer order: ``np.vecdot``
+        on each run's rows (the bits of each slice's ``np.dot``), the step's
+        one BLAS reduction."""
+        return self._per_tensor(lambda rows: np.vecdot(rows, rows), buf)
+
+    def _per_tensor(self, reduce: Callable, buf: np.ndarray) -> np.ndarray:
         parts = [reduce(buf[lo : lo + n * size].reshape(n, size)) for lo, n, size in self.runs]
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
@@ -206,11 +216,10 @@ def combined_decay(
     buffers of several tensors whose ``(lo, hi)`` slices ``spans`` lists in
     buffer order (or a ``SpanRuns`` built from them once). Each tensor gets
     its own factor, with the same bits as a call on its slice alone: the sums
-    and squared norms come from one ``(count, size)`` view per run of
-    equal-size tensors, ``rows.sum(axis=1)`` and ``np.vecdot(rows, rows)``
-    (each row's ``.sum()`` and ``np.dot`` on the numpy build the tests pin),
-    the scalar arithmetic runs once over all tensors, and d is one multiply
-    over the whole buffer.
+    and squared norms come from ``SpanRuns.sums`` and ``.squared_norms``, one
+    call per run of equal-size tensors (the bits of each slice's ``.sum()``
+    and ``np.dot`` on the numpy build the tests pin), the scalar arithmetic
+    runs once over all tensors, and d is one multiply over the whole buffer.
     """
     if theta.shape != v_hat.shape:
         raise ValueError(
@@ -227,11 +236,10 @@ def combined_decay(
         raise ValueError(f"spans cover {spans.size} of {theta.size} values")
     s, zero = scale, None
     if cfg.stable:
-        sums = spans.per_tensor(lambda rows: rows.sum(axis=1), v_hat)
-        means = sums / spans.sizes  # sum/n has the bits of np.mean
+        means = spans.sums(v_hat) / spans.sizes  # sum/n has the bits of np.mean
         s = s / np.maximum(np.sqrt(means), STABLE_DECAY_FLOOR)
     if cfg.norm_loss:
-        norms = np.sqrt(_squared_norms(theta, spans))
+        norms = np.sqrt(spans.squared_norms(theta))
         if np.count_nonzero(norms) < norms.size:
             zero = norms == 0.0
             norms[zero] = 1.0  # a quiet 1/norm; these tensors' d is set below
@@ -240,10 +248,3 @@ def combined_decay(
     if zero is not None:
         d[np.repeat(zero, spans.sizes)] = 0.0  # +0.0, also where theta holds -0.0
     return d
-
-
-@np.errstate(over="ignore")  # past the float range a squared norm is inf: 1 - 1/|theta| is 1
-def _squared_norms(theta: np.ndarray, spans: SpanRuns) -> np.ndarray:
-    """Each tensor's squared Frobenius norm, from ``np.vecdot`` on each run's
-    rows (the bits of each row's ``np.dot`` on the numpy build the tests pin)."""
-    return spans.per_tensor(lambda rows: np.vecdot(rows, rows), theta)

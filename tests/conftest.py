@@ -1,5 +1,9 @@
+import ctypes
+from pathlib import Path
+
 import hypothesis.strategies as st
 import numpy as np
+from numpy._core import _multiarray_umath
 
 from optlab import ClipConfig, ParamTensor
 from optlab.transforms import scale_units, unit_scale_factors
@@ -30,3 +34,38 @@ def adaptive_gradient_clip(g, theta, cfg=ClipConfig()):
     """The step's unit-wise clip of one gradient array: each unit whose norm
     exceeds tau times its parameter norm is rescaled to that limit."""
     return scale_units(g, unit_scale_factors(g, theta, cfg))
+
+
+# The host class the goldens (configs/golden/, the pinned hit steps) were
+# recorded on. numpy's SIMD level moves np.exp, np.log and np.tanh, and
+# OpenBLAS's kernel set moves gemm and ddot; the thread count moves ddot only
+# on vectors above about 8,000 values, which no shipped config has.
+GOLDEN_HOST_CLASS = "numpy SIMD X86_V3 X86_V4 AVX512_ICL AVX512_SPR; OpenBLAS SkylakeX"
+
+
+def host_class():
+    """What decides the goldens' bits on this host: the dispatched SIMD
+    features numpy found, the OpenBLAS core numpy's bundled OpenBLAS runs
+    (``unknown`` when it does not export ``scipy_openblas_get_corename64_``),
+    and its thread count."""
+    features = _multiarray_umath.__cpu_features__
+    simd = [f for f in _multiarray_umath.__cpu_dispatch__ if features.get(f)]
+    core = threads = "unknown"
+    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"):
+        lib = ctypes.CDLL(str(path))
+        if hasattr(lib, "scipy_openblas_get_corename64_"):
+            get_core, get_threads = (
+                lib.scipy_openblas_get_corename64_, lib.scipy_openblas_get_num_threads64_
+            )
+            get_core.argtypes, get_core.restype = [], ctypes.c_char_p
+            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+            core, threads = get_core().decode(), get_threads()
+            break
+    simd = " ".join(simd) or "none past the baseline"
+    return f"numpy SIMD {simd}; OpenBLAS {core}; {threads} BLAS threads"
+
+
+def host_class_note():
+    """For a golden comparison's failure message: this host's class next to
+    the goldens'."""
+    return f"host class: {host_class()}; goldens recorded on: {GOLDEN_HOST_CLASS}"

@@ -9,6 +9,7 @@ are frozen below.
 import dataclasses
 import math
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -36,7 +37,7 @@ from optlab.benchmark import parse_config, run_benchmark
 from optlab.problems import BlobsMLPProblem, RosenbrockProblem, philox
 from optlab.transforms import ClipConfig
 
-from conftest import adaptive_gradient_clip
+from conftest import adaptive_gradient_clip, host_class_note
 from oracles import adamw_scalar_trajectory, finite_diff_grad, pnm_scalar
 
 REPO = Path(__file__).resolve().parent.parent
@@ -268,12 +269,16 @@ def test_criterion_07_rosenbrock_convergence_proxy():
     elapsed = time.perf_counter() - start
     adamw_ok = adamw_hit == GOLDEN_ADAMW_ROSENBROCK_STEPS and adamw_best <= f0 / 1e4
     ranger_ok = ranger_hit is not None and ranger_best <= f0 / 1e4
+    golden_note = (
+        "" if adamw_hit == GOLDEN_ADAMW_ROSENBROCK_STEPS
+        else f"; adamw hit is not the golden {GOLDEN_ADAMW_ROSENBROCK_STEPS}, {host_class_note()}"
+    )
     report(
         7, "rosenbrock convergence proxy",
         adamw_ok and ranger_ok and elapsed < 10.0,
         f"(adamw hit={adamw_hit} best={adamw_best:.2e}; "
         f"ranger21 hit={ranger_hit} best={ranger_best:.2e}, reduction {f0 / ranger_best:.1f}x; "
-        f"{elapsed:.1f}s)",
+        f"{elapsed:.1f}s{golden_note})",
     )
 
 
@@ -282,7 +287,7 @@ def test_rosenbrock_without_pnm_meets_criterion_7_target():
     1e4x reduction. With any other single component off it does not, so the
     miss comes from PNM's two-buffer momentum as arXiv 2103.17182 defines it."""
     hit, best, f0 = _rosenbrock_run("ranger21", toggles=Toggles(pnm=False))
-    assert hit == 10344
+    assert hit == 10344, f"hit at step {hit}, pinned 10344; {host_class_note()}"
     assert best <= f0 / 1e4
 
 
@@ -380,7 +385,19 @@ def test_criterion_10_determinism(tmp_path):
     ok = ok and threads_same
     details.append(f"threads={'ok' if threads_same else 'MISMATCH'}")
     elapsed = time.perf_counter() - start
+    if not ok:
+        details.append(host_class_note())
     report(10, "determinism", ok and elapsed < 60.0, f"({', '.join(details)}, {elapsed:.1f}s)")
+
+
+def test_host_class_note_names_this_host_and_the_goldens():
+    """The golden tests' failure messages name the host class: numpy's SIMD
+    features, the OpenBLAS core and its thread count, beside the goldens'."""
+    note = host_class_note()
+    assert re.fullmatch(
+        r"host class: numpy SIMD [^;]+; OpenBLAS [^;]+; \S+ BLAS threads; "
+        r"goldens recorded on: numpy SIMD [^;]+; OpenBLAS \S+", note
+    ), note
 
 
 def test_criterion_11_lookahead_conformance():

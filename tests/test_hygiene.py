@@ -126,3 +126,22 @@ def test_every_text_read_and_write_names_its_encoding():
         for line in unnamed_encodings(ast.parse(path.read_text()))
     ]
     assert not unnamed, f"text I/O with the locale's encoding: {unnamed}"
+
+
+BLAS_REDUCTIONS = {"dot", "vecdot", "inner"}
+
+
+def test_one_blas_reduction_in_the_package():
+    """BLAS decides the bits of a dot product (its kernel by CPU, its split
+    by thread count), so the package makes one such call, in
+    ``SpanRuns.squared_norms`` in ``moments.py``, and every squared norm goes
+    through it: no module calls ``dot``, ``vecdot`` or ``inner`` elsewhere."""
+    calls = [
+        f"{path.name}:{node.lineno} {node.func.attr}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in BLAS_REDUCTIONS
+    ]
+    assert [call.split(":")[0] for call in calls] == ["moments.py"], calls

@@ -27,6 +27,7 @@ from optlab import (
     scheduled_eta,
     unit_scale_factors,
 )
+from optlab.moments import SpanRuns
 from optlab.transforms import scale_units
 
 STEPS = 12
@@ -118,6 +119,10 @@ def assert_bits_equal(a, b):
     assert a.shape == b.shape and bool(np.all(a == b))
 
 
+def assert_float_bits_equal(a, b):
+    assert np.float64(a).tobytes() == np.float64(b).tobytes(), (a, b)
+
+
 @pytest.mark.parametrize("toggles", TOGGLE_SETS.values(), ids=TOGGLE_SETS.keys())
 def test_flat_step_matches_per_tensor_composition_bit_for_bit(toggles):
     assert_matches_per_tensor_composition(SHAPES, toggles)
@@ -166,8 +171,39 @@ def assert_matches_per_tensor_composition(shapes, toggles):
             )
             assert_bits_equal(td.update, u)
             assert_bits_equal(td.decay, d)
+            assert_float_bits_equal(td.decay_norm_sq, np.dot(d, d))
+        # the aggregates against their per-slice forms, in registration order
+        _, clipped, units, means, sizes, _, decays = zip(*expected)
+        assert_float_bits_equal(diag.decay_norm, np.sqrt(sum(float(np.dot(d, d)) for d in decays)))
+        assert_float_bits_equal(
+            diag.mean_vhat, sum(m * n for m, n in zip(means, sizes)) / sum(sizes)
+        )
+        assert_float_bits_equal(diag.clip_ratio, sum(clipped) / sum(units))
     if toggles.agc:
         assert 0.0 < diag.clip_ratio < 1.0
+
+
+@pytest.mark.parametrize("norm_loss", [True, False], ids=["norm_loss", "no_norm_loss"])
+def test_every_squared_norm_is_one_span_runs_call(monkeypatch, norm_loss):
+    """The decay's squared norms and the observer's decay norms both come from
+    ``SpanRuns.squared_norms``: one call for the decay when norm loss is on,
+    and one more on a step with an observer."""
+    calls = []
+    squared_norms = SpanRuns.squared_norms
+
+    def counted(runs, buf):
+        calls.append(buf.size)
+        return squared_norms(runs, buf)
+
+    monkeypatch.setattr(SpanRuns, "squared_norms", counted)
+    params, grad_stream = make_problem(RUN_SHAPES)
+    opt = Optimizer(params, make_config(dataclasses.replace(Toggles(), norm_loss=norm_loss)))
+    per_step = []
+    for t, grads in enumerate(grad_stream, start=1):
+        before = len(calls)
+        opt.step(grads, observer=(lambda diag: None) if t % 2 == 0 else None)
+        per_step.append(len(calls) - before)
+    assert per_step == [norm_loss + (t % 2 == 0) for t in range(1, STEPS + 1)]
 
 
 def four_tensors(third):
