@@ -29,7 +29,7 @@ import sys
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from .moments import (
     pnm_update,
 )
 from .schedule import ScheduleSpec, lr_factor
-from .tensor import NonFiniteError, ParamTensor
+from .tensor import ParamTensor, _raise_nonfinite
 from .transforms import ClipConfig, gradient_centralize, scale_units, unit_scale_factors
 
 PRESETS = ("adamw", "ranger21")
@@ -128,13 +128,14 @@ class OptimizerState:
 
     ``initial`` gathers θ into ``flat_theta`` once, and the slow weights
     start as a copy of it; from then on the optimizer's params are read-only
-    views of ``flat_theta``. A step swaps in new buffers and never writes to
-    committed ones; after a lookahead sync ``flat_theta`` is ``flat_slow``
-    itself. A checkpoint load fills the moment and slow-weight buffers of the
-    state its new optimizer built, before anything else holds them: a v4 load
-    copies each of the five whole from the file's section when its offsets
-    are the ones ``save`` writes, any other load copies each decoded buffer
-    into its per-name view.
+    views of ``flat_theta``, built in one batch by ``ParamTensor._views``,
+    which leaves the buffer itself writeable. A step swaps in new buffers and
+    never writes to committed ones; after a lookahead sync ``flat_theta`` is
+    ``flat_slow`` itself. A checkpoint load fills the moment and slow-weight
+    buffers of the state its new optimizer built, before anything else holds
+    them: a v4 load copies each of the five whole from the file's section
+    when its offsets are the ones ``save`` writes, any other load copies each
+    decoded buffer into its per-name view.
     """
 
     bounds: dict[str, tuple[int, int]]
@@ -246,23 +247,6 @@ def scheduled_eta(t: int, config: Ranger21Config) -> float:
     )
 
 
-def _raise_nonfinite(
-    params: Sequence[ParamTensor], spans: list[tuple[int, int]], *buffers: np.ndarray
-) -> None:
-    """Raise NonFiniteError naming the first tensor whose slice of any of
-    ``buffers`` holds NaN or Inf."""
-    for p, (lo, hi) in zip(params, spans):
-        if not all(np.isfinite(buf[lo:hi]).all() for buf in buffers):
-            raise NonFiniteError(f"{p.name}: non-finite values rejected")
-
-
-def _param_views(
-    params: Sequence[ParamTensor], spans: Iterable[tuple[int, int]], flat: np.ndarray
-) -> list[ParamTensor]:
-    """Each of ``params``, as a read-only view of its slice of ``flat``."""
-    return [ParamTensor._adopt(p.name, p.shape, flat[lo:hi]) for p, (lo, hi) in zip(params, spans)]
-
-
 def lookahead_sync(
     fast: np.ndarray,
     slow: np.ndarray,
@@ -306,7 +290,7 @@ class Optimizer:
         self._config = config
         self.preset = preset
         self.state = OptimizerState.initial(params)
-        self._params = _param_views(params, self.state.bounds.values(), self.state.flat_theta)
+        self._params = ParamTensor._views(params, self.state.bounds.values(), self.state.flat_theta)
         self._decay = DecayConfig(
             weight_decay=config.weight_decay,
             norm_loss=config.toggles.norm_loss,
@@ -400,7 +384,7 @@ class Optimizer:
             fast, slow = lookahead_sync(fast, slow, t, config.k_lookahead, config.beta_lookahead)
         if not np.isfinite(fast).all():
             _raise_nonfinite(params, spans, fast)
-        new_params = _param_views(params, spans, fast)
+        new_params = ParamTensor._views(params, spans, fast)
         if observer is not None:
             runs = state.runs
             clipped = np.zeros(len(params))

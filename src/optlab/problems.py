@@ -15,11 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .tensor import ParamTensor
+from .tensor import ParamTensor, _raise_nonfinite
 
 
 def philox(seed) -> np.random.Generator:
@@ -88,13 +89,22 @@ def label_smoothed_ce(logits, labels, alpha: float) -> tuple[float, np.ndarray]:
 
 # -- MLP with manual backprop -------------------------------------------------
 
-# name -> (activation, its derivative written in the activation's output a),
-# so the backward pass reads the stored activations instead of recomputing
-# them. 1 - a*a and a > 0 must give the same bits as the pre-activation forms
-# 1 - tanh(z)**2 and z > 0 (tests/test_problems.py pins both).
+def _tanh_slope(a: np.ndarray) -> np.ndarray:
+    slope = a * a
+    return np.subtract(1.0, slope, out=slope)
+
+
+# name -> (activation, taking an optional ``out``, and its derivative written
+# in the activation's output a), so the backward pass reads the stored
+# activations instead of recomputing them. 1 - a*a and a > 0 must give the
+# same bits as the pre-activation forms 1 - tanh(z)**2 and z > 0
+# (tests/test_problems.py pins both).
 ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
-    "tanh": (np.tanh, lambda a: 1.0 - a * a),
-    "relu": (lambda z: np.maximum(z, 0.0), lambda a: (a > 0.0).astype(np.float64)),
+    "tanh": (np.tanh, _tanh_slope),
+    "relu": (
+        lambda z, out=None: np.maximum(z, 0.0, out=out),
+        lambda a: (a > 0.0).astype(np.float64),
+    ),
 }
 
 
@@ -142,8 +152,9 @@ def _forward(pairs, x: np.ndarray, act: Callable) -> list:
     ``act`` between them, final layer linear."""
     acts = [x]
     for i, (w, b) in enumerate(pairs):
-        z = acts[-1] @ w.array.T + b.values
-        acts.append(act(z) if i < len(pairs) - 1 else z)
+        z = acts[-1] @ w.array.T
+        z += b.values
+        acts.append(act(z, out=z) if i < len(pairs) - 1 else z)
     return acts
 
 
@@ -157,11 +168,6 @@ def mlp_logits(params: Sequence[ParamTensor], inputs, activation: str = "tanh") 
     return _forward(pairs, x, act)[-1]
 
 
-def _wrap_grad(p: ParamTensor, grad: np.ndarray) -> ParamTensor:
-    # grad is a fresh array that nothing else holds: wrap it, don't copy it
-    return ParamTensor._adopt(p.name, p.shape, grad.reshape(-1), check_finite=True)
-
-
 def mlp_eval(
     params: Sequence[ParamTensor],
     inputs,
@@ -173,9 +179,11 @@ def mlp_eval(
 
     Forward: affine layers with the chosen activation between them, final
     layer linear. Backward is the usual reverse pass; all gradients are
-    divided by the batch size to match the mean reduction. Each gradient is
-    a read-only ``ParamTensor`` around its own fresh array, checked finite
-    but not copied.
+    divided by the batch size to match the mean reduction. The pass writes
+    them into one fresh buffer, in the params' order, that is checked finite
+    once; the gradients are read-only views of it. A non-finite gradient
+    raises ``NonFiniteError`` naming the first tensor the pass wrote
+    non-finite: last layer first, weight before bias.
     """
     act, act_deriv = _activation(activation)
     pairs = _layers(params)
@@ -187,14 +195,21 @@ def mlp_eval(
 
     acts = _forward(pairs, x, act)
     loss, d_z = label_smoothed_ce(acts[-1], y, alpha)
-    grads: list[ParamTensor | None] = [None] * len(params)
+    starts = list(accumulate((p.size for p in params), initial=0))
+    spans = list(zip(starts, starts[1:]))
+    flat = np.empty(starts[-1])
     for i in reversed(range(len(pairs))):
         w, b = pairs[i]
-        grads[2 * i] = _wrap_grad(w, d_z.T @ acts[i])
-        grads[2 * i + 1] = _wrap_grad(b, d_z.sum(axis=0))
+        lo, mid, hi = starts[2 * i : 2 * i + 3]
+        np.matmul(d_z.T, acts[i], out=flat[lo:mid].reshape(w.shape))
+        d_z.sum(axis=0, out=flat[mid:hi])
         if i > 0:
-            d_z = (d_z @ w.array) * act_deriv(acts[i])
-    return loss, grads
+            d_z = d_z @ w.array
+            d_z *= act_deriv(acts[i])
+    if not np.isfinite(flat).all():
+        backward = [j for i in reversed(range(len(pairs))) for j in (2 * i, 2 * i + 1)]
+        _raise_nonfinite([params[j] for j in backward], [spans[j] for j in backward], flat)
+    return loss, ParamTensor._views(params, spans, flat)
 
 
 # -- data -----------------------------------------------------------------------

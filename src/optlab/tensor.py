@@ -1,13 +1,13 @@
 """Minimal dense float64 tensor: the type ``Optimizer`` takes and returns.
-Components compute on plain arrays; a step returns its params as views of
-one flat buffer, and an MLP evaluate its fresh gradients, through
-``ParamTensor._adopt``."""
+Components compute on plain arrays; a step returns its params, and an MLP
+evaluate its gradients, as read-only views of one flat buffer, built in one
+batch by ``ParamTensor._views`` after one finiteness check of that buffer."""
 
 from __future__ import annotations
 
 import math
 import operator
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -49,22 +49,33 @@ class ParamTensor:
         self.values = flat
 
     @classmethod
-    def _adopt(
-        cls, name: str, shape: tuple[int, ...], values: np.ndarray, *, check_finite: bool = False
-    ) -> "ParamTensor":
-        """Wrap ``values``, a flat float64 array of ``shape``'s size that
-        nothing else writes, without copying it or checking its shape;
-        ``values`` (often a view of a larger buffer, or a problem's fresh
-        gradient) becomes read-only. With ``check_finite`` a non-finite entry
-        raises ``NonFiniteError`` naming the tensor; without it the caller
-        has checked the entries already (a step checks its whole buffer once).
-        """
-        if check_finite and not np.isfinite(values).all():
-            raise NonFiniteError(f"{name}: non-finite values rejected")
+    def _adopt(cls, name: str, shape: tuple[int, ...], values: np.ndarray) -> "ParamTensor":
+        """Wrap ``values``, a flat float64 array of ``shape``'s size that nothing
+        else writes and the caller has checked, without a copy; ``values``
+        becomes read-only. For one tensor, as a checkpoint load decodes them,
+        it costs less than ``_views``."""
         values.flags.writeable = False
         tensor = cls.__new__(cls)
         tensor.name, tensor.shape, tensor.values = name, shape, values
         return tensor
+
+    @classmethod
+    def _views(
+        cls, like: Iterable, spans: Iterable[tuple[int, int]], flat: np.ndarray
+    ) -> list["ParamTensor"]:
+        """One tensor per entry of ``like``, with that entry's name and shape,
+        whose values are its ``(lo, hi)`` slice of ``flat``: no copy and no
+        check (the caller has checked ``flat`` once). The slices are taken
+        from one read-only view of ``flat``, so they are read-only while
+        ``flat`` itself stays writeable."""
+        frozen = flat.view()
+        frozen.flags.writeable = False
+        tensors = []
+        for p, (lo, hi) in zip(like, spans):
+            tensor = cls.__new__(cls)
+            tensor.name, tensor.shape, tensor.values = p.name, p.shape, frozen[lo:hi]
+            tensors.append(tensor)
+        return tensors
 
     def with_values(self, values) -> "ParamTensor":
         """New tensor with the same name and shape but fresh values."""
@@ -85,3 +96,14 @@ class ParamTensor:
 
     def __repr__(self) -> str:
         return f"ParamTensor({self.name!r}, shape={self.shape})"
+
+
+def _raise_nonfinite(
+    tensors: Iterable, spans: Iterable[tuple[int, int]], *buffers: np.ndarray
+) -> None:
+    """Raise NonFiniteError naming the first of ``tensors`` whose ``(lo, hi)``
+    slice of any of ``buffers`` holds NaN or Inf; the caller lists them in
+    the order its rule names them."""
+    for p, (lo, hi) in zip(tensors, spans):
+        if not all(np.isfinite(buf[lo:hi]).all() for buf in buffers):
+            raise NonFiniteError(f"{p.name}: non-finite values rejected")

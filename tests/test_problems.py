@@ -208,20 +208,48 @@ class TestMLP:
         _, grads = mlp_eval(params, x, y, activation=activation)
         assert [g.values.tobytes() for g in grads] == [e.tobytes() for e in expected]
 
+    @staticmethod
+    def filled(layers):
+        """MLP params from ``(out, in, weight fill, bias fill)`` per layer."""
+        params = []
+        for i, (fan_out, fan_in, w, b) in enumerate(layers):
+            w = np.broadcast_to(np.asarray(w, dtype=np.float64), (fan_out, fan_in))
+            params.append(ParamTensor(f"w{i}", (fan_out, fan_in), w))
+            params.append(ParamTensor(f"b{i}", (fan_out,), np.full(fan_out, b)))
+        return params
+
     def test_non_finite_gradient_names_its_tensor(self):
-        # w0 and b0 zero keep the forward pass finite; the backward pass
-        # carries 1e308-sized terms into w0's gradient, which overflows.
-        params = [
-            ParamTensor("w0", (4, 3), np.zeros(12)),
-            ParamTensor("b0", (4,), np.zeros(4)),
-            ParamTensor("w1", (2, 4), np.full(8, 1e308)),
-            ParamTensor("b1", (2,), np.zeros(2)),
+        cases = [
+            # w0 and b0 zero keep the forward pass finite; the backward pass
+            # carries 1e308-sized terms into w0's gradient, which overflows.
+            ("tanh", [(4, 3, 0.0, 0.0), (2, 4, 1e308, 0.0)], 1e308, [0, 1, 0, 1, 0], "w0"),
+            # Two layers overflow: ±1.7e308 output weights and unsaturated
+            # tanh units push w1's and w0's gradients (and b1's) past the
+            # float range. The backward pass writes w1 first, so w1 is named,
+            # not w0, the first of them in registration order.
+            (
+                "tanh",
+                [(4, 3, 0.0, 1.5), (1, 4, 1e-10, 0.55), (2, 1, [[1.7e308], [-1.7e308]], 0.0)],
+                1e300,
+                [1] * 5,
+                "w1",
+            ),
+            # The same with relu: activations up to 1.5e299 and output
+            # weights of ±1e9 overflow w1's and w0's gradients; b1's stays finite.
+            (
+                "relu",
+                [(4, 3, 0.05, 0.0), (4, 4, 0.03, 0.0), (2, 4, [[1e9] * 4, [-1e9] * 4], 0.0)],
+                1e300,
+                [1] * 5,
+                "w1",
+            ),
         ]
-        x = np.full((5, 3), 1e308)
-        y = np.array([0, 1, 0, 1, 0])
-        with np.errstate(all="ignore"), pytest.raises(NonFiniteError) as excinfo:
-            mlp_eval(params, x, y)
-        assert str(excinfo.value) == "w0: non-finite values rejected"
+        for activation, layers, x, y, named in cases:
+            params = self.filled(layers)
+            x = np.full((len(y), layers[0][1]), x)
+            with np.errstate(all="ignore"), pytest.raises(NonFiniteError) as excinfo:
+                mlp_eval(params, x, np.array(y), activation=activation)
+            assert str(excinfo.value) == f"{named}: non-finite values rejected", (activation, named)
 
     @pytest.mark.parametrize("batched", [True, False], ids=["batch", "full"])
     def test_evaluate_wraps_its_gradients_without_a_copy(self, monkeypatch, batched):
@@ -246,6 +274,29 @@ class TestMLP:
         for i, g in enumerate(grads):
             others = held + [h.values for h in grads[:i] + grads[i + 1 :]]
             assert not any(np.shares_memory(g.values, other) for other in others), g.name
+
+    def test_gradients_and_params_are_views_of_unfrozen_buffers(self):
+        problem = BlobsMLPProblem(blobs=(5, 40, 6, 4, 3.0), hidden=(5, 5), batch_size=9)
+        params = problem.init_params(philox(0))
+        _, grads = problem.evaluate(params, problem.sample_batch(philox(1)))
+        flat = grads[0].values.base
+        spans = []
+        for g in grads:
+            assert g.values.base is flat and not g.values.flags.writeable
+            lo = (g.values.ctypes.data - flat.ctypes.data) // flat.itemsize
+            spans.append((lo, lo + g.size))
+        spans.sort()
+        assert all(hi <= next_lo for (_, hi), (next_lo, _) in zip(spans, spans[1:]))
+        held = [p.values for p in params] + list(problem.data)
+        assert not any(np.shares_memory(flat, other) for other in held)
+
+        # the state's buffers stay writeable under the read-only views taken of them
+        opt = Optimizer.ranger21(params, eta=3e-3, t_max=40)
+        rng = philox(2)
+        for _ in range(6):  # the fifth step syncs lookahead
+            opt.step(problem.evaluate(opt.params, problem.sample_batch(rng))[1])
+        assert not any(p.values.flags.writeable for p in opt.params)
+        assert opt.state.flat_theta.flags.writeable and opt.state.flat_slow.flags.writeable
 
     @pytest.mark.parametrize(
         "call",
