@@ -27,7 +27,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -131,11 +130,10 @@ class OptimizerState:
     views of ``flat_theta``, built in one batch by ``ParamTensor._views``,
     which leaves the buffer itself writeable. A step swaps in new buffers and
     never writes to committed ones; after a lookahead sync ``flat_theta`` is
-    ``flat_slow`` itself. A checkpoint load fills the moment and slow-weight
-    buffers of the state its new optimizer built, before anything else holds
-    them: a v4 load copies each of the five whole from the file's section
-    when its offsets are the ones ``save`` writes, any other load copies each
-    decoded buffer into its per-name view.
+    ``flat_slow`` itself. A checkpoint load fills the state its new optimizer
+    built before anything else holds it: a v4 load copies all six buffers whole
+    from the file's section, whose offsets follow this layout, a v2 or v3 load
+    each decoded moment and slow-weight buffer into its per-name view.
     """
 
     bounds: dict[str, tuple[int, int]]
@@ -453,17 +451,16 @@ class Optimizer:
     def _rebuilt(cls, blob, section: memoryview | None) -> "Optimizer":
         """The optimizer the checkpoint ``blob`` describes: ``from_checkpoint``'s
         when ``section`` is None, else that of a v4 file's document line, whose
-        buffer leaves are offsets into ``section``, the file's raw section. When
-        those offsets are the ones ``save`` writes and the values are finite,
-        the five moment and slow-weight buffers are checked and copied whole;
-        otherwise the walk over each tensor's fields copies them, and raises
-        at the first field at fault."""
+        buffer leaves are offsets into ``section``, the file's raw section. A v4
+        load builds the optimizer from the names and shapes alone, then
+        ``_read_section`` fills its six buffers whole; a v2 or v3 load walks each
+        tensor's fields and raises at the first field at fault."""
         if not isinstance(blob, dict):
             raise ValueError(f"checkpoint: expected an object, got {type(blob).__name__}")
         version = blob.get("checkpoint_version")
         readers = (
             {2: _listed, _DICT_VERSION: _decoded} if section is None
-            else {CHECKPOINT_VERSION: partial(_sliced, section)}
+            else {CHECKPOINT_VERSION: None}
         )
         if not (isinstance(version, int) and version in readers):
             raise ValueError(f"checkpoint_version: unsupported checkpoint version {version!r}")
@@ -476,6 +473,8 @@ class Optimizer:
             _param_from_dict(entry, f"params[{i}]", read)
             for i, entry in enumerate(blob["params"])
         ]
+        if section is not None and 8 * sum(p.size for p in params) > len(section):
+            raise ValueError(f"params: their values do not fit in the {len(section)}-byte section")
         config = _from_dict(Ranger21Config, blob["config"], "config")
         if blob["preset"] not in PRESETS:
             raise ValueError(f"preset: expected one of {PRESETS}, got {blob['preset']!r}")
@@ -488,7 +487,9 @@ class Optimizer:
         for key in ("moments", "slow"):
             if not isinstance(blob[key], dict) or blob[key].keys() != set(names):
                 raise ValueError(f"{key}: expected an object keyed by the param names {names}")
-        if section is None or not _copied_whole(opt, blob, section):
+        if section is not None:
+            _read_section(opt, blob, section)
+        else:
             # one copy per buffer: each decoded array into its view of the new state;
             # the walk names the first field at fault
             moments, slow = opt.state.moments, opt.state.slow
@@ -512,7 +513,7 @@ class Optimizer:
         path = Path(path)
         tmp = path.with_name(path.name + ".tmp")
         n = self.state.flat_theta.size
-        doc = json.dumps(self._checkpoint(CHECKPOINT_VERSION, lambda k, lo, hi: 8 * (k * n + lo)))
+        doc = json.dumps(self._checkpoint(CHECKPOINT_VERSION, lambda k, lo, hi: _offset(k, n, lo)))
         try:
             with open(tmp, "wb") as f:
                 f.write(doc.encode("ascii") + b"\n")
@@ -547,41 +548,34 @@ def _encoded(buf: np.ndarray) -> bytes:
     return binascii.b2a_base64(np.ascontiguousarray(buf, dtype="<f8"), newline=False)
 
 
-def _sliced(section: memoryview, offset, where: str, size: int) -> np.ndarray:
-    """The ``size`` float64 values at byte ``offset`` of a v4 file's raw section."""
-    offset = checked_value("int", offset, where)
-    if not 0 <= offset <= len(section) - 8 * size:
-        raise ValueError(
-            f"{where}: expected the byte offset of {size} values "
-            f"in the {len(section)}-byte section, got {offset}"
-        )
-    # a read-only view of the file's bytes: the caller makes the one copy, into the flat state
-    return np.frombuffer(section, dtype="<f8", count=size, offset=offset)
+def _offset(k: int, n: int, lo: int) -> int:
+    """The byte offset in a v4 section of value lo of buffer k of n: the one ``save`` writes."""
+    return 8 * (k * n + lo)
 
 
-def _copied_whole(opt: Optimizer, blob: dict, section: memoryview) -> bool:
-    """Copy a v4 file's moment and slow-weight buffers whole into ``opt``'s state,
-    one finiteness check and one copy per buffer. True when ``section`` holds the
-    six buffers, each of these entries of ``blob`` is the int offset ``save``
-    writes and every value is finite; else False, the state perhaps part filled,
-    and the field-by-field walk must fill it or name the first field at fault."""
+def _read_section(opt: Optimizer, blob: dict, section: memoryview) -> None:
+    """Copy ``opt``'s six buffers whole from a v4 file's raw ``section`` if it holds them,
+    checking each copy once; then, in the v2/v3 walk's order, raise ValueError at the
+    first leaf not at the offset ``save`` writes, past the section or not finite."""
     bufs = opt._buffers()
-    n = bufs[0].size
-    if len(section) != 8 * len(bufs) * n:
-        return False
-    for name, (lo, _) in opt.state.bounds.items():
-        ms = blob["moments"][name]
-        if not isinstance(ms, dict):
-            return False
-        leaves = [*(ms.get(b) for b in _MOMENT_BUFFERS), blob["slow"][name]]
-        if any(type(x) is not int or x != 8 * (k * n + lo) for k, x in enumerate(leaves, 1)):
-            return False
-    for k, buf in enumerate(bufs[1:], 1):
-        view = np.frombuffer(section, dtype="<f8", count=n, offset=8 * k * n)
-        if not np.isfinite(view).all():
-            return False
-        buf[:] = view
-    return True
+    n, nbytes = bufs[0].size, len(section)
+    finite = [True] * len(bufs)
+    for k, buf in enumerate(bufs if nbytes >= _offset(len(bufs), n, 0) else ()):
+        buf[:] = np.frombuffer(section, dtype="<f8", count=n, offset=_offset(k, n, 0))
+        finite[k] = np.isfinite(buf).all()
+    for i, (name, (lo, hi)) in enumerate(opt.state.bounds.items()):
+        leaves = [(blob["params"][i], "values", f"params[{i}].values")]
+        leaves += [(blob["moments"][name], b, f"moments[{name!r}].{b}") for b in _MOMENT_BUFFERS]
+        leaves.append((blob["slow"], name, f"slow[{name!r}]"))
+        for k, (mapping, key, where) in enumerate(leaves):
+            offset, expected = _field(mapping, key, where), _offset(k, n, lo)
+            if type(offset) is not int or offset != expected or offset + 8 * (hi - lo) > nbytes:
+                raise ValueError(
+                    f"{where}: expected {expected}, the offset save writes, with its {hi - lo} "
+                    f"values inside the {nbytes}-byte section, got {offset!r}"
+                )
+            if not finite[k] and not np.isfinite(bufs[k][lo:hi]).all():
+                raise ValueError(f"{where}: non-finite values rejected")
 
 
 def _decoded(text, where: str, size: int) -> np.ndarray:
@@ -689,6 +683,8 @@ def _from_dict(cls, blob, where: str):
 
 
 def _param_from_dict(entry, where: str, read) -> ParamTensor:
+    """The param ``entry`` names, of its shape, with the values ``read``, the reader of
+    the checkpoint's version, checks; for v4 (``read`` None) zeros that take no memory."""
     name, shape = (
         checked_value(kind, _field(entry, key, f"{where}.{key}"), f"{where}.{key}")
         for key, kind in (("name", "str"), ("shape", "tuple[int, ...]"))
@@ -698,7 +694,11 @@ def _param_from_dict(entry, where: str, read) -> ParamTensor:
     for j, extent in enumerate(shape):
         if extent < 1:
             raise ValueError(f"{where}.shape[{j}]: must be >= 1, got {extent}")
-    values = _checked_buffer(entry, "values", f"{where}.values", math.prod(shape), read)
+    size = math.prod(shape)
+    if read is None:  # a zero-stride view of one 0.0: the load copies θ whole later
+        values = checked_call(f"{where}.shape", np.ndarray, (size,), buffer=bytes(8), strides=(0,))
+    else:
+        values = _checked_buffer(entry, "values", f"{where}.values", size, read)
     return ParamTensor._adopt(name, shape, values)  # checked above as ParamTensor checks
 
 

@@ -1,5 +1,6 @@
 import base64
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -764,6 +765,10 @@ class TestCheckpoint:
         offsets += [doc["slow"]["w"], doc["slow"]["b"]]
         assert offsets == [8 * (k * 9 + lo) for k in range(6) for lo in (3, 0)]
 
+    def test_v4_fixture_loads_to_the_v3_fixture(self):
+        loaded = Optimizer.load(FIXTURES / "checkpoint_v4.ckpt")
+        assert loaded.to_checkpoint() == json.loads((FIXTURES / "checkpoint_v3.json").read_text())
+
     def test_save_load_save_is_byte_stable_for_int_floats(self, tmp_path):
         opt = Optimizer.ranger21(
             [ParamTensor("x", (2,), [1.0, 2.0])], eta=1, t_max=10, weight_decay=0
@@ -1026,10 +1031,21 @@ class TestCheckpoint:
             ("moments['a'].v_max", lambda doc, section: section.__setitem__(
                 slice(doc["moments"]["a"]["v_max"] + 8, doc["moments"]["a"]["v_max"] + 16),
                 np.array([math.inf]).tobytes())),
+            ("slow['a']", lambda doc, section: doc["slow"].update(a=doc["slow"]["a"] + 4)),
+            ("moments['b'].v", lambda doc, section: doc["moments"]["b"].update(
+                v=doc["moments"]["a"]["v"])),
+            ("params[0].values", lambda doc, section: doc["params"][0].update(
+                values=doc["slow"]["a"])),
+            ("moments['a'].m_prev", lambda doc, section: doc["moments"]["a"].update(
+                m_prev=doc["moments"]["a"]["m_prev2"])),
+            ("params", lambda doc, section: doc["params"][0].update(shape=[10**12])),
+            ("params[0].shape", lambda doc, section: doc["params"][0].update(shape=[2**62])),
         ],
         ids=[
             "bool_offset", "float_offset", "string_offset", "negative_offset",
-            "offset_past_the_end", "section_cut", "infinite_value",
+            "offset_past_the_end", "section_cut", "infinite_value", "offset_moved_4_bytes",
+            "offset_aliased_onto_another_tensor", "params_offset_in_the_slow_buffer",
+            "offset_at_the_next_slot", "shape_past_the_section", "shape_past_any_array",
         ],
     )
     def test_inconsistent_v4_file_rejected(self, tmp_path, field, mutate):
@@ -1051,17 +1067,50 @@ class TestCheckpoint:
         path.write_bytes(json.dumps(doc).encode("ascii") + b"\n" + section)
         return opt, path
 
-    def test_v4_file_with_other_valid_offsets_loads_the_same_state(self, tmp_path):
+    def test_v4_file_with_other_offsets_is_refused(self, tmp_path):
         # "a" and "b" hold two values each: their slow slices swap places in the
-        # section and their offsets follow, so the load must read where they point
+        # section and their offsets follow; the only offsets a load accepts are the
+        # ones ``save`` writes
         def swap_slow(doc, section):
             a, b = doc["slow"]["a"], doc["slow"]["b"]
             assert section[a : a + 16] != section[b : b + 16]
             section[a : a + 16], section[b : b + 16] = section[b : b + 16], section[a : a + 16]
             doc["slow"].update(a=b, b=a)
 
-        opt, path = self.rewritten_v4(tmp_path, swap_slow)
-        assert Optimizer.load(path).to_checkpoint() == opt.to_checkpoint()
+        _, path = self.rewritten_v4(tmp_path, swap_slow)
+        with pytest.raises(ValueError, match=r"^slow\['a'\]: "):
+            Optimizer.load(path)
+
+    def test_every_one_digit_offset_edit_is_refused(self, tmp_path):
+        # 12 offset leaves of 31 digits in all: each digit changed to each of the
+        # 9 others gives 279 files, and each must fail naming the leaf edited
+        opt, rng = self.make_opt()
+        for g in self.grad_stream(rng, 6):
+            opt.step(g)
+        path = tmp_path / "ckpt"
+        opt.save(path)
+        line, section = path.read_bytes().split(b"\n", 1)
+        doc = json.loads(line)
+        leaves = [(f"params[{i}].values", ("params", i, "values")) for i in range(2)]
+        leaves += [(f"moments[{name!r}].{b}", ("moments", name, b))
+                   for name, slots in doc["moments"].items() for b in slots]
+        leaves += [(f"slow[{name!r}]", ("slow", name)) for name in doc["slow"]]
+        assert len(leaves) == 12
+        edits = 0
+        for where, (*parents, key) in leaves:
+            edited = mapping = json.loads(line)
+            for part in parents:
+                mapping = mapping[part]
+            digits = str(mapping[key])
+            for i, d in itertools.product(range(len(digits)), "0123456789"):
+                if d == digits[i]:
+                    continue
+                mapping[key] = int(digits[:i] + d + digits[i + 1 :])
+                path.write_bytes(json.dumps(edited).encode("ascii") + b"\n" + section)
+                with pytest.raises(ValueError, match="^" + re.escape(where) + ":"):
+                    Optimizer.load(path)
+                edits += 1
+        assert edits == 279
 
     def test_v4_load_raises_the_first_error_of_the_walk(self, tmp_path):
         # the whole-buffer check finds the NaN and falls back to the walk, whose first
@@ -1091,23 +1140,23 @@ class TestCheckpoint:
                 opt.step(grads)
             yield spec, opt
 
-    def test_clean_v4_load_reads_only_the_params_one_by_one(self, tmp_path, monkeypatch):
-        # the moment and slow-weight buffers of a file ``save`` wrote are checked and
-        # copied whole, not read tensor by tensor
-        where, sliced = [], engine._sliced
+    def test_v4_load_reads_no_leaf_one_by_one(self, tmp_path, monkeypatch):
+        # all six buffers of a file ``save`` wrote, θ included, are checked and copied
+        # whole, never read through the per-leaf reader
+        where, checked = [], engine._checked_buffer
 
-        def counted(section, offset, at, size):
+        def counted(mapping, key, at, size, read):
             where.append(at)
-            return sliced(section, offset, at, size)
+            return checked(mapping, key, at, size, read)
 
-        monkeypatch.setattr(engine, "_sliced", counted)
+        monkeypatch.setattr(engine, "_checked_buffer", counted)
         for spec, opt in self.stepped(CONFIGS / "deep_mlp.json"):
             path = tmp_path / f"{spec.label}.ckpt"
             opt.save(path)
             where.clear()
             assert Optimizer.load(path).to_checkpoint() == opt.to_checkpoint()
             assert len(opt.params) == 32
-            assert where == [f"params[{i}].values" for i in range(32)]
+            assert where == []
 
     @pytest.mark.parametrize(
         "config_path", [*sorted(CONFIGS.glob("*.json")), REPO / "perfbench" / "wide_mlp.json"],
