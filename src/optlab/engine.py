@@ -26,7 +26,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -200,20 +200,16 @@ class StepDiag:
 
     t: int
     eta_t: float
-    tensors: list[TensorDiag] = field(default_factory=list)
+    tensors: list[TensorDiag]
 
     @property
     def clip_ratio(self) -> float:
         total = sum(d.units_total for d in self.tensors)
-        if total == 0:
-            return 0.0
         return sum(d.units_clipped for d in self.tensors) / total
 
     @property
     def mean_vhat(self) -> float:
         total = sum(d.size for d in self.tensors)
-        if total == 0:
-            return 0.0
         return sum(d.mean_vhat * d.size for d in self.tensors) / total
 
     @property
@@ -451,10 +447,10 @@ class Optimizer:
     def _rebuilt(cls, blob, section: memoryview | None) -> "Optimizer":
         """The optimizer the checkpoint ``blob`` describes: ``from_checkpoint``'s
         when ``section`` is None, else that of a v4 file's document line, whose
-        buffer leaves are offsets into ``section``, the file's raw section. A v4
-        load builds the optimizer from the names and shapes alone, then
-        ``_read_section`` fills its six buffers whole; a v2 or v3 load walks each
-        tensor's fields and raises at the first field at fault."""
+        buffer leaves are offsets into ``section``, the file's raw section, which
+        must be exactly six buffers long. A v4 load builds the optimizer from the
+        names and shapes alone, then ``_read_section`` fills its six buffers whole;
+        a v2 or v3 load walks each tensor's fields and raises at the first field at fault."""
         if not isinstance(blob, dict):
             raise ValueError(f"checkpoint: expected an object, got {type(blob).__name__}")
         version = blob.get("checkpoint_version")
@@ -473,8 +469,10 @@ class Optimizer:
             _param_from_dict(entry, f"params[{i}]", read)
             for i, entry in enumerate(blob["params"])
         ]
-        if section is not None and 8 * sum(p.size for p in params) > len(section):
-            raise ValueError(f"params: their values do not fit in the {len(section)}-byte section")
+        if section is not None and len(section) != _offset(6, n := sum(p.size for p in params), 0):
+            raise ValueError(
+                f"params: their values take a {_offset(6, n, 0)}-byte section, got {len(section)}"
+            )
         config = _from_dict(Ranger21Config, blob["config"], "config")
         if blob["preset"] not in PRESETS:
             raise ValueError(f"preset: expected one of {PRESETS}, got {blob['preset']!r}")
@@ -554,25 +552,24 @@ def _offset(k: int, n: int, lo: int) -> int:
 
 
 def _read_section(opt: Optimizer, blob: dict, section: memoryview) -> None:
-    """Copy ``opt``'s six buffers whole from a v4 file's raw ``section`` if it holds them,
-    checking each copy once; then, in the v2/v3 walk's order, raise ValueError at the
-    first leaf not at the offset ``save`` writes, past the section or not finite."""
+    """Copy ``opt``'s six buffers whole from a v4 file's raw ``section``, which holds
+    exactly them, checking each copy once; then, in the v2/v3 walk's order, raise
+    ValueError at the first leaf not at the offset ``save`` writes or not finite."""
     bufs = opt._buffers()
-    n, nbytes = bufs[0].size, len(section)
-    finite = [True] * len(bufs)
-    for k, buf in enumerate(bufs if nbytes >= _offset(len(bufs), n, 0) else ()):
+    n = bufs[0].size
+    finite = []
+    for k, buf in enumerate(bufs):
         buf[:] = np.frombuffer(section, dtype="<f8", count=n, offset=_offset(k, n, 0))
-        finite[k] = np.isfinite(buf).all()
+        finite.append(np.isfinite(buf).all())
     for i, (name, (lo, hi)) in enumerate(opt.state.bounds.items()):
         leaves = [(blob["params"][i], "values", f"params[{i}].values")]
         leaves += [(blob["moments"][name], b, f"moments[{name!r}].{b}") for b in _MOMENT_BUFFERS]
         leaves.append((blob["slow"], name, f"slow[{name!r}]"))
         for k, (mapping, key, where) in enumerate(leaves):
             offset, expected = _field(mapping, key, where), _offset(k, n, lo)
-            if type(offset) is not int or offset != expected or offset + 8 * (hi - lo) > nbytes:
+            if type(offset) is not int or offset != expected:
                 raise ValueError(
-                    f"{where}: expected {expected}, the offset save writes, with its {hi - lo} "
-                    f"values inside the {nbytes}-byte section, got {offset!r}"
+                    f"{where}: expected {expected}, the offset save writes, got {offset!r}"
                 )
             if not finite[k] and not np.isfinite(bufs[k][lo:hi]).all():
                 raise ValueError(f"{where}: non-finite values rejected")

@@ -40,7 +40,9 @@ class MomentConfig:
     eps: float = 1e-8
 
     def __post_init__(self) -> None:
-        for name in ("beta0", "beta1", "beta2"):
+        if not 0.0 <= self.beta0 <= 1.0:  # 1.0 is the AdaPNM and Ranger21 reference value
+            raise ValueError(f"beta0 must be in [0, 1], got {self.beta0}")
+        for name in ("beta1", "beta2"):
             b = getattr(self, name)
             if not 0.0 <= b < 1.0:
                 raise ValueError(f"{name} must be in [0, 1), got {b}")

@@ -12,14 +12,6 @@ the moments' second-moment rate (``MomentConfig.beta2``), passed by the caller.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-
-WARMUP_DEFAULT_FRACTION = Fraction(22, 100)
-WARMDOWN_DEFAULT_FRACTION = Fraction(28, 100)
-
-
-def _round_half_up(x: Fraction) -> int:
-    return int(x + Fraction(1, 2))
 
 
 @dataclass(frozen=True)
@@ -42,13 +34,10 @@ class ScheduleSpec:
             raise ValueError(f"eta must be > 0, got {self.eta}")
         if self.t_max < 1:
             raise ValueError(f"t_max must be >= 1, got {self.t_max}")
-        for name, fraction in (
-            ("t_warmup", WARMUP_DEFAULT_FRACTION),
-            ("t_warmdown", WARMDOWN_DEFAULT_FRACTION),
-        ):
+        for name, percent in (("t_warmup", 22), ("t_warmdown", 28)):
             length = getattr(self, name)
-            if length is None:
-                length = max(1, _round_half_up(fraction * self.t_max))
+            if length is None:  # percent of t_max, rounded half-up, in exact integers
+                length = max(1, (percent * self.t_max + 50) // 100)
                 object.__setattr__(self, name, length)
             if not 0 < length <= self.t_max:
                 raise ValueError(f"{name} must be in [1, t_max], got {length} (t_max={self.t_max})")

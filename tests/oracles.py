@@ -3,14 +3,15 @@
 Straight-line scalar transcriptions of the update rules, written directly
 from the algorithm definitions with plain Python floats; a Frobenius norm; a
 whole-tensor clip; a central-difference gradient; the MLP activations'
-derivatives in the pre-activation; the decay's per-slice loop; and a reader
-of checkpoint format v4. They use numpy at most and deliberately import
-nothing from the package.
+derivatives in the pre-activation; the decay's per-slice loop; the default
+schedule phase lengths in exact rationals; and a reader of checkpoint format
+v4. They use numpy at most and deliberately import nothing from the package.
 """
 
 import base64
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -133,6 +134,12 @@ def pnm_scalar(grads, beta0=0.9, beta1=0.9, beta2=0.999, eps=1e-8):
         us.append(u)
         v_hats.append(v_hat)
     return us, v_hats
+
+
+def default_phase_length(percent, t_max):
+    """A schedule phase's default length: ``percent`` of ``t_max`` in exact
+    rationals, rounded half-up, and at least one step."""
+    return max(1, int(Fraction(percent, 100) * t_max + Fraction(1, 2)))
 
 
 def schedule_factor_scalar(t, t_max, t_warmup, t_warmdown, beta2=0.999):

@@ -1027,7 +1027,8 @@ class TestCheckpoint:
             ("params[1].values", lambda doc, section: doc["params"][1].update(values="16")),
             ("moments['a'].v", lambda doc, section: doc["moments"]["a"].update(v=-8)),
             ("slow['b']", lambda doc, section: doc["slow"].update(b=len(section) - 8)),
-            ("slow['b']", lambda doc, section: section.__delitem__(slice(-8, None))),
+            ("params", lambda doc, section: section.__delitem__(slice(-8, None))),
+            ("params", lambda doc, section: section.extend(bytes(24))),
             ("moments['a'].v_max", lambda doc, section: section.__setitem__(
                 slice(doc["moments"]["a"]["v_max"] + 8, doc["moments"]["a"]["v_max"] + 16),
                 np.array([math.inf]).tobytes())),
@@ -1043,7 +1044,8 @@ class TestCheckpoint:
         ],
         ids=[
             "bool_offset", "float_offset", "string_offset", "negative_offset",
-            "offset_past_the_end", "section_cut", "infinite_value", "offset_moved_4_bytes",
+            "offset_past_the_end", "section_cut", "section_extended", "infinite_value",
+            "offset_moved_4_bytes",
             "offset_aliased_onto_another_tensor", "params_offset_in_the_slow_buffer",
             "offset_at_the_next_slot", "shape_past_the_section", "shape_past_any_array",
         ],
@@ -1052,6 +1054,20 @@ class TestCheckpoint:
         _, path = self.rewritten_v4(tmp_path, mutate)
         with pytest.raises(ValueError, match="^" + re.escape(field) + ":"):
             Optimizer.load(path)
+
+    def test_v4_section_of_any_other_length_rejected(self, tmp_path):
+        # two tensors of two values: six buffers of 4 values take 192 bytes, and a
+        # section cut short or with bytes after them is refused before any is read
+        opt, path = self.rewritten_v4(tmp_path, lambda doc, section: None)
+        line, section = path.read_bytes().split(b"\n", 1)
+        assert len(section) == 192
+        for length in [*range(192), *range(193, 217)]:
+            path.write_bytes(line + b"\n" + (section + bytes(24))[:length])
+            message = f"params: their values take a 192-byte section, got {length}"
+            with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+                Optimizer.load(path)
+        path.write_bytes(line + b"\n" + section)
+        assert Optimizer.load(path).to_checkpoint() == opt.to_checkpoint()
 
     def rewritten_v4(self, tmp_path, mutate):
         """A two-tensor optimizer after one step, and the path of its v4 file, rewritten

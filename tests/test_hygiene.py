@@ -1,6 +1,7 @@
 """Source hygiene that a linter would check: the public names resolve, no
-module of the package or of its tests imports a name it never uses, and the
-package reads every private helper it defines."""
+module of the package or of its tests imports a name it never uses, the
+package imports only the modules listed here, and it reads every private
+helper it defines."""
 
 import ast
 from pathlib import Path
@@ -145,3 +146,27 @@ def test_one_blas_reduction_in_the_package():
         and node.func.attr in BLAS_REDUCTIONS
     ]
     assert [call.split(":")[0] for call in calls] == ["moments.py"], calls
+
+
+# The modules the package imports: the standard library's and numpy. Every process
+# that imports the package pays for them, so a new one is an edit to this list
+PACKAGE_IMPORTS = {
+    "__future__", "argparse", "base64", "binascii", "dataclasses", "functools", "itertools",
+    "json", "math", "operator", "os", "pathlib", "sys", "typing", "numpy",
+}
+
+
+def imported_modules(tree: ast.Module) -> set[str]:
+    """The top-level module of every absolute import in the module."""
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.add(node.module.split(".")[0])
+    return modules
+
+
+def test_package_imports_are_the_listed_modules():
+    found = set().union(*(imported_modules(ast.parse(p.read_text())) for p in PACKAGE.glob("*.py")))
+    assert found == PACKAGE_IMPORTS

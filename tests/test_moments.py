@@ -94,6 +94,15 @@ class TestPnmUpdate:
             assert u[0] == pytest.approx(us[t - 1], rel=1e-12)
             assert v_hat[0] == pytest.approx(v_hats[t - 1], rel=1e-12)
 
+    def test_beta0_one_matches_scalar_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        grads = rng.uniform(-5, 5, size=8)
+        us, v_hats = pnm_scalar(list(grads), beta0=1.0)
+        state, cfg = MomentState.zeros(1), MomentConfig(beta0=1.0)
+        for t, g in enumerate(grads, start=1):
+            u, v_hat, state = pnm_update(state, scalar(float(g)).values, t, cfg)
+            assert (u[0], v_hat[0]) == (us[t - 1], v_hats[t - 1])
+
     def test_buffer_rotation(self):
         state = MomentState.zeros(1)
         cfg = MomentConfig()
@@ -150,7 +159,7 @@ class TestAdamUpdate:
 
 class TestMomentConfig:
     @pytest.mark.parametrize(
-        "kwargs", [{"beta0": 1.0}, {"beta1": -0.1}, {"eps": 0.0}, {"beta2": 1.0}]
+        "kwargs", [{"beta0": 1.5}, {"beta1": -0.1}, {"eps": 0.0}, {"beta2": 1.0}]
     )
     def test_rejects_out_of_range(self, kwargs):
         with pytest.raises(ValueError):

@@ -4,6 +4,8 @@ from hypothesis import strategies as st
 
 from optlab import ScheduleSpec, lr_factor
 
+from oracles import default_phase_length
+
 # the documented reference configuration: 10000 steps, beta2 = 0.999,
 # warm-up 2200, warm-down 2800
 REF = ScheduleSpec(eta=1e-3, t_max=10000, t_warmup=2200, t_warmdown=2800)
@@ -54,6 +56,15 @@ class TestSpec:
     def test_default_phase_lengths_for_t_max(self, t_max, t_warmup, t_warmdown):
         spec = ScheduleSpec(eta=1.0, t_max=t_max)
         assert (spec.t_warmup, spec.t_warmdown) == (t_warmup, t_warmdown)
+
+    def test_default_phase_lengths_round_half_up_exactly(self):
+        # every t_max to 200,000, and each side of the powers of ten to 10**39,
+        # where a float product would round
+        sweep = [*range(1, 200_001), *(10**k + d for k in range(6, 40) for d in (-1, 0, 1))]
+        for t_max in sweep:
+            spec = ScheduleSpec(eta=1.0, t_max=t_max)
+            expected = (default_phase_length(22, t_max), default_phase_length(28, t_max))
+            assert (spec.t_warmup, spec.t_warmdown) == expected, t_max
 
     def test_overlapping_phases_permitted(self):
         spec = ScheduleSpec(eta=1.0, t_max=10, t_warmup=8, t_warmdown=8)
