@@ -373,6 +373,48 @@ class BenchmarkResult:
         return all(s.diverged for s in self.summaries)
 
 
+# a diverging run legitimately produces inf/nan on its way out; let them
+# propagate silently, from the batch draw to the full-data loss
+@np.errstate(all="ignore")
+def _run_one(config: RunConfig, spec: OptimizerSpec, run_id: str) -> tuple[list, int, bool]:
+    """One optimizer's run: its records, the steps it completed and whether it
+    diverged, which it does at the first step t with a non-finite batch loss or
+    a rejected step (t - 1 completed) or a non-finite full-data loss (t)."""
+    problem = config.problem
+    batch_rng = philox((config.seed, 1))
+    opt = Optimizer(problem.init_params(philox((config.seed, 0))), spec.config, spec.preset)
+    records: list[RunRecord] = []
+    for t in range(1, config.t_max + 1):
+        record = t % config.cadence == 0 or t == config.t_max
+        captured: list[StepDiag] = []
+        try:
+            loss, grads = problem.evaluate(opt.params, problem.sample_batch(batch_rng))
+            if not math.isfinite(loss):
+                return records, t - 1, True
+            opt.step(grads, observer=captured.append if record else None)
+        except NonFiniteError:
+            return records, t - 1, True
+        if record:
+            full_loss, accuracy = problem.metrics(opt.params)
+            if not math.isfinite(full_loss):
+                return records, t, True
+            diag = captured[0]
+            records.append(
+                RunRecord(
+                    run=run_id,
+                    optimizer=spec.label,
+                    step=t,
+                    eta_t=diag.eta_t,
+                    loss=full_loss,
+                    accuracy=accuracy,
+                    clip_ratio=diag.clip_ratio,
+                    mean_vhat=diag.mean_vhat,
+                    decay_norm=diag.decay_norm,
+                )
+            )
+    return records, config.t_max, False
+
+
 def run_benchmark(config: RunConfig) -> BenchmarkResult:
     """Run every optimizer spec on the shared seeded problem."""
     run_id = f"{config.problem.name}-s{config.seed}"
@@ -380,60 +422,10 @@ def run_benchmark(config: RunConfig) -> BenchmarkResult:
     records: list[RunRecord] = []
     summaries: list[RunSummary] = []
     for spec in config.optimizers:
-        problem = config.problem
-        init_rng = philox((config.seed, 0))
-        batch_rng = philox((config.seed, 1))
-        params = problem.init_params(init_rng)
-        opt = Optimizer(params, spec.config, preset=spec.preset)
-
-        run_records: list[RunRecord] = []
-        diverged = False
-        steps_completed = 0
-        for t in range(1, config.t_max + 1):
-            batch = problem.sample_batch(batch_rng)
-            record = t % config.cadence == 0 or t == config.t_max
-            captured: list[StepDiag] = []
-            observer = captured.append if record else None
-            try:
-                # a diverging run legitimately produces inf/nan on its way
-                # out; let them propagate silently and catch the rejection
-                with np.errstate(all="ignore"):
-                    loss, grads = problem.evaluate(opt.params, batch)
-                    if not math.isfinite(loss):
-                        diverged = True
-                        break
-                    opt.step(grads, observer=observer)
-            except NonFiniteError:
-                diverged = True
-                break
-            steps_completed = t
-            if record:
-                full_loss, accuracy = problem.metrics(opt.params)
-                if not math.isfinite(full_loss):
-                    diverged = True
-                    break
-                diag = captured[0]
-                run_records.append(
-                    RunRecord(
-                        run=run_id,
-                        optimizer=spec.label,
-                        step=t,
-                        eta_t=diag.eta_t,
-                        loss=full_loss,
-                        accuracy=accuracy,
-                        clip_ratio=diag.clip_ratio,
-                        mean_vhat=diag.mean_vhat,
-                        decay_norm=diag.decay_norm,
-                    )
-                )
-
+        run_records, steps_completed, diverged = _run_one(config, spec, run_id)
         losses = [r.loss for r in run_records]
-        steps_to_threshold = None
-        if config.loss_threshold is not None:
-            for r in run_records:
-                if r.loss <= config.loss_threshold:
-                    steps_to_threshold = r.step
-                    break
+        threshold = config.loss_threshold
+        hits = [r.step for r in run_records if threshold is not None and r.loss <= threshold]
         summaries.append(
             RunSummary(
                 optimizer=spec.label,
@@ -442,7 +434,7 @@ def run_benchmark(config: RunConfig) -> BenchmarkResult:
                 final_loss=losses[-1] if losses else None,
                 best_loss=min(losses) if losses else None,
                 final_accuracy=run_records[-1].accuracy if run_records else None,
-                steps_to_threshold=steps_to_threshold,
+                steps_to_threshold=hits[0] if hits else None,
             )
         )
         records.extend(run_records)

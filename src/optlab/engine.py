@@ -312,9 +312,9 @@ class Optimizer:
         return self._config
 
     @property
-    def params(self) -> list[ParamTensor]:
-        """The params as read-only views of ``state.flat_theta``; only a step
-        replaces them, so θ and the moments always move together."""
+    def params(self) -> tuple[ParamTensor, ...]:
+        """The params, a tuple of read-only views of ``state.flat_theta``; only a
+        step replaces them, so θ and the moments always move together."""
         return self._params
 
     @property
@@ -323,7 +323,7 @@ class Optimizer:
 
     def step(
         self, grads: Sequence[ParamTensor], observer: Observer | None = None
-    ) -> list[ParamTensor]:
+    ) -> tuple[ParamTensor, ...]:
         """One full composed step: transforms, moments, schedule, decay, lookahead.
 
         Component order is fixed: clip, centralize, moment update, then

@@ -174,7 +174,7 @@ def mlp_eval(
     labels,
     activation: str = "tanh",
     alpha: float = 0.1,
-) -> tuple[float, list[ParamTensor]]:
+) -> tuple[float, tuple[ParamTensor, ...]]:
     """Batch-mean smoothed cross-entropy of the MLP and its exact gradients.
 
     Forward: affine layers with the chosen activation between them, final

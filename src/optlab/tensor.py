@@ -62,12 +62,12 @@ class ParamTensor:
     @classmethod
     def _views(
         cls, like: Iterable, spans: Iterable[tuple[int, int]], flat: np.ndarray
-    ) -> list["ParamTensor"]:
-        """One tensor per entry of ``like``, with that entry's name and shape,
-        whose values are its ``(lo, hi)`` slice of ``flat``: no copy and no
-        check (the caller has checked ``flat`` once). The slices are taken
-        from one read-only view of ``flat``, so they are read-only while
-        ``flat`` itself stays writeable."""
+    ) -> tuple["ParamTensor", ...]:
+        """A tuple of one tensor per entry of ``like``, with that entry's name
+        and shape, whose values are its ``(lo, hi)`` slice of ``flat``: no copy
+        and no check (the caller has checked ``flat`` once). The slices are
+        taken from one read-only view of ``flat``, so they are read-only while
+        ``flat`` itself stays writeable, and the tuple cannot be resized."""
         frozen = flat.view()
         frozen.flags.writeable = False
         tensors = []
@@ -75,7 +75,7 @@ class ParamTensor:
             tensor = cls.__new__(cls)
             tensor.name, tensor.shape, tensor.values = p.name, p.shape, frozen[lo:hi]
             tensors.append(tensor)
-        return tensors
+        return tuple(tensors)
 
     def with_values(self, values) -> "ParamTensor":
         """New tensor with the same name and shape but fresh values."""

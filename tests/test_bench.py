@@ -14,6 +14,7 @@ from optlab.benchmark import (
     CSV_HEADER,
     ConfigError,
     RunRecord,
+    RunSummary,
     emit_csv,
     parse_config,
     run_benchmark,
@@ -347,6 +348,42 @@ class TestRunBenchmark:
     def test_analytic_records_have_no_accuracy(self):
         result = run_benchmark(parse(optimizers=[{"preset": "adamw"}]))
         assert all(r.accuracy is None for r in result.records)
+
+    def test_quadratic_run_records_both_presets(self):
+        config = parse(
+            t_max=200, cadence=50, loss_threshold=1e-3,
+            problem={"name": "quadratic", "spectrum": [1.0, 4.0], "start": [1.0, -2.0]},
+            optimizers=[{"preset": "adamw", "eta": 0.05}, {"preset": "ranger21", "eta": 0.05}],
+        )
+        result = run_benchmark(config)
+        for label in ("adamw", "ranger21"):
+            records = [r for r in result.records if r.optimizer == label]
+            assert [r.step for r in records] == [50, 100, 150, 200]
+            assert all(r.accuracy is None for r in records)
+        assert not result.all_diverged
+        adamw = result.summaries[0]
+        assert (adamw.optimizer, adamw.steps_completed) == ("adamw", 200)
+        first = next(r.step for r in result.records if r.loss <= 1e-3)
+        assert adamw.steps_to_threshold == first == 100
+
+    @pytest.mark.parametrize(
+        "start,steps_completed",
+        # from (1, 1) the first step takes x to about -1e160 and the full-data
+        # loss overflows after it; from 1e200 the first batch loss already has
+        [([1.0, 1.0], 1), ([1e200, 1.0], 0)],
+        ids=["full_data_loss", "batch_loss"],
+    )
+    def test_overflowing_loss_ends_the_run_without_a_warning(self, start, steps_completed):
+        config = parse(
+            t_max=5, cadence=1,
+            problem={"name": "quadratic", "spectrum": [1.0, 1.0], "start": start},
+            optimizers=[{"preset": "adamw", "eta": 1e160}],
+        )
+        result = run_benchmark(config)  # pyproject.toml makes a RuntimeWarning an error
+        assert result.records == []
+        assert result.summaries == [
+            RunSummary("adamw", True, steps_completed, None, None, None, None)
+        ]
 
 
 class TestEmitCsv:

@@ -670,6 +670,61 @@ class TestStateOwnsTheta:
         with pytest.raises(AttributeError):
             opt.params = []
 
+    def test_params_and_a_steps_result_cannot_be_resized(self, tmp_path):
+        opt, grads = self.make_opt()
+        initial = opt.params
+        returned = opt.step(grads[0])
+        assert returned is opt.params
+        before = opt.to_checkpoint()
+        for params in (initial, returned):
+            with pytest.raises(AttributeError):
+                params.pop()
+            with pytest.raises(TypeError):
+                params[0] = params[1]
+            with pytest.raises(TypeError):
+                del params[1]
+        assert [p.name for p in opt.params] == ["w", "b"]
+        assert opt.to_checkpoint() == before
+        opt.step(grads[1])
+        opt.save(tmp_path / "ckpt")
+        assert Optimizer.load(tmp_path / "ckpt").to_checkpoint() == opt.to_checkpoint()
+
+
+class TestStepRejects:
+    def make_opt(self):
+        params = [ParamTensor("w", (2, 2), [1.0, 2.0, 3.0, 4.0]), scalar(0.5, "b")]
+        opt = Optimizer.ranger21(params, eta=1e-2, t_max=10)
+        opt.step([p.with_values(np.ones(p.size)) for p in params])
+        return opt
+
+    @pytest.mark.parametrize(
+        "grads,message",
+        [
+            ([ParamTensor("w", (2, 2), np.ones(4))], "2 parameters but 1 gradients"),
+            (
+                [ParamTensor("w", (2, 2), np.ones(4)), ParamTensor("b", (1, 1), [1.0])],
+                "b: gradient shape (1, 1) does not match parameter (1,)",
+            ),
+        ],
+        ids=["count", "shape"],
+    )
+    def test_misaligned_gradients_leave_the_optimizer_unchanged(self, grads, message):
+        opt = self.make_opt()
+        before = opt.to_checkpoint()
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            opt.step(grads)
+        assert opt.to_checkpoint() == before
+
+    def test_unknown_preset_rejected(self):
+        with pytest.raises(
+            ValueError, match=re.escape("unknown preset 'x', expected one of ('adamw', 'ranger21')")
+        ):
+            Optimizer([scalar(1.0)], default_config(1e-3, 10), preset="x")
+
+    def test_lookahead_sync_rejects_step_zero(self):
+        with pytest.raises(ValueError, match="^step index must be >= 1, got 0$"):
+            lookahead_sync(np.ones(2), np.zeros(2), t=0, k=5, beta_la=0.5)
+
 
 class TestCheckpoint:
     def make_opt(self):
@@ -936,6 +991,15 @@ class TestCheckpoint:
         blob = opt.to_checkpoint()
         mutate(blob)
         with pytest.raises(ValueError, match="^" + re.escape(field) + ":"):
+            Optimizer.from_checkpoint(blob)
+
+    def test_param_with_empty_shape_rejected(self):
+        opt, _ = self.make_opt()
+        blob = opt.to_checkpoint()
+        blob["params"][0]["shape"] = []
+        with pytest.raises(
+            ValueError, match=re.escape("params[0].shape: expected a non-empty list, got []")
+        ):
             Optimizer.from_checkpoint(blob)
 
     def test_non_object_checkpoint_rejected(self):

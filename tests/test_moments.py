@@ -156,6 +156,10 @@ class TestAdamUpdate:
         _, _, state = adam_update(state, scalar(2.0).values, 1, MomentConfig())
         assert state.v_max[0] == 0.0
 
+    def test_step_zero_rejected(self):
+        with pytest.raises(ValueError, match="^step index must be >= 1, got 0$"):
+            adam_update(MomentState.zeros(1), np.ones(1), 0, MomentConfig())
+
 
 class TestMomentConfig:
     @pytest.mark.parametrize(
@@ -167,6 +171,14 @@ class TestMomentConfig:
 
 
 class TestCombinedDecay:
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match=r"^shape mismatch: theta \(3,\) vs v_hat \(2,\)$"):
+            combined_decay(np.ones(3), np.ones(2), 1.0, DecayConfig())
+
+    def test_negative_eta_rejected(self):
+        with pytest.raises(ValueError, match="^eta_t must be >= 0, got -1.0$"):
+            combined_decay(np.ones(3), np.ones(3), -1.0, DecayConfig())
+
     def test_unit_norm_vanishes(self):
         theta = scalar(1.0)
         v_hat = scalar(0.5)
@@ -192,6 +204,15 @@ class TestCombinedDecay:
         cfg = DecayConfig(weight_decay=1e-4, norm_loss=False, stable=False)
         d = combined_decay(theta.values, v_hat.values, 2.0, cfg)
         np.testing.assert_allclose(d, 2.0 * 1e-4 * theta.values, rtol=1e-15)
+
+    def test_norm_loss_uses_the_whole_tensor_norm(self):
+        # the values of a 2 x 2 tensor with row norms 5 and 1: per-row norms would
+        # leave the second row undecayed, the whole-tensor norm is sqrt(26)
+        theta = np.array([3.0, 4.0, 0.0, 1.0])
+        cfg = DecayConfig(weight_decay=0.1, stable=False)
+        d = combined_decay(theta, np.ones(4), 1.0, cfg, spans=[(0, 4)])
+        np.testing.assert_allclose(d, 0.1 * (1.0 - 1.0 / math.sqrt(26.0)) * theta, rtol=1e-15)
+        assert d[3] != 0.0
 
     def test_stable_reduction_when_vhat_is_one(self):
         theta = ParamTensor("p", (3,), [1.0, 2.0, 3.0])

@@ -275,6 +275,13 @@ class TestMLP:
             others = held + [h.values for h in grads[:i] + grads[i + 1 :]]
             assert not any(np.shares_memory(g.values, other) for other in others), g.name
 
+    def test_gradients_are_a_tuple(self):
+        problem = BlobsMLPProblem(blobs=(5, 40, 6, 4, 3.0), hidden=(5,), batch_size=9)
+        _, grads = problem.evaluate(problem.init_params(philox(0)))
+        assert type(grads) is tuple
+        with pytest.raises(AttributeError):
+            grads.pop()
+
     def test_gradients_and_params_are_views_of_unfrozen_buffers(self):
         problem = BlobsMLPProblem(blobs=(5, 40, 6, 4, 3.0), hidden=(5, 5), batch_size=9)
         params = problem.init_params(philox(0))

@@ -62,6 +62,15 @@ class TestAdaptiveGradientClip:
         with pytest.raises(ValueError):
             adaptive_gradient_clip(g.array, theta.array)
 
+    def test_rank1_units_are_elements(self):
+        # each element is its own unit: the first (ratio 1) is clipped to tau, the
+        # second (ratio 1e-4) kept; one whole-vector unit (ratio 1/sqrt(2)) would
+        # scale both
+        g = ParamTensor("g", (2,), [1.0, 1e-4])
+        theta = ParamTensor("g", (2,), [1.0, 1.0])
+        out = adaptive_gradient_clip(g.array, theta.array, ClipConfig(tau=1e-2))
+        assert out.tolist() == [1e-2, 1e-4]
+
 
 class TestGlobalThresholdClip:
     def test_below_threshold_unchanged(self):
