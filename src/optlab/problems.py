@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -32,15 +32,22 @@ def philox(seed) -> np.random.Generator:
 
 
 def rosenbrock(x) -> tuple[float, np.ndarray]:
-    """f = (1 - x1)^2 + 100 (x2 - x1^2)^2 and its analytic gradient."""
+    """f = (1 - x1)^2 + 100 (x2 - x1^2)^2 and its analytic gradient.
+
+    Where a square overflows (Python's float ``**`` raises instead of giving
+    inf), the loss is inf and the gradient NaN, so a diverging run reads as
+    diverged."""
     x1, x2 = float(x[0]), float(x[1])
-    loss = (1.0 - x1) ** 2 + 100.0 * (x2 - x1**2) ** 2
-    grad = np.array(
-        [
-            -2.0 * (1.0 - x1) - 400.0 * x1 * (x2 - x1**2),
-            200.0 * (x2 - x1**2),
-        ]
-    )
+    try:
+        loss = (1.0 - x1) ** 2 + 100.0 * (x2 - x1**2) ** 2
+        grad = np.array(
+            [
+                -2.0 * (1.0 - x1) - 400.0 * x1 * (x2 - x1**2),
+                200.0 * (x2 - x1**2),
+            ]
+        )
+    except OverflowError:
+        return math.inf, np.full(2, math.nan)
     return loss, grad
 
 
@@ -147,25 +154,31 @@ def _check_width(w0: ParamTensor, x: np.ndarray) -> None:
         )
 
 
-def _forward(pairs, x: np.ndarray, act: Callable) -> list:
-    """Every layer's input followed by the logits: affine layers with
-    ``act`` between them, final layer linear."""
-    acts = [x]
+def _forward(pairs, x: np.ndarray, act: Callable) -> Iterator[np.ndarray]:
+    """Each layer's output in turn, the logits last: affine layers with
+    ``act`` between them, final layer linear. The pass itself holds only the
+    layer it computes and the one before it."""
+    last = len(pairs) - 1
     for i, (w, b) in enumerate(pairs):
-        z = acts[-1] @ w.array.T
+        z = x @ w.array.T
         z += b.values
-        acts.append(act(z, out=z) if i < len(pairs) - 1 else z)
-    return acts
+        x = act(z, out=z) if i < last else z
+        yield x
 
 
 def mlp_logits(params: Sequence[ParamTensor], inputs, activation: str = "tanh") -> np.ndarray:
+    """The MLP's logits [n, classes] for ``inputs`` [n, d], by the forward
+    pass ``mlp_eval`` runs. Only the latest layer's output is kept, so at
+    most two layers are held at a time, whatever the depth."""
     act, _ = _activation(activation)
     pairs = _layers(params)
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("inputs must be [n, d]")
     _check_width(pairs[0][0], x)
-    return _forward(pairs, x, act)[-1]
+    for logits in _forward(pairs, x, act):
+        pass
+    return logits
 
 
 def mlp_eval(
@@ -193,7 +206,7 @@ def mlp_eval(
         raise ValueError("inputs must be [n, d] with one label per row")
     _check_width(pairs[0][0], x)
 
-    acts = _forward(pairs, x, act)
+    acts = [x, *_forward(pairs, x, act)]
     loss, d_z = label_smoothed_ce(acts[-1], y, alpha)
     starts = list(accumulate((p.size for p in params), initial=0))
     spans = list(zip(starts, starts[1:]))

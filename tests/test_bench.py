@@ -498,6 +498,17 @@ class TestCli:
         )
         assert main(["run", config, "--out", str(tmp_path / "o"), "--quiet"]) == EXIT_DIVERGED
 
+    def test_overflowing_rosenbrock_run_reports_diverged(self, tmp_path, capsys):
+        # the first step takes x1 to about 1e160, whose square overflows
+        config = self.write_config(
+            tmp_path, t_max=5, cadence=1, optimizers=[{"preset": "adamw", "eta": 1e160}]
+        )
+        out = tmp_path / "o"
+        assert main(["run", config, "--out", str(out)]) == EXIT_DIVERGED
+        assert "adamw: DIVERGED after 1 steps" in capsys.readouterr().out
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["optimizers"][0]["steps_completed"] == 1
+
     def test_schedule_prints_curve(self, tmp_path, capsys):
         config = self.write_config(
             tmp_path, t_max=100, optimizers=[{"preset": "ranger21", "eta": 1e-3}]

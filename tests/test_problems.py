@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +42,17 @@ class TestRosenbrock:
         assert loss == 4.0
         # d/dx1 = -2(1-x1) - 400 x1 (x2 - x1^2) = -4, d/dx2 = 200(x2 - x1^2) = 0
         np.testing.assert_allclose(grad, [-4.0, 0.0])
+
+    def test_overflowing_square_gives_inf_loss_and_nan_gradient(self):
+        # (x2 - x1**2)**2 overflows; Python's float ** raises instead of giving inf
+        loss, grad = rosenbrock([1e160, 1.0])
+        assert loss == math.inf
+        assert np.isnan(grad).all()
+        problem = RosenbrockProblem(start=(1e160, 1.0))
+        params = problem.init_params(philox(0))
+        assert problem.metrics(params) == (math.inf, None)
+        with pytest.raises(NonFiniteError, match="x: non-finite values rejected"):
+            problem.evaluate(params)
 
 
 class TestQuadratic:
@@ -207,6 +219,19 @@ class TestMLP:
                 d_z = (d_z @ pairs[i][0].array) * oracle(pre[i - 1])
         _, grads = mlp_eval(params, x, y, activation=activation)
         assert [g.values.tobytes() for g in grads] == [e.tobytes() for e in expected]
+
+    @pytest.mark.parametrize("n", [1, 7])
+    @pytest.mark.parametrize("depth", [0, 1, 15])
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    def test_logits_give_the_bits_of_the_evaluate_loss(self, activation, depth, n):
+        params = mlp_init((6, *[5] * depth, 4), philox(14))
+        x, y = self.batch(n=n)
+        loss, _ = mlp_eval(params, x, y, activation=activation, alpha=0.1)
+        logits = mlp_logits(params, x, activation=activation)
+        assert logits.shape == (n, 4)
+        assert np.float64(label_smoothed_ce(logits, y, 0.1)[0]).tobytes() == (
+            np.float64(loss).tobytes()
+        )
 
     @staticmethod
     def filled(layers):
@@ -433,6 +458,23 @@ class TestBenchmarkProblems:
         with pytest.raises(ValueError) as built:
             BlobsMLPProblem(blobs=(0, 1, 3, 2, 1.0), hidden=(4,), batch_size=1)
         assert str(built.value) == str(drawn.value)
+
+    def test_metrics_memory_does_not_grow_with_depth(self):
+        peaks = []
+        for layers in (4, 15):
+            problem = BlobsMLPProblem(
+                blobs=(0, 2000, 20, 4, 8.0), hidden=(16,) * layers, batch_size=1
+            )
+            params = problem.init_params(philox(0))
+            problem.metrics(params)  # draws the data
+            tracemalloc.start()
+            try:
+                problem.metrics(params)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # one 2000 x 16 float64 layer is 256 KB; holding all 15 would need 3.8 MB
+        assert peaks[1] <= 1.25 * peaks[0]
 
     @pytest.mark.parametrize(
         "make",
