@@ -4,7 +4,10 @@ Analytic surfaces (rosenbrock, quadratic), label-smoothed cross-entropy, a
 small MLP with manual backpropagation and seeded Gaussian-cluster data.
 Randomness everywhere comes from numpy's Philox counter-based generator so
 data and weight draws are reproducible bit-for-bit from their seeds. A
-problem draws its data on first use, so building one allocates nothing.
+problem draws its data on first use, so building one allocates nothing; a
+blobs MLP problem builds its layer layout and its labels' smoothed targets
+at the same time, once, and each evaluate then only checks the params'
+shapes against that layout before the backward pass.
 
 Weight init is uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)]; biases start
 at zero.
@@ -16,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -63,11 +66,23 @@ def quadratic(x, spectrum) -> tuple[float, np.ndarray]:
 # -- label-smoothed cross-entropy --------------------------------------------
 
 
-def smoothed_targets(labels: np.ndarray, n_classes: int, alpha: float) -> np.ndarray:
-    """(1 - alpha) * onehot + alpha * uniform; the true class gets 1 - alpha + alpha/C."""
+def smoothed_targets(labels, n_classes: int, alpha: float) -> np.ndarray:
+    """(1 - alpha) * onehot + alpha * uniform, one row per label; the true
+    class gets 1 - alpha + alpha/C. The labels must be a 1-D array of an
+    integer dtype (not bool), each in [0, n_classes), with n_classes >= 2;
+    anything else raises ``ValueError``."""
+    if n_classes < 2:
+        raise ValueError(f"need at least 2 classes, got {n_classes}")
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must be in [0, 1), got {alpha}")
     labels = np.asarray(labels)
+    if (
+        labels.ndim != 1
+        or labels.dtype.kind not in "iu"
+        or labels.min() < 0
+        or labels.max() >= n_classes
+    ):
+        raise ValueError(f"need one label per row, each in [0, {n_classes})")
     q = np.full((labels.size, n_classes), alpha / n_classes)
     q[np.arange(labels.size), labels] += 1.0 - alpha
     return q
@@ -78,20 +93,25 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
+def _ce_loss(logp: np.ndarray, q: np.ndarray) -> float:
+    return float(-(q * logp).sum() / q.shape[0])
+
+
+def _smoothed_ce(logits: np.ndarray, q: np.ndarray) -> tuple[float, np.ndarray]:
+    logp = _log_softmax(logits)
+    return _ce_loss(logp, q), (np.exp(logp) - q) / q.shape[0]
+
+
 def label_smoothed_ce(logits, labels, alpha: float) -> tuple[float, np.ndarray]:
     """Batch-mean cross-entropy of ``logits`` [batch, classes] against the
     labels' smoothed target distributions, and its gradient w.r.t. the logits:
     (softmax(logits) - target_dist) / batch."""
     logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels)
     batch, n_classes = logits.shape
-    if n_classes < 2:
-        raise ValueError(f"need at least 2 classes, got {n_classes}")
-    if labels.shape != (batch,) or labels.min() < 0 or labels.max() >= n_classes:
-        raise ValueError(f"need one label per row, each in [0, {n_classes})")
     q = smoothed_targets(labels, n_classes, alpha)
-    logp = _log_softmax(logits)
-    return float(-(q * logp).sum() / batch), (np.exp(logp) - q) / batch
+    if q.shape[0] != batch:
+        raise ValueError(f"need one label per row, each in [0, {n_classes})")
+    return _smoothed_ce(logits, q)
 
 
 # -- MLP with manual backprop -------------------------------------------------
@@ -154,16 +174,69 @@ def _check_width(w0: ParamTensor, x: np.ndarray) -> None:
         )
 
 
-def _forward(pairs, x: np.ndarray, act: Callable) -> Iterator[np.ndarray]:
+class _Layout(NamedTuple):
+    """The flat gradient layout of an MLP's params, from its widths: each
+    param's shape, the offsets ``starts`` at which each param's ``(lo, hi)``
+    span begins, and the param indices in the order the backward pass writes
+    them (last layer first, weight before bias), the order in which a
+    non-finite gradient is named."""
+
+    shapes: tuple[tuple[int, ...], ...]
+    starts: tuple[int, ...]
+    spans: tuple[tuple[int, int], ...]
+    backward: tuple[int, ...]
+
+
+def _layout(widths: Sequence[int]) -> _Layout:
+    shapes = tuple(
+        shape
+        for fan_in, fan_out in zip(widths[:-1], widths[1:])
+        for shape in ((fan_out, fan_in), (fan_out,))
+    )
+    starts = tuple(accumulate(map(math.prod, shapes), initial=0))
+    backward = tuple(j for i in reversed(range(len(widths) - 1)) for j in (2 * i, 2 * i + 1))
+    return _Layout(shapes, starts, tuple(zip(starts, starts[1:])), backward)
+
+
+def _forward(params, x: np.ndarray, act: Callable) -> Iterator[np.ndarray]:
     """Each layer's output in turn, the logits last: affine layers with
     ``act`` between them, final layer linear. The pass itself holds only the
     layer it computes and the one before it."""
-    last = len(pairs) - 1
-    for i, (w, b) in enumerate(pairs):
-        z = x @ w.array.T
-        z += b.values
+    last = len(params) - 2
+    for i in range(0, len(params), 2):
+        z = x @ params[i].array.T
+        z += params[i + 1].values
         x = act(z, out=z) if i < last else z
         yield x
+
+
+def _logits(params, x: np.ndarray, act: Callable) -> np.ndarray:
+    for logits in _forward(params, x, act):
+        pass
+    return logits
+
+
+def _backprop(
+    params, layout: _Layout, x: np.ndarray, q: np.ndarray, act: Callable, act_deriv: Callable
+) -> tuple[float, tuple[ParamTensor, ...]]:
+    """``mlp_eval``'s loss and gradients for params laid out as ``layout``,
+    inputs ``x`` and smoothed targets ``q``, all checked by the caller."""
+    acts = [x, *_forward(params, x, act)]
+    loss, d_z = _smoothed_ce(acts[-1], q)
+    starts = layout.starts
+    flat = np.empty(starts[-1])
+    for i in reversed(range(len(params) // 2)):
+        w = params[2 * i]
+        lo, mid, hi = starts[2 * i : 2 * i + 3]
+        np.matmul(d_z.T, acts[i], out=flat[lo:mid].reshape(w.shape))
+        d_z.sum(axis=0, out=flat[mid:hi])
+        if i > 0:
+            d_z = d_z @ w.array
+            d_z *= act_deriv(acts[i])
+    if not np.isfinite(flat).all():
+        order = layout.backward
+        _raise_nonfinite([params[j] for j in order], [layout.spans[j] for j in order], flat)
+    return loss, ParamTensor._views(params, layout.spans, flat)
 
 
 def mlp_logits(params: Sequence[ParamTensor], inputs, activation: str = "tanh") -> np.ndarray:
@@ -176,9 +249,7 @@ def mlp_logits(params: Sequence[ParamTensor], inputs, activation: str = "tanh") 
     if x.ndim != 2:
         raise ValueError("inputs must be [n, d]")
     _check_width(pairs[0][0], x)
-    for logits in _forward(pairs, x, act):
-        pass
-    return logits
+    return _logits(params, x, act)
 
 
 def mlp_eval(
@@ -197,6 +268,11 @@ def mlp_eval(
     once; the gradients are read-only views of it. A non-finite gradient
     raises ``NonFiniteError`` naming the first tensor the pass wrote
     non-finite: last layer first, weight before bias.
+
+    Each call checks the params' layer chain, the inputs' width and the
+    labels (by ``smoothed_targets``'s rule), then runs the one backward pass.
+    ``BlobsMLPProblem.evaluate`` runs the same pass on the layout and
+    smoothed targets it builds once, so it gives the same bits.
     """
     act, act_deriv = _activation(activation)
     pairs = _layers(params)
@@ -205,24 +281,9 @@ def mlp_eval(
     if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
         raise ValueError("inputs must be [n, d] with one label per row")
     _check_width(pairs[0][0], x)
-
-    acts = [x, *_forward(pairs, x, act)]
-    loss, d_z = label_smoothed_ce(acts[-1], y, alpha)
-    starts = list(accumulate((p.size for p in params), initial=0))
-    spans = list(zip(starts, starts[1:]))
-    flat = np.empty(starts[-1])
-    for i in reversed(range(len(pairs))):
-        w, b = pairs[i]
-        lo, mid, hi = starts[2 * i : 2 * i + 3]
-        np.matmul(d_z.T, acts[i], out=flat[lo:mid].reshape(w.shape))
-        d_z.sum(axis=0, out=flat[mid:hi])
-        if i > 0:
-            d_z = d_z @ w.array
-            d_z *= act_deriv(acts[i])
-    if not np.isfinite(flat).all():
-        backward = [j for i in reversed(range(len(pairs))) for j in (2 * i, 2 * i + 1)]
-        _raise_nonfinite([params[j] for j in backward], [spans[j] for j in backward], flat)
-    return loss, ParamTensor._views(params, spans, flat)
+    widths = (x.shape[1], *(w.shape[0] for w, _ in pairs))
+    q = smoothed_targets(y, widths[-1], alpha)
+    return _backprop(params, _layout(widths), x, q, act, act_deriv)
 
 
 # -- data -----------------------------------------------------------------------
@@ -329,16 +390,40 @@ class BlobsMLPProblem:
     def sample_batch(self, rng: np.random.Generator) -> np.ndarray:
         return rng.integers(0, self.blobs[1], size=self.batch_size)
 
+    @cached_property
+    def layout(self) -> _Layout:
+        """The params' shapes and gradient layout, from ``widths``; built on
+        the first evaluate or metrics call."""
+        return _layout(self.widths)
+
+    @cached_property
+    def targets(self) -> np.ndarray:
+        """``smoothed_targets`` of the data's labels, [n, classes]; built on
+        the first evaluate or metrics call."""
+        return smoothed_targets(self.data[1], self.widths[-1], self.alpha)
+
+    def _check_shapes(self, params: Sequence[ParamTensor]) -> None:
+        shapes = self.layout.shapes
+        if tuple(p.shape for p in params) != shapes:
+            for p, shape in zip(params, shapes):
+                if p.shape != shape:
+                    raise ValueError(
+                        f"{p.name}: widths {self.widths} need shape {shape}, got {p.shape}"
+                    )
+            raise ValueError(f"widths {self.widths} need {len(shapes)} params, got {len(params)}")
+
     def evaluate(self, params: Sequence[ParamTensor], batch=None):
-        x, y = self.data
+        self._check_shapes(params)
+        x, q = self.data[0], self.targets
         if batch is not None:
-            x, y = x[batch], y[batch]
-        return mlp_eval(params, x, y, activation=self.activation, alpha=self.alpha)
+            x, q = x[batch], q[batch]
+        return _backprop(params, self.layout, x, q, *_activation(self.activation))
 
     def metrics(self, params: Sequence[ParamTensor]):
-        """Full-dataset loss and accuracy from one forward pass."""
+        """Full-dataset loss and accuracy from one forward pass; the loss is
+        computed alone, without its gradient."""
+        self._check_shapes(params)
         x, y = self.data
-        logits = mlp_logits(params, x, activation=self.activation)
-        loss, _ = label_smoothed_ce(logits, y, self.alpha)
+        logits = _logits(params, x, _activation(self.activation)[0])
         accuracy = float(np.mean(logits.argmax(axis=1) == y))
-        return loss, accuracy
+        return _ce_loss(_log_softmax(logits), self.targets), accuracy

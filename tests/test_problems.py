@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from optlab import NonFiniteError, Optimizer, ParamTensor
+from optlab import NonFiniteError, Optimizer, ParamTensor, problems
 from optlab.problems import (
     ACTIVATIONS,
     BlobsMLPProblem,
@@ -100,6 +100,22 @@ class TestLabelSmoothedCE:
     def test_target_out_of_range(self):
         with pytest.raises(ValueError):
             label_smoothed_ce([[0.0, 0.0]], [2], 0.1)
+
+    @pytest.mark.parametrize(
+        "labels",
+        [[-1, 0], [0, 4], [0.5, 1.0], [True, False], [[0], [1]]],
+        ids=["negative", "too_large", "float", "bool", "2d"],
+    )
+    def test_smoothed_targets_rejects_labels_outside_the_rule(self, labels):
+        with pytest.raises(ValueError) as excinfo:
+            smoothed_targets(np.array(labels), 4, 0.1)
+        assert str(excinfo.value) == "need one label per row, each in [0, 4)"
+
+    @pytest.mark.parametrize("labels", [[0.5, 1.0], [True, False]], ids=["float", "bool"])
+    def test_label_smoothed_ce_rejects_labels_that_are_not_integers(self, labels):
+        with pytest.raises(ValueError) as excinfo:
+            label_smoothed_ce(np.zeros((2, 4)), np.array(labels), 0.1)
+        assert str(excinfo.value) == "need one label per row, each in [0, 4)"
 
     def test_gradient_matches_finite_differences(self):
         rng = philox(5)
@@ -232,6 +248,21 @@ class TestMLP:
         assert np.float64(label_smoothed_ce(logits, y, 0.1)[0]).tobytes() == (
             np.float64(loss).tobytes()
         )
+
+    @pytest.mark.parametrize("batched", [True, False], ids=["batch", "full"])
+    @pytest.mark.parametrize("hidden", [(), (5,), (5,) * 15], ids=["h0", "h1", "h15"])
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    def test_problem_evaluate_gives_the_bits_of_mlp_eval(self, activation, hidden, batched):
+        problem = BlobsMLPProblem(
+            blobs=(5, 40, 6, 4, 3.0), hidden=hidden, batch_size=9, activation=activation
+        )
+        params = problem.init_params(philox(0))
+        batch = problem.sample_batch(philox(1)) if batched else np.arange(40)
+        loss, grads = problem.evaluate(params, batch if batched else None)
+        x, y = problem.data
+        expected_loss, expected = mlp_eval(params, x[batch], y[batch], activation, 0.1)
+        assert np.float64(loss).tobytes() == np.float64(expected_loss).tobytes()
+        assert [g.values.tobytes() for g in grads] == [e.values.tobytes() for e in expected]
 
     @staticmethod
     def filled(layers):
@@ -475,6 +506,62 @@ class TestBenchmarkProblems:
                 tracemalloc.stop()
         # one 2000 x 16 float64 layer is 256 KB; holding all 15 would need 3.8 MB
         assert peaks[1] <= 1.25 * peaks[0]
+
+    @pytest.mark.parametrize("depth", [0, 1, 15])
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize(
+        "blobs", [(0, 2000, 20, 4, 10.0), (0, 2000, 20, 4, 8.0)], ids=["blobs_mlp", "deep_mlp"]
+    )
+    def test_metrics_loss_has_the_bits_of_label_smoothed_ce(self, blobs, activation, depth):
+        problem = BlobsMLPProblem(
+            blobs=blobs, hidden=(16,) * depth, batch_size=128, activation=activation
+        )
+        params = problem.init_params(philox(3))
+        loss, accuracy = problem.metrics(params)
+        x, y = problem.data
+        logits = mlp_logits(params, x, activation=activation)
+        expected = label_smoothed_ce(logits, y, 0.1)[0]
+        assert np.float64(loss).tobytes() == np.float64(expected).tobytes()
+        assert accuracy == float(np.mean(logits.argmax(axis=1) == y))
+
+    def test_layout_and_targets_are_built_once(self, monkeypatch):
+        calls = {"_layers": 0, "smoothed_targets": 0}
+        for name in calls:
+            raw = getattr(problems, name)
+
+            def counting(*args, _raw=raw, _name=name, **kwargs):
+                calls[_name] += 1
+                return _raw(*args, **kwargs)
+
+            monkeypatch.setattr(problems, name, counting)
+        problem = BlobsMLPProblem(blobs=(5, 40, 6, 4, 3.0), hidden=(5, 5), batch_size=9)
+        params = problem.init_params(philox(0))
+        rng = philox(1)
+        for i in range(10):
+            problem.evaluate(params, problem.sample_batch(rng) if i % 2 else None)
+        problem.metrics(params)
+        problem.metrics(params)
+        monkeypatch.undo()
+        assert calls["_layers"] <= 1 and calls["smoothed_targets"] <= 1, calls
+        assert problem.targets.tobytes() == smoothed_targets(problem.data[1], 4, 0.1).tobytes()
+
+    @pytest.mark.parametrize("call", ["evaluate", "metrics"])
+    @pytest.mark.parametrize(
+        "widths, keep, message",
+        [
+            ((6, 4, 4), None, "w0: widths (6, 5, 5, 4) need shape (5, 6), got (4, 6)"),
+            ((6, 5, 3, 4), None, "w1: widths (6, 5, 5, 4) need shape (5, 5), got (3, 5)"),
+            ((6, 5, 5, 3), None, "w2: widths (6, 5, 5, 4) need shape (4, 5), got (3, 5)"),
+            ((6, 5, 5, 4), 4, "widths (6, 5, 5, 4) need 6 params, got 4"),
+        ],
+        ids=["w0", "w1", "w2", "count"],
+    )
+    def test_params_of_other_shapes_rejected(self, call, widths, keep, message):
+        problem = BlobsMLPProblem(blobs=(5, 40, 6, 4, 3.0), hidden=(5, 5), batch_size=9)
+        params = mlp_init(widths, philox(0))[:keep]
+        with pytest.raises(ValueError) as excinfo:
+            getattr(problem, call)(params)
+        assert str(excinfo.value) == message
 
     @pytest.mark.parametrize(
         "make",
