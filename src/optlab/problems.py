@@ -1,7 +1,8 @@
 """Desk-scale differentiable problems with exact hand-written gradients.
 
-Analytic surfaces (rosenbrock, quadratic), label-smoothed cross-entropy, a
-small MLP with manual backpropagation and seeded Gaussian-cluster data.
+Analytic surfaces (rosenbrock, quadratic), and blob classification with a
+small MLP under label-smoothed cross-entropy, backpropagated by hand over
+seeded Gaussian-cluster data; ``BlobsMLPProblem`` is the way into the MLP.
 Randomness everywhere comes from numpy's Philox counter-based generator so
 data and weight draws are reproducible bit-for-bit from their seeds. A
 problem draws its data on first use, so building one allocates nothing; a
@@ -66,21 +67,24 @@ def quadratic(x, spectrum) -> tuple[float, np.ndarray]:
 # -- label-smoothed cross-entropy --------------------------------------------
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 <= alpha < 1.0:
+        raise ValueError(f"alpha must be in [0, 1), got {alpha}")
+
+
 def smoothed_targets(labels, n_classes: int, alpha: float) -> np.ndarray:
     """(1 - alpha) * onehot + alpha * uniform, one row per label; the true
     class gets 1 - alpha + alpha/C. The labels must be a 1-D array of an
     integer dtype (not bool), each in [0, n_classes), with n_classes >= 2;
-    anything else raises ``ValueError``."""
+    anything else raises ``ValueError``. No labels give no rows."""
     if n_classes < 2:
         raise ValueError(f"need at least 2 classes, got {n_classes}")
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"alpha must be in [0, 1), got {alpha}")
+    _check_alpha(alpha)
     labels = np.asarray(labels)
     if (
         labels.ndim != 1
         or labels.dtype.kind not in "iu"
-        or labels.min() < 0
-        or labels.max() >= n_classes
+        or (labels.size > 0 and (labels.min() < 0 or labels.max() >= n_classes))
     ):
         raise ValueError(f"need one label per row, each in [0, {n_classes})")
     q = np.full((labels.size, n_classes), alpha / n_classes)
@@ -100,18 +104,6 @@ def _ce_loss(logp: np.ndarray, q: np.ndarray) -> float:
 def _smoothed_ce(logits: np.ndarray, q: np.ndarray) -> tuple[float, np.ndarray]:
     logp = _log_softmax(logits)
     return _ce_loss(logp, q), (np.exp(logp) - q) / q.shape[0]
-
-
-def label_smoothed_ce(logits, labels, alpha: float) -> tuple[float, np.ndarray]:
-    """Batch-mean cross-entropy of ``logits`` [batch, classes] against the
-    labels' smoothed target distributions, and its gradient w.r.t. the logits:
-    (softmax(logits) - target_dist) / batch."""
-    logits = np.asarray(logits, dtype=np.float64)
-    batch, n_classes = logits.shape
-    q = smoothed_targets(labels, n_classes, alpha)
-    if q.shape[0] != batch:
-        raise ValueError(f"need one label per row, each in [0, {n_classes})")
-    return _smoothed_ce(logits, q)
 
 
 # -- MLP with manual backprop -------------------------------------------------
@@ -152,26 +144,6 @@ def mlp_init(widths: Sequence[int], rng: np.random.Generator) -> list[ParamTenso
         params.append(ParamTensor(f"w{layer}", (fan_out, fan_in), w))
         params.append(ParamTensor(f"b{layer}", (fan_out,), np.zeros(fan_out)))
     return params
-
-
-def _layers(params: Sequence[ParamTensor]) -> list[tuple[ParamTensor, ParamTensor]]:
-    if len(params) % 2 != 0:
-        raise ValueError("expected alternating weight/bias parameters")
-    pairs = list(zip(params[0::2], params[1::2]))
-    for w, b in pairs:
-        if w.rank != 2 or b.rank != 1 or w.shape[0] != b.shape[0]:
-            raise ValueError(f"layer ({w.name}, {b.name}) shapes do not form an affine layer")
-    for (w, _), (w_next, _) in zip(pairs, pairs[1:]):
-        if w_next.shape[1] != w.shape[0]:
-            raise ValueError(f"{w_next.name} input width does not match {w.name} output width")
-    return pairs
-
-
-def _check_width(w0: ParamTensor, x: np.ndarray) -> None:
-    if x.shape[1] != w0.shape[1]:
-        raise ValueError(
-            f"{w0.name} takes inputs of width {w0.shape[1]}, got inputs of width {x.shape[1]}"
-        )
 
 
 class _Layout(NamedTuple):
@@ -219,8 +191,16 @@ def _logits(params, x: np.ndarray, act: Callable) -> np.ndarray:
 def _backprop(
     params, layout: _Layout, x: np.ndarray, q: np.ndarray, act: Callable, act_deriv: Callable
 ) -> tuple[float, tuple[ParamTensor, ...]]:
-    """``mlp_eval``'s loss and gradients for params laid out as ``layout``,
-    inputs ``x`` and smoothed targets ``q``, all checked by the caller."""
+    """Batch-mean smoothed cross-entropy of the MLP and its exact gradients,
+    for params laid out as ``layout``, inputs ``x`` and smoothed targets
+    ``q``, all checked by the caller.
+
+    The backward pass is the usual reverse pass; all gradients are divided by
+    the batch size to match the mean reduction. It writes them into one fresh
+    buffer, in the params' order, that is checked finite once; the gradients
+    are read-only views of it. A non-finite gradient raises
+    ``NonFiniteError`` naming the first tensor the pass wrote non-finite:
+    last layer first, weight before bias."""
     acts = [x, *_forward(params, x, act)]
     loss, d_z = _smoothed_ce(acts[-1], q)
     starts = layout.starts
@@ -237,53 +217,6 @@ def _backprop(
         order = layout.backward
         _raise_nonfinite([params[j] for j in order], [layout.spans[j] for j in order], flat)
     return loss, ParamTensor._views(params, layout.spans, flat)
-
-
-def mlp_logits(params: Sequence[ParamTensor], inputs, activation: str = "tanh") -> np.ndarray:
-    """The MLP's logits [n, classes] for ``inputs`` [n, d], by the forward
-    pass ``mlp_eval`` runs. Only the latest layer's output is kept, so at
-    most two layers are held at a time, whatever the depth."""
-    act, _ = _activation(activation)
-    pairs = _layers(params)
-    x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError("inputs must be [n, d]")
-    _check_width(pairs[0][0], x)
-    return _logits(params, x, act)
-
-
-def mlp_eval(
-    params: Sequence[ParamTensor],
-    inputs,
-    labels,
-    activation: str = "tanh",
-    alpha: float = 0.1,
-) -> tuple[float, tuple[ParamTensor, ...]]:
-    """Batch-mean smoothed cross-entropy of the MLP and its exact gradients.
-
-    Forward: affine layers with the chosen activation between them, final
-    layer linear. Backward is the usual reverse pass; all gradients are
-    divided by the batch size to match the mean reduction. The pass writes
-    them into one fresh buffer, in the params' order, that is checked finite
-    once; the gradients are read-only views of it. A non-finite gradient
-    raises ``NonFiniteError`` naming the first tensor the pass wrote
-    non-finite: last layer first, weight before bias.
-
-    Each call checks the params' layer chain, the inputs' width and the
-    labels (by ``smoothed_targets``'s rule), then runs the one backward pass.
-    ``BlobsMLPProblem.evaluate`` runs the same pass on the layout and
-    smoothed targets it builds once, so it gives the same bits.
-    """
-    act, act_deriv = _activation(activation)
-    pairs = _layers(params)
-    x = np.asarray(inputs, dtype=np.float64)
-    y = np.asarray(labels)
-    if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
-        raise ValueError("inputs must be [n, d] with one label per row")
-    _check_width(pairs[0][0], x)
-    widths = (x.shape[1], *(w.shape[0] for w, _ in pairs))
-    q = smoothed_targets(y, widths[-1], alpha)
-    return _backprop(params, _layout(widths), x, q, act, act_deriv)
 
 
 # -- data -----------------------------------------------------------------------
@@ -374,6 +307,7 @@ class BlobsMLPProblem:
     def __post_init__(self) -> None:
         _, n, d, n_classes, _ = self.blobs
         _check_blob_counts(n, n_classes)
+        _check_alpha(self.alpha)
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         _activation(self.activation)

@@ -3,7 +3,8 @@
 Straight-line scalar transcriptions of the update rules, written directly
 from the algorithm definitions with plain Python floats; a Frobenius norm; a
 whole-tensor clip; a central-difference gradient; the MLP activations'
-derivatives in the pre-activation; the decay's per-slice loop; the default
+derivatives in the pre-activation and a reference MLP, forward and backward,
+that differentiates through them; the decay's per-slice loop; the default
 schedule phase lengths in exact rationals; and a reader of checkpoint format
 v4. They use numpy at most and deliberately import nothing from the package.
 """
@@ -53,12 +54,41 @@ def finite_diff_grad(f, params, h=1e-6):
     return grads
 
 
-# The MLP activations' derivatives in the pre-activation z, as mlp_eval once
-# computed them; the package writes them in the activation's output instead.
+# The MLP activations' derivatives in the pre-activation z, as their
+# definitions give them; the package writes them in the activation's output.
 PRE_ACTIVATION_DERIVATIVES = {
     "tanh": lambda z: 1.0 - np.tanh(z) ** 2,
     "relu": lambda z: (z > 0.0).astype(np.float64),
 }
+
+
+def reference_mlp(layers, x, labels, activation, alpha):
+    """An MLP's logits, its batch-mean label-smoothed cross-entropy and the
+    loss's gradients, straight from the definitions. ``layers`` holds one
+    (weight [out, in], bias [out]) pair of arrays per affine layer, with
+    ``activation`` between layers and the last one linear. The targets are
+    (1 - alpha) one-hot plus alpha uniform. Returns (logits, loss, gradients),
+    the gradients in the layers' order, weight before bias; the backward pass
+    differentiates each activation at its pre-activation z."""
+    act = {"tanh": np.tanh, "relu": lambda z: np.maximum(z, 0.0)}[activation]
+    pre, outs = [], [x]
+    for i, (w, b) in enumerate(layers):
+        z = outs[-1] @ w.T + b
+        pre.append(z)
+        outs.append(z if i == len(layers) - 1 else act(z))
+    logits = outs[-1]
+    n, n_classes = logits.shape
+    q = (1.0 - alpha) * np.eye(n_classes)[labels] + alpha / n_classes
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    loss = float(-(q * logp).sum() / n)
+    d_z = (np.exp(logp) - q) / n
+    grads = []
+    for i in reversed(range(len(layers))):
+        grads[:0] = [d_z.T @ outs[i], d_z.sum(axis=0)]
+        if i > 0:
+            d_z = (d_z @ layers[i][0]) * PRE_ACTIVATION_DERIVATIVES[activation](pre[i - 1])
+    return logits, loss, grads
 
 
 STABLE_DECAY_FLOOR = 1e-8  # the package's floor for sqrt(mean(v_hat))

@@ -1,7 +1,8 @@
 """Source hygiene that a linter would check: the public names resolve, no
 module of the package or of its tests imports a name it never uses, the
-package imports only the modules listed here, and it reads every private
-helper it defines."""
+package imports only the modules listed here, it reads every private helper
+it defines, and the package or the benchmark reads every public function and
+class it defines."""
 
 import ast
 from pathlib import Path
@@ -12,6 +13,7 @@ import optlab
 
 PACKAGE = Path(optlab.__file__).parent
 TESTS = Path(__file__).parent
+PERFBENCH = TESTS.parent / "perfbench"
 
 
 def test_every_exported_name_resolves():
@@ -46,15 +48,21 @@ def annotations(tree: ast.Module):
         yield from (a for a in found if a is not None)
 
 
-def used_names(tree: ast.Module) -> set[str]:
-    """Every name the module reads, including those in quoted annotations and
-    those its ``__all__`` lists (a package ``__init__`` re-exports them)."""
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+def read_names(tree: ast.Module) -> set[str]:
+    """Every name the module reads, including those in quoted annotations."""
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for annotation in annotations(tree):
         for node in ast.walk(annotation):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
                 quoted = ast.parse(node.value, mode="eval")
-                used.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
+                read.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
+    return read
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    """``read_names`` and the names the module's ``__all__`` lists (a package
+    ``__init__`` re-exports them)."""
+    used = read_names(tree)
     for node in tree.body:
         targets = [getattr(t, "id", None) for t in getattr(node, "targets", ())]
         if targets == ["__all__"]:
@@ -98,6 +106,34 @@ def test_every_private_helper_is_used():
             if name not in others | used_names(rest):
                 unused.append(f"{module}: {name}")
     assert not unused, f"defined but never read: {unused}"
+
+
+def public_definitions(tree: ast.Module):
+    """Each module-level function or class whose name is public."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node
+
+
+def attribute_reads(tree: ast.Module) -> set[str]:
+    """``read_names`` and every attribute the module reads, as in ``bm.run``."""
+    return read_names(tree) | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+
+
+def test_every_public_definition_is_read_outside_the_tests():
+    """A public function or class that only tests read is library code kept
+    for its tests: some package module or benchmark script must read it, other
+    than by its own definition. Listing a name in ``__all__`` does not count."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    bench = [attribute_reads(ast.parse(p.read_text())) for p in PERFBENCH.glob("*.py")]
+    unread = []
+    for module, tree in trees.items():
+        others = set().union(*bench, *(attribute_reads(t) for m, t in trees.items() if m != module))
+        for node in public_definitions(tree):
+            rest = ast.Module(body=[n for n in tree.body if n is not node], type_ignores=[])
+            if node.name not in others | attribute_reads(rest):
+                unread.append(f"{module}: {node.name}")
+    assert not unread, f"defined but read only by tests: {unread}"
 
 
 def unnamed_encodings(tree: ast.Module):

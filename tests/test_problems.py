@@ -12,18 +12,30 @@ from optlab.problems import (
     BlobsMLPProblem,
     QuadraticProblem,
     RosenbrockProblem,
-    label_smoothed_ce,
     make_blobs,
-    mlp_eval,
     mlp_init,
-    mlp_logits,
     philox,
     quadratic,
     rosenbrock,
     smoothed_targets,
 )
 
-from oracles import PRE_ACTIVATION_DERIVATIVES, finite_diff_grad
+from oracles import PRE_ACTIVATION_DERIVATIVES, finite_diff_grad, reference_mlp
+
+
+def problem_on(x, y, n_classes, hidden=(), **kwargs):
+    """A blobs MLP problem whose data is the inputs ``x`` and labels ``y``,
+    assigned before its first call; its blobs tuple only sets the widths."""
+    x = np.asarray(x, dtype=np.float64)
+    problem = BlobsMLPProblem((0, n_classes, x.shape[1], n_classes, 0.0), hidden, 1, **kwargs)
+    problem.data = (x, np.asarray(y))
+    return problem
+
+
+def reference_of(params, x, y, activation):
+    """``reference_mlp`` on the arrays of ``params``, at smoothing 0.1."""
+    layers = [(w.array, b.values) for w, b in zip(params[0::2], params[1::2])]
+    return reference_mlp(layers, x, y, activation, 0.1)
 
 
 class TestRosenbrock:
@@ -77,9 +89,24 @@ class TestQuadratic:
 
 
 class TestLabelSmoothedCE:
+    @staticmethod
+    def ce(logits, label, alpha):
+        """The smoothed cross-entropy of one row of ``logits`` against
+        ``label`` and its gradient w.r.t. the logits, by the evaluate of a
+        problem with no hidden layer: on one zero input, with zero weights,
+        its logits are its bias."""
+        n_classes = len(logits)
+        problem = problem_on(np.zeros((1, 1)), [label], n_classes, alpha=alpha)
+        params = [
+            ParamTensor("w0", (n_classes, 1), np.zeros(n_classes)),
+            ParamTensor("b0", (n_classes,), logits),
+        ]
+        loss, (_, grad) = problem.evaluate(params)
+        return loss, grad.values
+
     def test_alpha_zero_is_plain_cross_entropy(self):
         logits = np.array([0.2, -1.0, 0.5])
-        loss, (grad,) = label_smoothed_ce([logits], [2], 0.0)
+        loss, grad = self.ce(logits, 2, 0.0)
         p = np.exp(logits) / np.exp(logits).sum()
         assert loss == pytest.approx(-math.log(p[2]), rel=1e-12)
         np.testing.assert_allclose(grad, p - np.eye(3)[2], rtol=1e-12)
@@ -87,43 +114,41 @@ class TestLabelSmoothedCE:
     @pytest.mark.parametrize("alpha", [0.0, 0.1, 0.5])
     @pytest.mark.parametrize("target", [0, 3])
     def test_uniform_logits_give_log_c(self, alpha, target):
-        loss, _ = label_smoothed_ce(np.zeros((1, 4)), [target], alpha)
+        loss, _ = self.ce(np.zeros(4), target, alpha)
         assert loss == pytest.approx(math.log(4.0), rel=1e-12)
 
     def test_two_class_hand_value(self):
         # p = (1/4, 3/4), q = (0.95, 0.05)
-        loss, (grad,) = label_smoothed_ce([[0.0, math.log(3.0)]], [0], 0.1)
+        loss, grad = self.ce([0.0, math.log(3.0)], 0, 0.1)
         expected = -(0.95 * math.log(0.25) + 0.05 * math.log(0.75))
         assert loss == pytest.approx(expected, rel=1e-12)
         np.testing.assert_allclose(grad, [0.25 - 0.95, 0.75 - 0.05], rtol=1e-12)
 
     def test_target_out_of_range(self):
         with pytest.raises(ValueError):
-            label_smoothed_ce([[0.0, 0.0]], [2], 0.1)
+            self.ce([0.0, 0.0], 2, 0.1)
 
     @pytest.mark.parametrize(
         "labels",
-        [[-1, 0], [0, 4], [0.5, 1.0], [True, False], [[0], [1]]],
-        ids=["negative", "too_large", "float", "bool", "2d"],
+        [[-1, 0], [0, 4], [0.5, 1.0], [True, False], [[0], [1]], []],
+        ids=["negative", "too_large", "float", "bool", "2d", "empty_float"],
     )
     def test_smoothed_targets_rejects_labels_outside_the_rule(self, labels):
         with pytest.raises(ValueError) as excinfo:
             smoothed_targets(np.array(labels), 4, 0.1)
         assert str(excinfo.value) == "need one label per row, each in [0, 4)"
 
-    @pytest.mark.parametrize("labels", [[0.5, 1.0], [True, False]], ids=["float", "bool"])
-    def test_label_smoothed_ce_rejects_labels_that_are_not_integers(self, labels):
-        with pytest.raises(ValueError) as excinfo:
-            label_smoothed_ce(np.zeros((2, 4)), np.array(labels), 0.1)
-        assert str(excinfo.value) == "need one label per row, each in [0, 4)"
+    def test_smoothed_targets_of_no_labels_has_no_rows(self):
+        q = smoothed_targets(np.array([], dtype=np.int64), 4, 0.1)
+        assert q.shape == (0, 4) and q.dtype == np.float64
 
     def test_gradient_matches_finite_differences(self):
         rng = philox(5)
         logits = rng.uniform(-3, 3, size=5)
-        _, (grad,) = label_smoothed_ce([logits], [1], 0.1)
+        _, grad = self.ce(logits, 1, 0.1)
 
         def f(params):
-            return label_smoothed_ce([params[0].values], [1], 0.1)[0]
+            return self.ce(params[0].values, 1, 0.1)[0]
 
         fd = finite_diff_grad(f, [ParamTensor("z", (5,), logits)])
         np.testing.assert_allclose(grad, fd[0].values, rtol=1e-6, atol=1e-9)
@@ -135,7 +160,7 @@ class TestLabelSmoothedCE:
     )
     def test_gibbs_inequality(self, logits, alpha):
         target = len(logits) // 2
-        loss, _ = label_smoothed_ce([logits], [target], alpha)
+        loss, _ = self.ce(logits, target, alpha)
         q = smoothed_targets(np.array([target]), len(logits), alpha)[0]
         entropy = float(-(q[q > 0] * np.log(q[q > 0])).sum())
         assert loss >= entropy - 1e-10
@@ -151,6 +176,9 @@ class TestMLP:
         y = rng.integers(0, self.widths()[-1], size=n)
         return x, y
 
+    def evaluate(self, params, x, y):
+        return problem_on(x, y, self.widths()[-1], self.widths()[1:-1]).evaluate(params)
+
     def test_zero_weights_give_uniform_predictions(self):
         widths = self.widths()
         params = []
@@ -158,15 +186,15 @@ class TestMLP:
             params.append(ParamTensor(f"w{layer}", (fo, fi), np.zeros(fo * fi)))
             params.append(ParamTensor(f"b{layer}", (fo,), np.zeros(fo)))
         x, y = self.batch()
-        loss, _ = mlp_eval(params, x, y)
+        loss, _ = self.evaluate(params, x, y)
         assert loss == pytest.approx(math.log(widths[-1]), rel=1e-12)
 
     def test_duplicated_sample_invariance(self):
         params = mlp_init(self.widths(), philox(1))
         x, y = self.batch(n=1)
         xk, yk = np.repeat(x, 6, axis=0), np.repeat(y, 6)
-        loss1, grads1 = mlp_eval(params, x, y)
-        lossk, gradsk = mlp_eval(params, xk, yk)
+        loss1, grads1 = self.evaluate(params, x, y)
+        lossk, gradsk = self.evaluate(params, xk, yk)
         assert lossk == pytest.approx(loss1, rel=1e-12)
         for g1, gk in zip(grads1, gradsk):
             np.testing.assert_allclose(gk.values, g1.values, rtol=1e-12, atol=1e-15)
@@ -175,38 +203,15 @@ class TestMLP:
         params = mlp_init(self.widths(), philox(2))
         x, y = self.batch(n=9)
         perm = philox(3).permutation(9)
-        loss1, grads1 = mlp_eval(params, x, y)
-        loss2, grads2 = mlp_eval(params, x[perm], y[perm])
+        loss1, grads1 = self.evaluate(params, x, y)
+        loss2, grads2 = self.evaluate(params, x[perm], y[perm])
         assert loss2 == pytest.approx(loss1, rel=1e-12)
         for g1, g2 in zip(grads1, grads2):
             np.testing.assert_allclose(g2.values, g1.values, rtol=1e-10, atol=1e-14)
 
-    @pytest.mark.parametrize("activation", ["tanh", "relu"])
-    def test_gradients_match_finite_differences(self, activation):
-        params = mlp_init(self.widths(), philox(4))
-        x, y = self.batch()
-
-        def f(ps):
-            return mlp_eval(ps, x, y, activation=activation)[0]
-
-        _, grads = mlp_eval(params, x, y, activation=activation)
-        fd = finite_diff_grad(f, params)
-        for g, g_fd in zip(grads, fd):
-            np.testing.assert_allclose(g.values, g_fd.values, rtol=1e-5, atol=1e-8)
-
-    @pytest.mark.parametrize(
-        "call",
-        [
-            lambda ps, x, y: mlp_logits(ps, x, activation="bogus"),
-            lambda ps, x, y: mlp_eval(ps, x, y, activation="bogus"),
-            lambda ps, x, y: BlobsMLPProblem((0, 4, 6, 4, 1.0), (5,), 1, activation="bogus"),
-        ],
-        ids=["mlp_logits", "mlp_eval", "blobs_mlp"],
-    )
-    def test_unknown_activation_rejected(self, call):
-        x, y = self.batch()
+    def test_unknown_activation_rejected(self):
         with pytest.raises(ValueError) as excinfo:
-            call(mlp_init(self.widths(), philox(5)), x, y)
+            BlobsMLPProblem((0, 4, 6, 4, 1.0), (5,), 1, activation="bogus")
         assert str(excinfo.value) == "unknown activation 'bogus'"
 
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
@@ -217,42 +222,22 @@ class TestMLP:
         z = np.concatenate([edges, 3.0 * philox(12).standard_normal(500)])
         assert deriv(act(z)).tobytes() == oracle(z).tobytes()
 
-        # the whole backward pass, against one that differentiates at z
-        params = mlp_init((6, 5, 5, 4), philox(13))
-        x, y = self.batch(n=11)
-        pairs = list(zip(params[0::2], params[1::2]))
-        pre, acts = [], [x]
-        for i, (w, b) in enumerate(pairs):
-            z = acts[-1] @ w.array.T + b.values
-            pre.append(z)
-            acts.append(act(z) if i < len(pairs) - 1 else z)
-        _, d_z = label_smoothed_ce(acts[-1], y, 0.1)
-        expected = [None] * len(params)
-        for i in reversed(range(len(pairs))):
-            expected[2 * i] = d_z.T @ acts[i]
-            expected[2 * i + 1] = d_z.sum(axis=0)
-            if i > 0:
-                d_z = (d_z @ pairs[i][0].array) * oracle(pre[i - 1])
-        _, grads = mlp_eval(params, x, y, activation=activation)
-        assert [g.values.tobytes() for g in grads] == [e.tobytes() for e in expected]
-
     @pytest.mark.parametrize("n", [1, 7])
     @pytest.mark.parametrize("depth", [0, 1, 15])
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
     def test_logits_give_the_bits_of_the_evaluate_loss(self, activation, depth, n):
-        params = mlp_init((6, *[5] * depth, 4), philox(14))
+        """``metrics``' loss, from the logits alone, has the bits of the
+        full-data ``evaluate`` loss."""
         x, y = self.batch(n=n)
-        loss, _ = mlp_eval(params, x, y, activation=activation, alpha=0.1)
-        logits = mlp_logits(params, x, activation=activation)
-        assert logits.shape == (n, 4)
-        assert np.float64(label_smoothed_ce(logits, y, 0.1)[0]).tobytes() == (
-            np.float64(loss).tobytes()
-        )
+        problem = problem_on(x, y, 4, (5,) * depth, activation=activation)
+        params = problem.init_params(philox(14))
+        loss, _ = problem.evaluate(params)
+        assert np.float64(problem.metrics(params)[0]).tobytes() == np.float64(loss).tobytes()
 
     @pytest.mark.parametrize("batched", [True, False], ids=["batch", "full"])
     @pytest.mark.parametrize("hidden", [(), (5,), (5,) * 15], ids=["h0", "h1", "h15"])
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
-    def test_problem_evaluate_gives_the_bits_of_mlp_eval(self, activation, hidden, batched):
+    def test_evaluate_gives_the_bits_of_the_reference_mlp(self, activation, hidden, batched):
         problem = BlobsMLPProblem(
             blobs=(5, 40, 6, 4, 3.0), hidden=hidden, batch_size=9, activation=activation
         )
@@ -260,9 +245,9 @@ class TestMLP:
         batch = problem.sample_batch(philox(1)) if batched else np.arange(40)
         loss, grads = problem.evaluate(params, batch if batched else None)
         x, y = problem.data
-        expected_loss, expected = mlp_eval(params, x[batch], y[batch], activation, 0.1)
+        _, expected_loss, expected = reference_of(params, x[batch], y[batch], activation)
         assert np.float64(loss).tobytes() == np.float64(expected_loss).tobytes()
-        assert [g.values.tobytes() for g in grads] == [e.values.tobytes() for e in expected]
+        assert [g.values.tobytes() for g in grads] == [e.tobytes() for e in expected]
 
     @staticmethod
     def filled(layers):
@@ -303,8 +288,10 @@ class TestMLP:
         for activation, layers, x, y, named in cases:
             params = self.filled(layers)
             x = np.full((len(y), layers[0][1]), x)
+            hidden = tuple(fan_out for fan_out, *_ in layers[:-1])
+            problem = problem_on(x, y, layers[-1][0], hidden, activation=activation)
             with np.errstate(all="ignore"), pytest.raises(NonFiniteError) as excinfo:
-                mlp_eval(params, x, np.array(y), activation=activation)
+                problem.evaluate(params)
             assert str(excinfo.value) == f"{named}: non-finite values rejected", (activation, named)
 
     @pytest.mark.parametrize("batched", [True, False], ids=["batch", "full"])
@@ -361,33 +348,11 @@ class TestMLP:
         assert not any(p.values.flags.writeable for p in opt.params)
         assert opt.state.flat_theta.flags.writeable and opt.state.flat_slow.flags.writeable
 
-    @pytest.mark.parametrize(
-        "call",
-        [
-            lambda ps, x, y: mlp_logits(ps, x),
-            lambda ps, x, y: mlp_eval(ps, x, y),
-        ],
-        ids=["mlp_logits", "mlp_eval"],
-    )
-    def test_wrong_input_width_rejected(self, call):
-        params = mlp_init((3, 4, 2), philox(7))
-        with pytest.raises(ValueError) as excinfo:
-            call(params, np.zeros((5, 7)), np.zeros(5, dtype=np.int64))
-        assert str(excinfo.value) == "w0 takes inputs of width 3, got inputs of width 7"
-
     def test_init_respects_fan_in_bound(self):
         params = mlp_init((100, 50, 10), philox(6))
         w0 = params[0]
         assert np.all(np.abs(w0.values) <= 1.0 / math.sqrt(100))
         assert np.all(params[1].values == 0.0)
-
-    def test_mismatched_layer_shapes_rejected(self):
-        bad = [
-            ParamTensor("w0", (4, 6), np.zeros(24)),
-            ParamTensor("b0", (3,), np.zeros(3)),
-        ]
-        with pytest.raises(ValueError):
-            mlp_logits(bad, np.zeros((2, 6)))
 
 
 class TestFiniteDiff:
@@ -490,6 +455,14 @@ class TestBenchmarkProblems:
             BlobsMLPProblem(blobs=(0, 1, 3, 2, 1.0), hidden=(4,), batch_size=1)
         assert str(built.value) == str(drawn.value)
 
+    @pytest.mark.parametrize("alpha", [1.5, 1.0, -0.1, math.nan])
+    def test_blobs_problem_rejects_what_smoothed_targets_rejects(self, alpha):
+        with pytest.raises(ValueError) as smoothed:
+            smoothed_targets(np.array([0]), 4, alpha)
+        with pytest.raises(ValueError) as built:
+            BlobsMLPProblem((0, 40, 6, 4, 1.0), (5,), 9, alpha=alpha)
+        assert str(built.value) == str(smoothed.value) == f"alpha must be in [0, 1), got {alpha}"
+
     def test_metrics_memory_does_not_grow_with_depth(self):
         peaks = []
         for layers in (4, 15):
@@ -512,20 +485,19 @@ class TestBenchmarkProblems:
     @pytest.mark.parametrize(
         "blobs", [(0, 2000, 20, 4, 10.0), (0, 2000, 20, 4, 8.0)], ids=["blobs_mlp", "deep_mlp"]
     )
-    def test_metrics_loss_has_the_bits_of_label_smoothed_ce(self, blobs, activation, depth):
+    def test_metrics_loss_has_the_bits_of_the_reference_mlp(self, blobs, activation, depth):
         problem = BlobsMLPProblem(
             blobs=blobs, hidden=(16,) * depth, batch_size=128, activation=activation
         )
         params = problem.init_params(philox(3))
         loss, accuracy = problem.metrics(params)
         x, y = problem.data
-        logits = mlp_logits(params, x, activation=activation)
-        expected = label_smoothed_ce(logits, y, 0.1)[0]
+        logits, expected, _ = reference_of(params, x, y, activation)
         assert np.float64(loss).tobytes() == np.float64(expected).tobytes()
         assert accuracy == float(np.mean(logits.argmax(axis=1) == y))
 
     def test_layout_and_targets_are_built_once(self, monkeypatch):
-        calls = {"_layers": 0, "smoothed_targets": 0}
+        calls = {"_layout": 0, "smoothed_targets": 0}
         for name in calls:
             raw = getattr(problems, name)
 
@@ -542,7 +514,7 @@ class TestBenchmarkProblems:
         problem.metrics(params)
         problem.metrics(params)
         monkeypatch.undo()
-        assert calls["_layers"] <= 1 and calls["smoothed_targets"] <= 1, calls
+        assert calls == {"_layout": 1, "smoothed_targets": 1}, calls
         assert problem.targets.tobytes() == smoothed_targets(problem.data[1], 4, 0.1).tobytes()
 
     @pytest.mark.parametrize("call", ["evaluate", "metrics"])
@@ -571,8 +543,11 @@ class TestBenchmarkProblems:
             lambda: BlobsMLPProblem(
                 blobs=(8, 12, 3, 2, 2.0), hidden=(4,), batch_size=12
             ),
+            lambda: BlobsMLPProblem(
+                blobs=(8, 12, 3, 2, 2.0), hidden=(4,), batch_size=12, activation="relu"
+            ),
         ],
-        ids=["rosenbrock", "quadratic", "blobs_mlp"],
+        ids=["rosenbrock", "quadratic", "blobs_mlp", "blobs_mlp_relu"],
     )
     def test_analytic_gradients_match_finite_differences(self, make):
         problem = make()
