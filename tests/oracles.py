@@ -3,10 +3,11 @@
 Straight-line scalar transcriptions of the update rules, written directly
 from the algorithm definitions with plain Python floats; a Frobenius norm; a
 whole-tensor clip; a central-difference gradient; the MLP activations'
-derivatives in the pre-activation and a reference MLP, forward and backward,
-that differentiates through them; the decay's per-slice loop; the default
-schedule phase lengths in exact rationals; and a reader of checkpoint format
-v4. They use numpy at most and deliberately import nothing from the package.
+derivatives in the pre-activation; a label-smoothed cross-entropy and a
+reference MLP, forward and backward, that differentiates through those
+derivatives; the decay's per-slice loop; the default schedule phase lengths
+in exact rationals; and a reader of checkpoint format v4. They use numpy at
+most and deliberately import nothing from the package.
 """
 
 import base64
@@ -62,14 +63,25 @@ PRE_ACTIVATION_DERIVATIVES = {
 }
 
 
-def reference_mlp(layers, x, labels, activation, alpha):
-    """An MLP's logits, its batch-mean label-smoothed cross-entropy and the
-    loss's gradients, straight from the definitions. ``layers`` holds one
+def label_smoothed_ce(logits, labels, alpha):
+    """The batch-mean label-smoothed cross-entropy of ``logits`` [n, classes]
+    against integer ``labels`` [n], and its gradient w.r.t. the logits. The
+    targets are (1 - alpha) one-hot plus alpha uniform. Returns (loss, d_logits)."""
+    n, n_classes = logits.shape
+    q = (1.0 - alpha) * np.eye(n_classes)[labels] + alpha / n_classes
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return float(-(q * logp).sum() / n), (np.exp(logp) - q) / n
+
+
+def mlp_eval(layers, x, labels, activation, alpha):
+    """A reference MLP's logits, its ``label_smoothed_ce`` and the loss's
+    gradients, straight from the definitions. ``layers`` holds one
     (weight [out, in], bias [out]) pair of arrays per affine layer, with
-    ``activation`` between layers and the last one linear. The targets are
-    (1 - alpha) one-hot plus alpha uniform. Returns (logits, loss, gradients),
-    the gradients in the layers' order, weight before bias; the backward pass
-    differentiates each activation at its pre-activation z."""
+    ``activation`` between layers and the last one linear. Returns
+    (logits, loss, gradients), the gradients in the layers' order, weight
+    before bias; the backward pass differentiates each activation at its
+    pre-activation z."""
     act = {"tanh": np.tanh, "relu": lambda z: np.maximum(z, 0.0)}[activation]
     pre, outs = [], [x]
     for i, (w, b) in enumerate(layers):
@@ -77,12 +89,7 @@ def reference_mlp(layers, x, labels, activation, alpha):
         pre.append(z)
         outs.append(z if i == len(layers) - 1 else act(z))
     logits = outs[-1]
-    n, n_classes = logits.shape
-    q = (1.0 - alpha) * np.eye(n_classes)[labels] + alpha / n_classes
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    loss = float(-(q * logp).sum() / n)
-    d_z = (np.exp(logp) - q) / n
+    loss, d_z = label_smoothed_ce(logits, labels, alpha)
     grads = []
     for i in reversed(range(len(layers))):
         grads[:0] = [d_z.T @ outs[i], d_z.sum(axis=0)]

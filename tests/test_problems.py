@@ -20,7 +20,7 @@ from optlab.problems import (
     smoothed_targets,
 )
 
-from oracles import PRE_ACTIVATION_DERIVATIVES, finite_diff_grad, reference_mlp
+from oracles import PRE_ACTIVATION_DERIVATIVES, finite_diff_grad, label_smoothed_ce, mlp_eval
 
 
 def problem_on(x, y, n_classes, hidden=(), **kwargs):
@@ -33,9 +33,9 @@ def problem_on(x, y, n_classes, hidden=(), **kwargs):
 
 
 def reference_of(params, x, y, activation):
-    """``reference_mlp`` on the arrays of ``params``, at smoothing 0.1."""
+    """The oracle ``mlp_eval`` on the arrays of ``params``, at smoothing 0.1."""
     layers = [(w.array, b.values) for w, b in zip(params[0::2], params[1::2])]
-    return reference_mlp(layers, x, y, activation, 0.1)
+    return mlp_eval(layers, x, y, activation, 0.1)
 
 
 class TestRosenbrock:
@@ -138,6 +138,13 @@ class TestLabelSmoothedCE:
             smoothed_targets(np.array(labels), 4, 0.1)
         assert str(excinfo.value) == "need one label per row, each in [0, 4)"
 
+    @pytest.mark.parametrize("labels", [[0.5, 1.0], [True, False]], ids=["float", "bool"])
+    def test_label_smoothed_ce_rejects_labels_that_are_not_integers(self, labels):
+        problem = problem_on(np.zeros((2, 1)), np.array(labels), 4)
+        with pytest.raises(ValueError) as excinfo:
+            problem.evaluate(problem.init_params(philox(0)))
+        assert str(excinfo.value) == "need one label per row, each in [0, 4)"
+
     def test_smoothed_targets_of_no_labels_has_no_rows(self):
         q = smoothed_targets(np.array([], dtype=np.int64), 4, 0.1)
         assert q.shape == (0, 4) and q.dtype == np.float64
@@ -176,8 +183,11 @@ class TestMLP:
         y = rng.integers(0, self.widths()[-1], size=n)
         return x, y
 
+    def problem(self, x, y, activation="tanh"):
+        return problem_on(x, y, self.widths()[-1], self.widths()[1:-1], activation=activation)
+
     def evaluate(self, params, x, y):
-        return problem_on(x, y, self.widths()[-1], self.widths()[1:-1]).evaluate(params)
+        return self.problem(x, y).evaluate(params)
 
     def test_zero_weights_give_uniform_predictions(self):
         widths = self.widths()
@@ -209,9 +219,25 @@ class TestMLP:
         for g1, g2 in zip(grads1, grads2):
             np.testing.assert_allclose(g2.values, g1.values, rtol=1e-10, atol=1e-14)
 
-    def test_unknown_activation_rejected(self):
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    def test_gradients_match_finite_differences(self, activation):
+        params = mlp_init(self.widths(), philox(4))
+        problem = self.problem(*self.batch(), activation=activation)
+
+        def f(ps):
+            return problem.evaluate(ps)[0]
+
+        _, grads = problem.evaluate(params)
+        fd = finite_diff_grad(f, params)
+        for g, g_fd in zip(grads, fd):
+            np.testing.assert_allclose(g.values, g_fd.values, rtol=1e-5, atol=1e-8)
+
+    # A problem with no hidden layer applies no activation, but still
+    # rejects an unknown one.
+    @pytest.mark.parametrize("hidden", [(5,), ()], ids=["blobs_mlp", "blobs_linear"])
+    def test_unknown_activation_rejected(self, hidden):
         with pytest.raises(ValueError) as excinfo:
-            BlobsMLPProblem((0, 4, 6, 4, 1.0), (5,), 1, activation="bogus")
+            BlobsMLPProblem((0, 4, 6, 4, 1.0), hidden, 1, activation="bogus")
         assert str(excinfo.value) == "unknown activation 'bogus'"
 
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
@@ -237,7 +263,7 @@ class TestMLP:
     @pytest.mark.parametrize("batched", [True, False], ids=["batch", "full"])
     @pytest.mark.parametrize("hidden", [(), (5,), (5,) * 15], ids=["h0", "h1", "h15"])
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
-    def test_evaluate_gives_the_bits_of_the_reference_mlp(self, activation, hidden, batched):
+    def test_problem_evaluate_gives_the_bits_of_mlp_eval(self, activation, hidden, batched):
         problem = BlobsMLPProblem(
             blobs=(5, 40, 6, 4, 3.0), hidden=hidden, batch_size=9, activation=activation
         )
@@ -353,6 +379,14 @@ class TestMLP:
         w0 = params[0]
         assert np.all(np.abs(w0.values) <= 1.0 / math.sqrt(100))
         assert np.all(params[1].values == 0.0)
+
+    def test_mismatched_layer_shapes_rejected(self):
+        bad = [
+            ParamTensor("w0", (4, 6), np.zeros(24)),
+            ParamTensor("b0", (3,), np.zeros(3)),
+        ]
+        with pytest.raises(ValueError):
+            problem_on(np.zeros((2, 6)), [0, 1], 4).metrics(bad)
 
 
 class TestFiniteDiff:
@@ -485,14 +519,15 @@ class TestBenchmarkProblems:
     @pytest.mark.parametrize(
         "blobs", [(0, 2000, 20, 4, 10.0), (0, 2000, 20, 4, 8.0)], ids=["blobs_mlp", "deep_mlp"]
     )
-    def test_metrics_loss_has_the_bits_of_the_reference_mlp(self, blobs, activation, depth):
+    def test_metrics_loss_has_the_bits_of_label_smoothed_ce(self, blobs, activation, depth):
         problem = BlobsMLPProblem(
             blobs=blobs, hidden=(16,) * depth, batch_size=128, activation=activation
         )
         params = problem.init_params(philox(3))
         loss, accuracy = problem.metrics(params)
         x, y = problem.data
-        logits, expected, _ = reference_of(params, x, y, activation)
+        logits = reference_of(params, x, y, activation)[0]
+        expected = label_smoothed_ce(logits, y, 0.1)[0]
         assert np.float64(loss).tobytes() == np.float64(expected).tobytes()
         assert accuracy == float(np.mean(logits.argmax(axis=1) == y))
 
