@@ -61,8 +61,6 @@ from .tensor import NonFiniteError
 
 SCHEMA_VERSION = 1
 
-CSV_HEADER = "run,optimizer,step,eta_t,loss,accuracy,clip_ratio,mean_vhat,decay_norm"
-
 
 class ConfigError(ValueError):
     """Configuration rejected; the message names the offending field."""
@@ -77,37 +75,15 @@ def _check_keys(mapping: dict, allowed: set[str], path: str) -> None:
             raise ValueError(f"{path}: unknown key {key!r}")
 
 
-def _get(mapping: dict, key: str, path: str, kind: str, default=...):
-    """``mapping[key]`` checked as ``kind`` (see ``engine.checked_value``), or
-    ``default`` when the key is absent; a ``...`` default makes it required."""
+def _get(mapping: dict, key: str, path: str, kind: str, default=..., **bounds):
+    """``mapping[key]`` checked as ``kind`` and against ``bounds`` (see
+    ``engine.checked_value``), or ``default`` when the key is absent; a ``...``
+    default makes it required."""
     if key not in mapping:
         if default is ...:
             raise ValueError(f"{path}: missing required key {key!r}")
         return default
-    return checked_value(kind, mapping[key], f"{path}.{key}")
-
-
-# a bound's keyword -> its sign in messages and its test
-_BOUNDS = {
-    "ge": (">=", operator.ge),
-    "gt": (">", operator.gt),
-    "le": ("<=", operator.le),
-    "lt": ("<", operator.lt),
-}
-
-
-def _get_in(mapping: dict, key: str, path: str, kind: str, default=..., **bounds):
-    """``_get`` of a number, or of a tuple of numbers, that must meet each bound
-    (``ge=0`` means >= 0; also ``gt``, ``lt``, ``le``)."""
-    value = _get(mapping, key, path, kind, default)
-    listed = isinstance(value, tuple)
-    for i, x in enumerate(value if listed else (value,)):
-        for name, bound in bounds.items():
-            sign, holds = _BOUNDS[name]
-            if not holds(x, bound):
-                where = f"{path}.{key}[{i}]" if listed else f"{path}.{key}"
-                raise ValueError(f"{where}: must be {sign} {bound}, got {x}")
-    return value
+    return checked_value(kind, mapping[key], f"{path}.{key}", **bounds)
 
 
 # -- resolved configuration -----------------------------------------------------
@@ -159,7 +135,7 @@ def _parse_problem(blob):
         return RosenbrockProblem(start=start)
     if name == "quadratic":
         _check_keys(blob, {"name", "spectrum", "start"}, "problem")
-        spectrum = _get_in(blob, "spectrum", "problem", "tuple[float, ...]", gt=0.0)
+        spectrum = _get(blob, "spectrum", "problem", "tuple[float, ...]", gt=0.0)
         if not spectrum:
             raise ValueError("problem.spectrum: expected a non-empty list")
         start = _get(blob, "start", "problem", "tuple[float, ...]", (1.0,) * len(spectrum))
@@ -175,19 +151,19 @@ def _parse_problem(blob):
             },
             "problem",
         )
-        n = _get_in(blob, "n", "problem", "int", ge=1)
-        d = _get_in(blob, "d", "problem", "int", ge=1)
-        classes = _get_in(blob, "classes", "problem", "int", ge=2)
-        batch_size = _get_in(blob, "batch_size", "problem", "int", ge=1, le=_MAX_EXTENT)
-        separation = _get_in(blob, "separation", "problem", "float", 10.0, ge=0.0)
-        data_seed = _get_in(blob, "data_seed", "problem", "int", 0, ge=0)
-        hidden = _get_in(blob, "hidden", "problem", "tuple[int, ...]", (32,), ge=1, le=_MAX_EXTENT)
+        n = _get(blob, "n", "problem", "int", ge=1)
+        d = _get(blob, "d", "problem", "int", ge=1)
+        classes = _get(blob, "classes", "problem", "int", ge=2)
+        batch_size = _get(blob, "batch_size", "problem", "int", ge=1, le=_MAX_EXTENT)
+        separation = _get(blob, "separation", "problem", "float", 10.0, ge=0.0)
+        data_seed = _get(blob, "data_seed", "problem", "int", 0, ge=0)
+        hidden = _get(blob, "hidden", "problem", "tuple[int, ...]", (32,), ge=1, le=_MAX_EXTENT)
         activation = _get(blob, "activation", "problem", "str", BlobsMLPProblem.activation)
         if activation not in ACTIVATIONS:
             raise ValueError(
                 f"problem.activation: expected one of {sorted(ACTIVATIONS)}, got {activation!r}"
             )
-        smoothing = _get_in(
+        smoothing = _get(
             blob, "smoothing", "problem", "float", BlobsMLPProblem.alpha, ge=0.0, lt=1.0
         )
         keys = [f"problem.hidden[{i}]" for i in range(len(hidden))]
@@ -295,9 +271,9 @@ def _resolved(blob) -> RunConfig:
     version = _get(blob, "schema_version", "top level", "int")
     if version != SCHEMA_VERSION:
         raise ValueError(f"schema_version: expected {SCHEMA_VERSION}, got {version}")
-    seed = _get_in(blob, "seed", "top level", "int", 0, ge=0)
-    t_max = _get_in(blob, "t_max", "top level", "int", ge=1)
-    cadence = _get_in(blob, "cadence", "top level", "int", 1, ge=1)
+    seed = _get(blob, "seed", "top level", "int", 0, ge=0)
+    t_max = _get(blob, "t_max", "top level", "int", ge=1)
+    cadence = _get(blob, "cadence", "top level", "int", 1, ge=1)
     loss_threshold = _get(blob, "loss_threshold", "top level", "float", None)
     out = _get(blob, "out", "top level", "str", None)
 
@@ -445,21 +421,21 @@ def run_benchmark(config: RunConfig) -> BenchmarkResult:
 # -- CSV ---------------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+_COLUMNS = tuple(f.name for f in dataclasses.fields(RunRecord))
+CSV_HEADER = ",".join(_COLUMNS)
+_row = operator.attrgetter(*_COLUMNS)  # a record's cells, without astuple's deep copies
+
+
+def _cell(x) -> str:
+    return repr(float(x)) if isinstance(x, float) else "" if x is None else str(x)
 
 
 def emit_csv(records: list[RunRecord], path: str | Path) -> None:
-    """Write records sorted by (optimizer, step); floats use shortest
-    round-trip decimal form, so identical records give identical bytes."""
+    """Write one column per ``RunRecord`` field, records sorted by (optimizer,
+    step); floats use shortest round-trip decimal form, so identical records
+    give identical bytes."""
     rows = sorted(records, key=lambda r: (r.optimizer, r.step))
-    lines = [CSV_HEADER]
-    for r in rows:
-        accuracy = "" if r.accuracy is None else _fmt(r.accuracy)
-        lines.append(
-            f"{r.run},{r.optimizer},{r.step},{_fmt(r.eta_t)},{_fmt(r.loss)},"
-            f"{accuracy},{_fmt(r.clip_ratio)},{_fmt(r.mean_vhat)},{_fmt(r.decay_norm)}"
-        )
+    lines = [CSV_HEADER, *(",".join(map(_cell, _row(r))) for r in rows)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

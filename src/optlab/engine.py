@@ -24,6 +24,7 @@ import binascii
 import dataclasses
 import json
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass
@@ -254,6 +255,8 @@ def lookahead_sync(
     sync returns its one new array as both."""
     if t < 1:
         raise ValueError(f"step index must be >= 1, got {t}")
+    if k < 1:
+        raise ValueError(f"lookahead period k must be >= 1, got {k}")
     if t % k != 0:
         return fast, slow
     new_slow = beta_la * slow + (1.0 - beta_la) * fast
@@ -617,14 +620,20 @@ _EXPECTED = {
     "bool": "true or false", "int": "an integer", "int | None": "an integer or null",
     "float": "a finite number", "str": "a string",
 }
+# a bound's keyword -> its sign in messages and its test
+_BOUNDS = {
+    "ge": (">=", operator.ge), "gt": (">", operator.gt),
+    "le": ("<=", operator.le), "lt": ("<", operator.lt),
+}
 
 
-def checked_value(kind: str, value, where: str):
+def checked_value(kind: str, value, where: str, **bounds):
     """``value`` if it fits ``kind``, a field's annotation: ``bool``, ``int`` (not
     a bool), ``int | None``, ``float`` (a finite int or float, returned as a
     float), ``str``, or ``tuple[T, ...]`` (a JSON list of ``T``, returned as a
-    tuple). ValueError names ``where``, or ``where[i]`` for a bad list entry;
-    ranges are the caller's."""
+    tuple), and meets each of ``bounds`` (``ge=1`` means >= 1; also ``gt``,
+    ``le``, ``lt``), a list entry by entry. ValueError names ``where``, or
+    ``where[i]`` for the first bad list entry."""
     is_int = isinstance(value, int) and not isinstance(value, bool)
     if kind == "float":
         # abs() <= max rejects inf and nan, and ints a float cannot hold
@@ -640,9 +649,15 @@ def checked_value(kind: str, value, where: str):
         if not isinstance(value, list):
             raise ValueError(f"{where}: expected a list, got {value!r}")
         item = kind[len("tuple[") : -len(", ...]")]
-        return tuple(checked_value(item, x, f"{where}[{i}]") for i, x in enumerate(value))
+        return tuple(
+            checked_value(item, x, f"{where}[{i}]", **bounds) for i, x in enumerate(value)
+        )
     if not ok:
         raise ValueError(f"{where}: expected {_EXPECTED[kind]}, got {value!r}")
+    for name, bound in bounds.items():
+        sign, holds = _BOUNDS[name]
+        if not holds(value, bound):
+            raise ValueError(f"{where}: must be {sign} {bound}, got {value}")
     return value
 
 
@@ -682,15 +697,12 @@ def _from_dict(cls, blob, where: str):
 def _param_from_dict(entry, where: str, read) -> ParamTensor:
     """The param ``entry`` names, of its shape, with the values ``read``, the reader of
     the checkpoint's version, checks; for v4 (``read`` None) zeros that take no memory."""
-    name, shape = (
-        checked_value(kind, _field(entry, key, f"{where}.{key}"), f"{where}.{key}")
-        for key, kind in (("name", "str"), ("shape", "tuple[int, ...]"))
+    name = checked_value("str", _field(entry, "name", f"{where}.name"), f"{where}.name")
+    shape = checked_value(
+        "tuple[int, ...]", _field(entry, "shape", f"{where}.shape"), f"{where}.shape", ge=1
     )
     if not shape:
         raise ValueError(f"{where}.shape: expected a non-empty list, got []")
-    for j, extent in enumerate(shape):
-        if extent < 1:
-            raise ValueError(f"{where}.shape[{j}]: must be >= 1, got {extent}")
     size = math.prod(shape)
     if read is None:  # a zero-stride view of one 0.0: the load copies θ whole later
         values = checked_call(f"{where}.shape", np.ndarray, (size,), buffer=bytes(8), strides=(0,))

@@ -227,7 +227,7 @@ def combined_decay(
         raise ValueError(
             f"shape mismatch: theta {theta.shape} vs v_hat {v_hat.shape}"
         )
-    if eta_t < 0:
+    if not eta_t >= 0:  # also rejects NaN
         raise ValueError(f"eta_t must be >= 0, got {eta_t}")
     scale = eta_t * cfg.weight_decay
     if not (cfg.stable or cfg.norm_loss):

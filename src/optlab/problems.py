@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, ClassVar, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -55,12 +55,20 @@ def rosenbrock(x) -> tuple[float, np.ndarray]:
     return loss, grad
 
 
+def _checked_spectrum(spectrum) -> np.ndarray:
+    """``spectrum`` as a float64 array; it must be non-empty and positive."""
+    a = np.asarray(spectrum, dtype=np.float64)
+    if a.size == 0:
+        raise ValueError("spectrum must be non-empty")
+    if not np.all(a > 0):  # also rejects NaN
+        raise ValueError("spectrum must be positive")
+    return a
+
+
 def quadratic(x, spectrum) -> tuple[float, np.ndarray]:
     """f = 1/2 sum a_i x_i^2 with diagonal spectrum a; grad = a * x."""
     x = np.asarray(x, dtype=np.float64)
-    a = np.asarray(spectrum, dtype=np.float64)
-    if np.any(a <= 0):
-        raise ValueError("spectrum must be positive")
+    a = _checked_spectrum(spectrum)
     return float(0.5 * np.sum(a * x * x)), a * x
 
 
@@ -133,10 +141,16 @@ def _activation(name: str) -> tuple[Callable, Callable]:
     return ACTIVATIONS[name]
 
 
-def mlp_init(widths: Sequence[int], rng: np.random.Generator) -> list[ParamTensor]:
-    """Affine-layer parameters for the width chain; weights are [out, in]."""
+def _check_widths(widths: Sequence[int]) -> None:
     if len(widths) < 2:
         raise ValueError("need at least input and output widths")
+    if min(widths) < 1:
+        raise ValueError(f"every width must be >= 1, got {tuple(widths)}")
+
+
+def mlp_init(widths: Sequence[int], rng: np.random.Generator) -> list[ParamTensor]:
+    """Affine-layer parameters for the width chain; weights are [out, in]."""
+    _check_widths(widths)
     params = []
     for layer, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
         bound = 1.0 / math.sqrt(fan_in)
@@ -248,8 +262,12 @@ def make_blobs(
 
 @dataclass
 class RosenbrockProblem:
+    name: ClassVar[str] = "rosenbrock"
     start: tuple[float, float] = (-1.5, 2.0)
-    name: str = "rosenbrock"
+
+    def __post_init__(self) -> None:
+        if len(self.start) != 2:
+            raise ValueError(f"start must hold 2 numbers, got {len(self.start)}")
 
     def init_params(self, rng: np.random.Generator) -> list[ParamTensor]:
         return [ParamTensor("x", (2,), self.start)]
@@ -267,11 +285,12 @@ class RosenbrockProblem:
 
 @dataclass
 class QuadraticProblem:
+    name: ClassVar[str] = "quadratic"
     spectrum: tuple[float, ...]
     start: tuple[float, ...]
-    name: str = "quadratic"
 
     def __post_init__(self) -> None:
+        _checked_spectrum(self.spectrum)
         if len(self.spectrum) != len(self.start):
             raise ValueError("spectrum and start must have the same length")
 
@@ -296,12 +315,12 @@ class BlobsMLPProblem:
     ``blobs`` holds ``make_blobs``'s arguments (data_seed, n, d, classes,
     separation); the data is drawn on the first evaluate or metrics call."""
 
+    name: ClassVar[str] = "blobs_mlp"
     blobs: tuple[int, int, int, int, float]
     hidden: tuple[int, ...]
     batch_size: int
     activation: str = "tanh"
     alpha: float = 0.1
-    name: str = "blobs_mlp"
     widths: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
@@ -312,6 +331,7 @@ class BlobsMLPProblem:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         _activation(self.activation)
         self.widths = (d, *self.hidden, n_classes)
+        _check_widths(self.widths)
 
     @cached_property
     def data(self) -> tuple[np.ndarray, np.ndarray]:

@@ -19,14 +19,16 @@ class NonFiniteError(ValueError):
 class ParamTensor:
     """Named dense tensor: a shape plus row-major float64 values.
 
-    Construction copies the data, validates the shape/value agreement and
-    rejects non-finite entries. The value buffer is frozen afterwards;
+    Construction checks the name is a string, copies the data, validates the
+    shape/value agreement and rejects non-finite entries. The value buffer is frozen afterwards;
     anything that changes a tensor builds a new one (see ``with_values``).
     """
 
     __slots__ = ("name", "shape", "values")
 
     def __init__(self, name: str, shape: Sequence[int], values) -> None:
+        if not isinstance(name, str):  # a checkpoint stores the name as a JSON string
+            raise ValueError(f"name must be a string, got {name!r}")
         try:
             if bool in map(type, shape):  # operator.index would read True as 1
                 raise TypeError

@@ -242,13 +242,23 @@ class TestParseConfig:
              "^" + re.escape(
                  "problem.n: 2147483648x2147483648 inputs need 36893488147419103232"
                  " bytes, more than one array can hold (9223372036854775807)") + "$"),
+            ({"problem": {"name": "quadratic", "spectrum": []}},
+             r"^problem\.spectrum: expected a non-empty list$"),
+            ({"problem": {"name": "blobs_mlp", "n": 4, "d": 2, "classes": 2, "batch_size": 1,
+                          "activation": "sigmoid"}},
+             r"^problem\.activation: expected one of \['relu', 'tanh'\], got 'sigmoid'$"),
+            # each entry is checked for type and range before the next
+            ({"problem": {"name": "blobs_mlp", "n": 4, "d": 2, "classes": 2, "batch_size": 1,
+                          "hidden": [0, "a"]}},
+             r"^problem\.hidden\[0\]: must be >= 1, got 0$"),
         ],
         ids=[
             "start_entry", "start_length", "spectrum_entry", "spectrum_zero",
             "quadratic_start_entry", "quadratic_start_length", "eta_overflow",
             "tau_infinity", "threshold_nan", "blobs_too_few_samples", "data_seed_negative",
             "eps_clipping_zero", "spectrum_entry_2", "spectrum_not_list", "weight_tie",
-            "weight_columns", "inputs_tie",
+            "weight_columns", "inputs_tie", "spectrum_empty", "activation_unknown",
+            "hidden_zero_then_string",
         ],
     )
     def test_malformed_value_rejected_with_field(self, overrides, field):

@@ -725,6 +725,10 @@ class TestStepRejects:
         with pytest.raises(ValueError, match="^step index must be >= 1, got 0$"):
             lookahead_sync(np.ones(2), np.zeros(2), t=0, k=5, beta_la=0.5)
 
+    def test_lookahead_sync_rejects_period_zero(self):
+        with pytest.raises(ValueError, match="^lookahead period k must be >= 1, got 0$"):
+            lookahead_sync(np.ones(2), np.zeros(2), t=1, k=0, beta_la=0.5)
+
 
 class TestCheckpoint:
     def make_opt(self):
@@ -969,6 +973,8 @@ class TestCheckpoint:
             (lambda blob: blob.update(checkpoint_version=4), "checkpoint_version"),
             (lambda blob: blob["params"][0].update(shape=[2.9]), "params[0].shape[0]"),
             (lambda blob: blob["params"][0].update(shape=[2, True]), "params[0].shape[1]"),
+            # each entry is checked for type and range before the next
+            (lambda blob: blob["params"][0].update(shape=[0, True]), "params[0].shape[0]"),
             (in_v2(lambda blob: blob["slow"].update(a=["0.9", "0.1"])), "slow['a']"),
             (in_v2(lambda blob: blob["moments"]["b"].update(m_prev=[True, 0.0])),
              "moments['b'].m_prev"),
@@ -980,7 +986,8 @@ class TestCheckpoint:
             "missing_toggle_key", "fractional_t", "string_t", "fractional_k_lookahead",
             "string_toggle", "infinite_eta", "infinite_weight_decay", "fractional_t_warmup",
             "nan_v_base64", "short_v_base64", "v_not_base64", "list_in_v3", "base64_in_v2",
-            "version_4", "fractional_extent", "bool_extent", "string_in_v2_slow",
+            "version_4", "fractional_extent", "bool_extent", "zero_then_bool_extent",
+            "string_in_v2_slow",
             "bool_in_v2_buffer",
         ],
     )

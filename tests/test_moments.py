@@ -179,6 +179,10 @@ class TestCombinedDecay:
         with pytest.raises(ValueError, match="^eta_t must be >= 0, got -1.0$"):
             combined_decay(np.ones(3), np.ones(3), -1.0, DecayConfig())
 
+    def test_nan_eta_rejected(self):
+        with pytest.raises(ValueError, match="^eta_t must be >= 0, got nan$"):
+            combined_decay(np.ones(3), np.ones(3), math.nan, DecayConfig())
+
     def test_unit_norm_vanishes(self):
         theta = scalar(1.0)
         v_hat = scalar(0.5)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -496,6 +497,37 @@ class TestBenchmarkProblems:
         with pytest.raises(ValueError) as built:
             BlobsMLPProblem((0, 40, 6, 4, 1.0), (5,), 9, alpha=alpha)
         assert str(built.value) == str(smoothed.value) == f"alpha must be in [0, 1), got {alpha}"
+
+    @pytest.mark.parametrize("spectrum", [(-1.0,), (), (1.0, math.nan)])
+    def test_quadratic_problem_rejects_what_quadratic_rejects(self, spectrum):
+        with pytest.raises(ValueError) as evaluated:
+            quadratic([1.0] * len(spectrum), spectrum)
+        with pytest.raises(ValueError) as built:
+            QuadraticProblem(spectrum, (1.0,) * len(spectrum))
+        assert str(built.value) == str(evaluated.value)
+
+    def test_rosenbrock_problem_rejects_a_start_of_other_length(self):
+        with pytest.raises(ValueError, match=r"^start must hold 2 numbers, got 3$"):
+            RosenbrockProblem((1.0, 2.0, 3.0))
+
+    @pytest.mark.parametrize("d, hidden", [(0, (4,)), (3, (4, 0))])
+    def test_blobs_problem_rejects_what_mlp_init_rejects(self, d, hidden):
+        widths = (d, *hidden, 2)
+        with pytest.raises(ValueError) as initialised:
+            mlp_init(widths, philox(0))
+        with pytest.raises(ValueError) as built:
+            BlobsMLPProblem((0, 4, d, 2, 1.0), hidden, 1)
+        message = f"every width must be >= 1, got {widths}"
+        assert str(built.value) == str(initialised.value) == message
+
+    @pytest.mark.parametrize(
+        "cls, name",
+        [(RosenbrockProblem, "rosenbrock"), (QuadraticProblem, "quadratic"),
+         (BlobsMLPProblem, "blobs_mlp")],
+    )
+    def test_name_is_a_class_constant(self, cls, name):
+        assert cls.name == name
+        assert "name" not in {f.name for f in dataclasses.fields(cls)}
 
     def test_metrics_memory_does_not_grow_with_depth(self):
         peaks = []

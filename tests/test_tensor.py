@@ -42,6 +42,12 @@ class TestConstruction:
         t = ParamTensor("w", (np.int64(2), np.uint8(1)), [1, 2])
         assert t.shape == (2, 1) and all(type(n) is int for n in t.shape)
 
+    @pytest.mark.parametrize("name", [5, ("w",), None])
+    def test_non_string_name_rejected(self, name):
+        # a checkpoint stores the name as a JSON string: save and load need one
+        with pytest.raises(ValueError, match=r"^name must be a string, got "):
+            ParamTensor(name, (2,), [1.0, 2.0])
+
     def test_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
             ParamTensor("w", (2, 2), [1, 2, 3])
