@@ -19,20 +19,15 @@ The schedule multiplies the decay exactly once: the step subtracts
 
 from __future__ import annotations
 
-import base64
-import binascii
 import dataclasses
-import json
-import math
 import operator
-import os
 import sys
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
+from . import checkpoint
 from .moments import (
     DecayConfig,
     MomentConfig,
@@ -47,12 +42,6 @@ from .tensor import ParamTensor, _raise_nonfinite
 from .transforms import ClipConfig, gradient_centralize, scale_units, unit_scale_factors
 
 PRESETS = ("adamw", "ranger21")
-
-CHECKPOINT_VERSION = 4
-# v2 stores each buffer as a JSON list of numbers, v3 as base64 of its '<f8' bytes, and
-# v4, the file ``save`` writes, as the byte offset of those bytes after the document line
-_DICT_VERSION = 3
-_V4_START = b'{"checkpoint_version": 4, '
 _MOMENT_BUFFERS = tuple(f.name for f in dataclasses.fields(MomentState))
 
 
@@ -131,10 +120,7 @@ class OptimizerState:
     views of ``flat_theta``, built in one batch by ``ParamTensor._views``,
     which leaves the buffer itself writeable. A step swaps in new buffers and
     never writes to committed ones; after a lookahead sync ``flat_theta`` is
-    ``flat_slow`` itself. A checkpoint load fills the state its new optimizer
-    built before anything else holds it: a v4 load copies all six buffers whole
-    from the file's section, whose offsets follow this layout, a v2 or v3 load
-    each decoded moment and slow-weight buffer into its per-name view.
+    ``flat_slow`` itself. A checkpoint load fills its new optimizer's buffers.
     """
 
     bounds: dict[str, tuple[int, int]]
@@ -402,218 +388,31 @@ class Optimizer:
         )
         return new_params
 
-    # -- checkpointing ------------------------------------------------------
+    # -- checkpointing: the format is the ``checkpoint`` module's --------------
 
     def to_checkpoint(self) -> dict:
-        """The full state as a JSON-ready dict, format v3: each float64 buffer is a
-        base64 string of its little-endian bytes, so a round trip is bit-exact."""
-        bufs = self._buffers()
-        return self._checkpoint(
-            _DICT_VERSION, lambda k, lo, hi: _encoded(bufs[k][lo:hi]).decode("ascii")
-        )
+        """The full state as a JSON-ready v3 dict, which round-trips bit-exactly."""
+        return checkpoint.to_checkpoint(self)
+
+    @classmethod
+    def from_checkpoint(cls, blob) -> "Optimizer":
+        """The optimizer a v3 or v2 dict describes; ValueError names the field at fault."""
+        return checkpoint.from_checkpoint(cls, blob)
+
+    def save(self, path) -> None:
+        """Write the state to ``path`` as a v4 file; a failed save keeps the old file."""
+        checkpoint.save(self, path)
+
+    @classmethod
+    def load(cls, path) -> "Optimizer":
+        """The optimizer a ``save`` wrote to ``path``, or a v2 or v3 file holds."""
+        return checkpoint.load(cls, path)
 
     def _buffers(self) -> tuple[np.ndarray, ...]:
         """The state's six flat buffers: θ, the moment slots, the slow weights."""
         state = self.state
         moments = (getattr(state.flat_moments, b) for b in _MOMENT_BUFFERS)
         return (state.flat_theta, *moments, state.flat_slow)
-
-    def _checkpoint(self, version: int, leaf: Callable[[int, int, int], object]) -> dict:
-        """The checkpoint document; a tensor's leaf for buffer k of ``_buffers()``
-        is ``leaf(k, lo, hi)``, with ``lo:hi`` its slice of that buffer."""
-        bounds = self.state.bounds
-        return {
-            "checkpoint_version": version,
-            "preset": self.preset,
-            "config": dataclasses.asdict(self.config),
-            "t": self.state.t,
-            "params": [
-                {"name": p.name, "shape": list(p.shape), "values": leaf(0, *bounds[p.name])}
-                for p in self.params
-            ],
-            "moments": {
-                name: {b: leaf(k, *span) for k, b in enumerate(_MOMENT_BUFFERS, 1)}
-                for name, span in bounds.items()
-            },
-            "slow": {name: leaf(len(_MOMENT_BUFFERS) + 1, *span) for name, span in bounds.items()},
-        }
-
-    @classmethod
-    def from_checkpoint(cls, blob) -> "Optimizer":
-        """Rebuild an optimizer from ``to_checkpoint`` output, or from a version-2
-        blob, whose buffers are lists of numbers; raises ValueError naming the
-        field when a field is missing, has the wrong type or is out of range, or
-        when the state does not fit the params or the schedule."""
-        return cls._rebuilt(blob, None)
-
-    @classmethod
-    def _rebuilt(cls, blob, section: memoryview | None) -> "Optimizer":
-        """The optimizer the checkpoint ``blob`` describes: ``from_checkpoint``'s
-        when ``section`` is None, else that of a v4 file's document line, whose
-        buffer leaves are offsets into ``section``, the file's raw section, which
-        must be exactly six buffers long. A v4 load builds the optimizer from the
-        names and shapes alone, then ``_read_section`` fills its six buffers whole;
-        a v2 or v3 load walks each tensor's fields and raises at the first field at fault."""
-        if not isinstance(blob, dict):
-            raise ValueError(f"checkpoint: expected an object, got {type(blob).__name__}")
-        version = blob.get("checkpoint_version")
-        readers = (
-            {2: _listed, _DICT_VERSION: _decoded} if section is None
-            else {CHECKPOINT_VERSION: None}
-        )
-        if not (isinstance(version, int) and version in readers):
-            raise ValueError(f"checkpoint_version: unsupported checkpoint version {version!r}")
-        read = readers[version]
-        for key in ("preset", "config", "t", "params", "moments", "slow"):
-            _field(blob, key, key)
-        if not isinstance(blob["params"], list):
-            raise ValueError(f"params: expected a list, got {type(blob['params']).__name__}")
-        params = [
-            _param_from_dict(entry, f"params[{i}]", read)
-            for i, entry in enumerate(blob["params"])
-        ]
-        if section is not None and len(section) != _offset(6, n := sum(p.size for p in params), 0):
-            raise ValueError(
-                f"params: their values take a {_offset(6, n, 0)}-byte section, got {len(section)}"
-            )
-        config = _from_dict(Ranger21Config, blob["config"], "config")
-        if blob["preset"] not in PRESETS:
-            raise ValueError(f"preset: expected one of {PRESETS}, got {blob['preset']!r}")
-        opt = checked_call("params", cls, params, config, preset=blob["preset"])
-        params = opt.params  # the decoded values are in opt.state now: let them go
-        t, t_max = checked_value("int", blob["t"], "t"), config.schedule.t_max
-        if t < 0 or (config.toggles.warmdown and t > t_max):
-            raise ValueError(f"t: must be >= 0, and <= t_max = {t_max} with warm-down on, got {t}")
-        names = [p.name for p in params]
-        for key in ("moments", "slow"):
-            if not isinstance(blob[key], dict) or blob[key].keys() != set(names):
-                raise ValueError(f"{key}: expected an object keyed by the param names {names}")
-        if section is not None:
-            _read_section(opt, blob, section)
-        else:
-            # one copy per buffer: each decoded array into its view of the new state;
-            # the walk names the first field at fault
-            moments, slow = opt.state.moments, opt.state.slow
-            for p in params:
-                ms, name = blob["moments"][p.name], repr(p.name)
-                for b in _MOMENT_BUFFERS:
-                    where = f"moments[{name}].{b}"
-                    getattr(moments[p.name], b)[:] = _checked_buffer(ms, b, where, p.size, read)
-                where = f"slow[{name}]"
-                slow[p.name][:] = _checked_buffer(blob["slow"], p.name, where, p.size, read)
-        opt.state.t = t
-        return opt
-
-    def save(self, path: str | Path) -> None:
-        """Write the checkpoint in format v4 to a temp file beside ``path``, then
-        rename it over ``path``, so a failed save never leaves a truncated file
-        there. The file's first line is ``json.dumps`` of the ``to_checkpoint``
-        document at version 4, each buffer leaf an int; the raw section after its
-        newline holds the six ``_buffers()`` of length n as '<f8' bytes, so a
-        tensor's slice ``lo:hi`` of buffer k starts at byte ``8 * (k * n + lo)``."""
-        path = Path(path)
-        tmp = path.with_name(path.name + ".tmp")
-        n = self.state.flat_theta.size
-        doc = json.dumps(self._checkpoint(CHECKPOINT_VERSION, lambda k, lo, hi: _offset(k, n, lo)))
-        try:
-            with open(tmp, "wb") as f:
-                f.write(doc.encode("ascii") + b"\n")
-                for buf in self._buffers():
-                    f.write(np.ascontiguousarray(buf, dtype="<f8"))
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Optimizer":
-        """The optimizer a ``save`` wrote to ``path``. A file that starts as
-        ``save`` starts it is read as v4, any other as one JSON document (v2 or
-        v3); raises ValueError when the document is not JSON, or as
-        ``from_checkpoint`` does."""
-        data = Path(path).read_bytes()
-        v4 = data.startswith(_V4_START)
-        end = data.find(b"\n") if v4 else len(data)
-        try:
-            if end < 0:
-                raise ValueError("the document line has no newline")
-            blob = json.loads(data[:end])
-        except ValueError as exc:  # a UnicodeDecodeError, a JSONDecodeError, or an int
-            # past Python's digit limit
-            raise ValueError(f"checkpoint: not valid JSON: {exc}") from exc
-        return cls._rebuilt(blob, memoryview(data)[end + 1 :] if v4 else None)
-
-
-def _encoded(buf: np.ndarray) -> bytes:
-    """The base64 text of ``buf``'s little-endian float64 bytes, read in place."""
-    return binascii.b2a_base64(np.ascontiguousarray(buf, dtype="<f8"), newline=False)
-
-
-def _offset(k: int, n: int, lo: int) -> int:
-    """The byte offset in a v4 section of value lo of buffer k of n: the one ``save`` writes."""
-    return 8 * (k * n + lo)
-
-
-def _read_section(opt: Optimizer, blob: dict, section: memoryview) -> None:
-    """Copy ``opt``'s six buffers whole from a v4 file's raw ``section``, which holds
-    exactly them, checking each copy once; then, in the v2/v3 walk's order, raise
-    ValueError at the first leaf not at the offset ``save`` writes or not finite."""
-    bufs = opt._buffers()
-    n = bufs[0].size
-    finite = []
-    for k, buf in enumerate(bufs):
-        buf[:] = np.frombuffer(section, dtype="<f8", count=n, offset=_offset(k, n, 0))
-        finite.append(np.isfinite(buf).all())
-    for i, (name, (lo, hi)) in enumerate(opt.state.bounds.items()):
-        leaves = [(blob["params"][i], "values", f"params[{i}].values")]
-        leaves += [(blob["moments"][name], b, f"moments[{name!r}].{b}") for b in _MOMENT_BUFFERS]
-        leaves.append((blob["slow"], name, f"slow[{name!r}]"))
-        for k, (mapping, key, where) in enumerate(leaves):
-            offset, expected = _field(mapping, key, where), _offset(k, n, lo)
-            if type(offset) is not int or offset != expected:
-                raise ValueError(
-                    f"{where}: expected {expected}, the offset save writes, got {offset!r}"
-                )
-            if not finite[k] and not np.isfinite(bufs[k][lo:hi]).all():
-                raise ValueError(f"{where}: non-finite values rejected")
-
-
-def _decoded(text, where: str, size: int) -> np.ndarray:
-    """The float64 array a v3 buffer string encodes; it must hold ``size`` values."""
-    if not isinstance(text, str):
-        raise ValueError(f"{where}: expected a base64 string, got {type(text).__name__}")
-    raw = checked_call(where, base64.b64decode, text, validate=True)
-    if len(raw) != 8 * size:
-        raise ValueError(f"{where}: expected {8 * size} bytes ({size} values), got {len(raw)}")
-    # a read-only view of ``raw``: the caller makes the one copy, into the flat state
-    return np.frombuffer(raw, dtype="<f8")
-
-
-def _listed(values, where: str, size: int) -> np.ndarray:
-    """The float64 array a v2 buffer list holds; it must hold ``size`` numbers."""
-    if not isinstance(values, list):
-        raise ValueError(f"{where}: expected a list of numbers, got {type(values).__name__}")
-    for i, x in enumerate(values):
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise ValueError(f"{where}: expected a list of numbers, got {x!r} at index {i}")
-    if len(values) != size:
-        raise ValueError(f"{where}: expected {size} values, got {len(values)}")
-    return checked_call(where, np.array, values, dtype=np.float64)
-
-
-def _checked_buffer(mapping: dict, key: str, where: str, size: int, read) -> np.ndarray:
-    """The buffer ``read``, the reader of the checkpoint's version, takes from
-    ``mapping[key]``; it must hold ``size`` finite values."""
-    buf = read(_field(mapping, key, where), where, size)
-    if not np.isfinite(buf).all():
-        raise ValueError(f"{where}: non-finite values rejected")
-    return buf
-
-
-def _field(mapping, key: str, where: str):
-    if not isinstance(mapping, dict) or key not in mapping:
-        raise ValueError(f"{where}: missing")
-    return mapping[key]
 
 
 _EXPECTED = {
@@ -675,40 +474,6 @@ def _check_leaves(config, where: str) -> None:
             raise ValueError(f"{where}{name}: expected a {part.__name__}, got {value!r}")
         else:
             _check_leaves(value, f"{where}{name}.")
-
-
-def _from_dict(cls, blob, where: str):
-    """Build config dataclass ``cls`` from a dict holding exactly its fields, each
-    checked against its annotation, and its parts from nested dicts; ValueError
-    names the field at fault."""
-    fields = cls.__dataclass_fields__
-    if not isinstance(blob, dict) or blob.keys() != fields.keys():
-        raise ValueError(f"{where}: expected an object with keys {sorted(fields)}, got {blob!r}")
-    kwargs = {}
-    for name, f in fields.items():
-        path = f"{where}.{name}"
-        part = _PARTS.get(f.type)
-        kwargs[name] = (
-            _from_dict(part, blob[name], path) if part else checked_value(f.type, blob[name], path)
-        )
-    return checked_call(where, cls, **kwargs)
-
-
-def _param_from_dict(entry, where: str, read) -> ParamTensor:
-    """The param ``entry`` names, of its shape, with the values ``read``, the reader of
-    the checkpoint's version, checks; for v4 (``read`` None) zeros that take no memory."""
-    name = checked_value("str", _field(entry, "name", f"{where}.name"), f"{where}.name")
-    shape = checked_value(
-        "tuple[int, ...]", _field(entry, "shape", f"{where}.shape"), f"{where}.shape", ge=1
-    )
-    if not shape:
-        raise ValueError(f"{where}.shape: expected a non-empty list, got []")
-    size = math.prod(shape)
-    if read is None:  # a zero-stride view of one 0.0: the load copies θ whole later
-        values = checked_call(f"{where}.shape", np.ndarray, (size,), buffer=bytes(8), strides=(0,))
-    else:
-        values = _checked_buffer(entry, "values", f"{where}.values", size, read)
-    return ParamTensor._adopt(name, shape, values)  # checked above as ParamTensor checks
 
 
 def checked_call(where: str, make, *args, **kwargs):

@@ -65,11 +65,9 @@ def _checked_spectrum(spectrum) -> np.ndarray:
     return a
 
 
-def quadratic(x, spectrum) -> tuple[float, np.ndarray]:
-    """f = 1/2 sum a_i x_i^2 with diagonal spectrum a; grad = a * x."""
-    x = np.asarray(x, dtype=np.float64)
-    a = _checked_spectrum(spectrum)
-    return float(0.5 * np.sum(a * x * x)), a * x
+def _check_start(start) -> None:
+    if not all(math.isfinite(x) for x in start):
+        raise ValueError(f"start must be finite, got {tuple(start)}")
 
 
 # -- label-smoothed cross-entropy --------------------------------------------
@@ -268,6 +266,7 @@ class RosenbrockProblem:
     def __post_init__(self) -> None:
         if len(self.start) != 2:
             raise ValueError(f"start must hold 2 numbers, got {len(self.start)}")
+        _check_start(self.start)
 
     def init_params(self, rng: np.random.Generator) -> list[ParamTensor]:
         return [ParamTensor("x", (2,), self.start)]
@@ -288,11 +287,13 @@ class QuadraticProblem:
     name: ClassVar[str] = "quadratic"
     spectrum: tuple[float, ...]
     start: tuple[float, ...]
+    _a: np.ndarray = field(init=False, repr=False, compare=False)  # the checked spectrum
 
     def __post_init__(self) -> None:
-        _checked_spectrum(self.spectrum)
+        self._a = _checked_spectrum(self.spectrum)
         if len(self.spectrum) != len(self.start):
             raise ValueError("spectrum and start must have the same length")
+        _check_start(self.start)
 
     def init_params(self, rng: np.random.Generator) -> list[ParamTensor]:
         return [ParamTensor("x", (len(self.start),), self.start)]
@@ -300,12 +301,16 @@ class QuadraticProblem:
     def sample_batch(self, rng: np.random.Generator):
         return None
 
+    def _at(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """f = 1/2 sum a_i x_i^2 over the checked spectrum a, and grad = a * x."""
+        return float(0.5 * np.sum(self._a * x * x)), self._a * x
+
     def evaluate(self, params: Sequence[ParamTensor], batch=None):
-        loss, grad = quadratic(params[0].values, self.spectrum)
+        loss, grad = self._at(params[0].values)
         return loss, [params[0].with_values(grad)]
 
     def metrics(self, params: Sequence[ParamTensor]):
-        return quadratic(params[0].values, self.spectrum)[0], None
+        return self._at(params[0].values)[0], None
 
 
 @dataclass
@@ -324,8 +329,10 @@ class BlobsMLPProblem:
     widths: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        _, n, d, n_classes, _ = self.blobs
+        _, n, d, n_classes, separation = self.blobs
         _check_blob_counts(n, n_classes)
+        if not math.isfinite(separation):
+            raise ValueError(f"separation must be finite, got {separation}")
         _check_alpha(self.alpha)
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")

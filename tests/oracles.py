@@ -2,12 +2,12 @@
 
 Straight-line scalar transcriptions of the update rules, written directly
 from the algorithm definitions with plain Python floats; a Frobenius norm; a
-whole-tensor clip; a central-difference gradient; the MLP activations'
-derivatives in the pre-activation; a label-smoothed cross-entropy and a
-reference MLP, forward and backward, that differentiates through those
-derivatives; the decay's per-slice loop; the default schedule phase lengths
-in exact rationals; and a reader of checkpoint format v4. They use numpy at
-most and deliberately import nothing from the package.
+whole-tensor clip; a central-difference gradient; the quadratic surface; the
+MLP activations' derivatives in the pre-activation; a label-smoothed
+cross-entropy and a reference MLP, forward and backward, that differentiates
+through those derivatives; the decay's per-slice loop; the default schedule
+phase lengths in exact rationals; and a reader of checkpoint format v4. They
+use numpy at most and deliberately import nothing from the package.
 """
 
 import base64
@@ -53,6 +53,12 @@ def finite_diff_grad(f, params, h=1e-6):
             grad[i] = (up - down) / (2.0 * h)
         grads.append(p.with_values(grad))
     return grads
+
+
+def quadratic(x, spectrum):
+    """f = 1/2 sum a_i x_i^2 over the diagonal spectrum a, and its gradient a * x."""
+    x, a = np.asarray(x, dtype=np.float64), np.asarray(spectrum, dtype=np.float64)
+    return float(0.5 * np.sum(a * x * x)), a * x
 
 
 # The MLP activations' derivatives in the pre-activation z, as their

@@ -33,7 +33,7 @@ from optlab import (
     pnm_update,
 )
 
-from optlab import engine
+from optlab import checkpoint, engine
 from optlab.benchmark import parse_config
 from optlab.engine import PRESETS
 from optlab.problems import BlobsMLPProblem, RosenbrockProblem, philox
@@ -1058,7 +1058,7 @@ class TestCheckpoint:
 
         opt.step(self.grad_stream(rng, 1)[0])
         # the name ``save`` opens its temp file through
-        monkeypatch.setattr(engine, "open", FailingFile, raising=False)
+        monkeypatch.setattr(checkpoint, "open", FailingFile, raising=False)
         with pytest.raises(OSError, match="disk full"):
             opt.save(path)
         assert on_disk and on_disk[0] > 0
@@ -1230,13 +1230,13 @@ class TestCheckpoint:
     def test_v4_load_reads_no_leaf_one_by_one(self, tmp_path, monkeypatch):
         # all six buffers of a file ``save`` wrote, θ included, are checked and copied
         # whole, never read through the per-leaf reader
-        where, checked = [], engine._checked_buffer
+        where, checked = [], checkpoint._checked_buffer
 
         def counted(mapping, key, at, size, read):
             where.append(at)
             return checked(mapping, key, at, size, read)
 
-        monkeypatch.setattr(engine, "_checked_buffer", counted)
+        monkeypatch.setattr(checkpoint, "_checked_buffer", counted)
         for spec, opt in self.stepped(CONFIGS / "deep_mlp.json"):
             path = tmp_path / f"{spec.label}.ckpt"
             opt.save(path)
@@ -1244,6 +1244,95 @@ class TestCheckpoint:
             assert Optimizer.load(path).to_checkpoint() == opt.to_checkpoint()
             assert len(opt.params) == 32
             assert where == []
+
+    @staticmethod
+    def v2_of(opt):
+        """``opt``'s state as a version-2 dict, built from its buffers through the
+        state's per-name views: every leaf a list of numbers."""
+        slots = [f.name for f in dataclasses.fields(MomentState)]
+        return {
+            "checkpoint_version": 2,
+            "preset": opt.preset,
+            "config": dataclasses.asdict(opt.config),
+            "t": opt.t,
+            "params": [
+                {"name": p.name, "shape": list(p.shape), "values": p.values.tolist()}
+                for p in opt.params
+            ],
+            "moments": {
+                name: {slot: getattr(m, slot).tolist() for slot in slots}
+                for name, m in opt.state.moments.items()
+            },
+            "slow": {name: s.tolist() for name, s in opt.state.slow.items()},
+        }
+
+    def faulty(self, opt, version, faults, path):
+        """A load of ``opt``'s state in format ``version`` after each of ``faults``,
+        ``fault(doc, section)``, edits the document (and for v4 the raw section)."""
+        if version == 4:
+            opt.save(path)
+            line, section = path.read_bytes().split(b"\n", 1)
+            doc, section = json.loads(line), bytearray(section)
+            for fault in faults:
+                fault(doc, section)
+            path.write_bytes(json.dumps(doc).encode("ascii") + b"\n" + section)
+            return lambda: Optimizer.load(path)
+        doc = opt.to_checkpoint() if version == 3 else self.v2_of(opt)
+        for fault in faults:
+            fault(doc, None)
+        return lambda: Optimizer.from_checkpoint(doc)
+
+    def test_one_state_in_three_formats_loads_alike(self, tmp_path):
+        for spec, opt in self.stepped(CONFIGS / "deep_mlp.json"):
+            assert len(opt.params) == 32 and len(opt.state.groups) == 3
+            blob = opt.to_checkpoint()
+            for version in (4, 3, 2):
+                load = self.faulty(opt, version, [], tmp_path / f"{spec.label}.ckpt")
+                assert load().to_checkpoint() == blob, (spec.label, version)
+
+    # "w1" is registered third but sits after every bias in each buffer; "b14" is
+    # registered 30th but sits in the rank-1 group that starts each buffer. A load
+    # walks the tensors in registration order, so it names w1's fault
+    @pytest.mark.parametrize(
+        "version, early, later",
+        [
+            (4,
+             (lambda doc, section: section.__setitem__(
+                 slice(doc["moments"]["w1"]["v_max"] + 8, doc["moments"]["w1"]["v_max"] + 16),
+                 np.array([math.inf]).tobytes()),
+              lambda doc: "moments['w1'].v_max: non-finite values rejected"),
+             (lambda doc, section: doc["slow"].update(b14=doc["slow"]["b14"] + 8),
+              lambda doc: f"slow['b14']: expected {doc['slow']['b14']}, the offset save "
+                          f"writes, got {doc['slow']['b14'] + 8}")),
+            (3,
+             (lambda doc, section: doc["moments"]["w1"].update(m_prev2=encoded(np.zeros(255))),
+              lambda doc: "moments['w1'].m_prev2: expected 2048 bytes (256 values), got 2040"),
+             (lambda doc, section: doc["slow"].update(b14="not base64!"),
+              lambda doc: "slow['b14']: Only base64 data is allowed")),
+            (2,
+             (lambda doc, section: doc["slow"]["w1"].__setitem__(7, "x"),
+              lambda doc: "slow['w1']: expected a list of numbers, got 'x' at index 7"),
+             (lambda doc, section: doc["moments"]["b14"]["v"].__setitem__(0, math.nan),
+              lambda doc: "moments['b14'].v: non-finite values rejected")),
+        ],
+        ids=["v4", "v3", "v2"],
+    )
+    def test_one_state_in_three_formats_names_the_first_fault(
+        self, tmp_path, version, early, later
+    ):
+        path = tmp_path / "ckpt"
+        (early_fault, early_message), (later_fault, later_message) = early, later
+        for _, opt in self.stepped(CONFIGS / "deep_mlp.json"):
+            opt.save(path)
+            doc = json.loads(path.read_bytes().split(b"\n", 1)[0])  # the offsets save writes
+            # each fault alone is refused, and both together by the early one
+            for faults, message in [
+                ([early_fault], early_message), ([later_fault], later_message),
+                ([later_fault, early_fault], early_message),
+            ]:
+                with pytest.raises(ValueError) as excinfo:
+                    self.faulty(opt, version, faults, path)()
+                assert str(excinfo.value) == message(doc)
 
     @pytest.mark.parametrize(
         "config_path", [*sorted(CONFIGS.glob("*.json")), REPO / "perfbench" / "wide_mlp.json"],

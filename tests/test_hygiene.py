@@ -1,8 +1,8 @@
 """Source hygiene that a linter would check: the public names resolve, no
 module of the package or of its tests imports a name it never uses, the
-package imports only the modules listed here, it reads every private helper
-it defines, and the package or the benchmark reads every public function and
-class it defines."""
+package imports only the modules listed here, ``engine.py`` none of those the
+checkpoint format uses, it reads every private helper it defines, and the
+package or the benchmark reads every public function and class it defines."""
 
 import ast
 from pathlib import Path
@@ -187,7 +187,7 @@ def test_one_blas_reduction_in_the_package():
 # The modules the package imports: the standard library's and numpy. Every process
 # that imports the package pays for them, so a new one is an edit to this list
 PACKAGE_IMPORTS = {
-    "__future__", "argparse", "base64", "binascii", "dataclasses", "functools", "itertools",
+    "__future__", "argparse", "base64", "dataclasses", "functools", "itertools",
     "json", "math", "operator", "os", "pathlib", "sys", "typing", "numpy",
 }
 
@@ -206,3 +206,11 @@ def imported_modules(tree: ast.Module) -> set[str]:
 def test_package_imports_are_the_listed_modules():
     found = set().union(*(imported_modules(ast.parse(p.read_text())) for p in PACKAGE.glob("*.py")))
     assert found == PACKAGE_IMPORTS
+
+
+def test_engine_imports_none_of_the_checkpoint_formats_modules():
+    """The checkpoint format is ``checkpoint.py``'s: ``engine.py`` holds the config,
+    the state and the step, and imports none of the modules a format reads or
+    writes with."""
+    found = imported_modules(ast.parse((PACKAGE / "engine.py").read_text()))
+    assert not found & {"json", "base64", "binascii", "os", "pathlib"}, found

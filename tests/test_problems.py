@@ -16,12 +16,17 @@ from optlab.problems import (
     make_blobs,
     mlp_init,
     philox,
-    quadratic,
     rosenbrock,
     smoothed_targets,
 )
 
-from oracles import PRE_ACTIVATION_DERIVATIVES, finite_diff_grad, label_smoothed_ce, mlp_eval
+from oracles import (
+    PRE_ACTIVATION_DERIVATIVES,
+    finite_diff_grad,
+    label_smoothed_ce,
+    mlp_eval,
+    quadratic,
+)
 
 
 def problem_on(x, y, n_classes, hidden=(), **kwargs):
@@ -68,25 +73,60 @@ class TestRosenbrock:
             problem.evaluate(params)
 
 
+def quadratic_at(x, spectrum):
+    """``QuadraticProblem``'s loss and gradient values at ``x``."""
+    problem = QuadraticProblem(tuple(spectrum), tuple(x))
+    loss, (grad,) = problem.evaluate(problem.init_params(philox(0)))
+    return loss, grad.values
+
+
 class TestQuadratic:
     def test_zero(self):
-        loss, grad = quadratic([0.0, 0.0], [1.0, 2.0])
+        loss, grad = quadratic_at([0.0, 0.0], [1.0, 2.0])
         assert loss == 0.0
         np.testing.assert_array_equal(grad, [0.0, 0.0])
 
     def test_direct(self):
-        loss, grad = quadratic([1.0, 2.0], [1.0, 1.0])
+        loss, grad = quadratic_at([1.0, 2.0], [1.0, 1.0])
         assert loss == 2.5
         np.testing.assert_array_equal(grad, [1.0, 2.0])
 
     def test_ill_conditioned(self):
-        loss, grad = quadratic([1.0, 1.0], [1.0, 1e4])
+        loss, grad = quadratic_at([1.0, 1.0], [1.0, 1e4])
         assert loss == pytest.approx(5000.5)
         np.testing.assert_array_equal(grad, [1.0, 1e4])
 
     def test_non_positive_spectrum_rejected(self):
-        with pytest.raises(ValueError):
-            quadratic([1.0], [0.0])
+        with pytest.raises(ValueError, match="^spectrum must be positive$"):
+            QuadraticProblem((0.0,), (1.0,))
+
+    @pytest.mark.parametrize("n", [1, 3, 10])
+    def test_evaluate_and_metrics_give_the_oracle_bits(self, n):
+        rng = np.random.default_rng(n)
+        spectrum = tuple(rng.uniform(0.1, 1e3, n).tolist())
+        problem = QuadraticProblem(spectrum, tuple(rng.standard_normal(n).tolist()))
+        params = problem.init_params(philox(0))
+        loss, (grad,) = problem.evaluate(params)
+        expected_loss, expected_grad = quadratic(params[0].values, spectrum)
+        assert np.float64(loss).tobytes() == np.float64(expected_loss).tobytes()
+        assert grad.values.tobytes() == expected_grad.tobytes()
+        assert np.float64(problem.metrics(params)[0]).tobytes() == np.float64(loss).tobytes()
+
+    def test_spectrum_is_checked_once(self, monkeypatch):
+        calls = []
+        checked = problems._checked_spectrum
+
+        def counting(spectrum):
+            calls.append(spectrum)
+            return checked(spectrum)
+
+        monkeypatch.setattr(problems, "_checked_spectrum", counting)
+        problem = QuadraticProblem((1.0, 4.0, 9.0), (1.0, -1.0, 0.5))
+        params = problem.init_params(philox(0))
+        for _ in range(3):
+            problem.evaluate(params)
+        problem.metrics(params)
+        assert calls == [(1.0, 4.0, 9.0)]
 
 
 class TestLabelSmoothedCE:
@@ -395,7 +435,7 @@ class TestFiniteDiff:
         x = ParamTensor("x", (2,), [1.0, 2.0])
 
         def f(params):
-            return quadratic(params[0].values, [1.0, 1.0])[0]
+            return QuadraticProblem((1.0, 1.0), (1.0, 2.0)).metrics(params)[0]
 
         (grad,) = finite_diff_grad(f, [x])
         np.testing.assert_allclose(grad.values, [1.0, 2.0], atol=1e-8)
@@ -498,17 +538,40 @@ class TestBenchmarkProblems:
             BlobsMLPProblem((0, 40, 6, 4, 1.0), (5,), 9, alpha=alpha)
         assert str(built.value) == str(smoothed.value) == f"alpha must be in [0, 1), got {alpha}"
 
-    @pytest.mark.parametrize("spectrum", [(-1.0,), (), (1.0, math.nan)])
-    def test_quadratic_problem_rejects_what_quadratic_rejects(self, spectrum):
-        with pytest.raises(ValueError) as evaluated:
-            quadratic([1.0] * len(spectrum), spectrum)
+    @pytest.mark.parametrize(
+        "spectrum, message",
+        [((-1.0,), "spectrum must be positive"), ((), "spectrum must be non-empty"),
+         ((1.0, math.nan), "spectrum must be positive")],
+    )
+    def test_quadratic_problem_rejects_a_bad_spectrum(self, spectrum, message):
         with pytest.raises(ValueError) as built:
             QuadraticProblem(spectrum, (1.0,) * len(spectrum))
-        assert str(built.value) == str(evaluated.value)
+        assert str(built.value) == message
 
     def test_rosenbrock_problem_rejects_a_start_of_other_length(self):
         with pytest.raises(ValueError, match=r"^start must hold 2 numbers, got 3$"):
             RosenbrockProblem((1.0, 2.0, 3.0))
+
+    @pytest.mark.parametrize(
+        "make, start",
+        [
+            (lambda: RosenbrockProblem((math.nan, 1.0)), (math.nan, 1.0)),
+            (lambda: RosenbrockProblem((1.0, -math.inf)), (1.0, -math.inf)),
+            (lambda: QuadraticProblem((1.0,), (math.inf,)), (math.inf,)),
+            (lambda: QuadraticProblem((1.0, 2.0), (0.5, math.nan)), (0.5, math.nan)),
+        ],
+        ids=["rosenbrock_nan", "rosenbrock_minus_inf", "quadratic_inf", "quadratic_nan"],
+    )
+    def test_non_finite_start_rejected_when_built(self, make, start):
+        with pytest.raises(ValueError) as built:
+            make()
+        assert str(built.value) == f"start must be finite, got {start}"
+
+    @pytest.mark.parametrize("separation", [math.nan, math.inf, -math.inf])
+    def test_blobs_problem_rejects_a_non_finite_separation(self, separation):
+        with pytest.raises(ValueError) as built:
+            BlobsMLPProblem((0, 4, 2, 2, separation), (3,), 1)
+        assert str(built.value) == f"separation must be finite, got {separation}"
 
     @pytest.mark.parametrize("d, hidden", [(0, (4,)), (3, (4, 0))])
     def test_blobs_problem_rejects_what_mlp_init_rejects(self, d, hidden):
