@@ -32,8 +32,6 @@ from .tensor import NonFiniteError, ParamTensor
 from .transforms import (
     ClipConfig,
     gradient_centralize,
-    mean_all_but_first,
-    row_norms,
     unit_scale_factors,
 )
 
@@ -59,9 +57,7 @@ __all__ = [
     "gradient_centralize",
     "lookahead_sync",
     "lr_factor",
-    "mean_all_but_first",
     "pnm_update",
-    "row_norms",
     "scheduled_eta",
     "unit_scale_factors",
 ]

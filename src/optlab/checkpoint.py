@@ -27,7 +27,7 @@ _V4_START = b'{"checkpoint_version": 4, '
 
 def _leaves(doc: dict, i: int, name: str) -> list[tuple[dict, str, str]]:
     """Tensor ``i``'s six leaves in ``doc``, in buffer order: (mapping, key, error field)."""
-    moments = doc["moments"][name]
+    moments = _object(doc["moments"][name], f"moments[{name!r}]")
     return [
         (doc["params"][i], "values", f"params[{i}].values"),
         *((moments, b, f"moments[{name!r}].{b}") for b in engine._MOMENT_BUFFERS),
@@ -65,9 +65,7 @@ def from_checkpoint(cls, blob, section: memoryview | None = None):
     """The ``cls`` optimizer a v3 or v2 dict ``blob`` describes, or a v4 document line
     whose raw section is ``section``; ValueError names the field at fault. v2/v3 θ is
     decoded to build the optimizer (v4: names and shapes), then ``_fill`` fills it."""
-    if not isinstance(blob, dict):
-        raise ValueError(f"checkpoint: expected an object, got {type(blob).__name__}")
-    version = blob.get("checkpoint_version")
+    version = _object(blob, "checkpoint").get("checkpoint_version")
     readers = (
         {2: _listed, _DICT_VERSION: _decoded} if section is None
         else {CHECKPOINT_VERSION: None}
@@ -194,8 +192,15 @@ def _checked_buffer(mapping: dict, key: str, where: str, size: int, read) -> np.
     return buf
 
 
-def _field(mapping, key: str, where: str):
-    if not isinstance(mapping, dict) or key not in mapping:
+def _object(entry, where: str) -> dict:
+    """``entry``, which must be a JSON object."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"{where}: expected an object, got {type(entry).__name__}")
+    return entry
+
+
+def _field(mapping: dict, key: str, where: str):
+    if key not in mapping:
         raise ValueError(f"{where}: missing")
     return mapping[key]
 
@@ -219,7 +224,7 @@ def _from_dict(cls, blob, where: str):
 def _param_from_dict(entry, where: str, read) -> ParamTensor:
     """The param ``entry`` names, of its shape, with the values ``read`` checks; for
     v4 (``read`` None) zeros that take no memory, as the load copies θ whole later."""
-    name_at, shape_at = f"{where}.name", f"{where}.shape"
+    entry, name_at, shape_at = _object(entry, where), f"{where}.name", f"{where}.shape"
     name = engine.checked_value("str", _field(entry, "name", name_at), name_at)
     shape = _field(entry, "shape", shape_at)
     shape = engine.checked_value("tuple[int, ...]", shape, shape_at, ge=1)

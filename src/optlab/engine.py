@@ -104,16 +104,18 @@ class OptimizerState:
     the params θ themselves, the moment slots (one flat ``MomentState``) and
     the lookahead slow weights.
 
-    The buffers are laid out by unit kind, so that the unit-wise stages run
-    once per group: every rank-1 tensor first, then the rank >= 2 tensors
-    grouped by unit width, registration order within a group. ``order`` lists
-    the params' registration indices in that layout, ``groups`` holds each
-    group's ``(lo, hi, width)`` (width None for the rank-1 group), ``runs``
-    holds the tensors in that layout as runs of equal-size tensors, for every
-    per-tensor reduction, ``unit_starts`` the index of each tensor's first
-    unit among all groups' units end to end, and ``bounds`` maps each tensor's
-    name, in registration order, to its ``(lo, hi)`` slice; ``moments`` and
-    ``slow`` are per-name views.
+    The buffers are laid out by unit kind, so that each unit-wise stage runs
+    once per step over the whole buffer: every rank-1 tensor first, up to
+    ``rank1_end``, whose units are its elements, then the rank >= 2 tensors
+    by unit width, registration order within a width. ``units`` holds those
+    tensors' units, spans of the buffer from ``rank1_end`` on, as runs
+    ``(lo, units, width)`` of one width each, ``lo`` counted from
+    ``rank1_end``. ``order`` lists the params' registration indices in the
+    layout, ``runs`` holds the tensors in it as runs of equal-size tensors,
+    for every per-tensor reduction, ``unit_starts`` the index of each
+    tensor's first unit among all units (elements of the rank-1 region
+    first), and ``bounds`` maps each tensor's name, in registration order, to
+    its ``(lo, hi)`` slice; ``moments`` and ``slow`` are per-name views.
 
     ``initial`` gathers θ into ``flat_theta`` once, and the slow weights
     start as a copy of it; from then on the optimizer's params are read-only
@@ -125,7 +127,7 @@ class OptimizerState:
 
     bounds: dict[str, tuple[int, int]]
     order: tuple[int, ...]
-    groups: list[tuple[int, int, int | None]]
+    units: SpanRuns
     runs: SpanRuns
     unit_starts: np.ndarray
     flat_theta: np.ndarray
@@ -136,22 +138,27 @@ class OptimizerState:
     @classmethod
     def initial(cls, params: Sequence[ParamTensor]) -> "OptimizerState":
         widths = [_unit_width(p) for p in params]
-        # a stable sort: registration order within a group
+        # a stable sort: registration order within a width
         order = tuple(sorted(range(len(params)), key=lambda i: widths[i] or 0))
-        spans, groups, lo = {}, [], 0
+        spans, unit_runs, lo = {}, [], 0
         for i in order:
-            hi = lo + params[i].size
-            spans[i] = (lo, hi)
-            if groups and groups[-1][2] == widths[i]:
-                groups[-1] = (groups[-1][0], hi, widths[i])
-            else:
-                groups.append((lo, hi, widths[i]))
-            lo = hi
+            p, width = params[i], widths[i]
+            spans[i] = (lo, lo + p.size)
+            if width is not None:
+                unit_runs.append((lo, p.shape[0], width))
+            lo += p.size
+        rank1_end = unit_runs[0][0] if unit_runs else lo
         bounds = {p.name: spans[i] for i, p in enumerate(params)}
         theta = np.concatenate([params[i].values for i in order])
+        units = SpanRuns.of_runs((start - rank1_end, n, w) for start, n, w in unit_runs)
         runs = SpanRuns.of(spans.values())  # filled in buffer order
         starts = np.cumsum([0] + [params[i].shape[0] for i in order[:-1]])
-        return cls(bounds, order, groups, runs, starts, theta, MomentState.zeros(lo), theta.copy())
+        return cls(bounds, order, units, runs, starts, theta, MomentState.zeros(lo), theta.copy())
+
+    @property
+    def rank1_end(self) -> int:
+        """The end of the rank-1 region, where ``units`` begins."""
+        return self.runs.size - self.units.size
 
     @property
     def moments(self) -> dict[str, MomentState]:
@@ -321,10 +328,11 @@ class Optimizer:
 
         The step reads θ from ``state.flat_theta`` and gathers only the
         gradients, into a flat buffer laid out as the state's. The unit-wise
-        stages (clip, centralize) run once per group of ``state.groups``, on
-        its ``(units, width)`` view, and the per-tensor reductions, the
-        decay's and the observer's, once per run of ``state.runs``; the
-        elementwise stages run once over the whole buffer. The decay config
+        stages (clip, centralize) run once over that buffer, with
+        ``state.units``, scaling and centring it in place; their reductions,
+        and the per-tensor ones of the decay and the observer, run once per
+        run of ``state.units`` or ``state.runs``; the elementwise stages run
+        once over the whole buffer. The decay config
         is built with the optimizer and the runs with its state; the
         components are looked up in this module's globals at each call, so a
         wrapper patched in there sees every step. The returned params are
@@ -342,18 +350,12 @@ class Optimizer:
         theta = state.flat_theta
         grad = np.concatenate([grads[i].values for i in state.order])
 
-        factors = []
-        if toggles.agc or toggles.centralization:
-            for lo, hi, width in state.groups:
-                g, th = grad[lo:hi], theta[lo:hi]
-                if width is not None:
-                    g, th = g.reshape(-1, width), th.reshape(-1, width)
-                if toggles.agc:
-                    factors.append(unit_scale_factors(g, th, config.clip))
-                    g = scale_units(g, factors[-1])
-                if toggles.centralization:
-                    g = gradient_centralize(g)
-                grad[lo:hi] = g.reshape(-1)
+        factors = None
+        if toggles.agc:
+            factors = unit_scale_factors(grad, theta, config.clip, state.units)
+            scale_units(grad, factors, state.units, out=grad)
+        if toggles.centralization:
+            gradient_centralize(grad, state.units, out=grad)
 
         u, v_hat, moments = moment_fn(state.flat_moments, grad, t, config.moments)
         # enough to check u and v_hat here: a clip keeps values finite, an overflow
@@ -371,8 +373,8 @@ class Optimizer:
         if observer is not None:
             runs = state.runs
             clipped = np.zeros(len(params))
-            if factors:
-                clipped = np.add.reduceat(np.concatenate(factors) < 1.0, state.unit_starts)
+            if factors is not None:
+                clipped = np.add.reduceat(factors < 1.0, state.unit_starts)
             # one row per value, one column per tensor, in registration order
             per_tensor = np.empty((3, len(params)))
             per_tensor[:, state.order] = (

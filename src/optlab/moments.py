@@ -22,9 +22,10 @@ optionally redirected to pull the tensor norm toward 1 instead of toward 0.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -153,13 +154,13 @@ def adam_update(
 
 @dataclass(frozen=True)
 class SpanRuns:
-    """Tensors' ``(lo, hi)`` spans, which tile a flat buffer in order, as runs
-    of consecutive equal-size tensors ``(lo, count, size)``. A run's values are
-    one ``(count, size)`` view, so a per-tensor reduction is one call per run.
-    ``sums`` and ``squared_norms`` are every per-tensor reduction of a step,
-    the decay's and its diagnostics'. ``sizes`` holds each tensor's size, the
-    repeat counts that spread one scalar per tensor over the buffer; ``size``
-    is the buffer's."""
+    """Spans ``(lo, hi)``, which tile a flat buffer in order, as runs of
+    consecutive equal-size spans ``(lo, count, size)``. A run's values are one
+    ``(count, size)`` view, so a reduction over each span is one call per run.
+    The spans are tensors for ``combined_decay`` and the step's diagnostics,
+    and clip/centralize units for ``transforms``. ``sizes`` holds each span's
+    size, the repeat counts that spread one scalar per span over the buffer;
+    ``size`` is the buffer's."""
 
     runs: tuple[tuple[int, int, int], ...]
     sizes: np.ndarray
@@ -171,29 +172,69 @@ class SpanRuns:
         for lo, hi in spans:
             if lo != end or hi <= lo:
                 raise ValueError(f"spans must tile the buffer in order, got ({lo}, {hi}) after {end}")
-            if runs and runs[-1][2] == hi - lo:
-                runs[-1][1] += 1
-            else:
-                runs.append([lo, 1, hi - lo])
+            runs.append((lo, 1, hi - lo))
             sizes.append(hi - lo)
             end = hi
-        return cls(tuple(map(tuple, runs)), np.array(sizes, dtype=np.int64), end)
+        return cls(cls._merged(runs), np.array(sizes, dtype=np.int64), end)
 
-    def sums(self, buf: np.ndarray) -> np.ndarray:
-        """Each tensor's sum, in buffer order: ``rows.sum(axis=1)`` on each
-        run's view (the bits of each slice's ``.sum()``)."""
-        return self._per_tensor(lambda rows: rows.sum(axis=1), buf)
+    @classmethod
+    def of_runs(cls, runs: Iterable[tuple[int, int, int]]) -> "SpanRuns":
+        """The spans of runs ``(lo, count, size)`` that tile a buffer in order."""
+        runs = cls._merged(runs)
+        if not runs:
+            return cls((), np.zeros(0, dtype=np.int64), 0)
+        sizes = np.repeat(
+            np.array([size for _, _, size in runs], dtype=np.int64), [n for _, n, _ in runs]
+        )
+        lo, n, size = runs[-1]
+        return cls(runs, sizes, lo + n * size)
+
+    @staticmethod
+    def _merged(runs: Iterable[tuple[int, int, int]]) -> tuple[tuple[int, int, int], ...]:
+        """``runs`` with each two adjacent runs of one size merged."""
+        merged = []
+        for lo, n, size in runs:
+            if merged and merged[-1][2] == size:
+                merged[-1][1] += n
+            else:
+                merged.append([lo, n, size])
+        return tuple(map(tuple, merged))
+
+    @functools.cached_property
+    def _table(self) -> tuple[tuple[int, int, int, int, int, int], ...]:
+        """Each run's first and end span index, first and end value, count and size."""
+        table, i = [], 0
+        for lo, n, size in self.runs:
+            table.append((i, i + n, lo, lo + n * size, n, size))
+            i += n
+        return tuple(table)
+
+    def rows(self, buf: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]]:
+        """Each run's ``(count, size)`` view of the flat ``buf``, after the index
+        of its first span and the end of its spans."""
+        for i, j, lo, hi, n, size in self._table:
+            yield i, j, buf[lo:hi].reshape(n, size)
+
+    def sums(self, buf: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Each span's sum, in buffer order, into ``out`` or a new array:
+        ``np.add.reduce`` along each run's rows, as ``rows.sum(axis=1)`` calls
+        it (the bits of each slice's ``.sum()``)."""
+        if out is None:
+            out = np.empty(self.sizes.size)
+        for i, j, lo, hi, n, size in self._table:
+            np.add.reduce(buf[lo:hi].reshape(n, size), 1, None, out[i:j])
+        return out
 
     @np.errstate(over="ignore")  # past the float range a squared norm is inf
     def squared_norms(self, buf: np.ndarray) -> np.ndarray:
-        """Each tensor's squared Frobenius norm, in buffer order: ``np.vecdot``
-        on each run's rows (the bits of each slice's ``np.dot``), the step's
-        one BLAS reduction."""
-        return self._per_tensor(lambda rows: np.vecdot(rows, rows), buf)
-
-    def _per_tensor(self, reduce: Callable, buf: np.ndarray) -> np.ndarray:
-        parts = [reduce(buf[lo : lo + n * size].reshape(n, size)) for lo, n, size in self.runs]
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        """Each span's squared Frobenius norm, in buffer order: ``np.vecdot``
+        on each run's ``(count, size)`` view of the flat ``buf`` (the bits of
+        each slice's ``np.dot``), the step's one BLAS reduction."""
+        out = np.empty(self.sizes.size)
+        for i, j, lo, hi, n, size in self._table:
+            rows = buf[lo:hi].reshape(n, size)
+            np.vecdot(rows, rows, out=out[i:j])
+        return out
 
 
 def combined_decay(

@@ -1,13 +1,18 @@
-"""Gradient transforms applied before moment estimation, and the unit reductions
-they use. Pure array maths: each function takes float64 arrays in the tensor's
-declared shape and returns one of that shape without writing to its inputs. A
-unit is a dim-0 slice, or one element of a rank-1 array. The preset order is
-unit-wise clipping first (``scale_units`` by ``unit_scale_factors``),
-centralization second.
+"""Gradient transforms applied before moment estimation. Pure array maths on
+float64 arrays, which write to none of their inputs but the one passed as
+``out``. A unit is a dim-0 slice, or one element of a rank-1 array. The preset order is unit-wise clipping first (``scale_units`` by
+``unit_scale_factors``), centralization second.
 
-The unit reductions run on the ``(units, width)`` view with the arithmetic
-of ``np.linalg.norm(..., axis=1)`` and ``np.mean(..., axis=1)`` written out,
-so they give those functions' bits without their per-call dispatch.
+Each function takes one tensor's array in its declared shape, or, with
+``units``, a flat buffer of many tensors' units, so that a step clips and
+centralizes all its tensors in one call each: the buffer's head, its first
+``size - units.size`` values, holds rank-1 tensors' elements, each a unit of
+norm |x|, and its tail holds rank >= 2 tensors' units, as the spans of the
+``SpanRuns`` ``units`` over the tail. A unit's norm is
+``np.sqrt(units.sums(x * x))`` and its mean ``units.sums(x) / units.sizes``:
+the arithmetic of ``np.linalg.norm(..., axis=1)`` and ``np.mean(..., axis=1)``
+written out, so they give those functions' bits without their per-call
+dispatch. A rank-1 tensor has no mean to subtract.
 """
 
 from __future__ import annotations
@@ -15,6 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .moments import SpanRuns
+
+_NO_UNITS = SpanRuns.of(())
 
 
 @dataclass(frozen=True)
@@ -31,27 +40,43 @@ class ClipConfig:
             raise ValueError(f"eps must be > 0, got {self.eps}")
 
 
-def row_norms(a: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each unit: one per element for a rank-1 array.
-    The arithmetic of ``np.linalg.norm(rows, axis=1)``, without its dispatch."""
-    if a.ndim == 1:
-        return np.abs(a)
-    rows = a.reshape(a.shape[0], -1)
-    return np.sqrt((rows * rows).sum(axis=1))
+def _layout(a: np.ndarray, units: SpanRuns | None) -> tuple[int, SpanRuns]:
+    """The length of flat ``a``'s head of rank-1 elements, and its tail's
+    units; with ``units`` None, read from ``a``'s own shape."""
+    if units is None:
+        if a.ndim == 1:
+            return a.size, _NO_UNITS
+        return 0, SpanRuns.of_runs([(0, a.shape[0], a.size // a.shape[0])])
+    if a.ndim != 1 or units.size > a.size:
+        raise ValueError(
+            f"units over {units.size} values need a flat buffer at least as long, got shape {a.shape}"
+        )
+    return a.size - units.size, units
 
 
-def mean_all_but_first(a: np.ndarray) -> np.ndarray:
-    """Arithmetic mean of each dim-0 slice. Requires rank >= 2. The
-    arithmetic of ``np.mean(rows, axis=1)``, sum over count, without its
-    dispatch."""
-    if a.ndim < 2:
-        raise ValueError("mean_all_but_first needs rank >= 2, got rank 1")
-    rows = a.reshape(a.shape[0], -1)
-    return rows.sum(axis=1) / rows.shape[1]
+def _output(g: np.ndarray, out: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """The array a transform of ``g`` writes, ``out`` holding ``g``'s values or a
+    copy of ``g``, and its flat view."""
+    if out is None:
+        out = g.copy()
+    elif out is not g:
+        np.copyto(out, g)
+    return out, out if out.ndim == 1 else out.reshape(-1)
 
 
-def unit_scale_factors(g: np.ndarray, theta: np.ndarray, cfg: ClipConfig) -> np.ndarray:
-    """Per-unit multipliers for adaptive clipping.
+def _unit_norms(flat: np.ndarray, head: int, units: SpanRuns) -> np.ndarray:
+    """|x| of each head element of ``flat``, then each unit's Frobenius norm."""
+    norms = np.empty(head + units.sizes.size)
+    np.abs(flat[:head], out=norms[:head])
+    tail, tail_norms = flat[head:], norms[head:]
+    np.sqrt(units.sums(tail * tail, out=tail_norms), out=tail_norms)
+    return norms
+
+
+def unit_scale_factors(
+    g: np.ndarray, theta: np.ndarray, cfg: ClipConfig, units: SpanRuns | None = None
+) -> np.ndarray:
+    """Per-unit multipliers for adaptive clipping, one per unit in buffer order.
 
     Unit r gets tau * max(|theta_r|, eps) / |g_r| when its gradient-to-parameter
     norm ratio exceeds tau, and 1.0 otherwise. Written multiplicatively
@@ -61,25 +86,47 @@ def unit_scale_factors(g: np.ndarray, theta: np.ndarray, cfg: ClipConfig) -> np.
         raise ValueError(
             f"shape mismatch: gradient {g.shape} vs parameter {theta.shape}"
         )
-    g_norms = row_norms(g)
-    limits = cfg.tau * np.maximum(row_norms(theta), cfg.eps)
+    head, units = _layout(g, units)
+    if units.runs:
+        g_norms = _unit_norms(g.reshape(-1), head, units)
+        theta_norms = _unit_norms(theta.reshape(-1), head, units)
+    else:
+        g_norms, theta_norms = np.abs(g), np.abs(theta)
+    limits = np.maximum(theta_norms, cfg.eps, out=theta_norms)
+    limits *= cfg.tau
     return np.divide(limits, g_norms, out=np.ones(g_norms.shape), where=g_norms > limits)
 
 
-def scale_units(g: np.ndarray, factors: np.ndarray) -> np.ndarray:
-    """Multiply each unit (dim-0 slice, or element for rank-1) by its factor."""
-    if g.ndim == 1:
-        return g * factors
-    return (g.reshape(g.shape[0], -1) * factors[:, None]).reshape(g.shape)
+def scale_units(
+    g: np.ndarray, factors: np.ndarray, units: SpanRuns | None = None, *,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Multiply each unit by its factor, into ``out`` (a C-contiguous array of
+    ``g``'s shape, ``g`` itself to scale in place) or a new array."""
+    head, units = _layout(g, units)
+    out, flat = _output(g, out)
+    if not units.runs:  # every unit an element
+        flat *= factors
+        return out
+    if head:
+        flat[:head] *= factors[:head]
+    for i, j, rows in units.rows(flat[head:]):
+        rows *= factors[head + i : head + j, None]
+    return out
 
 
-def gradient_centralize(g: np.ndarray) -> np.ndarray:
-    """Subtract each dim-0 slice's mean (over all remaining axes).
-
-    Applies only to arrays with more than one axis; rank-1 gradients
-    (biases, norm scales) are returned as they are.
-    """
-    if g.ndim == 1:
-        return g
-    rows = g.reshape(g.shape[0], -1)
-    return (rows - mean_all_but_first(g)[:, None]).reshape(g.shape)
+def gradient_centralize(
+    g: np.ndarray, units: SpanRuns | None = None, *, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Subtract each dim-0 slice's mean (over all remaining axes), into ``out``
+    (as for ``scale_units``) or a new array. Rank-1 gradients (biases, norm
+    scales) keep their values."""
+    head, units = _layout(g, units)
+    out, flat = _output(g, out)
+    if units.runs:
+        tail = flat[head:]
+        means = units.sums(tail)
+        means /= units.sizes
+        for i, j, rows in units.rows(tail):
+            rows -= means[i:j, None]
+    return out

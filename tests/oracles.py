@@ -1,8 +1,8 @@
 """Independent oracles for the vectorized implementations.
 
 Straight-line scalar transcriptions of the update rules, written directly
-from the algorithm definitions with plain Python floats; a Frobenius norm; a
-whole-tensor clip; a central-difference gradient; the quadratic surface; the
+from the algorithm definitions with plain Python floats; a Frobenius norm; the
+unit norms and means of one tensor's dim-0 slices; a whole-tensor clip; a central-difference gradient; the quadratic surface; the
 MLP activations' derivatives in the pre-activation; a label-smoothed
 cross-entropy and a reference MLP, forward and backward, that differentiates
 through those derivatives; the decay's per-slice loop; the default schedule
@@ -23,6 +23,24 @@ def frobenius_norm(a):
     The same dot product as ``np.linalg.norm(a)``, so the same bits."""
     flat = a.ravel(order="K")
     return math.sqrt(float(np.dot(flat, flat)))
+
+
+def row_norms(a):
+    """Frobenius norm of each unit: each dim-0 slice, or each element of a
+    rank-1 array. The arithmetic of ``np.linalg.norm(rows, axis=1)``."""
+    if a.ndim == 1:
+        return np.abs(a)
+    rows = a.reshape(a.shape[0], -1)
+    return np.sqrt((rows * rows).sum(axis=1))
+
+
+def mean_all_but_first(a):
+    """Arithmetic mean of each dim-0 slice; rank >= 2. The arithmetic of
+    ``np.mean(rows, axis=1)``, sum over count."""
+    if a.ndim < 2:
+        raise ValueError("mean_all_but_first needs rank >= 2, got rank 1")
+    rows = a.reshape(a.shape[0], -1)
+    return rows.sum(axis=1) / rows.shape[1]
 
 
 def global_threshold_clip(g, tau):

@@ -29,16 +29,20 @@ from optlab import (
     gradient_centralize,
     lookahead_sync,
     lr_factor,
-    mean_all_but_first,
     pnm_update,
-    row_norms,
 )
 from optlab.benchmark import parse_config, run_benchmark
 from optlab.problems import BlobsMLPProblem, RosenbrockProblem, philox
 from optlab.transforms import ClipConfig
 
 from conftest import adaptive_gradient_clip, host_class_note
-from oracles import adamw_scalar_trajectory, finite_diff_grad, pnm_scalar
+from oracles import (
+    adamw_scalar_trajectory,
+    finite_diff_grad,
+    mean_all_but_first,
+    pnm_scalar,
+    row_norms,
+)
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"

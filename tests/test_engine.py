@@ -1014,6 +1014,25 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="^checkpoint: expected an object, got list$"):
             Optimizer.from_checkpoint([blob])
 
+    @pytest.mark.parametrize("version", [4, 3, 2])
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            (lambda doc, section: doc["moments"].update(a=[1, 2]),
+             "moments['a']: expected an object, got list"),
+            (lambda doc, section: doc["params"].__setitem__(0, "x"),
+             "params[0]: expected an object, got str"),
+        ],
+        ids=["moments_entry_list", "param_entry_string"],
+    )
+    def test_entry_that_is_not_an_object_named(self, tmp_path, version, fault, message):
+        params = [ParamTensor("a", (2,), [1.0, -0.5]), ParamTensor("b", (2, 1), [0.3, 2.0])]
+        opt = Optimizer.ranger21(params, eta=3e-3, t_max=100)
+        opt.step([p.with_values([0.1, -0.2]) for p in params])
+        load = self.faulty(opt, version, [fault], tmp_path / "ckpt")
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            load()
+
     def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
         opt, rng = self.make_opt()
         path = tmp_path / "ckpt.json"
@@ -1284,7 +1303,7 @@ class TestCheckpoint:
 
     def test_one_state_in_three_formats_loads_alike(self, tmp_path):
         for spec, opt in self.stepped(CONFIGS / "deep_mlp.json"):
-            assert len(opt.params) == 32 and len(opt.state.groups) == 3
+            assert len(opt.params) == 32 and len(opt.state.units.runs) == 2
             blob = opt.to_checkpoint()
             for version in (4, 3, 2):
                 load = self.faulty(opt, version, [], tmp_path / f"{spec.label}.ckpt")

@@ -1,8 +1,9 @@
 """Source hygiene that a linter would check: the public names resolve, no
 module of the package or of its tests imports a name it never uses, the
 package imports only the modules listed here, ``engine.py`` none of those the
-checkpoint format uses, it reads every private helper it defines, and the
-package or the benchmark reads every public function and class it defines."""
+checkpoint format uses, the component modules none of the modules that build
+on them, it reads every private helper it defines, and the package or the
+benchmark reads every public function and class it defines."""
 
 import ast
 from pathlib import Path
@@ -214,3 +215,37 @@ def test_engine_imports_none_of_the_checkpoint_formats_modules():
     writes with."""
     found = imported_modules(ast.parse((PACKAGE / "engine.py").read_text()))
     assert not found & {"json", "base64", "binascii", "os", "pathlib"}, found
+
+
+# The component modules: pure array maths, which may import one another but
+# none of the modules that build on them
+COMPONENTS = ("transforms.py", "moments.py", "schedule.py")
+ABOVE_COMPONENTS = {"tensor", "engine", "problems", "benchmark", "checkpoint", "cli"}
+
+
+def package_imports(tree: ast.Module) -> set[str]:
+    """The package modules a module imports: ``from .x import``, ``from . import x``
+    and ``optlab.x``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            found.update([node.module] if node.module else [a.name for a in node.names])
+        elif isinstance(node, ast.ImportFrom) and node.module.startswith("optlab"):
+            found.update(
+                [node.module.split(".")[1]] if "." in node.module else [a.name for a in node.names]
+            )
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names if a.name.startswith("optlab."))
+    return {name.split(".")[0] for name in found}
+
+
+@pytest.mark.parametrize("module", COMPONENTS)
+def test_components_import_nothing_above_them(module):
+    found = package_imports(ast.parse((PACKAGE / module).read_text()))
+    assert not found & ABOVE_COMPONENTS, f"{module} imports {sorted(found & ABOVE_COMPONENTS)}"
+
+
+def test_package_imports_sees_every_import_form():
+    tree = ast.parse("from . import engine\nfrom .tensor import ParamTensor\nimport optlab.cli\n"
+                     "from optlab import problems\nfrom optlab.moments import SpanRuns\n")
+    assert package_imports(tree) == {"engine", "tensor", "cli", "problems", "moments"}

@@ -40,6 +40,13 @@ SHAPES = {"w1": (4, 3), "b1": (4,), "k": (2, 3, 2), "w2": (2, 4), "b2": (2,)}
 GROUPED_SHAPES = {
     "w1": (4, 3), "b1": (5,), "w2": (2, 3), "n": (3, 1), "b2": (1,), "k": (2, 3, 2), "w3": (4, 6),
 }
+# one unit kind only: no rank-1 tensor, so the buffer is all dim-0 units (of
+# widths 3 and 6); or only rank-1 tensors ("b2" zero at start), so it is all
+# elements, each a unit of norm |x|, and there is no unit run
+ONE_KIND_SHAPES = {
+    "no_rank1": {"w": (4, 3), "k": (2, 3, 2)},
+    "only_rank1": {"b1": (5,), "b2": (3,), "b3": (4,)},
+}
 # equal-size tensors next to each other in buffer order, so the decay reduces
 # them as runs: three (4,) biases ("b2" zero at start), three (4, 4) weights
 RUN_SHAPES = {"w1": (4, 4), "b1": (4,), "w2": (4, 4), "b2": (4,), "w3": (4, 4), "b3": (4,)}
@@ -131,8 +138,23 @@ def test_flat_step_matches_per_tensor_composition_bit_for_bit(toggles):
 @pytest.mark.parametrize("toggles", TOGGLE_SETS.values(), ids=TOGGLE_SETS.keys())
 def test_grouped_layout_matches_per_tensor_composition_bit_for_bit(toggles):
     params, _ = make_problem(GROUPED_SHAPES)
-    assert [width for _, _, width in OptimizerState.initial(params).groups] == [None, 1, 3, 6]
+    state = OptimizerState.initial(params)
+    # 6 rank-1 values, then units of width 1 ("n"), 3 ("w1", "w2") and 6 ("k", "w3")
+    assert state.rank1_end == 6
+    assert state.units.runs == ((0, 3, 1), (3, 6, 3), (21, 6, 6))
     assert_matches_per_tensor_composition(GROUPED_SHAPES, toggles)
+
+
+@pytest.mark.parametrize("toggles", TOGGLE_SETS.values(), ids=TOGGLE_SETS.keys())
+@pytest.mark.parametrize("layout", ONE_KIND_SHAPES)
+def test_one_kind_layout_matches_per_tensor_composition_bit_for_bit(layout, toggles):
+    shapes = ONE_KIND_SHAPES[layout]
+    state = OptimizerState.initial(make_problem(shapes)[0])
+    if layout == "no_rank1":
+        assert (state.rank1_end, state.units.runs) == (0, ((0, 4, 3), (12, 2, 6)))
+    else:
+        assert (state.rank1_end, state.units.runs) == (12, ())
+    assert_matches_per_tensor_composition(shapes, toggles)
 
 
 @pytest.mark.parametrize("toggles", TOGGLE_SETS.values(), ids=TOGGLE_SETS.keys())
@@ -266,9 +288,10 @@ def test_checkpoint_lists_tensors_in_registration_order():
     shapes = {"b0": (3,), "w0": (3, 2), "b1": (2,), "w1": (2, 3)}
     params = [ParamTensor(n, s, rng.standard_normal(s)) for n, s in shapes.items()]
     opt = Optimizer.ranger21(params, eta=3e-3, t_max=20, k_lookahead=2)
-    # the buffers hold the rank-1 tensors first, then one group per unit width
+    # the buffers hold the rank-1 tensors first, then one unit run per width
     assert opt.state.order == (0, 2, 1, 3)
-    assert opt.state.groups == [(0, 5, None), (5, 11, 2), (11, 17, 3)]
+    assert opt.state.rank1_end == 5
+    assert opt.state.units.runs == ((0, 3, 2), (6, 2, 3))
     assert list(opt.state.bounds.items()) == [
         ("b0", (0, 3)), ("w0", (5, 11)), ("b1", (3, 5)), ("w1", (11, 17))
     ]

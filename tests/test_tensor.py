@@ -4,15 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from optlab import (
-    NonFiniteError,
-    ParamTensor,
-    mean_all_but_first,
-    row_norms,
-)
+from optlab import NonFiniteError, ParamTensor
 
 from conftest import tensors
-from oracles import frobenius_norm
+from oracles import frobenius_norm, mean_all_but_first, row_norms
 
 
 class TestConstruction:

@@ -62,9 +62,10 @@ def test_every_patched_name_records_spans(tmp_path):
         assert p.values.base is base and not p.values.flags.writeable
 
 
-def test_mlp_step_clips_once_per_group_and_decays_once():
+def test_mlp_step_clips_centralizes_and_decays_once():
     # widths 3, 4, 4, 3, 2: weights of unit width 3 ("w0", "w3") and 4 ("w1",
-    # "w2"), so the biases and two weight widths make three groups
+    # "w2") after the biases, yet one call of each stage per step clips and
+    # centralizes them all
     problem = {
         "name": "blobs_mlp", "n": 40, "d": 3, "classes": 2, "batch_size": 8, "hidden": [4, 4, 3],
     }
@@ -74,15 +75,17 @@ def test_mlp_step_clips_once_per_group_and_decays_once():
     with tracer.installed(BlobsMLPProblem):
         parsed = benchmark.parse_config(json.dumps(config))
         benchmark.run_benchmark(parsed)
-    groups = OptimizerState.initial(parsed.problem.init_params(np.random.default_rng(0))).groups
-    assert len(groups) == 3
+    state = OptimizerState.initial(parsed.problem.init_params(np.random.default_rng(0)))
+    assert state.rank1_end == 4 + 4 + 3 + 2
+    assert state.units.runs == ((0, 6, 3), (18, 7, 4))
 
     table = tracing.SpanTable(tracer)
-    for preset, clips in (("adamw", 0), ("ranger21", len(groups))):
+    for preset, clips in (("adamw", 0), ("ranger21", 1)):
         steps = int(table.select("engine.step", tag=preset).sum())
         assert steps == CONFIG["t_max"]
         for name, per_step in (
             ("transforms.unit_scale_factors", clips),
+            ("transforms.scale_units", clips),
             ("transforms.gradient_centralize", clips),
             ("moments.combined_decay", 1),
         ):

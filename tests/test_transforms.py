@@ -2,16 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from optlab import (
-    ClipConfig,
-    ParamTensor,
-    gradient_centralize,
-    mean_all_but_first,
-    row_norms,
-)
+from optlab import ClipConfig, ParamTensor, gradient_centralize, unit_scale_factors
+from optlab.moments import SpanRuns
+from optlab.transforms import scale_units
 
 from conftest import adaptive_gradient_clip, tensors
-from oracles import frobenius_norm, global_threshold_clip
+from oracles import frobenius_norm, global_threshold_clip, mean_all_but_first, row_norms
 
 
 class TestClipConfig:
@@ -113,6 +109,41 @@ class TestGradientCentralize:
         g = ParamTensor("g", (2, 3), [1, 2, 3, 4, 5, 6])
         out = gradient_centralize(g.array)
         np.testing.assert_allclose(out.ravel(), [-1, 0, 1, -1, 0, 1], atol=1e-15)
+
+
+class TestUnitLayout:
+    """The flat form: a head of rank-1 elements, then ``units`` over the tail."""
+
+    # two rank-1 elements, then two units of width 3 and one of width 2
+    UNITS = SpanRuns.of_runs([(0, 2, 3), (6, 1, 2)])
+
+    def flat(self):
+        return np.array([-2.0, 5.0, 1, 2, 3, 4, 5, 6, 3, 5])
+
+    def test_centralize_in_place_subtracts_each_units_mean(self):
+        g = self.flat()
+        assert gradient_centralize(g, self.UNITS, out=g) is g
+        np.testing.assert_array_equal(g, [-2.0, 5.0, -1, 0, 1, -1, 0, 1, -1, 1])
+
+    def test_scale_multiplies_each_unit_and_leaves_the_input(self):
+        g = self.flat()
+        out = scale_units(g, np.array([0.5, 2.0, 1.0, 0.0, 3.0]), self.UNITS)
+        np.testing.assert_array_equal(out, [-1.0, 10.0, 1, 2, 3, 0, 0, 0, 9, 15])
+        np.testing.assert_array_equal(g, self.flat())
+
+    def test_factors_use_abs_for_elements_and_row_norms_for_units(self):
+        g, theta = self.flat(), np.full(10, 1.0)
+        cfg = ClipConfig(tau=1.0, eps=1e-3)
+        factors = unit_scale_factors(g, theta, cfg, self.UNITS)
+        # every unit clipped: limits |theta_r| are 1 per element, sqrt(3) or sqrt(2) per unit
+        limits = np.array([1.0, 1.0, np.sqrt(3.0), np.sqrt(3.0), np.sqrt(2.0)])
+        norms = [*np.abs(g[:2]), *row_norms(g[2:8].reshape(2, 3)), *row_norms(g[8:].reshape(1, 2))]
+        np.testing.assert_array_equal(factors, limits / norms)
+
+    @pytest.mark.parametrize("shape", [(5, 2), (4,)])
+    def test_units_need_a_flat_buffer_that_holds_them(self, shape):
+        with pytest.raises(ValueError, match="need a flat buffer"):
+            gradient_centralize(np.zeros(shape), self.UNITS)
 
 
 # -- randomized invariants -----------------------------------------------------
