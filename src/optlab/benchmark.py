@@ -228,6 +228,8 @@ def _parse_optimizer(blob, index: int, t_max: int) -> OptimizerSpec:
     if preset not in PRESETS:
         raise ValueError(f"{path}.preset: expected one of {list(PRESETS)}, got {preset!r}")
     label = _get(blob, "label", path, "str", preset)
+    if any(c in ',"\r\n' for c in label):  # a records.csv cell, written unquoted
+        raise ValueError(f"{path}.label: must not hold ',', '\"', CR or LF, got {label!r}")
     keys = _ADAMW_KEYS if preset == "adamw" else _RANGER_KEYS
     toggles = Toggles.none() if preset == "adamw" else Toggles()
     # eta is the one setting the config classes give no default

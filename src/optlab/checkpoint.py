@@ -3,7 +3,10 @@
 numbers, v3 (``to_checkpoint``) as base64 of its '<f8' bytes, v4 (the file ``save``
 writes) as the offset of those bytes in the raw section after the document line.
 Every version is built or read through one walk of ``_leaves`` in registration
-order, so each raises at the same first field at fault."""
+order, after the params' names and shapes, the config, preset, ``t`` and keys are
+checked. v2/v3 read θ with the params, before those checks, as it builds the
+optimizer; v4 checks θ in the walk. So a bad θ is the first fault of a v2/v3 load,
+but a v4 load names a bad config, or an earlier tensor's bad leaf, before it."""
 
 from __future__ import annotations
 

@@ -98,24 +98,25 @@ def _unit_width(p: ParamTensor) -> int | None:
     return None if p.rank == 1 else p.size // p.shape[0]
 
 
-@dataclass
+@dataclass(eq=False)
 class OptimizerState:
     """Each kind of optimizer state in one flat float64 buffer over all params:
     the params θ themselves, the moment slots (one flat ``MomentState``) and
     the lookahead slow weights.
 
     The buffers are laid out by unit kind, so that each unit-wise stage runs
-    once per step over the whole buffer: every rank-1 tensor first, up to
-    ``rank1_end``, whose units are its elements, then the rank >= 2 tensors
-    by unit width, registration order within a width. ``units`` holds those
-    tensors' units, spans of the buffer from ``rank1_end`` on, as runs
-    ``(lo, units, width)`` of one width each, ``lo`` counted from
-    ``rank1_end``. ``order`` lists the params' registration indices in the
-    layout, ``runs`` holds the tensors in it as runs of equal-size tensors,
-    for every per-tensor reduction, ``unit_starts`` the index of each
-    tensor's first unit among all units (elements of the rank-1 region
-    first), and ``bounds`` maps each tensor's name, in registration order, to
-    its ``(lo, hi)`` slice; ``moments`` and ``slow`` are per-name views.
+    once per step over the whole buffer: every rank-1 tensor first, whose
+    units are its elements, then the rank >= 2 tensors by unit width,
+    registration order within a width. ``units`` holds those tensors' units
+    as runs ``(lo, units, width)`` of one width each over the buffer's tail,
+    which starts where the rank-1 region ends, at ``runs.size - units.size``.
+    ``order`` lists the params' registration indices in the layout, ``runs``
+    holds the tensors in it as runs of equal-size tensors, for every
+    per-tensor reduction, ``unit_starts`` the index of each tensor's first
+    unit among all units (elements of the rank-1 region first), and
+    ``bounds`` maps each tensor's name, in registration order, to its
+    ``(lo, hi)`` slice of every buffer. ``SpanRuns.of_runs`` builds and
+    checks both layouts.
 
     ``initial`` gathers θ into ``flat_theta`` once, and the slow weights
     start as a copy of it; from then on the optimizer's params are read-only
@@ -155,25 +156,8 @@ class OptimizerState:
         starts = np.cumsum([0] + [params[i].shape[0] for i in order[:-1]])
         return cls(bounds, order, units, runs, starts, theta, MomentState.zeros(lo), theta.copy())
 
-    @property
-    def rank1_end(self) -> int:
-        """The end of the rank-1 region, where ``units`` begins."""
-        return self.runs.size - self.units.size
 
-    @property
-    def moments(self) -> dict[str, MomentState]:
-        flat = [getattr(self.flat_moments, b) for b in _MOMENT_BUFFERS]
-        return {
-            name: MomentState(*(buf[lo:hi] for buf in flat))
-            for name, (lo, hi) in self.bounds.items()
-        }
-
-    @property
-    def slow(self) -> dict[str, np.ndarray]:
-        return {name: self.flat_slow[lo:hi] for name, (lo, hi) in self.bounds.items()}
-
-
-@dataclass
+@dataclass(eq=False)
 class TensorDiag:
     """Per-tensor intermediates from one step, pre-lookahead; ``decay_norm_sq``
     is ``decay``'s squared Frobenius norm."""

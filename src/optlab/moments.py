@@ -64,7 +64,7 @@ class DecayConfig:
     stable: bool = True
 
 
-@dataclass
+@dataclass(eq=False)
 class MomentState:
     """Moment slots: first moments at t-1 and t-2, second moment, and its max.
 
@@ -152,15 +152,16 @@ def adam_update(
     return u, v_hat, new_state
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpanRuns:
-    """Spans ``(lo, hi)``, which tile a flat buffer in order, as runs of
-    consecutive equal-size spans ``(lo, count, size)``. A run's values are one
+    """Spans, which tile a flat buffer from 0 in order, as runs of consecutive
+    equal-size spans ``(lo, count, size)``. A run's values are one
     ``(count, size)`` view, so a reduction over each span is one call per run.
     The spans are tensors for ``combined_decay`` and the step's diagnostics,
     and clip/centralize units for ``transforms``. ``sizes`` holds each span's
     size, the repeat counts that spread one scalar per span over the buffer;
-    ``size`` is the buffer's."""
+    ``size`` is the buffer's. ``of_runs`` builds and checks every layout;
+    ``==`` is identity, as ``sizes`` is an array."""
 
     runs: tuple[tuple[int, int, int], ...]
     sizes: np.ndarray
@@ -168,37 +169,27 @@ class SpanRuns:
 
     @classmethod
     def of(cls, spans: Iterable[tuple[int, int]]) -> "SpanRuns":
-        runs, sizes, end = [], [], 0
-        for lo, hi in spans:
-            if lo != end or hi <= lo:
-                raise ValueError(f"spans must tile the buffer in order, got ({lo}, {hi}) after {end}")
-            runs.append((lo, 1, hi - lo))
-            sizes.append(hi - lo)
-            end = hi
-        return cls(cls._merged(runs), np.array(sizes, dtype=np.int64), end)
+        """The spans ``(lo, hi)``, each a run of one."""
+        return cls.of_runs((lo, 1, hi - lo) for lo, hi in spans)
 
     @classmethod
     def of_runs(cls, runs: Iterable[tuple[int, int, int]]) -> "SpanRuns":
-        """The spans of runs ``(lo, count, size)`` that tile a buffer in order."""
-        runs = cls._merged(runs)
-        if not runs:
-            return cls((), np.zeros(0, dtype=np.int64), 0)
-        sizes = np.repeat(
-            np.array([size for _, _, size in runs], dtype=np.int64), [n for _, n, _ in runs]
-        )
-        lo, n, size = runs[-1]
-        return cls(runs, sizes, lo + n * size)
-
-    @staticmethod
-    def _merged(runs: Iterable[tuple[int, int, int]]) -> tuple[tuple[int, int, int], ...]:
-        """``runs`` with each two adjacent runs of one size merged."""
-        merged = []
+        """The runs ``(lo, count, size)``, each two adjacent runs of one size
+        merged; ValueError unless they tile a buffer from 0 in order, each
+        with at least one span of at least one value."""
+        merged, end = [], 0
         for lo, n, size in runs:
+            if lo != end or n < 1 or size < 1:
+                raise ValueError(
+                    f"spans must tile the buffer in order, got run ({lo}, {n}, {size}) after {end}"
+                )
             if merged and merged[-1][2] == size:
                 merged[-1][1] += n
             else:
                 merged.append([lo, n, size])
-        return tuple(map(tuple, merged))
+            end = lo + n * size
+        sizes = np.array([size for *_, size in merged], dtype=np.int64)
+        return cls(tuple(map(tuple, merged)), np.repeat(sizes, [n for _, n, _ in merged]), end)
 
     @functools.cached_property
     def _table(self) -> tuple[tuple[int, int, int, int, int, int], ...]:

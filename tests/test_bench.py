@@ -135,6 +135,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="unique"):
             parse(optimizers=[{"preset": "adamw"}, {"preset": "adamw"}])
 
+    @pytest.mark.parametrize("label", ["adamw, lr=1e-3", 'say "hi"', "a\rb", "a\nb"])
+    def test_label_that_csv_would_quote_rejected(self, label):
+        # records.csv joins its cells with bare commas: such a label would shift them
+        with pytest.raises(ConfigError, match=r"^optimizers\[1\]\.label: "):
+            parse(optimizers=[{"preset": "adamw"}, {"preset": "adamw", "label": label}])
+
     def test_same_preset_twice_with_labels(self):
         config = parse(
             optimizers=[

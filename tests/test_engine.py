@@ -450,11 +450,12 @@ class TestFiniteness:
         opt = Optimizer.ranger21([scalar(1.5)], eta=3e-3, t_max=len(flat_grads))
         for g in flat_grads:
             opt.step([scalar(g)])
-        ms = opt.state.moments["x"]
+        lo, hi = opt.state.bounds["x"]
+        ms = opt.state.flat_moments
         for buf in (ms.m_prev, ms.m_prev2, ms.v, ms.v_max):
-            assert np.all(np.isfinite(buf))
+            assert np.all(np.isfinite(buf[lo:hi]))
         assert np.all(np.isfinite(opt.params[0].values))
-        assert np.all(np.isfinite(opt.state.slow["x"]))
+        assert np.all(np.isfinite(opt.state.flat_slow[lo:hi]))
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(
@@ -764,15 +765,16 @@ class TestCheckpoint:
             restored.step(g)
         for a, b in zip(opt.params, restored.params):
             np.testing.assert_array_equal(a.values, b.values)
-        for name in opt.state.moments:
+        state, other = opt.state, restored.state
+        assert other.bounds == state.bounds
+        for lo, hi in state.bounds.values():
             np.testing.assert_array_equal(
-                opt.state.moments[name].v_max, restored.state.moments[name].v_max
+                state.flat_moments.v_max[lo:hi], other.flat_moments.v_max[lo:hi]
             )
             np.testing.assert_array_equal(
-                opt.state.moments[name].m_prev, restored.state.moments[name].m_prev
+                state.flat_moments.m_prev[lo:hi], other.flat_moments.m_prev[lo:hi]
             )
-        for name in opt.state.slow:
-            np.testing.assert_array_equal(opt.state.slow[name], restored.state.slow[name])
+            np.testing.assert_array_equal(state.flat_slow[lo:hi], other.flat_slow[lo:hi])
 
     def test_resumed_equals_uninterrupted(self, tmp_path):
         opt, rng = self.make_opt()
@@ -846,21 +848,13 @@ class TestCheckpoint:
 
     def test_loaded_state_buffers_own_their_memory(self):
         state = Optimizer.load(FIXTURES / "checkpoint_v3.json").state
-        slots = [f.name for f in dataclasses.fields(MomentState)]
-        flat = {slot: getattr(state.flat_moments, slot) for slot in slots}
-        for buf in (*flat.values(), state.flat_slow):
+        moments = [getattr(state.flat_moments, f.name) for f in dataclasses.fields(MomentState)]
+        for buf in (*moments, state.flat_slow):
             assert buf.dtype == np.float64 and buf.dtype.isnative
             assert buf.flags.owndata and buf.flags.writeable
             assert buf.size == 9
         # registration order, slices of the grouped layout: the rank-1 "b" first
         assert list(state.bounds.items()) == [("w", (3, 9)), ("b", (0, 3))]
-        for name, (lo, hi) in state.bounds.items():
-            assert state.slow[name].base is state.flat_slow
-            np.testing.assert_array_equal(state.slow[name], state.flat_slow[lo:hi])
-            for slot in slots:
-                view = getattr(state.moments[name], slot)
-                assert view.base is flat[slot]
-                np.testing.assert_array_equal(view, flat[slot][lo:hi])
 
     def make_large_opt(self):
         """Three tensors, 80,200 values, after one step."""
@@ -1266,9 +1260,10 @@ class TestCheckpoint:
 
     @staticmethod
     def v2_of(opt):
-        """``opt``'s state as a version-2 dict, built from its buffers through the
-        state's per-name views: every leaf a list of numbers."""
+        """``opt``'s state as a version-2 dict, built from each tensor's slice of
+        its buffers: every leaf a list of numbers."""
         slots = [f.name for f in dataclasses.fields(MomentState)]
+        flat, bounds = opt.state.flat_moments, opt.state.bounds
         return {
             "checkpoint_version": 2,
             "preset": opt.preset,
@@ -1279,10 +1274,10 @@ class TestCheckpoint:
                 for p in opt.params
             ],
             "moments": {
-                name: {slot: getattr(m, slot).tolist() for slot in slots}
-                for name, m in opt.state.moments.items()
+                name: {slot: getattr(flat, slot)[lo:hi].tolist() for slot in slots}
+                for name, (lo, hi) in bounds.items()
             },
-            "slow": {name: s.tolist() for name, s in opt.state.slow.items()},
+            "slow": {name: opt.state.flat_slow[lo:hi].tolist() for name, (lo, hi) in bounds.items()},
         }
 
     def faulty(self, opt, version, faults, path):
@@ -1352,6 +1347,56 @@ class TestCheckpoint:
                 with pytest.raises(ValueError) as excinfo:
                     self.faulty(opt, version, faults, path)()
                 assert str(excinfo.value) == message(doc)
+
+    @staticmethod
+    def nan_at(*path):
+        """A fault that makes the first value of the leaf at ``path`` NaN, whatever
+        the format: a v2 list, v3 base64 or a v4 offset into the section."""
+
+        def fault(doc, section):
+            *parents, key = path
+            mapping = doc
+            for part in parents:
+                mapping = mapping[part]
+            leaf = mapping[key]
+            if section is not None:
+                section[leaf : leaf + 8] = np.array([math.nan]).tobytes()
+            elif isinstance(leaf, list):
+                leaf[0] = math.nan
+            else:
+                values = np.frombuffer(base64.b64decode(leaf), dtype="<f8").copy()
+                values[0] = math.nan
+                mapping[key] = encoded(values)
+
+        return fault
+
+    # v2 and v3 read θ with the params, before the config, preset, t and key checks
+    # and the walk of the other leaves; v4 checks θ's offset and values in the walk
+    @pytest.mark.parametrize("version", [2, 3, 4])
+    @pytest.mark.parametrize(
+        "other, other_message",
+        [
+            (nan_at("moments", "w1", "v"), "moments['w1'].v: non-finite values rejected"),
+            (lambda doc, section: doc["config"].update(k_lookahead=2.5),
+             "config.k_lookahead: expected an integer, got 2.5"),
+        ],
+        ids=["w1_moment", "k_lookahead"],
+    )
+    def test_bad_theta_is_the_first_fault_only_in_v2_and_v3(
+        self, tmp_path, version, other, other_message
+    ):
+        path, theta = tmp_path / "ckpt", self.nan_at("params", 29, "values")
+        theta_message = "params[29].values: non-finite values rejected"
+        first = other_message if version == 4 else theta_message
+        for _, opt in self.stepped(CONFIGS / "deep_mlp.json"):
+            assert opt.params[29].name == "b14"
+            # each fault alone is refused, and both together by the one read first
+            for faults, message in [
+                ([theta], theta_message), ([other], other_message), ([theta, other], first),
+            ]:
+                with pytest.raises(ValueError) as excinfo:
+                    self.faulty(opt, version, faults, path)()
+                assert str(excinfo.value) == message
 
     @pytest.mark.parametrize(
         "config_path", [*sorted(CONFIGS.glob("*.json")), REPO / "perfbench" / "wide_mlp.json"],

@@ -2,10 +2,14 @@
 module of the package or of its tests imports a name it never uses, the
 package imports only the modules listed here, ``engine.py`` none of those the
 checkpoint format uses, the component modules none of the modules that build
-on them, it reads every private helper it defines, and the package or the
-benchmark reads every public function and class it defines."""
+on them, it reads every private helper it defines, the package or the
+benchmark reads every public function and class it defines, and no generated
+``==`` compares an array."""
 
 import ast
+import dataclasses
+import importlib
+import pkgutil
 from pathlib import Path
 
 import pytest
@@ -183,6 +187,25 @@ def test_one_blas_reduction_in_the_package():
         and node.func.attr in BLAS_REDUCTIONS
     ]
     assert [call.split(":")[0] for call in calls] == ["moments.py"], calls
+
+
+def test_array_fields_are_left_out_of_generated_eq():
+    """A generated ``==`` over an array field raises (an array's truth value is
+    ambiguous), and so does ``hash``, so each dataclass of the package with a
+    field annotated ``np.ndarray`` is ``eq=False`` (``==`` is identity) or the
+    field carries ``compare=False``."""
+    compared = {}
+    for info in pkgutil.iter_modules(optlab.__path__):
+        module = importlib.import_module(f"optlab.{info.name}")
+        for cls in vars(module).values():
+            if not (isinstance(cls, type) and dataclasses.is_dataclass(cls)
+                    and cls.__module__ == module.__name__ and cls.__dataclass_params__.eq):
+                continue
+            arrays = [f.name for f in dataclasses.fields(cls)
+                      if "np.ndarray" in str(f.type) and f.compare]
+            if arrays:
+                compared[cls.__name__] = arrays
+    assert not compared, f"array fields a generated == compares: {compared}"
 
 
 # The modules the package imports: the standard library's and numpy. Every process

@@ -247,6 +247,20 @@ class TestCombinedDecay:
         runs = SpanRuns.of(spans_of(DEEP_MLP_SIZES)).runs
         assert runs == ((0, 15, 16), (240, 1, 4), (244, 14, 256), (3828, 1, 64), (3892, 1, 320))
 
+    @pytest.mark.parametrize(
+        "runs",
+        [[(0, 2, 3), (10, 1, 2)], [(4, 2, 3)], [(0, 2, 3), (3, 1, 2)], [(0, 0, 3)], [(0, 1, 0)]],
+        ids=["gap", "offset_start", "overlap", "no_span", "empty_span"],
+    )
+    def test_runs_must_tile_the_buffer(self, runs):
+        with pytest.raises(ValueError, match="spans must tile the buffer"):
+            SpanRuns.of_runs(runs)
+
+    def test_layouts_compare_and_hash_without_raising(self):
+        a, b = SpanRuns.of([(0, 2), (2, 6)]), SpanRuns.of([(0, 2), (2, 6)])
+        assert (a == a, a == b) == (True, False)  # identity: ``sizes`` is an array
+        assert hash(a) == hash(a) and isinstance(hash(b), int)
+
     @pytest.mark.parametrize("cfg", DECAY_CONFIGS.values(), ids=DECAY_CONFIGS.keys())
     @pytest.mark.parametrize("layout", ["deep_mlp", "zeros_in_run", "zero_vhat"])
     def test_runs_match_the_per_slice_oracle(self, cfg, layout):

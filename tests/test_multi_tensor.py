@@ -140,7 +140,7 @@ def test_grouped_layout_matches_per_tensor_composition_bit_for_bit(toggles):
     params, _ = make_problem(GROUPED_SHAPES)
     state = OptimizerState.initial(params)
     # 6 rank-1 values, then units of width 1 ("n"), 3 ("w1", "w2") and 6 ("k", "w3")
-    assert state.rank1_end == 6
+    assert state.runs.size - state.units.size == 6
     assert state.units.runs == ((0, 3, 1), (3, 6, 3), (21, 6, 6))
     assert_matches_per_tensor_composition(GROUPED_SHAPES, toggles)
 
@@ -151,9 +151,11 @@ def test_one_kind_layout_matches_per_tensor_composition_bit_for_bit(layout, togg
     shapes = ONE_KIND_SHAPES[layout]
     state = OptimizerState.initial(make_problem(shapes)[0])
     if layout == "no_rank1":
-        assert (state.rank1_end, state.units.runs) == (0, ((0, 4, 3), (12, 2, 6)))
+        assert (state.runs.size - state.units.size, state.units.runs) == (
+            0, ((0, 4, 3), (12, 2, 6))
+        )
     else:
-        assert (state.rank1_end, state.units.runs) == (12, ())
+        assert (state.runs.size - state.units.size, state.units.runs) == (12, ())
     assert_matches_per_tensor_composition(shapes, toggles)
 
 
@@ -177,12 +179,13 @@ def assert_matches_per_tensor_composition(shapes, toggles):
 
         for p in opt.params:
             assert_bits_equal(p.values, reference.theta[p.name])
-        moments, slow = opt.state.moments, opt.state.slow
+        state = opt.state
         for name in shapes:
+            lo, hi = state.bounds[name]
             for slot in slots:
                 expected_slot = getattr(reference.moments[name], slot)
-                assert_bits_equal(getattr(moments[name], slot), expected_slot)
-            assert_bits_equal(slow[name], reference.slow[name])
+                assert_bits_equal(getattr(state.flat_moments, slot)[lo:hi], expected_slot)
+            assert_bits_equal(state.flat_slow[lo:hi], reference.slow[name])
 
         (diag,) = seen
         assert (diag.t, diag.eta_t) == (t, eta_t)
@@ -290,7 +293,7 @@ def test_checkpoint_lists_tensors_in_registration_order():
     opt = Optimizer.ranger21(params, eta=3e-3, t_max=20, k_lookahead=2)
     # the buffers hold the rank-1 tensors first, then one unit run per width
     assert opt.state.order == (0, 2, 1, 3)
-    assert opt.state.rank1_end == 5
+    assert opt.state.runs.size - opt.state.units.size == 5
     assert opt.state.units.runs == ((0, 3, 2), (6, 2, 3))
     assert list(opt.state.bounds.items()) == [
         ("b0", (0, 3)), ("w0", (5, 11)), ("b1", (3, 5)), ("w1", (11, 17))
@@ -304,10 +307,13 @@ def test_checkpoint_lists_tensors_in_registration_order():
     assert list(blob["moments"]) == names and list(blob["slow"]) == names
     for p, entry in zip(opt.params, blob["params"]):
         assert entry["values"] == base64.b64encode(p.values.tobytes()).decode("ascii")
-    for name, ms in opt.state.moments.items():
+    state = opt.state
+    for name, (lo, hi) in state.bounds.items():
         for slot, text in blob["moments"][name].items():
-            assert text == base64.b64encode(getattr(ms, slot).tobytes()).decode("ascii")
-        assert blob["slow"][name] == base64.b64encode(opt.state.slow[name].tobytes()).decode("ascii")
+            buf = getattr(state.flat_moments, slot)[lo:hi]
+            assert text == base64.b64encode(buf.tobytes()).decode("ascii")
+        slow = state.flat_slow[lo:hi]
+        assert blob["slow"][name] == base64.b64encode(slow.tobytes()).decode("ascii")
 
     restored = Optimizer.from_checkpoint(json.loads(json.dumps(blob)))
     assert restored.to_checkpoint() == blob

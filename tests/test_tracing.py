@@ -76,7 +76,7 @@ def test_mlp_step_clips_centralizes_and_decays_once():
         parsed = benchmark.parse_config(json.dumps(config))
         benchmark.run_benchmark(parsed)
     state = OptimizerState.initial(parsed.problem.init_params(np.random.default_rng(0)))
-    assert state.rank1_end == 4 + 4 + 3 + 2
+    assert state.runs.size - state.units.size == 4 + 4 + 3 + 2
     assert state.units.runs == ((0, 6, 3), (18, 7, 4))
 
     table = tracing.SpanTable(tracer)
