@@ -16,6 +16,14 @@ A run configuration is a JSON document (schema_version 1):
       ]
     }
 
+Each problem key sets the problem's field of its name (``smoothing`` sets
+``alpha``), and each optimizer key one field of its config, so the problem
+and the config parts state every default, kind and range; an optimizer's keys
+are gathered by the part they set and each part is built once. A fault is
+renamed to the key that set the field (``problem.hidden[0]``,
+``optimizers[0].eps_clipping``). Top-level keys are read with the same rule,
+``fields.checked_value``.
+
 Every optimizer run rebuilds the problem from the same seed, so initial
 parameters and minibatch draws are identical across optimizers. Runs execute
 one after another. Identical configs produce byte-identical CSV for one
@@ -46,17 +54,9 @@ from .engine import (
     Ranger21Config,
     StepDiag,
     Toggles,
-    checked_call,
-    checked_value,
-    default_config,
 )
-from .problems import (
-    ACTIVATIONS,
-    BlobsMLPProblem,
-    QuadraticProblem,
-    RosenbrockProblem,
-    philox,
-)
+from .fields import built, checked_value, field_kinds
+from .problems import BlobsMLPProblem, QuadraticProblem, RosenbrockProblem, philox
 from .tensor import NonFiniteError
 
 SCHEMA_VERSION = 1
@@ -77,7 +77,7 @@ def _check_keys(mapping: dict, allowed: set[str], path: str) -> None:
 
 def _get(mapping: dict, key: str, path: str, kind: str, default=..., **bounds):
     """``mapping[key]`` checked as ``kind`` and against ``bounds`` (see
-    ``engine.checked_value``), or ``default`` when the key is absent; a ``...``
+    ``fields.checked_value``), or ``default`` when the key is absent; a ``...``
     default makes it required."""
     if key not in mapping:
         if default is ...:
@@ -108,82 +108,33 @@ class RunConfig:
     warnings: list[str] = field(default_factory=list)
 
 
-# the largest extent numpy can give an array axis
-_MAX_EXTENT = int(np.iinfo(np.intp).max)
-
-
-def _check_fits(rows: int, cols: int, row_key: str, col_key: str, what: str) -> None:
-    """A rows x cols float64 array must fit one numpy array; the error, ``what`` of
-    the two extents, names the key of the larger one (the row key on a tie)."""
-    nbytes = 8 * rows * cols
-    if nbytes > _MAX_EXTENT:
-        raise ValueError(
-            f"{row_key if rows >= cols else col_key}: {what.format(rows, cols)} {nbytes}"
-            f" bytes, more than one array can hold ({_MAX_EXTENT})"
-        )
+# each problem by its bench name; its bench keys are its init fields, named as
+# they are but for these
+_PROBLEMS = {cls.name: cls for cls in (RosenbrockProblem, QuadraticProblem, BlobsMLPProblem)}
+_PROBLEM_KEYS = {"alpha": "smoothing"}
 
 
 def _parse_problem(blob):
+    """The problem ``blob`` names, built once from its keys; the problem checks
+    them, and its faults are renamed to the keys."""
     if not isinstance(blob, dict):
         raise ValueError("problem: expected an object")
     name = _get(blob, "name", "problem", "str")
-    if name == "rosenbrock":
-        _check_keys(blob, {"name", "start"}, "problem")
-        start = _get(blob, "start", "problem", "tuple[float, ...]", RosenbrockProblem.start)
-        if len(start) != 2:
-            raise ValueError(f"problem.start: expected 2 numbers, got {len(start)}")
-        return RosenbrockProblem(start=start)
-    if name == "quadratic":
-        _check_keys(blob, {"name", "spectrum", "start"}, "problem")
-        spectrum = _get(blob, "spectrum", "problem", "tuple[float, ...]", gt=0.0)
-        if not spectrum:
-            raise ValueError("problem.spectrum: expected a non-empty list")
-        start = _get(blob, "start", "problem", "tuple[float, ...]", (1.0,) * len(spectrum))
-        if len(start) != len(spectrum):
-            raise ValueError(f"problem.start: expected {len(spectrum)} numbers, got {len(start)}")
-        return QuadraticProblem(spectrum=spectrum, start=start)
-    if name == "blobs_mlp":
-        _check_keys(
-            blob,
-            {
-                "name", "n", "d", "classes", "separation", "data_seed",
-                "batch_size", "hidden", "activation", "smoothing",
-            },
-            "problem",
-        )
-        n = _get(blob, "n", "problem", "int", ge=1)
-        d = _get(blob, "d", "problem", "int", ge=1)
-        classes = _get(blob, "classes", "problem", "int", ge=2)
-        batch_size = _get(blob, "batch_size", "problem", "int", ge=1, le=_MAX_EXTENT)
-        separation = _get(blob, "separation", "problem", "float", 10.0, ge=0.0)
-        data_seed = _get(blob, "data_seed", "problem", "int", 0, ge=0)
-        hidden = _get(blob, "hidden", "problem", "tuple[int, ...]", (32,), ge=1, le=_MAX_EXTENT)
-        activation = _get(blob, "activation", "problem", "str", BlobsMLPProblem.activation)
-        if activation not in ACTIVATIONS:
-            raise ValueError(
-                f"problem.activation: expected one of {sorted(ACTIVATIONS)}, got {activation!r}"
-            )
-        smoothing = _get(
-            blob, "smoothing", "problem", "float", BlobsMLPProblem.alpha, ge=0.0, lt=1.0
-        )
-        keys = [f"problem.hidden[{i}]" for i in range(len(hidden))]
-        keys, widths = ["problem.d", *keys, "problem.classes"], [d, *hidden, classes]
-        for i in range(len(widths) - 1):  # each weight is fan_out x fan_in
-            _check_fits(widths[i + 1], widths[i], keys[i + 1], keys[i], "a {}x{} weight needs")
-        problem = checked_call(
-            "problem",
-            BlobsMLPProblem,
-            blobs=(data_seed, n, d, classes, separation),
-            hidden=hidden,
-            batch_size=batch_size,
-            activation=activation,
-            alpha=smoothing,
-        )
-        # the n x d inputs, drawn on first use, must fit one array too; checked
-        # after the weights and n >= classes, so their messages come first
-        _check_fits(n, d, "problem.n", "problem.d", "{}x{} inputs need")
-        return problem
-    raise ValueError(f"problem.name: unknown problem {name!r}")
+    if name not in _PROBLEMS:
+        raise ValueError(f"problem.name: unknown problem {name!r}")
+    cls = _PROBLEMS[name]
+    fields = {_PROBLEM_KEYS.get(f.name, f.name): f for f in dataclasses.fields(cls) if f.init}
+    _check_keys(blob, {"name", *fields}, "problem")
+    if cls is QuadraticProblem:  # start defaults to ones, one per spectrum entry
+        spectrum = blob.get("spectrum")
+        blob = {"start": [1.0] * (len(spectrum) if isinstance(spectrum, list) else 0), **blob}
+    kwargs = {}
+    for key, f in fields.items():
+        if key in blob:
+            kwargs[f.name] = blob[key]
+        elif f.default is dataclasses.MISSING:
+            raise ValueError(f"problem: missing required key {key!r}")
+    return built(cls, lambda field: f"problem.{_PROBLEM_KEYS.get(field, field)}", **kwargs)
 
 
 # bench key -> the path of the config field it sets: a field of the config, or a
@@ -206,21 +157,14 @@ _RANGER_KEYS = {
     "t_warmdown": ("schedule", "t_warmdown"),
     "toggles": ("toggles",),
 }
-
-
-def _with_field(obj, path: tuple[str, ...], value, where: str):
-    """``obj`` with the field at ``path`` set to ``value``, which must fit the
-    field's annotation and then the ranges of the dataclass that holds it."""
-    name, *rest = path
-    if rest:
-        part = _with_field(getattr(obj, name), rest, value, where)
-        return dataclasses.replace(obj, **{name: part})
-    value = checked_value(obj.__dataclass_fields__[name].type, value, where)
-    return checked_call(where, dataclasses.replace, obj, **{name: value})
+# a config field's path -> the bench key that sets it, and each part's class by field
+_KEY_OF = {path: key for key, path in _RANGER_KEYS.items()}
+_PARTS = {name: kind for name, kind, _ in field_kinds(Ranger21Config) if isinstance(kind, type)}
 
 
 def _parse_optimizer(blob, index: int, t_max: int) -> OptimizerSpec:
-    """The preset's default config with each key of ``blob`` applied in turn."""
+    """The preset's default config with the keys of ``blob`` set: the keys are
+    gathered by the part they set, and each part, then the config, built once."""
     path = f"optimizers[{index}]"
     if not isinstance(blob, dict):
         raise ValueError(f"{path}: expected an object")
@@ -231,19 +175,23 @@ def _parse_optimizer(blob, index: int, t_max: int) -> OptimizerSpec:
     if any(c in ',"\r\n' for c in label):  # a records.csv cell, written unquoted
         raise ValueError(f"{path}.label: must not hold ',', '\"', CR or LF, got {label!r}")
     keys = _ADAMW_KEYS if preset == "adamw" else _RANGER_KEYS
-    toggles = Toggles.none() if preset == "adamw" else Toggles()
-    # eta is the one setting the config classes give no default
-    config = default_config(3e-3, t_max, toggles=toggles)
     _check_keys(blob, {"preset", "label", *keys}, path)
+    # eta is the one setting the config classes give no default
+    parts = {"schedule": {"eta": 3e-3, "t_max": t_max}}
+    kwargs = {"toggles": Toggles.none()} if preset == "adamw" else {}
     for key, value in blob.items():
         if key == "toggles":
             if not isinstance(value, dict):
                 raise ValueError(f"{path}.toggles: expected an object")
             _check_keys(value, Toggles.__dataclass_fields__.keys(), f"{path}.toggles")
-            for name, flag in value.items():
-                config = _with_field(config, (*keys[key], name), flag, f"{path}.toggles.{name}")
+            parts["toggles"] = value
         elif key in keys:
-            config = _with_field(config, keys[key], value, f"{path}.{key}")
+            *part, name = keys[key]
+            (parts.setdefault(part[0], {}) if part else kwargs)[name] = value
+    for part, values in parts.items():
+        rename = lambda field, part=part: f"{path}.{_KEY_OF.get((part, field), f'{part}.{field}')}"
+        kwargs[part] = built(_PARTS[part], rename, **values)
+    config = built(Ranger21Config, f"{path}.{{}}".format, **kwargs)
     return OptimizerSpec(label=label, preset=preset, config=config)
 
 

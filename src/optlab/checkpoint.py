@@ -6,7 +6,10 @@ Every version is built or read through one walk of ``_leaves`` in registration
 order, after the params' names and shapes, the config, preset, ``t`` and keys are
 checked. v2/v3 read θ with the params, before those checks, as it builds the
 optimizer; v4 checks θ in the walk. So a bad θ is the first fault of a v2/v3 load,
-but a v4 load names a bad config, or an earlier tensor's bad leaf, before it."""
+but a v4 load names a bad config, or an earlier tensor's bad leaf, before it. The
+config is built once from its nested dicts: each part checks its own fields as it
+is built, so each leaf is checked once, and a fault is renamed to its path
+(``config.moments.eps``)."""
 
 from __future__ import annotations
 
@@ -21,6 +24,7 @@ from typing import Callable
 import numpy as np
 
 from . import engine  # read at call time: engine imports this module
+from .fields import built, checked_value, field_kinds
 from .tensor import ParamTensor
 
 CHECKPOINT_VERSION = 4
@@ -88,9 +92,9 @@ def from_checkpoint(cls, blob, section: memoryview | None = None):
     config = _from_dict(engine.Ranger21Config, blob["config"], "config")
     if blob["preset"] not in engine.PRESETS:
         raise ValueError(f"preset: expected one of {engine.PRESETS}, got {blob['preset']!r}")
-    opt = engine.checked_call("params", cls, params, config, preset=blob["preset"])
+    opt = _checked_call("params", cls, params, config, preset=blob["preset"])
     del params  # the decoded values are in opt.state now: let them go
-    t, t_max = engine.checked_value("int", blob["t"], "t"), config.schedule.t_max
+    t, t_max = checked_value("int", blob["t"], "t"), config.schedule.t_max
     if t < 0 or (config.toggles.warmdown and t > t_max):
         raise ValueError(f"t: must be >= 0, and <= t_max = {t_max} with warm-down on, got {t}")
     names = list(opt.state.bounds)
@@ -169,7 +173,7 @@ def _decoded(text, where: str, size: int) -> np.ndarray:
     """The float64 array, a view, a v3 leaf encodes; it must hold ``size`` values."""
     if not isinstance(text, str):
         raise ValueError(f"{where}: expected a base64 string, got {type(text).__name__}")
-    raw = engine.checked_call(where, base64.b64decode, text, validate=True)
+    raw = _checked_call(where, base64.b64decode, text, validate=True)
     if len(raw) != 8 * size:
         raise ValueError(f"{where}: expected {8 * size} bytes ({size} values), got {len(raw)}")
     return np.frombuffer(raw, dtype="<f8")
@@ -184,7 +188,7 @@ def _listed(values, where: str, size: int) -> np.ndarray:
             raise ValueError(f"{where}: expected a list of numbers, got {x!r} at index {i}")
     if len(values) != size:
         raise ValueError(f"{where}: expected {size} values, got {len(values)}")
-    return engine.checked_call(where, np.array, values, dtype=np.float64)
+    return _checked_call(where, np.array, values, dtype=np.float64)
 
 
 def _checked_buffer(mapping: dict, key: str, where: str, size: int, read) -> np.ndarray:
@@ -209,33 +213,40 @@ def _field(mapping: dict, key: str, where: str):
 
 
 def _from_dict(cls, blob, where: str):
-    """Config dataclass ``cls`` from a dict of exactly its fields, each checked as
-    annotated, parts from nested dicts; ValueError names the field at fault."""
+    """Config dataclass ``cls`` from a dict of exactly its fields, parts from nested
+    dicts, each checked once as it is built; ValueError names the field at fault."""
     fields = cls.__dataclass_fields__
     if not isinstance(blob, dict) or blob.keys() != fields.keys():
         raise ValueError(f"{where}: expected an object with keys {sorted(fields)}, got {blob!r}")
-    kwargs = {}
-    for name, f in fields.items():
-        path, part = f"{where}.{name}", engine._PARTS.get(f.type)
-        kwargs[name] = (
-            _from_dict(part, blob[name], path) if part
-            else engine.checked_value(f.type, blob[name], path)
-        )
-    return engine.checked_call(where, cls, **kwargs)
+    kwargs = {
+        name: _from_dict(kind, blob[name], f"{where}.{name}") if isinstance(kind, type)
+        else blob[name]
+        for name, kind, _ in field_kinds(cls)
+    }
+    return built(cls, f"{where}.{{}}".format, **kwargs)
+
+
+def _checked_call(where: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``; a TypeError, ValueError or OverflowError it
+    raises becomes a ValueError that names ``where``."""
+    try:
+        return make(*args, **kwargs)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 def _param_from_dict(entry, where: str, read) -> ParamTensor:
     """The param ``entry`` names, of its shape, with the values ``read`` checks; for
     v4 (``read`` None) zeros that take no memory, as the load copies θ whole later."""
     entry, name_at, shape_at = _object(entry, where), f"{where}.name", f"{where}.shape"
-    name = engine.checked_value("str", _field(entry, "name", name_at), name_at)
+    name = checked_value("str", _field(entry, "name", name_at), name_at)
     shape = _field(entry, "shape", shape_at)
-    shape = engine.checked_value("tuple[int, ...]", shape, shape_at, ge=1)
+    shape = checked_value("tuple[int, ...]", shape, shape_at, ge=1)
     if not shape:
         raise ValueError(f"{shape_at}: expected a non-empty list, got []")
     size = math.prod(shape)
     if read is None:  # a zero-stride view of one 0.0
-        values = engine.checked_call(shape_at, np.ndarray, (size,), buffer=bytes(8), strides=(0,))
+        values = _checked_call(shape_at, np.ndarray, (size,), buffer=bytes(8), strides=(0,))
     else:
         values = _checked_buffer(entry, "values", f"{where}.values", size, read)
     return ParamTensor._adopt(name, shape, values)  # checked above as ParamTensor checks

@@ -20,14 +20,13 @@ The schedule multiplies the decay exactly once: the step subtracts
 from __future__ import annotations
 
 import dataclasses
-import operator
-import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import checkpoint
+from .fields import bounded, built, check_fields
 from .moments import (
     DecayConfig,
     MomentConfig,
@@ -58,6 +57,9 @@ class Toggles:
     warmdown: bool = True
     lookahead: bool = True
 
+    def __post_init__(self) -> None:
+        check_fields(self)
+
     @classmethod
     def none(cls) -> "Toggles":
         return cls(**{f.name: False for f in dataclasses.fields(cls)})
@@ -67,29 +69,22 @@ class Toggles:
 class Ranger21Config:
     schedule: ScheduleSpec
     moments: MomentConfig = MomentConfig()
-    weight_decay: float = 1e-4
+    weight_decay: float = bounded(1e-4, ge=0.0)
     clip: ClipConfig = ClipConfig()
-    k_lookahead: int = 5
-    beta_lookahead: float = 0.5
+    k_lookahead: int = bounded(5, ge=1)
+    beta_lookahead: float = bounded(0.5, ge=0.0, lt=1.0)
     toggles: Toggles = Toggles()
 
     def __post_init__(self) -> None:
-        if not self.weight_decay >= 0:  # also rejects NaN
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if self.k_lookahead < 1:
-            raise ValueError(f"k_lookahead must be >= 1, got {self.k_lookahead}")
-        if not 0.0 <= self.beta_lookahead < 1.0:
-            raise ValueError(
-                f"beta_lookahead must be in [0, 1), got {self.beta_lookahead}"
-            )
-        _check_leaves(self, "")  # last, so a value out of range gets its message above
+        check_fields(self)
 
 
 def default_config(eta: float, t_max: int, **overrides) -> Ranger21Config:
     """The default schedule for ``eta`` and ``t_max``, ``overrides`` (any fields of
     ``Ranger21Config`` but ``schedule``) and defaults for the rest; the adamw
     preset is this with ``toggles=Toggles.none()``."""
-    return Ranger21Config(schedule=ScheduleSpec(eta=eta, t_max=t_max), **overrides)
+    schedule = built(ScheduleSpec, "schedule.{}".format, eta=eta, t_max=t_max)
+    return Ranger21Config(schedule=schedule, **overrides)
 
 
 def _unit_width(p: ParamTensor) -> int | None:
@@ -399,73 +394,3 @@ class Optimizer:
         state = self.state
         moments = (getattr(state.flat_moments, b) for b in _MOMENT_BUFFERS)
         return (state.flat_theta, *moments, state.flat_slow)
-
-
-_EXPECTED = {
-    "bool": "true or false", "int": "an integer", "int | None": "an integer or null",
-    "float": "a finite number", "str": "a string",
-}
-# a bound's keyword -> its sign in messages and its test
-_BOUNDS = {
-    "ge": (">=", operator.ge), "gt": (">", operator.gt),
-    "le": ("<=", operator.le), "lt": ("<", operator.lt),
-}
-
-
-def checked_value(kind: str, value, where: str, **bounds):
-    """``value`` if it fits ``kind``, a field's annotation: ``bool``, ``int`` (not
-    a bool), ``int | None``, ``float`` (a finite int or float, returned as a
-    float), ``str``, or ``tuple[T, ...]`` (a JSON list of ``T``, returned as a
-    tuple), and meets each of ``bounds`` (``ge=1`` means >= 1; also ``gt``,
-    ``le``, ``lt``), a list entry by entry. ValueError names ``where``, or
-    ``where[i]`` for the first bad list entry."""
-    is_int = isinstance(value, int) and not isinstance(value, bool)
-    if kind == "float":
-        # abs() <= max rejects inf and nan, and ints a float cannot hold
-        ok = (is_int or isinstance(value, float)) and abs(value) <= sys.float_info.max
-        value = float(value) if ok else value
-    elif kind == "bool":
-        ok = isinstance(value, bool)
-    elif kind == "str":
-        ok = isinstance(value, str)
-    elif kind in ("int", "int | None"):
-        ok = is_int or (value is None and kind == "int | None")
-    else:  # "tuple[T, ...]"
-        if not isinstance(value, list):
-            raise ValueError(f"{where}: expected a list, got {value!r}")
-        item = kind[len("tuple[") : -len(", ...]")]
-        return tuple(
-            checked_value(item, x, f"{where}[{i}]", **bounds) for i, x in enumerate(value)
-        )
-    if not ok:
-        raise ValueError(f"{where}: expected {_EXPECTED[kind]}, got {value!r}")
-    for name, bound in bounds.items():
-        sign, holds = _BOUNDS[name]
-        if not holds(value, bound):
-            raise ValueError(f"{where}: must be {sign} {bound}, got {value}")
-    return value
-
-
-# the config parts a checkpoint nests, by their annotation in Ranger21Config
-_PARTS = {cls.__name__: cls for cls in (ScheduleSpec, MomentConfig, ClipConfig, Toggles)}
-
-
-def _check_leaves(config, where: str) -> None:
-    """Check every field of ``config`` and of its parts against its annotation."""
-    for name, f in config.__dataclass_fields__.items():
-        value, part = getattr(config, name), _PARTS.get(f.type)
-        if part is None:  # stored as checked: a float field holds a float
-            object.__setattr__(config, name, checked_value(f.type, value, f"{where}{name}"))
-        elif not isinstance(value, part):
-            raise ValueError(f"{where}{name}: expected a {part.__name__}, got {value!r}")
-        else:
-            _check_leaves(value, f"{where}{name}.")
-
-
-def checked_call(where: str, make, *args, **kwargs):
-    """``make(*args, **kwargs)``; a TypeError, ValueError or OverflowError it
-    raises becomes a ValueError that names ``where``."""
-    try:
-        return make(*args, **kwargs)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{where}: {exc}") from exc

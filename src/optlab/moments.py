@@ -29,26 +29,21 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .fields import bounded, check_fields
+
 # Floor for sqrt(mean(v_hat)) in stable decay; inert once any gradient has flowed.
 STABLE_DECAY_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
 class MomentConfig:
-    beta0: float = 0.9
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    beta0: float = bounded(0.9, ge=0.0, le=1.0)  # 1.0 is the AdaPNM and Ranger21 reference value
+    beta1: float = bounded(0.9, ge=0.0, lt=1.0)
+    beta2: float = bounded(0.999, ge=0.0, lt=1.0)
+    eps: float = bounded(1e-8, gt=0.0)
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.beta0 <= 1.0:  # 1.0 is the AdaPNM and Ranger21 reference value
-            raise ValueError(f"beta0 must be in [0, 1], got {self.beta0}")
-        for name in ("beta1", "beta2"):
-            b = getattr(self, name)
-            if not 0.0 <= b < 1.0:
-                raise ValueError(f"{name} must be in [0, 1), got {b}")
-        if not self.eps > 0:
-            raise ValueError(f"eps must be > 0, got {self.eps}")
+        check_fields(self)
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from typing import Callable, ClassVar, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from .fields import FieldError, bounded, check_fields
 from .tensor import ParamTensor, _raise_nonfinite
 
 
@@ -55,27 +56,7 @@ def rosenbrock(x) -> tuple[float, np.ndarray]:
     return loss, grad
 
 
-def _checked_spectrum(spectrum) -> np.ndarray:
-    """``spectrum`` as a float64 array; it must be non-empty and positive."""
-    a = np.asarray(spectrum, dtype=np.float64)
-    if a.size == 0:
-        raise ValueError("spectrum must be non-empty")
-    if not np.all(a > 0):  # also rejects NaN
-        raise ValueError("spectrum must be positive")
-    return a
-
-
-def _check_start(start) -> None:
-    if not all(math.isfinite(x) for x in start):
-        raise ValueError(f"start must be finite, got {tuple(start)}")
-
-
 # -- label-smoothed cross-entropy --------------------------------------------
-
-
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"alpha must be in [0, 1), got {alpha}")
 
 
 def smoothed_targets(labels, n_classes: int, alpha: float) -> np.ndarray:
@@ -85,7 +66,8 @@ def smoothed_targets(labels, n_classes: int, alpha: float) -> np.ndarray:
     anything else raises ``ValueError``. No labels give no rows."""
     if n_classes < 2:
         raise ValueError(f"need at least 2 classes, got {n_classes}")
-    _check_alpha(alpha)
+    if not 0.0 <= alpha < 1.0:
+        raise ValueError(f"alpha must be in [0, 1), got {alpha}")
     labels = np.asarray(labels)
     if (
         labels.ndim != 1
@@ -133,22 +115,12 @@ ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
 }
 
 
-def _activation(name: str) -> tuple[Callable, Callable]:
-    if name not in ACTIVATIONS:
-        raise ValueError(f"unknown activation {name!r}")
-    return ACTIVATIONS[name]
-
-
-def _check_widths(widths: Sequence[int]) -> None:
+def mlp_init(widths: Sequence[int], rng: np.random.Generator) -> list[ParamTensor]:
+    """Affine-layer parameters for the width chain; weights are [out, in]."""
     if len(widths) < 2:
         raise ValueError("need at least input and output widths")
     if min(widths) < 1:
         raise ValueError(f"every width must be >= 1, got {tuple(widths)}")
-
-
-def mlp_init(widths: Sequence[int], rng: np.random.Generator) -> list[ParamTensor]:
-    """Affine-layer parameters for the width chain; weights are [out, in]."""
-    _check_widths(widths)
     params = []
     for layer, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
         bound = 1.0 / math.sqrt(fan_in)
@@ -234,11 +206,6 @@ def _backprop(
 # -- data -----------------------------------------------------------------------
 
 
-def _check_blob_counts(n: int, n_classes: int) -> None:
-    if not n >= n_classes >= 2:
-        raise ValueError(f"need n >= n_classes >= 2, got n={n}, n_classes={n_classes}")
-
-
 def make_blobs(
     seed: int, n: int, d: int, n_classes: int, separation: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -246,7 +213,8 @@ def make_blobs(
     `separation` times random unit directions, and their int64 labels [n].
     Balanced labels (counts differ by at most 1); a pure function of its
     arguments."""
-    _check_blob_counts(n, n_classes)
+    if not n >= n_classes >= 2:
+        raise ValueError(f"need n >= n_classes >= 2, got n={n}, n_classes={n_classes}")
     rng = philox(seed)
     directions = rng.standard_normal((n_classes, d))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
@@ -264,9 +232,7 @@ class RosenbrockProblem:
     start: tuple[float, float] = (-1.5, 2.0)
 
     def __post_init__(self) -> None:
-        if len(self.start) != 2:
-            raise ValueError(f"start must hold 2 numbers, got {len(self.start)}")
-        _check_start(self.start)
+        check_fields(self)
 
     def init_params(self, rng: np.random.Generator) -> list[ParamTensor]:
         return [ParamTensor("x", (2,), self.start)]
@@ -285,15 +251,17 @@ class RosenbrockProblem:
 @dataclass
 class QuadraticProblem:
     name: ClassVar[str] = "quadratic"
-    spectrum: tuple[float, ...]
+    spectrum: tuple[float, ...] = bounded(gt=0.0)
     start: tuple[float, ...]
-    _a: np.ndarray = field(init=False, repr=False, compare=False)  # the checked spectrum
+    _a: np.ndarray = field(init=False, repr=False, compare=False)  # the spectrum as an array
 
     def __post_init__(self) -> None:
-        self._a = _checked_spectrum(self.spectrum)
-        if len(self.spectrum) != len(self.start):
-            raise ValueError("spectrum and start must have the same length")
-        _check_start(self.start)
+        check_fields(self)
+        if not self.spectrum:
+            raise FieldError("spectrum", "expected a non-empty list")
+        if len(self.start) != (n := len(self.spectrum)):
+            raise FieldError("start", f"expected {n} entries, got {len(self.start)}")
+        self._a = np.array(self.spectrum)
 
     def init_params(self, rng: np.random.Generator) -> list[ParamTensor]:
         return [ParamTensor("x", (len(self.start),), self.start)]
@@ -313,43 +281,68 @@ class QuadraticProblem:
         return self._at(params[0].values)[0], None
 
 
-@dataclass
+# the largest extent numpy can give an array axis
+_MAX_EXTENT = int(np.iinfo(np.intp).max)
+
+
+def _check_fits(rows: int, cols: int, row: tuple, col: tuple, what: str) -> None:
+    """A rows x cols float64 array must fit one numpy array; the error, ``what`` of
+    the two extents, names the larger one's field and entry (``row`` or ``col``,
+    each a ``(field, at)`` pair), the row's on a tie."""
+    nbytes = 8 * rows * cols
+    if nbytes > _MAX_EXTENT:
+        name, at = row if rows >= cols else col
+        raise FieldError(
+            name, f"{what.format(rows, cols)} {nbytes} bytes, more than one array can hold"
+            f" ({_MAX_EXTENT})", at
+        )
+
+
+@dataclass(kw_only=True)
 class BlobsMLPProblem:
     """Blob classification with an MLP; minibatches are sampled with replacement.
 
-    ``blobs`` holds ``make_blobs``'s arguments (data_seed, n, d, classes,
-    separation); the data is drawn on the first evaluate or metrics call."""
+    ``data_seed``, ``n``, ``d``, ``classes`` and ``separation`` are
+    ``make_blobs``'s arguments; the data is drawn on the first evaluate or
+    metrics call. Every weight, and the n x d inputs, must fit one array."""
 
     name: ClassVar[str] = "blobs_mlp"
-    blobs: tuple[int, int, int, int, float]
-    hidden: tuple[int, ...]
-    batch_size: int
+    data_seed: int = bounded(0, ge=0)
+    n: int
+    d: int = bounded(ge=1)
+    classes: int = bounded(ge=2)
+    separation: float = bounded(10.0, ge=0.0)
+    hidden: tuple[int, ...] = bounded((32,), ge=1, le=_MAX_EXTENT)
+    batch_size: int = bounded(ge=1, le=_MAX_EXTENT)
     activation: str = "tanh"
-    alpha: float = 0.1
+    alpha: float = bounded(0.1, ge=0.0, lt=1.0)
     widths: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        _, n, d, n_classes, separation = self.blobs
-        _check_blob_counts(n, n_classes)
-        if not math.isfinite(separation):
-            raise ValueError(f"separation must be finite, got {separation}")
-        _check_alpha(self.alpha)
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        _activation(self.activation)
-        self.widths = (d, *self.hidden, n_classes)
-        _check_widths(self.widths)
+        check_fields(self)
+        if self.activation not in ACTIVATIONS:
+            raise FieldError(
+                "activation", f"expected one of {sorted(ACTIVATIONS)}, got {self.activation!r}"
+            )
+        if self.n < self.classes:
+            raise FieldError("n", f"must be >= classes = {self.classes}, got {self.n}")
+        widths = self.widths = (self.d, *self.hidden, self.classes)
+        hidden = [("hidden", f"[{i}]") for i in range(len(self.hidden))]
+        names = [("d", ""), *hidden, ("classes", "")]
+        for i in range(len(widths) - 1):  # each weight is fan_out x fan_in
+            _check_fits(widths[i + 1], widths[i], names[i + 1], names[i], "a {}x{} weight needs")
+        _check_fits(self.n, self.d, ("n", ""), ("d", ""), "{}x{} inputs need")
 
     @cached_property
     def data(self) -> tuple[np.ndarray, np.ndarray]:
-        """``make_blobs(*self.blobs)``: the inputs [n, d] and labels [n]."""
-        return make_blobs(*self.blobs)
+        """``make_blobs``' inputs [n, d] and labels [n] for this problem's fields."""
+        return make_blobs(self.data_seed, self.n, self.d, self.classes, self.separation)
 
     def init_params(self, rng: np.random.Generator) -> list[ParamTensor]:
         return mlp_init(self.widths, rng)
 
     def sample_batch(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.integers(0, self.blobs[1], size=self.batch_size)
+        return rng.integers(0, self.n, size=self.batch_size)
 
     @cached_property
     def layout(self) -> _Layout:
@@ -378,13 +371,13 @@ class BlobsMLPProblem:
         x, q = self.data[0], self.targets
         if batch is not None:
             x, q = x[batch], q[batch]
-        return _backprop(params, self.layout, x, q, *_activation(self.activation))
+        return _backprop(params, self.layout, x, q, *ACTIVATIONS[self.activation])
 
     def metrics(self, params: Sequence[ParamTensor]):
         """Full-dataset loss and accuracy from one forward pass; the loss is
         computed alone, without its gradient."""
         self._check_shapes(params)
         x, y = self.data
-        logits = _logits(params, x, _activation(self.activation)[0])
+        logits = _logits(params, x, ACTIVATIONS[self.activation][0])
         accuracy = float(np.mean(logits.argmax(axis=1) == y))
         return _ce_loss(_log_softmax(logits), self.targets), accuracy

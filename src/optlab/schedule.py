@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .fields import FieldError, bounded, check_fields
+
 
 @dataclass(frozen=True)
 class ScheduleSpec:
@@ -24,23 +26,20 @@ class ScheduleSpec:
     well-defined, there is just no flat phase.
     """
 
-    eta: float
-    t_max: int
-    t_warmup: int | None = None
-    t_warmdown: int | None = None
+    eta: float = bounded(gt=0.0)
+    t_max: int = bounded(ge=1)
+    t_warmup: int | None = bounded(None, ge=1)
+    t_warmdown: int | None = bounded(None, ge=1)
 
     def __post_init__(self) -> None:
-        if not self.eta > 0:
-            raise ValueError(f"eta must be > 0, got {self.eta}")
-        if self.t_max < 1:
-            raise ValueError(f"t_max must be >= 1, got {self.t_max}")
+        check_fields(self)
         for name, percent in (("t_warmup", 22), ("t_warmdown", 28)):
             length = getattr(self, name)
             if length is None:  # percent of t_max, rounded half-up, in exact integers
                 length = max(1, (percent * self.t_max + 50) // 100)
                 object.__setattr__(self, name, length)
-            if not 0 < length <= self.t_max:
-                raise ValueError(f"{name} must be in [1, t_max], got {length} (t_max={self.t_max})")
+            elif length > self.t_max:
+                raise FieldError(name, f"must be <= t_max = {self.t_max}, got {length}")
 
     @property
     def phases_overlap(self) -> bool:

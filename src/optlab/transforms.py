@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fields import bounded, check_fields
 from .moments import SpanRuns
 
 _NO_UNITS = SpanRuns.of(())
@@ -30,14 +31,11 @@ _NO_UNITS = SpanRuns.of(())
 class ClipConfig:
     """Unit-wise clipping threshold and the epsilon guarding zero parameters."""
 
-    tau: float = 1e-2
-    eps: float = 1e-3
+    tau: float = bounded(1e-2, gt=0.0)
+    eps: float = bounded(1e-3, gt=0.0)
 
     def __post_init__(self) -> None:
-        if not self.tau > 0:
-            raise ValueError(f"tau must be > 0, got {self.tau}")
-        if not self.eps > 0:
-            raise ValueError(f"eps must be > 0, got {self.eps}")
+        check_fields(self)
 
 
 def _layout(a: np.ndarray, units: SpanRuns | None) -> tuple[int, SpanRuns]:

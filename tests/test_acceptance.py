@@ -213,10 +213,10 @@ def test_criterion_06_gradient_correctness():
     problems = [
         ("rosenbrock", RosenbrockProblem(), 0.5),
         ("quadratic-ish blobs 2-layer", BlobsMLPProblem(
-            blobs=(6, 16, 4, 3, 3.0), hidden=(6,), batch_size=16
+            data_seed=6, n=16, d=4, classes=3, separation=3.0, hidden=(6,), batch_size=16
         ), 0.2),
         ("8-layer mlp", BlobsMLPProblem(
-            blobs=(6, 12, 4, 3, 3.0), hidden=(6,) * 7, batch_size=12
+            data_seed=6, n=12, d=4, classes=3, separation=3.0, hidden=(6,) * 7, batch_size=12
         ), 0.2),
     ]
     from optlab.problems import QuadraticProblem
@@ -296,7 +296,7 @@ def test_rosenbrock_without_pnm_meets_criterion_7_target():
 
 
 def _train_blobs(preset, seed, blobs, hidden, steps, batch_size, eta=3e-3):
-    problem = BlobsMLPProblem(blobs=blobs, hidden=hidden, batch_size=batch_size)
+    problem = BlobsMLPProblem(**blobs, hidden=hidden, batch_size=batch_size)
     params = problem.init_params(philox((seed, 0)))
     batch_rng = philox((seed, 1))
     if preset == "adamw":
@@ -312,7 +312,7 @@ def _train_blobs(preset, seed, blobs, hidden, steps, batch_size, eta=3e-3):
 
 def test_criterion_08_classification_proxy():
     start = time.perf_counter()
-    blobs = (0, 2000, 20, 4, 10.0)
+    blobs = {"n": 2000, "d": 20, "classes": 4, "separation": 10.0}
     results = {}
     for preset in ("adamw", "ranger21"):
         accs = [
@@ -332,7 +332,7 @@ def test_criterion_08_classification_proxy():
 
 def test_criterion_09_deep_unnormalized_proxy():
     start = time.perf_counter()
-    blobs = (0, 2000, 20, 4, 8.0)
+    blobs = {"n": 2000, "d": 20, "classes": 4, "separation": 8.0}
     hidden = (16,) * 15
     medians = {}
     for preset in ("adamw", "ranger21"):

@@ -187,7 +187,7 @@ class TestParseConfig:
             }
         )
         problem = config.problem
-        assert problem.blobs[1] == 30
+        assert problem.n == 30
         assert problem.widths == (4, 8, 3)
         assert problem.activation == "relu"
 
@@ -223,7 +223,7 @@ class TestParseConfig:
              r"optimizers\[0\]\.tau"),
             ({"loss_threshold": float("nan")}, r"loss_threshold"),
             ({"problem": {"name": "blobs_mlp", "n": 2, "d": 2, "classes": 3, "batch_size": 1}},
-             r"^problem: "),
+             r"^problem\.n: must be >= classes = 3, got 2$"),
             ({"problem": {"name": "blobs_mlp", "n": 4, "d": 2, "classes": 2, "batch_size": 1,
                           "data_seed": -1}}, r"problem\.data_seed"),
             ({"optimizers": [{"preset": "ranger21", "eps_clipping": 0}]},

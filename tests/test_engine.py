@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from optlab import (
+    ClipConfig,
     DecayConfig,
     MomentConfig,
     MomentState,
@@ -33,7 +34,7 @@ from optlab import (
     pnm_update,
 )
 
-from optlab import checkpoint, engine
+from optlab import checkpoint, engine, fields
 from optlab.benchmark import parse_config
 from optlab.engine import PRESETS
 from optlab.problems import BlobsMLPProblem, RosenbrockProblem, philox
@@ -491,7 +492,7 @@ class TestFiniteness:
     @pytest.mark.parametrize(
         "problem",
         [
-            BlobsMLPProblem(blobs=(0, 40, 3, 2, 4.0), hidden=(4, 4), batch_size=8),
+            BlobsMLPProblem(n=40, d=3, classes=2, separation=4.0, hidden=(4, 4), batch_size=8),
             RosenbrockProblem(start=(0.0, 0.0)),
         ],
         ids=["blobs_mlp", "rosenbrock_at_origin"],
@@ -553,7 +554,7 @@ class TestConfigValidation:
             Ranger21Config(schedule=sched, beta_lookahead=1.0)
 
     def test_nan_weight_decay_rejected(self):
-        with pytest.raises(ValueError, match="weight_decay must be >= 0, got nan"):
+        with pytest.raises(ValueError, match="^weight_decay: expected a finite number, got nan$"):
             Ranger21Config(schedule=ScheduleSpec(eta=1e-3, t_max=10), weight_decay=math.nan)
         with pytest.raises(ValueError, match="weight_decay"):
             Optimizer.adamw([scalar(1.0)], weight_decay=math.nan)
@@ -565,19 +566,39 @@ class TestConfigValidation:
             ({"eta": math.inf}, "schedule.eta: expected a finite number, got inf"),
             ({"k_lookahead": True}, "k_lookahead: expected an integer, got True"),
             ({"weight_decay": math.inf}, "weight_decay: expected a finite number, got inf"),
-            ({"moments": MomentConfig(eps=True)},
-             "moments.eps: expected a finite number, got True"),
             ({"toggles": None}, "toggles: expected a Toggles, got None"),
         ],
-        ids=[
-            "eta_true", "eta_inf", "k_lookahead_true", "weight_decay_inf", "eps_true", "no_toggles",
-        ],
+        ids=["eta_true", "eta_inf", "k_lookahead_true", "weight_decay_inf", "no_toggles"],
     )
     def test_value_a_checkpoint_cannot_hold_rejected(self, overrides, message):
         # a checkpoint's config reader refuses each of these, so building refuses it too
         kwargs = {"eta": 1e-3, "t_max": 5, **overrides}
         with pytest.raises(ValueError) as excinfo:
             Optimizer.ranger21([scalar(1.0)], **kwargs)
+        assert str(excinfo.value) == message
+
+    # each part and problem checks its fields' kinds as it is built, as a reader
+    # of bench configs and checkpoints checks them
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: MomentConfig(eps=True), "eps: expected a finite number, got True"),
+            (lambda: Toggles(agc="no"), "agc: expected true or false, got 'no'"),
+            (lambda: ScheduleSpec(eta=1.0, t_max=10, t_warmup=True),
+             "t_warmup: expected an integer or null, got True"),
+            (lambda: ClipConfig(tau="1"), "tau: expected a finite number, got '1'"),
+            (lambda: BlobsMLPProblem(n=4, d=2, classes=2, hidden=(2.5,), batch_size=1),
+             "hidden[0]: expected an integer, got 2.5"),
+            (lambda: BlobsMLPProblem(n=4, d=2, classes=2, batch_size=True),
+             "batch_size: expected an integer, got True"),
+            (lambda: RosenbrockProblem(start=("a", 1.0)),
+             "start[0]: expected a finite number, got 'a'"),
+        ],
+        ids=["eps", "agc", "t_warmup", "tau", "hidden", "batch_size", "start"],
+    )
+    def test_part_or_problem_of_a_wrong_kind_rejected_when_built(self, make, message):
+        with pytest.raises(ValueError) as excinfo:
+            make()
         assert str(excinfo.value) == message
 
     def test_ranger21_takes_no_schedule_override(self):
@@ -921,6 +942,24 @@ class TestCheckpoint:
         (data,) = read
         raw = np.frombuffer(data, dtype=np.uint8)
         assert not any(np.may_share_memory(buf, raw) for buf in held)
+
+    def test_a_load_checks_each_config_leaf_once(self, monkeypatch):
+        blob = self.make_opt()[0].to_checkpoint()
+
+        def leaves(config):
+            for key, value in config.items():
+                yield from leaves(value) if isinstance(value, dict) else [key]
+
+        checked, seen = fields._value, []
+
+        def counting(kind, value, where, rules):
+            seen.append(where)
+            return checked(kind, value, where, rules)
+
+        monkeypatch.setattr(fields, "_value", counting)
+        Optimizer.from_checkpoint(blob)
+        params = [f"params[{i}].{key}" for i in range(2) for key in ("name", "shape")]
+        assert sorted(seen) == sorted([*leaves(blob["config"]), *params, "t"])
 
     def test_v1_blob_rejected(self):
         blob = json.loads((FIXTURES / "checkpoint_v2.json").read_text())

@@ -4,7 +4,8 @@ package imports only the modules listed here, ``engine.py`` none of those the
 checkpoint format uses, the component modules none of the modules that build
 on them, it reads every private helper it defines, the package or the
 benchmark reads every public function and class it defines, and no generated
-``==`` compares an array."""
+``==`` compares an array, and no dataclass ``__post_init__`` states a range
+its fields' bounds should."""
 
 import ast
 import dataclasses
@@ -272,3 +273,43 @@ def test_package_imports_sees_every_import_form():
     tree = ast.parse("from . import engine\nfrom .tensor import ParamTensor\nimport optlab.cli\n"
                      "from optlab import problems\nfrom optlab.moments import SpanRuns\n")
     assert package_imports(tree) == {"engine", "tensor", "cli", "problems", "moments"}
+
+
+def is_dataclass_decorator(node: ast.expr) -> bool:
+    """``@dataclass``, ``@dataclass(...)`` or ``@dataclasses.dataclass(...)``."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return getattr(node, "id", getattr(node, "attr", None)) == "dataclass"
+
+
+def is_field(node: ast.expr) -> bool:
+    return isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "self"
+
+
+def is_number(node: ast.expr) -> bool:
+    node = node.operand if isinstance(node, ast.UnaryOp) else node
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float)
+
+
+def stated_ranges(tree: ast.Module):
+    """Each comparison in a dataclass ``__post_init__`` between a field,
+    ``self.<name>``, and a number: a range that belongs on the field, as its
+    bounds, where ``check_fields`` checks it. Comparisons of two fields stay."""
+    for cls in ast.walk(tree):
+        if not (isinstance(cls, ast.ClassDef)
+                and any(map(is_dataclass_decorator, cls.decorator_list))):
+            continue
+        for method in cls.body:
+            if isinstance(method, ast.FunctionDef) and method.name == "__post_init__":
+                for node in ast.walk(method):
+                    operands = [node.left, *node.comparators] if isinstance(node, ast.Compare) else []
+                    if any(map(is_field, operands)) and any(map(is_number, operands)):
+                        yield f"{cls.name}:{node.lineno}"
+
+
+def test_no_range_is_stated_in_a_post_init():
+    found = [
+        f"{path.name}:{where}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for where in stated_ranges(ast.parse(path.read_text()))
+    ]
+    assert not found, f"ranges stated in __post_init__, not on their fields: {found}"

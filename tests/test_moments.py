@@ -151,6 +151,13 @@ class TestAdamUpdate:
         assert v_hat[0] == pytest.approx(1.0, rel=1e-12)
         assert u[0] == pytest.approx(1.0 / (1.0 + 1e-8), rel=1e-15)
 
+    def test_eps_sits_outside_the_square_root(self):
+        # g = 2 at t = 1: m_hat = 2, v_hat = 4, so u = 2 / (sqrt(4) + eps), not
+        # 2 / sqrt(4 + eps); a large eps tells the two apart
+        u, v_hat, _ = adam_update(MomentState.zeros(1), np.array([2.0]), 1, MomentConfig(eps=0.5))
+        assert v_hat[0] == pytest.approx(4.0, rel=1e-12)
+        assert u[0] == pytest.approx(2.0 / (2.0 + 0.5), rel=1e-12)
+
     def test_v_max_untouched(self):
         state = MomentState.zeros(1)
         _, _, state = adam_update(state, scalar(2.0).values, 1, MomentConfig())

@@ -29,11 +29,17 @@ from oracles import (
 )
 
 
+# the data fields of a small blobs MLP problem
+BLOBS = {"data_seed": 5, "n": 40, "d": 6, "classes": 4, "separation": 3.0}
+
+
 def problem_on(x, y, n_classes, hidden=(), **kwargs):
     """A blobs MLP problem whose data is the inputs ``x`` and labels ``y``,
-    assigned before its first call; its blobs tuple only sets the widths."""
+    assigned before its first call; its data fields only set the widths."""
     x = np.asarray(x, dtype=np.float64)
-    problem = BlobsMLPProblem((0, n_classes, x.shape[1], n_classes, 0.0), hidden, 1, **kwargs)
+    problem = BlobsMLPProblem(
+        n=n_classes, d=x.shape[1], classes=n_classes, hidden=hidden, batch_size=1, **kwargs
+    )
     problem.data = (x, np.asarray(y))
     return problem
 
@@ -97,7 +103,7 @@ class TestQuadratic:
         np.testing.assert_array_equal(grad, [1.0, 1e4])
 
     def test_non_positive_spectrum_rejected(self):
-        with pytest.raises(ValueError, match="^spectrum must be positive$"):
+        with pytest.raises(ValueError, match=r"^spectrum\[0\]: must be > 0.0, got 0.0$"):
             QuadraticProblem((0.0,), (1.0,))
 
     @pytest.mark.parametrize("n", [1, 3, 10])
@@ -114,13 +120,13 @@ class TestQuadratic:
 
     def test_spectrum_is_checked_once(self, monkeypatch):
         calls = []
-        checked = problems._checked_spectrum
+        checked = problems.check_fields
 
-        def counting(spectrum):
-            calls.append(spectrum)
-            return checked(spectrum)
+        def counting(problem):
+            calls.append(problem.spectrum)
+            return checked(problem)
 
-        monkeypatch.setattr(problems, "_checked_spectrum", counting)
+        monkeypatch.setattr(problems, "check_fields", counting)
         problem = QuadraticProblem((1.0, 4.0, 9.0), (1.0, -1.0, 0.5))
         params = problem.init_params(philox(0))
         for _ in range(3):
@@ -278,8 +284,8 @@ class TestMLP:
     @pytest.mark.parametrize("hidden", [(5,), ()], ids=["blobs_mlp", "blobs_linear"])
     def test_unknown_activation_rejected(self, hidden):
         with pytest.raises(ValueError) as excinfo:
-            BlobsMLPProblem((0, 4, 6, 4, 1.0), hidden, 1, activation="bogus")
-        assert str(excinfo.value) == "unknown activation 'bogus'"
+            BlobsMLPProblem(n=4, d=6, classes=4, hidden=hidden, batch_size=1, activation="bogus")
+        assert str(excinfo.value) == "activation: expected one of ['relu', 'tanh'], got 'bogus'"
 
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
     def test_output_derivative_matches_pre_activation_oracle(self, activation):
@@ -306,7 +312,7 @@ class TestMLP:
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
     def test_problem_evaluate_gives_the_bits_of_mlp_eval(self, activation, hidden, batched):
         problem = BlobsMLPProblem(
-            blobs=(5, 40, 6, 4, 3.0), hidden=hidden, batch_size=9, activation=activation
+            **BLOBS, hidden=hidden, batch_size=9, activation=activation
         )
         params = problem.init_params(philox(0))
         batch = problem.sample_batch(philox(1)) if batched else np.arange(40)
@@ -363,7 +369,7 @@ class TestMLP:
 
     @pytest.mark.parametrize("batched", [True, False], ids=["batch", "full"])
     def test_evaluate_wraps_its_gradients_without_a_copy(self, monkeypatch, batched):
-        problem = BlobsMLPProblem(blobs=(5, 40, 6, 4, 3.0), hidden=(5, 5), batch_size=9)
+        problem = BlobsMLPProblem(**BLOBS, hidden=(5, 5), batch_size=9)
         params = problem.init_params(philox(0))
         batch = problem.sample_batch(philox(1)) if batched else None
         held = [p.values for p in params] + list(problem.data)  # drawn before counting
@@ -386,14 +392,14 @@ class TestMLP:
             assert not any(np.shares_memory(g.values, other) for other in others), g.name
 
     def test_gradients_are_a_tuple(self):
-        problem = BlobsMLPProblem(blobs=(5, 40, 6, 4, 3.0), hidden=(5,), batch_size=9)
+        problem = BlobsMLPProblem(**BLOBS, hidden=(5,), batch_size=9)
         _, grads = problem.evaluate(problem.init_params(philox(0)))
         assert type(grads) is tuple
         with pytest.raises(AttributeError):
             grads.pop()
 
     def test_gradients_and_params_are_views_of_unfrozen_buffers(self):
-        problem = BlobsMLPProblem(blobs=(5, 40, 6, 4, 3.0), hidden=(5, 5), batch_size=9)
+        problem = BlobsMLPProblem(**BLOBS, hidden=(5, 5), batch_size=9)
         params = problem.init_params(philox(0))
         _, grads = problem.evaluate(params, problem.sample_batch(philox(1)))
         flat = grads[0].values.base
@@ -477,7 +483,9 @@ class TestMakeBlobs:
     def test_large_separation_is_linearly_separable(self):
         # a linear softmax model fit with the plain preset reaches 100%
         # train accuracy
-        problem = BlobsMLPProblem(blobs=(3, 400, 8, 4, 10.0), hidden=(), batch_size=400)
+        problem = BlobsMLPProblem(
+            data_seed=3, n=400, d=8, classes=4, separation=10.0, hidden=(), batch_size=400
+        )
         params = problem.init_params(philox(0))
         opt = Optimizer.adamw(params, eta=5e-2, weight_decay=0.0)
         for _ in range(300):
@@ -508,40 +516,49 @@ class TestBenchmarkProblems:
         assert loss == pytest.approx(5.5)
 
     def test_blobs_problem_batches_are_deterministic(self):
-        problem = BlobsMLPProblem(blobs=(5, 50, 4, 2, 3.0), hidden=(8,), batch_size=16)
+        problem = BlobsMLPProblem(
+            data_seed=5, n=50, d=4, classes=2, separation=3.0, hidden=(8,), batch_size=16
+        )
         b1 = problem.sample_batch(philox((1, 2)))
         b2 = problem.sample_batch(philox((1, 2)))
         np.testing.assert_array_equal(b1, b2)
 
     def test_blobs_problem_draws_its_data_on_first_evaluate(self):
-        problem = BlobsMLPProblem(blobs=(5, 50, 4, 2, 3.0), hidden=(8,), batch_size=16)
+        problem = BlobsMLPProblem(
+            data_seed=5, n=50, d=4, classes=2, separation=3.0, hidden=(8,), batch_size=16
+        )
         params = problem.init_params(philox(0))
         batch = problem.sample_batch(philox(1))
         assert "data" not in vars(problem)
         problem.evaluate(params, batch)
-        inputs, labels = make_blobs(*problem.blobs)
+        inputs, labels = make_blobs(5, 50, 4, 2, 3.0)
         assert problem.data[0].tobytes() == inputs.tobytes()
         assert problem.data[1].tobytes() == labels.tobytes()
 
     def test_blobs_problem_rejects_what_make_blobs_rejects(self):
-        with pytest.raises(ValueError) as drawn:
+        with pytest.raises(ValueError, match=r"^need n >= n_classes >= 2, got n=1, n_classes=2$"):
             make_blobs(0, 1, 3, 2, 1.0)
-        with pytest.raises(ValueError) as built:
-            BlobsMLPProblem(blobs=(0, 1, 3, 2, 1.0), hidden=(4,), batch_size=1)
-        assert str(built.value) == str(drawn.value)
+        with pytest.raises(ValueError, match=r"^n: must be >= classes = 2, got 1$"):
+            BlobsMLPProblem(n=1, d=3, classes=2, hidden=(4,), batch_size=1)
 
     @pytest.mark.parametrize("alpha", [1.5, 1.0, -0.1, math.nan])
     def test_blobs_problem_rejects_what_smoothed_targets_rejects(self, alpha):
         with pytest.raises(ValueError) as smoothed:
             smoothed_targets(np.array([0]), 4, alpha)
         with pytest.raises(ValueError) as built:
-            BlobsMLPProblem((0, 40, 6, 4, 1.0), (5,), 9, alpha=alpha)
-        assert str(built.value) == str(smoothed.value) == f"alpha must be in [0, 1), got {alpha}"
+            BlobsMLPProblem(n=40, d=6, classes=4, hidden=(5,), batch_size=9, alpha=alpha)
+        assert str(smoothed.value) == f"alpha must be in [0, 1), got {alpha}"
+        rule = (
+            "expected a finite number" if math.isnan(alpha)
+            else "must be >= 0.0" if alpha < 0 else "must be < 1.0"
+        )
+        assert str(built.value) == f"alpha: {rule}, got {alpha}"
 
     @pytest.mark.parametrize(
         "spectrum, message",
-        [((-1.0,), "spectrum must be positive"), ((), "spectrum must be non-empty"),
-         ((1.0, math.nan), "spectrum must be positive")],
+        [((-1.0,), "spectrum[0]: must be > 0.0, got -1.0"),
+         ((), "spectrum: expected a non-empty list"),
+         ((1.0, math.nan), "spectrum[1]: expected a finite number, got nan")],
     )
     def test_quadratic_problem_rejects_a_bad_spectrum(self, spectrum, message):
         with pytest.raises(ValueError) as built:
@@ -549,29 +566,32 @@ class TestBenchmarkProblems:
         assert str(built.value) == message
 
     def test_rosenbrock_problem_rejects_a_start_of_other_length(self):
-        with pytest.raises(ValueError, match=r"^start must hold 2 numbers, got 3$"):
+        with pytest.raises(ValueError, match=r"^start: expected 2 entries, got 3$"):
             RosenbrockProblem((1.0, 2.0, 3.0))
 
     @pytest.mark.parametrize(
-        "make, start",
+        "make, entry",
         [
-            (lambda: RosenbrockProblem((math.nan, 1.0)), (math.nan, 1.0)),
-            (lambda: RosenbrockProblem((1.0, -math.inf)), (1.0, -math.inf)),
-            (lambda: QuadraticProblem((1.0,), (math.inf,)), (math.inf,)),
-            (lambda: QuadraticProblem((1.0, 2.0), (0.5, math.nan)), (0.5, math.nan)),
+            (lambda: RosenbrockProblem((math.nan, 1.0)), "[0]: expected a finite number, got nan"),
+            (lambda: RosenbrockProblem((1.0, -math.inf)),
+             "[1]: expected a finite number, got -inf"),
+            (lambda: QuadraticProblem((1.0,), (math.inf,)),
+             "[0]: expected a finite number, got inf"),
+            (lambda: QuadraticProblem((1.0, 2.0), (0.5, math.nan)),
+             "[1]: expected a finite number, got nan"),
         ],
         ids=["rosenbrock_nan", "rosenbrock_minus_inf", "quadratic_inf", "quadratic_nan"],
     )
-    def test_non_finite_start_rejected_when_built(self, make, start):
+    def test_non_finite_start_rejected_when_built(self, make, entry):
         with pytest.raises(ValueError) as built:
             make()
-        assert str(built.value) == f"start must be finite, got {start}"
+        assert str(built.value) == f"start{entry}"
 
     @pytest.mark.parametrize("separation", [math.nan, math.inf, -math.inf])
     def test_blobs_problem_rejects_a_non_finite_separation(self, separation):
         with pytest.raises(ValueError) as built:
-            BlobsMLPProblem((0, 4, 2, 2, separation), (3,), 1)
-        assert str(built.value) == f"separation must be finite, got {separation}"
+            BlobsMLPProblem(n=4, d=2, classes=2, separation=separation, hidden=(3,), batch_size=1)
+        assert str(built.value) == f"separation: expected a finite number, got {separation}"
 
     @pytest.mark.parametrize("d, hidden", [(0, (4,)), (3, (4, 0))])
     def test_blobs_problem_rejects_what_mlp_init_rejects(self, d, hidden):
@@ -579,9 +599,10 @@ class TestBenchmarkProblems:
         with pytest.raises(ValueError) as initialised:
             mlp_init(widths, philox(0))
         with pytest.raises(ValueError) as built:
-            BlobsMLPProblem((0, 4, d, 2, 1.0), hidden, 1)
-        message = f"every width must be >= 1, got {widths}"
-        assert str(built.value) == str(initialised.value) == message
+            BlobsMLPProblem(n=4, d=d, classes=2, hidden=hidden, batch_size=1)
+        assert str(initialised.value) == f"every width must be >= 1, got {widths}"
+        field = "d" if d == 0 else "hidden[1]"
+        assert str(built.value) == f"{field}: must be >= 1, got 0"
 
     @pytest.mark.parametrize(
         "cls, name",
@@ -596,7 +617,7 @@ class TestBenchmarkProblems:
         peaks = []
         for layers in (4, 15):
             problem = BlobsMLPProblem(
-                blobs=(0, 2000, 20, 4, 8.0), hidden=(16,) * layers, batch_size=1
+                n=2000, d=20, classes=4, separation=8.0, hidden=(16,) * layers, batch_size=1
             )
             params = problem.init_params(philox(0))
             problem.metrics(params)  # draws the data
@@ -611,12 +632,11 @@ class TestBenchmarkProblems:
 
     @pytest.mark.parametrize("depth", [0, 1, 15])
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
-    @pytest.mark.parametrize(
-        "blobs", [(0, 2000, 20, 4, 10.0), (0, 2000, 20, 4, 8.0)], ids=["blobs_mlp", "deep_mlp"]
-    )
-    def test_metrics_loss_has_the_bits_of_label_smoothed_ce(self, blobs, activation, depth):
+    @pytest.mark.parametrize("separation", [10.0, 8.0], ids=["blobs_mlp", "deep_mlp"])
+    def test_metrics_loss_has_the_bits_of_label_smoothed_ce(self, separation, activation, depth):
         problem = BlobsMLPProblem(
-            blobs=blobs, hidden=(16,) * depth, batch_size=128, activation=activation
+            n=2000, d=20, classes=4, separation=separation, hidden=(16,) * depth,
+            batch_size=128, activation=activation,
         )
         params = problem.init_params(philox(3))
         loss, accuracy = problem.metrics(params)
@@ -636,7 +656,7 @@ class TestBenchmarkProblems:
                 return _raw(*args, **kwargs)
 
             monkeypatch.setattr(problems, name, counting)
-        problem = BlobsMLPProblem(blobs=(5, 40, 6, 4, 3.0), hidden=(5, 5), batch_size=9)
+        problem = BlobsMLPProblem(**BLOBS, hidden=(5, 5), batch_size=9)
         params = problem.init_params(philox(0))
         rng = philox(1)
         for i in range(10):
@@ -659,7 +679,7 @@ class TestBenchmarkProblems:
         ids=["w0", "w1", "w2", "count"],
     )
     def test_params_of_other_shapes_rejected(self, call, widths, keep, message):
-        problem = BlobsMLPProblem(blobs=(5, 40, 6, 4, 3.0), hidden=(5, 5), batch_size=9)
+        problem = BlobsMLPProblem(**BLOBS, hidden=(5, 5), batch_size=9)
         params = mlp_init(widths, philox(0))[:keep]
         with pytest.raises(ValueError) as excinfo:
             getattr(problem, call)(params)
@@ -671,10 +691,11 @@ class TestBenchmarkProblems:
             lambda: RosenbrockProblem(start=(0.3, -0.7)),
             lambda: QuadraticProblem(spectrum=(1.0, 25.0, 100.0), start=(1.0, -1.0, 0.5)),
             lambda: BlobsMLPProblem(
-                blobs=(8, 12, 3, 2, 2.0), hidden=(4,), batch_size=12
+                data_seed=8, n=12, d=3, classes=2, separation=2.0, hidden=(4,), batch_size=12
             ),
             lambda: BlobsMLPProblem(
-                blobs=(8, 12, 3, 2, 2.0), hidden=(4,), batch_size=12, activation="relu"
+                data_seed=8, n=12, d=3, classes=2, separation=2.0, hidden=(4,), batch_size=12,
+                activation="relu",
             ),
         ],
         ids=["rosenbrock", "quadratic", "blobs_mlp", "blobs_mlp_relu"],

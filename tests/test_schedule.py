@@ -47,7 +47,8 @@ class TestSpec:
     def test_phase_length_error_text(self, name, length):
         with pytest.raises(ValueError) as excinfo:
             ScheduleSpec(eta=1.0, t_max=10, **{name: length})
-        assert str(excinfo.value) == f"{name} must be in [1, t_max], got {length} (t_max=10)"
+        rule = {0: "must be >= 1", 11: "must be <= t_max = 10"}[length]
+        assert str(excinfo.value) == f"{name}: {rule}, got {length}"
 
     @pytest.mark.parametrize(
         "t_max, t_warmup, t_warmdown",
@@ -118,6 +119,14 @@ class TestReferenceCurve:
         t_star = min(math.ceil(2.0 / (1.0 - BETA2)), REF.t_warmup)
         assert (REF.t_max - t_star) / REF.t_warmdown >= 1.0
         assert lr_factor(t_star, REF, BETA2) == 1.0
+
+    def test_warmup_ends_at_22_percent_of_t_max(self):
+        # the fidelity ledger's warm-up row: at t_max = 5000 the ramp reaches 1 at
+        # t_warmup = 1100, before the 2 / (1 - beta2) = 2000 steps of the beta2 slope
+        spec = ScheduleSpec(eta=1.0, t_max=5000)
+        assert spec.t_warmup == 1100
+        assert lr_factor(1099, spec, BETA2) < 1.0
+        assert lr_factor(1100, spec, BETA2) == 1.0
 
 
 class TestPhaseToggles:
