@@ -371,22 +371,22 @@ class Optimizer:
 
     # -- checkpointing: the format is the ``checkpoint`` module's --------------
 
-    def to_checkpoint(self) -> dict:
-        """The full state as a JSON-ready v3 dict, which round-trips bit-exactly."""
+    def to_checkpoint(self) -> bytes:
+        """The full state as the bytes ``save`` writes, which round-trip bit-exactly."""
         return checkpoint.to_checkpoint(self)
 
     @classmethod
-    def from_checkpoint(cls, blob) -> "Optimizer":
-        """The optimizer a v3 or v2 dict describes; ValueError names the field at fault."""
-        return checkpoint.from_checkpoint(cls, blob)
+    def from_checkpoint(cls, data: bytes) -> "Optimizer":
+        """The optimizer checkpoint bytes hold; ValueError names the field at fault."""
+        return checkpoint.from_checkpoint(cls, data)
 
     def save(self, path) -> None:
-        """Write the state to ``path`` as a v4 file; a failed save keeps the old file."""
+        """Write the state to ``path`` as a checkpoint; a failed save keeps the old file."""
         checkpoint.save(self, path)
 
     @classmethod
     def load(cls, path) -> "Optimizer":
-        """The optimizer a ``save`` wrote to ``path``, or a v2 or v3 file holds."""
+        """The optimizer a ``save`` wrote to ``path``."""
         return checkpoint.load(cls, path)
 
     def _buffers(self) -> tuple[np.ndarray, ...]:

@@ -24,7 +24,7 @@ from typing import Callable, ClassVar, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .fields import FieldError, bounded, check_fields
+from .fields import FieldError, bounded, check_fields, checked_value
 from .tensor import ParamTensor, _raise_nonfinite
 
 
@@ -62,12 +62,11 @@ def rosenbrock(x) -> tuple[float, np.ndarray]:
 def smoothed_targets(labels, n_classes: int, alpha: float) -> np.ndarray:
     """(1 - alpha) * onehot + alpha * uniform, one row per label; the true
     class gets 1 - alpha + alpha/C. The labels must be a 1-D array of an
-    integer dtype (not bool), each in [0, n_classes), with n_classes >= 2;
-    anything else raises ``ValueError``. No labels give no rows."""
-    if n_classes < 2:
-        raise ValueError(f"need at least 2 classes, got {n_classes}")
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"alpha must be in [0, 1), got {alpha}")
+    integer dtype (not bool), each in [0, n_classes), with n_classes >= 2 and
+    alpha in [0, 1); anything else raises ``ValueError``, a ``FieldError`` for
+    ``classes`` or ``alpha``. No labels give no rows."""
+    checked_value("int", n_classes, "classes", ge=2)
+    checked_value("float", alpha, "alpha", ge=0.0, lt=1.0)
     labels = np.asarray(labels)
     if (
         labels.ndim != 1
@@ -116,11 +115,10 @@ ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
 
 
 def mlp_init(widths: Sequence[int], rng: np.random.Generator) -> list[ParamTensor]:
-    """Affine-layer parameters for the width chain; weights are [out, in]."""
-    if len(widths) < 2:
-        raise ValueError("need at least input and output widths")
-    if min(widths) < 1:
-        raise ValueError(f"every width must be >= 1, got {tuple(widths)}")
+    """Affine-layer parameters for the width chain, at least the input and output
+    widths, each >= 1; weights are [out, in]."""
+    if len(checked_value("tuple[int, ...]", widths, "widths", ge=1)) < 2:
+        raise FieldError("widths", f"expected at least 2 entries, got {len(widths)}")
     params = []
     for layer, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
         bound = 1.0 / math.sqrt(fan_in)
@@ -212,9 +210,9 @@ def make_blobs(
     """Float64 inputs [n, d] in Gaussian class clusters (unit noise) at
     `separation` times random unit directions, and their int64 labels [n].
     Balanced labels (counts differ by at most 1); a pure function of its
-    arguments."""
-    if not n >= n_classes >= 2:
-        raise ValueError(f"need n >= n_classes >= 2, got n={n}, n_classes={n_classes}")
+    arguments, which must meet ``BlobsMLPProblem``'s rules for ``n`` and ``classes``."""
+    if checked_value("int", n, "n") < checked_value("int", n_classes, "classes", ge=2):
+        raise FieldError("n", f"must be >= classes = {n_classes}, got {n}")
     rng = philox(seed)
     directions = rng.standard_normal((n_classes, d))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)

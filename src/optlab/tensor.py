@@ -54,8 +54,8 @@ class ParamTensor:
     def _adopt(cls, name: str, shape: tuple[int, ...], values: np.ndarray) -> "ParamTensor":
         """Wrap ``values``, a flat float64 array of ``shape``'s size that nothing
         else writes and the caller has checked, without a copy; ``values``
-        becomes read-only. For one tensor, as a checkpoint load decodes them,
-        it costs less than ``_views``."""
+        becomes read-only. A checkpoint load builds each param this way over
+        zero-stride placeholder zeros, then fills the new state's θ whole."""
         values.flags.writeable = False
         tensor = cls.__new__(cls)
         tensor.name, tensor.shape, tensor.values = name, shape, values

@@ -6,11 +6,13 @@ unit norms and means of one tensor's dim-0 slices; a whole-tensor clip; a centra
 MLP activations' derivatives in the pre-activation; a label-smoothed
 cross-entropy and a reference MLP, forward and backward, that differentiates
 through those derivatives; the decay's per-slice loop; the default schedule
-phase lengths in exact rationals; and a reader of checkpoint format v4. They
-use numpy at most and deliberately import nothing from the package.
+phase lengths in exact rationals; and a reader of checkpoint format v4, with
+the dict it reads written straight from an optimizer's state. They use numpy
+at most and deliberately import nothing from the package.
 """
 
 import base64
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -301,4 +303,29 @@ def v4_as_v3(data: bytes) -> dict:
             for name, slots in doc["moments"].items()
         },
         "slow": {name: buffer(offset, name) for name, offset in doc["slow"].items()},
+    }
+
+
+def state_as_v3(opt) -> dict:
+    """The v3 checkpoint dict of ``opt``'s state, read from the optimizer itself:
+    each param's values and each tensor's slices of the moment slots and slow
+    weights, as base64 of their '<f8' bytes, the form ``v4_as_v3`` returns."""
+    def encoded(values):
+        return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+    state, slots = opt.state, ("m_prev", "m_prev2", "v", "v_max")
+    return {
+        "checkpoint_version": 3,
+        "preset": opt.preset,
+        "config": dataclasses.asdict(opt.config),
+        "t": opt.t,
+        "params": [
+            {"name": p.name, "shape": list(p.shape), "values": encoded(p.values)}
+            for p in opt.params
+        ],
+        "moments": {
+            name: {slot: encoded(getattr(state.flat_moments, slot)[lo:hi]) for slot in slots}
+            for name, (lo, hi) in state.bounds.items()
+        },
+        "slow": {name: encoded(state.flat_slow[lo:hi]) for name, (lo, hi) in state.bounds.items()},
     }

@@ -1,21 +1,21 @@
 """Fuzz the readers of JSON input: whole bench configs (a rosenbrock, a
-quadratic and a blobs_mlp base) and checkpoints (format v2, buffers as number
-lists, and v3, buffers as base64 strings). A mutated blob must either be
-rejected with a ConfigError or ValueError whose message starts with the path
-of a field, or parse to a config whose numbers are all finite; never a
+quadratic and a blobs_mlp base) and checkpoints (the v4 fixture with its
+document line mutated, or 8 bytes of its raw section overwritten). A mutated
+input must either be rejected with a ConfigError or ValueError whose message
+starts with the path of a field, or parse to a config whose numbers are all
+finite (and, for a checkpoint, a state whose values are all finite); never a
 TypeError, KeyError or AttributeError.
 
-The checkpoint writer is checked against ``json.dumps`` and the format's
-definition: for any param names, shapes and step count, the file
-``Optimizer.save`` writes is the v4 file of ``opt.to_checkpoint()`` (its first
-line ``json.dumps`` of the document, each buffer's bytes at its offset), loads
-back to the same checkpoint, and saves again to the same bytes.
+The checkpoint writer is checked against the format's definition: for any
+param names, shapes and step count, the file ``Optimizer.save`` writes is
+``opt.to_checkpoint()``, whose first line is ``json.dumps`` of the document and
+which holds each buffer's bytes at its offset; it loads back to the same
+bytes, and saves again to the same bytes.
 
 Parsing a ``blobs_mlp`` config allocates nothing in proportion to its sizes
 ``n``, ``d`` and ``hidden`` (the data is drawn on first use), so any size
 the fuzzer picks is safe to parse."""
 
-import base64
 import copy
 import dataclasses
 import json
@@ -31,11 +31,11 @@ from hypothesis import strategies as st
 from optlab import Optimizer, ParamTensor, Toggles
 from optlab.benchmark import ConfigError, parse_config
 
-from oracles import v4_as_v3
+from oracles import state_as_v3, v4_as_v3
 
 FIXTURES = Path(__file__).parent / "fixtures"
-CHECKPOINT = json.loads((FIXTURES / "checkpoint_v2.json").read_text())
-CHECKPOINT_V3 = json.loads((FIXTURES / "checkpoint_v3.json").read_text())
+CHECKPOINT = (FIXTURES / "checkpoint_v4.ckpt").read_bytes()
+CHECKPOINT_LINE, CHECKPOINT_SECTION = CHECKPOINT.split(b"\n", 1)
 
 ADAMW = {
     "preset": "adamw", "label": "a", "eta": 3e-3, "weight_decay": 1e-4,
@@ -77,8 +77,6 @@ values = st.one_of(
     st.integers(),
     st.floats(),
     st.text(max_size=3),
-    # checkpoint v3 buffers: valid base64 of any length, NaN and Inf bytes included
-    st.binary(max_size=24).map(lambda raw: base64.b64encode(raw).decode("ascii")),
     st.lists(st.floats(), max_size=3),
     st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
 )
@@ -167,26 +165,35 @@ def test_mutated_bench_config(base, data):
     assert_finite_numbers(config)
 
 
-def check_loads_or_names_field(blob):
-    # binascii.Error is a ValueError, so a bad base64 buffer must name its field too
+def check_loads_or_names_field(data):
     try:
-        opt = Optimizer.from_checkpoint(blob)
+        opt = Optimizer.from_checkpoint(data)
     except ValueError as exc:
         assert_names_field(str(exc))
         return
     assert_finite_numbers(opt.config)
+    state = opt.state
+    for buf in (state.flat_theta, state.flat_slow, *dataclasses.astuple(state.flat_moments)):
+        assert np.isfinite(buf).all()
 
 
 @settings(max_examples=300, deadline=None)
-@given(blob=mutations(CHECKPOINT))
-def test_mutated_checkpoint(blob):
-    check_loads_or_names_field(blob)
+@given(doc=mutations(json.loads(CHECKPOINT_LINE)))
+def test_mutated_checkpoint_document(doc):
+    check_loads_or_names_field(json.dumps(doc).encode("ascii") + b"\n" + CHECKPOINT_SECTION)
 
 
 @settings(max_examples=300, deadline=None)
-@given(blob=mutations(CHECKPOINT_V3))
-def test_mutated_v3_checkpoint(blob):
-    check_loads_or_names_field(blob)
+@given(
+    value=st.integers(0, len(CHECKPOINT_SECTION) // 8 - 1),
+    raw=st.sampled_from([math.nan, math.inf, -math.inf]).map(
+        lambda x: np.array([x], dtype="<f8").tobytes()
+    ) | st.binary(min_size=8, max_size=8),
+)
+def test_overwritten_checkpoint_section(value, raw):
+    section = bytearray(CHECKPOINT_SECTION)
+    section[8 * value : 8 * value + 8] = raw
+    check_loads_or_names_field(CHECKPOINT_LINE + b"\n" + section)
 
 
 # any name a param may have: non-ASCII, quotes, backslashes, control
@@ -218,13 +225,14 @@ def stepped_optimizers(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(opt=stepped_optimizers())
-def test_saved_bytes_are_json_dumps_of_the_checkpoint(opt, tmp_path_factory):
+def test_saved_bytes_are_the_checkpoint(opt, tmp_path_factory):
     path = tmp_path_factory.getbasetemp() / "checkpoint.ckpt"
     again = tmp_path_factory.getbasetemp() / "again.ckpt"
     opt.save(path)
-    blob = opt.to_checkpoint()
-    assert v4_as_v3(path.read_bytes()) == blob
+    data = opt.to_checkpoint()
+    assert path.read_bytes() == data
+    assert v4_as_v3(data) == state_as_v3(opt)
     loaded = Optimizer.load(path)
-    assert loaded.to_checkpoint() == blob
+    assert loaded.to_checkpoint() == data
     loaded.save(again)
-    assert again.read_bytes() == path.read_bytes()
+    assert again.read_bytes() == data

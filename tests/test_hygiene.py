@@ -212,7 +212,7 @@ def test_array_fields_are_left_out_of_generated_eq():
 # The modules the package imports: the standard library's and numpy. Every process
 # that imports the package pays for them, so a new one is an edit to this list
 PACKAGE_IMPORTS = {
-    "__future__", "argparse", "base64", "dataclasses", "functools", "itertools",
+    "__future__", "argparse", "dataclasses", "functools", "itertools",
     "json", "math", "operator", "os", "pathlib", "sys", "typing", "numpy",
 }
 

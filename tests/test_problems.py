@@ -535,11 +535,17 @@ class TestBenchmarkProblems:
         assert problem.data[0].tobytes() == inputs.tobytes()
         assert problem.data[1].tobytes() == labels.tobytes()
 
-    def test_blobs_problem_rejects_what_make_blobs_rejects(self):
-        with pytest.raises(ValueError, match=r"^need n >= n_classes >= 2, got n=1, n_classes=2$"):
-            make_blobs(0, 1, 3, 2, 1.0)
-        with pytest.raises(ValueError, match=r"^n: must be >= classes = 2, got 1$"):
-            BlobsMLPProblem(n=1, d=3, classes=2, hidden=(4,), batch_size=1)
+    @pytest.mark.parametrize(
+        "n, classes, message",
+        [(1, 2, "n: must be >= classes = 2, got 1"), (4, 1, "classes: must be >= 2, got 1")],
+        ids=["n_below_classes", "one_class"],
+    )
+    def test_blobs_problem_rejects_what_make_blobs_rejects(self, n, classes, message):
+        with pytest.raises(ValueError) as drawn:
+            make_blobs(0, n, 3, classes, 1.0)
+        with pytest.raises(ValueError) as built:
+            BlobsMLPProblem(n=n, d=3, classes=classes, hidden=(4,), batch_size=1)
+        assert str(drawn.value) == str(built.value) == message
 
     @pytest.mark.parametrize("alpha", [1.5, 1.0, -0.1, math.nan])
     def test_blobs_problem_rejects_what_smoothed_targets_rejects(self, alpha):
@@ -547,12 +553,11 @@ class TestBenchmarkProblems:
             smoothed_targets(np.array([0]), 4, alpha)
         with pytest.raises(ValueError) as built:
             BlobsMLPProblem(n=40, d=6, classes=4, hidden=(5,), batch_size=9, alpha=alpha)
-        assert str(smoothed.value) == f"alpha must be in [0, 1), got {alpha}"
         rule = (
             "expected a finite number" if math.isnan(alpha)
             else "must be >= 0.0" if alpha < 0 else "must be < 1.0"
         )
-        assert str(built.value) == f"alpha: {rule}, got {alpha}"
+        assert str(smoothed.value) == str(built.value) == f"alpha: {rule}, got {alpha}"
 
     @pytest.mark.parametrize(
         "spectrum, message",
@@ -600,8 +605,9 @@ class TestBenchmarkProblems:
             mlp_init(widths, philox(0))
         with pytest.raises(ValueError) as built:
             BlobsMLPProblem(n=4, d=d, classes=2, hidden=hidden, batch_size=1)
-        assert str(initialised.value) == f"every width must be >= 1, got {widths}"
-        field = "d" if d == 0 else "hidden[1]"
+        # the same rule on the same entry: widths are (d, *hidden, classes)
+        at, field = (0, "d") if d == 0 else (2, "hidden[1]")
+        assert str(initialised.value) == f"widths[{at}]: must be >= 1, got 0"
         assert str(built.value) == f"{field}: must be >= 1, got 0"
 
     @pytest.mark.parametrize(
