@@ -995,6 +995,18 @@ class TestCheckpoint:
             (lambda blob: blob["params"][0].update(shape=[2, True]), "params[0].shape[1]"),
             # each entry is checked for type and range before the next
             (lambda blob: blob["params"][0].update(shape=[0, True]), "params[0].shape[0]"),
+            # the version is the int 4, not a number or string equal to it
+            (lambda blob: blob.update(checkpoint_version=4.0), "checkpoint_version"),
+            (lambda blob: blob.update(checkpoint_version=True), "checkpoint_version"),
+            (lambda blob: blob.update(checkpoint_version="4"), "checkpoint_version"),
+            (lambda blob: blob.pop("checkpoint_version"), "checkpoint_version"),
+            (lambda blob: blob.update(preset="sgd"), "preset"),
+            (lambda blob: blob.pop("preset"), "preset"),
+            (lambda blob: blob.update(params={"a": blob["params"][0]}), "params"),
+            (lambda blob: blob.update(slow=list(blob["slow"].values())), "slow"),
+            (lambda blob: blob["moments"].update(c=blob["moments"]["a"]), "moments"),
+            (lambda blob: blob["params"][1].update(name="a"), "params"),
+            (lambda blob: blob["params"][1].update(name=7), "params[1].name"),
         ],
         ids=[
             "missing_slow", "t_past_t_max", "negative_t",
@@ -1003,6 +1015,9 @@ class TestCheckpoint:
             "missing_toggle_key", "fractional_t", "string_t", "fractional_k_lookahead",
             "string_toggle", "infinite_eta", "infinite_weight_decay", "fractional_t_warmup",
             "version_3", "fractional_extent", "bool_extent", "zero_then_bool_extent",
+            "float_version", "bool_version", "string_version", "no_version_key",
+            "unknown_preset", "no_preset_key", "params_not_a_list", "slow_not_an_object",
+            "moments_of_another_tensor", "duplicate_param_names", "int_param_name",
         ],
     )
     def test_inconsistent_checkpoint_rejected(self, mutate, field):
@@ -1120,6 +1135,19 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="^checkpoint: not valid JSON: "):
             Optimizer.load(path)
 
+    @staticmethod
+    def nan_at(*path):
+        """A fault that makes the first value of the leaf at ``path`` NaN: the
+        leaf is the offset of its values in the section."""
+
+        def fault(doc, section):
+            *parents, key = path
+            for part in parents:
+                doc = doc[part]
+            section[doc[key] : doc[key] + 8] = np.array([math.nan]).tobytes()
+
+        return fault
+
     @pytest.mark.parametrize(
         "field,mutate",
         [
@@ -1142,6 +1170,16 @@ class TestCheckpoint:
                 m_prev=doc["moments"]["a"]["m_prev2"])),
             ("params", lambda doc, section: doc["params"][0].update(shape=[10**12])),
             ("params[0].shape", lambda doc, section: doc["params"][0].update(shape=[2**62])),
+            ("moments['a'].v", nan_at("moments", "a", "v")),
+            ("params[1].values", nan_at("params", 1, "values")),
+            ("slow['b']", lambda doc, section: section.__setitem__(
+                slice(doc["slow"]["b"] + 8, doc["slow"]["b"] + 16),
+                np.array([-math.inf]).tobytes())),
+            ("params[0].values", lambda doc, section: doc["params"][0].update(values=None)),
+            ("moments['a'].m_prev2", lambda doc, section: doc["moments"]["a"].update(
+                m_prev2=[doc["moments"]["a"]["m_prev2"]])),
+            ("params[1].values", lambda doc, section: doc["params"][1].pop("values")),
+            ("slow['a']", lambda doc, section: doc["slow"].update(a=2**70)),
         ],
         ids=[
             "bool_offset", "float_offset", "string_offset", "negative_offset",
@@ -1149,6 +1187,8 @@ class TestCheckpoint:
             "offset_moved_4_bytes",
             "offset_aliased_onto_another_tensor", "params_offset_in_the_slow_buffer",
             "offset_at_the_next_slot", "shape_past_the_section", "shape_past_any_array",
+            "nan_v", "nan_theta", "negative_infinite_slow", "null_offset", "list_offset",
+            "param_without_values", "offset_past_any_int",
         ],
     )
     def test_inconsistent_v4_file_rejected(self, tmp_path, field, mutate):
@@ -1253,18 +1293,27 @@ class TestCheckpoint:
                 opt.step(grads)
             yield spec, opt
 
-    @staticmethod
-    def nan_at(*path):
-        """A fault that makes the first value of the leaf at ``path`` NaN: the
-        leaf is the offset of its values in the section."""
+    def test_v4_load_reads_no_leaf_one_by_one(self, tmp_path, monkeypatch):
+        # all six buffers of a file ``save`` wrote, θ included, are checked for
+        # finiteness whole: the walk checks no tensor's slice on its own
+        checked = []
 
-        def fault(doc, section):
-            *parents, key = path
-            for part in parents:
-                doc = doc[part]
-            section[doc[key] : doc[key] + 8] = np.array([math.nan]).tobytes()
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
 
-        return fault
+            def isfinite(self, values):
+                checked.append(values.size)
+                return np.isfinite(values)
+
+        monkeypatch.setattr(checkpoint, "np", CountingNumpy())
+        for spec, opt in self.stepped(CONFIGS / "deep_mlp.json"):
+            path = tmp_path / f"{spec.label}.ckpt"
+            opt.save(path)
+            checked.clear()
+            assert Optimizer.load(path).to_checkpoint() == opt.to_checkpoint()
+            assert len(opt.params) == 32
+            assert checked == [opt.state.flat_theta.size] * 6
 
     # "w1" is registered third but sits after every bias in each buffer; "b14" is
     # registered 30th but sits in the rank-1 group that starts each buffer. A load
