@@ -1,14 +1,19 @@
 """The checkpoint format, v4: one line of JSON, the document, then a raw section
-of the six buffers of ``Optimizer._buffers()`` as '<f8' bytes: θ, the four moment
-slots and the slow weights. A tensor has six leaves, one per buffer; each is the
-byte offset in the section of the tensor's slice of that buffer. ``save`` writes
-these bytes, ``to_checkpoint`` returns them and ``from_checkpoint`` reads them.
-A load checks the version first, then the params' names and shapes, the
-section's length, the config, preset, ``t`` and keys, then each buffer whole and
-every leaf in one walk of ``_leaves`` in registration order, so a bad config is
-named before any tensor's bad leaf. The config is built once from its nested
-dicts: each part checks its own fields as it is built, so each leaf is checked
-once, and a fault is renamed to its path (``config.moments.eps``)."""
+of six '<f8' buffers of the state, in ``_buffers`` order: θ, the ``MOMENT_SLOTS``
+and the slow weights. Each of a tensor's six leaves is the byte offset in the
+section of its slice of one buffer. ``save`` writes these bytes, ``to_checkpoint``
+returns them and ``from_checkpoint`` reads them.
+
+Every object in the document is held by ``_held`` to exactly the keys ``save``
+writes: a fault names the object if it is not one, else its first missing key
+(``moments['a'].v: missing``), else the object and its first unexpected key
+(``params[0]: unexpected key 'dtype'``). A load checks, in order: the document's
+keys, its version, each param's keys, name and shape, the section's length (with
+no newline after the line, the section is empty), the config (each part held to
+its fields and built, a fault renamed to its path, ``config.moments.eps``), the
+preset, ``t``, the ``moments`` and ``slow`` keys, then each buffer whole and every
+leaf in one walk of ``_leaves`` in registration order, a moment entry's keys as
+the walk reaches its tensor. So a bad config is named before any tensor's bad leaf."""
 
 from __future__ import annotations
 
@@ -25,14 +30,24 @@ from .fields import built, checked_value, field_kinds
 from .tensor import ParamTensor
 
 CHECKPOINT_VERSION = 4
+# The keys of each ``moments[name]`` entry, each the name of its buffer in
+# ``state.flat_moments``, in section order: the section holds θ, these, the slow weights
+MOMENT_SLOTS = ("m_prev", "m_prev2", "v", "v_max")
+_DOCUMENT = ("checkpoint_version", "preset", "config", "t", "params", "moments", "slow")
+
+
+def _buffers(state) -> tuple[np.ndarray, ...]:
+    """``state``'s six flat buffers, in section order."""
+    moments = (getattr(state.flat_moments, slot) for slot in MOMENT_SLOTS)
+    return (state.flat_theta, *moments, state.flat_slow)
 
 
 def _leaves(doc: dict, i: int, name: str) -> list[tuple[dict, str, str]]:
-    """Tensor ``i``'s six leaves in ``doc``, in buffer order: (mapping, key, error field)."""
-    moments = _object(doc["moments"][name], f"moments[{name!r}]")
+    """Tensor ``i``'s six leaves in ``doc``, in section order: (mapping, key, error field)."""
+    moments = doc["moments"][name]
     return [
         (doc["params"][i], "values", f"params[{i}].values"),
-        *((moments, b, f"moments[{name!r}].{b}") for b in engine._MOMENT_BUFFERS),
+        *((moments, slot, f"moments[{name!r}].{slot}") for slot in MOMENT_SLOTS),
         (doc["slow"], name, f"slow[{name!r}]"),
     ]
 
@@ -54,7 +69,7 @@ def _parts(opt) -> list:
         for k, (mapping, key, _) in enumerate(_leaves(doc, i, name)):
             mapping[key] = _offset(k, n, lo)
     line = json.dumps(doc).encode("ascii") + b"\n"
-    return [line, *(np.ascontiguousarray(buf, dtype="<f8") for buf in opt._buffers())]
+    return [line, *(np.ascontiguousarray(buf, dtype="<f8") for buf in _buffers(opt.state))]
 
 
 def to_checkpoint(opt) -> bytes:
@@ -68,18 +83,15 @@ def from_checkpoint(cls, data: bytes):
     ``_fill`` fills the optimizer from the section."""
     if not isinstance(data, bytes):
         raise TypeError(f"a checkpoint is bytes, got {type(data).__name__}")
-    end = data.find(b"\n")
+    end = data.find(b"\n") if b"\n" in data else len(data)
     try:  # bad UTF-8, bad JSON, or an int past the digit limit
-        doc = json.loads(data[:end] if end >= 0 else data)
+        doc = json.loads(data[:end])
     except ValueError as exc:
         raise ValueError(f"checkpoint: not valid JSON: {exc}") from exc
-    version = _object(doc, "checkpoint").get("checkpoint_version")
+    _held(doc, _DOCUMENT, "checkpoint", str)
+    version = doc["checkpoint_version"]
     if type(version) is not int or version != CHECKPOINT_VERSION:
         raise ValueError(f"checkpoint_version: unsupported checkpoint version {version!r}")
-    if end < 0:
-        raise ValueError("checkpoint: not valid JSON: the document line has no newline")
-    for key in ("preset", "config", "t", "params", "moments", "slow"):
-        _field(doc, key, key)
     if not isinstance(doc["params"], list):
         raise ValueError(f"params: expected a list, got {type(doc['params']).__name__}")
     params = [_param(e, f"params[{i}]") for i, e in enumerate(doc["params"])]
@@ -95,10 +107,8 @@ def from_checkpoint(cls, data: bytes):
     t, t_max = checked_value("int", doc["t"], "t"), config.schedule.t_max
     if t < 0 or (config.toggles.warmdown and t > t_max):
         raise ValueError(f"t: must be >= 0, and <= t_max = {t_max} with warm-down on, got {t}")
-    names = list(opt.state.bounds)
     for key in ("moments", "slow"):
-        if not isinstance(doc[key], dict) or doc[key].keys() != set(names):
-            raise ValueError(f"{key}: expected an object keyed by the param names {names}")
+        _held(doc[key], opt.state.bounds, key, f"{key}[{{!r}}]".format)
     _fill(opt, doc, section)
     opt.state.t = t
     return opt
@@ -108,14 +118,15 @@ def _fill(opt, doc: dict, section: memoryview) -> None:
     """Fill ``opt``'s buffers whole from ``section``, each checked once, then walk
     the leaves: each must be the offset ``save`` writes, its slice checked if its
     buffer failed, so the first fault of the walk is named."""
-    bufs = opt._buffers()
+    bufs = _buffers(opt.state)
     n, finite = bufs[0].size, []
     for k, buf in enumerate(bufs):
         buf[:] = np.frombuffer(section, dtype="<f8", count=n, offset=_offset(k, n, 0))
         finite.append(np.isfinite(buf).all())
     for i, (name, (lo, hi)) in enumerate(opt.state.bounds.items()):
+        _held(doc["moments"][name], MOMENT_SLOTS, f"moments[{name!r}]")
         for k, (mapping, key, where) in enumerate(_leaves(doc, i, name)):
-            offset, expected = _field(mapping, key, where), _offset(k, n, lo)
+            offset, expected = mapping[key], _offset(k, n, lo)
             if type(offset) is not int or offset != expected:
                 raise ValueError(
                     f"{where}: expected {expected}, the offset save writes, got {offset!r}"
@@ -150,25 +161,26 @@ def _offset(k: int, n: int, lo: int) -> int:
     return 8 * (k * n + lo)
 
 
-def _object(entry, where: str) -> dict:
-    """``entry``, which must be a JSON object."""
+def _held(entry, keys, where: str, name=None) -> None:
+    """Check that ``entry`` is a JSON object of exactly ``keys``, the keys ``save``
+    writes; ValueError names ``where`` if it is not an object, then the first
+    missing key, as ``name(key)`` (``where.key`` by default), then ``where`` and
+    its first unexpected key."""
     if not isinstance(entry, dict):
         raise ValueError(f"{where}: expected an object, got {type(entry).__name__}")
-    return entry
-
-
-def _field(mapping: dict, key: str, where: str):
-    if key not in mapping:
-        raise ValueError(f"{where}: missing")
-    return mapping[key]
+    name = name or f"{where}.{{}}".format
+    for key in keys:
+        if key not in entry:
+            raise ValueError(f"{name(key)}: missing")
+    if len(entry) > len(keys):  # every key is there, and more
+        unexpected = next(key for key in entry if key not in keys)
+        raise ValueError(f"{where}: unexpected key {unexpected!r}")
 
 
 def _from_dict(cls, blob, where: str):
     """Config dataclass ``cls`` from a dict of exactly its fields, parts from nested
     dicts, each checked once as it is built; ValueError names the field at fault."""
-    fields = cls.__dataclass_fields__
-    if not isinstance(blob, dict) or blob.keys() != fields.keys():
-        raise ValueError(f"{where}: expected an object with keys {sorted(fields)}, got {blob!r}")
+    _held(blob, cls.__dataclass_fields__, where)
     kwargs = {
         name: _from_dict(kind, blob[name], f"{where}.{name}") if isinstance(kind, type)
         else blob[name]
@@ -189,12 +201,11 @@ def _checked_call(where: str, make, *args, **kwargs):
 def _param(entry, where: str) -> ParamTensor:
     """The param ``entry`` names, of its shape, with zeros that take no memory (a
     zero-stride view of one 0.0), as the load fills θ whole later."""
-    entry, name_at, shape_at = _object(entry, where), f"{where}.name", f"{where}.shape"
-    name = checked_value("str", _field(entry, "name", name_at), name_at)
-    shape = _field(entry, "shape", shape_at)
-    shape = checked_value("tuple[int, ...]", shape, shape_at, ge=1)
+    _held(entry, ("name", "shape", "values"), where)
+    name = checked_value("str", entry["name"], f"{where}.name")
+    shape = checked_value("tuple[int, ...]", entry["shape"], f"{where}.shape", ge=1)
     if not shape:
-        raise ValueError(f"{shape_at}: expected a non-empty list, got []")
+        raise ValueError(f"{where}.shape: expected a non-empty list, got []")
     size = math.prod(shape)
-    values = _checked_call(shape_at, np.ndarray, (size,), buffer=bytes(8), strides=(0,))
+    values = _checked_call(f"{where}.shape", np.ndarray, (size,), buffer=bytes(8), strides=(0,))
     return ParamTensor._adopt(name, shape, values)  # checked above as ParamTensor checks

@@ -20,6 +20,7 @@ The schedule multiplies the decay exactly once: the step subtracts
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -41,7 +42,6 @@ from .tensor import ParamTensor, _raise_nonfinite
 from .transforms import ClipConfig, gradient_centralize, scale_units, unit_scale_factors
 
 PRESETS = ("adamw", "ranger21")
-_MOMENT_BUFFERS = tuple(f.name for f in dataclasses.fields(MomentState))
 
 
 @dataclass(frozen=True)
@@ -260,11 +260,6 @@ class Optimizer:
         self.preset = preset
         self.state = OptimizerState.initial(params)
         self._params = ParamTensor._views(params, self.state.bounds.values(), self.state.flat_theta)
-        self._decay = DecayConfig(
-            weight_decay=config.weight_decay,
-            norm_loss=config.toggles.norm_loss,
-            stable=config.toggles.stable_decay,
-        )
 
     @classmethod
     def adamw(
@@ -285,6 +280,12 @@ class Optimizer:
         """The config this optimizer was built with, fixed for its life: its
         decay config is derived from it once."""
         return self._config
+
+    @functools.cached_property
+    def _decay(self) -> DecayConfig:
+        """The decay config, built at the first step: a load checks each config field once."""
+        c = self._config
+        return DecayConfig(c.weight_decay, c.toggles.norm_loss, c.toggles.stable_decay)
 
     @property
     def params(self) -> tuple[ParamTensor, ...]:
@@ -312,7 +313,7 @@ class Optimizer:
         and the per-tensor ones of the decay and the observer, run once per
         run of ``state.units`` or ``state.runs``; the elementwise stages run
         once over the whole buffer. The decay config
-        is built with the optimizer and the runs with its state; the
+        is built at the first step and the runs with the state; the
         components are looked up in this module's globals at each call, so a
         wrapper patched in there sees every step. The returned params are
         read-only views of one new buffer, the new ``flat_theta``. The
@@ -369,28 +370,8 @@ class Optimizer:
         )
         return new_params
 
-    # -- checkpointing: the format is the ``checkpoint`` module's --------------
-
-    def to_checkpoint(self) -> bytes:
-        """The full state as the bytes ``save`` writes, which round-trip bit-exactly."""
-        return checkpoint.to_checkpoint(self)
-
-    @classmethod
-    def from_checkpoint(cls, data: bytes) -> "Optimizer":
-        """The optimizer checkpoint bytes hold; ValueError names the field at fault."""
-        return checkpoint.from_checkpoint(cls, data)
-
-    def save(self, path) -> None:
-        """Write the state to ``path`` as a checkpoint; a failed save keeps the old file."""
-        checkpoint.save(self, path)
-
-    @classmethod
-    def load(cls, path) -> "Optimizer":
-        """The optimizer a ``save`` wrote to ``path``."""
-        return checkpoint.load(cls, path)
-
-    def _buffers(self) -> tuple[np.ndarray, ...]:
-        """The state's six flat buffers: θ, the moment slots, the slow weights."""
-        state = self.state
-        moments = (getattr(state.flat_moments, b) for b in _MOMENT_BUFFERS)
-        return (state.flat_theta, *moments, state.flat_slow)
+    # -- checkpointing: these four, and the format, are the ``checkpoint`` module's
+    to_checkpoint = checkpoint.to_checkpoint
+    from_checkpoint = classmethod(checkpoint.from_checkpoint)
+    save = checkpoint.save
+    load = classmethod(checkpoint.load)

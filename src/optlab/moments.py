@@ -50,13 +50,16 @@ class MomentConfig:
 class DecayConfig:
     """Weight-decay coefficient plus the two decay-shaping switches.
 
-    The step builds one from ``Ranger21Config.weight_decay``, which is
-    checked there, and the ``norm_loss``/``stable_decay`` toggles.
+    The step builds one from ``Ranger21Config.weight_decay`` and the
+    ``norm_loss``/``stable_decay`` toggles.
     """
 
-    weight_decay: float = 1e-4
+    weight_decay: float = bounded(1e-4, ge=0.0)
     norm_loss: bool = True
     stable: bool = True
+
+    def __post_init__(self) -> None:
+        check_fields(self)
 
 
 @dataclass(eq=False)

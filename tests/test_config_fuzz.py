@@ -4,7 +4,8 @@ document line mutated, or 8 bytes of its raw section overwritten). A mutated
 input must either be rejected with a ConfigError or ValueError whose message
 starts with the path of a field, or parse to a config whose numbers are all
 finite (and, for a checkpoint, a state whose values are all finite); never a
-TypeError, KeyError or AttributeError.
+TypeError, KeyError or AttributeError. A key ``save`` never writes, added to
+any object of a checkpoint's document, is refused naming that object.
 
 The checkpoint writer is checked against the format's definition: for any
 param names, shapes and step count, the file ``Optimizer.save`` writes is
@@ -25,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from optlab import Optimizer, ParamTensor, Toggles
@@ -194,6 +195,44 @@ def test_overwritten_checkpoint_section(value, raw):
     section = bytearray(CHECKPOINT_SECTION)
     section[8 * value : 8 * value + 8] = raw
     check_loads_or_names_field(CHECKPOINT_LINE + b"\n" + section)
+
+
+def json_at(node, path):
+    for step in path:
+        node = node[step]
+    return node
+
+
+def object_name(path):
+    """The name a load gives the object at ``path`` in a checkpoint document."""
+    where = str(path[0]) if path else "checkpoint"
+    for parent, step in zip(path, path[1:]):
+        if type(step) is int or parent in ("moments", "slow"):
+            where += f"[{step!r}]"
+        else:
+            where += f".{step}"
+    return where
+
+
+CHECKPOINT_DOC = json.loads(CHECKPOINT_LINE)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    path=st.sampled_from(
+        [p for p in paths(CHECKPOINT_DOC) if isinstance(json_at(CHECKPOINT_DOC, p), dict)]
+    ),
+    key=st.text(max_size=6),
+    value=values,
+)
+def test_checkpoint_object_with_a_key_save_never_writes_refused(path, key, value):
+    doc = copy.deepcopy(CHECKPOINT_DOC)
+    target = json_at(doc, path)
+    assume(key not in target)
+    target[key] = value
+    with pytest.raises(ValueError) as excinfo:
+        Optimizer.from_checkpoint(json.dumps(doc).encode("ascii") + b"\n" + CHECKPOINT_SECTION)
+    assert str(excinfo.value) == f"{object_name(path)}: unexpected key {key!r}"
 
 
 # any name a param may have: non-ASCII, quotes, backslashes, control

@@ -219,6 +219,31 @@ class TestLookahead:
         np.testing.assert_array_equal(new_slow, 0.25 * slow + 0.75 * fast)
         assert new_params is new_slow
 
+    def test_default_sync_replaces_theta_and_leaves_the_moments(self):
+        # by default k = 5 and alpha = 0.5: the sync at step 5 sets theta to
+        # 0.5 * slow + 0.5 * fast, and every moment slot is the one the step made
+        rng = np.random.default_rng(11)
+        params = [
+            ParamTensor("w", (3, 2), rng.standard_normal(6)),
+            ParamTensor("b", (3,), rng.standard_normal(3)),
+        ]
+        grads = [[p.with_values(rng.standard_normal(p.size)) for p in params] for _ in range(5)]
+        synced = Optimizer.ranger21(params, eta=3e-3, t_max=20)
+        unsynced = Optimizer.ranger21(
+            params, eta=3e-3, t_max=20, toggles=dataclasses.replace(Toggles(), lookahead=False)
+        )
+        assert (synced.config.k_lookahead, synced.config.beta_lookahead) == (5, 0.5)
+        slow = synced.state.flat_slow.copy()
+        for t, gs in enumerate(grads, start=1):
+            synced.step(gs)
+            unsynced.step(gs)
+            fast = unsynced.state.flat_theta
+            theta = 0.5 * slow + (1.0 - 0.5) * fast if t == 5 else fast
+            assert synced.state.flat_theta.tobytes() == theta.tobytes()
+        for f in dataclasses.fields(MomentState):
+            kept, made = (getattr(opt.state.flat_moments, f.name) for opt in (synced, unsynced))
+            assert kept.tobytes() == made.tobytes()
+
     def test_disabled_lookahead_independent_of_k_and_beta(self):
         rng = np.random.default_rng(5)
         grads = [float(g) for g in rng.uniform(-2, 2, size=30)]
@@ -346,6 +371,26 @@ class TestComponentIsolation:
             for p, g, td in zip(params, gs, diags[0].tensors):
                 u, _, shadow[p.name] = adam_update(
                     shadow[p.name], gradient_centralize(g.array).ravel(), t, opt.config.moments
+                )
+                np.testing.assert_allclose(td.update, u, rtol=1e-15, atol=0)
+
+    def test_centralization_runs_after_clipping(self, problem):
+        params, grads = problem
+        opt = Optimizer(
+            params,
+            default_config(3e-3, t_max=8, toggles=one_toggle(agc=True, centralization=True)),
+            preset="ranger21",
+        )
+        shadow = {p.name: MomentState.zeros(p.size) for p in params}
+        for t, gs in enumerate(grads, start=1):
+            prev_params = list(opt.params)
+            diags = []
+            opt.step(gs, observer=diags.append)
+            assert diags[0].clip_ratio > 0
+            for p, g, td in zip(prev_params, gs, diags[0].tensors):
+                clipped = adaptive_gradient_clip(g.array, p.array, opt.config.clip)
+                u, _, shadow[p.name] = adam_update(
+                    shadow[p.name], gradient_centralize(clipped).ravel(), t, opt.config.moments
                 )
                 np.testing.assert_allclose(td.update, u, rtol=1e-15, atol=0)
 
@@ -971,7 +1016,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize(
         "mutate,field",
         [
-            (lambda blob: blob["slow"].pop("b"), "slow"),
+            (lambda blob: blob["slow"].pop("b"), "slow['b']"),
             (lambda blob: blob.update(t=500), "t"),
             (lambda blob: blob.update(t=-1), "t"),
             (lambda blob: blob.pop("slow"), "slow"),
@@ -981,7 +1026,7 @@ class TestCheckpoint:
             (lambda blob: blob["moments"]["a"].pop("v"), "moments['a'].v"),
             (lambda blob: blob["params"][0].pop("shape"), "params[0].shape"),
             (lambda blob: blob["config"]["clip"].update(extra=1.0), "config.clip"),
-            (lambda blob: blob["config"]["toggles"].pop("agc"), "config.toggles"),
+            (lambda blob: blob["config"]["toggles"].pop("agc"), "config.toggles.agc"),
             (lambda blob: blob.update(t=7.9), "t"),
             (lambda blob: blob.update(t="7"), "t"),
             (lambda blob: blob["config"].update(k_lookahead=2.5), "config.k_lookahead"),
@@ -1125,7 +1170,6 @@ class TestCheckpoint:
                 ),
             ),
             pytest.param(lambda v4: v4[: v4.index(b"\n") // 2], id="v4_line_cut"),
-            pytest.param(lambda v4: v4[: v4.index(b"\n")], id="v4_line_cut_at_its_newline"),
         ],
     )
     def test_file_that_is_not_json_rejected(self, tmp_path, contents):
@@ -1133,6 +1177,59 @@ class TestCheckpoint:
         self.make_opt()[0].save(path)
         path.write_bytes(contents(path.read_bytes()))
         with pytest.raises(ValueError, match="^checkpoint: not valid JSON: "):
+            Optimizer.load(path)
+
+    def test_line_with_no_newline_has_an_empty_section(self, tmp_path):
+        # a file cut at the document's newline: the JSON parses, and the section
+        # it lacks is named by its length
+        _, path = self.rewritten_v4(tmp_path, lambda doc, section: None)
+        data = path.read_bytes()
+        path.write_bytes(data[: data.index(b"\n")])
+        message = "params: their values take a 192-byte section, got 0"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            Optimizer.load(path)
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            (lambda doc: doc.update(dtype="<f8"), "checkpoint: unexpected key 'dtype'"),
+            (lambda doc: doc["params"][1].update(dtype="<f8"),
+             "params[1]: unexpected key 'dtype'"),
+            (lambda doc: doc["moments"].update(c=doc["moments"]["a"]),
+             "moments: unexpected key 'c'"),
+            (lambda doc: doc["moments"]["b"].update(extra=0),
+             "moments['b']: unexpected key 'extra'"),
+            (lambda doc: doc["slow"].update(c=0), "slow: unexpected key 'c'"),
+            (lambda doc: doc["config"].update(decay=0.1), "config: unexpected key 'decay'"),
+            (lambda doc: doc["config"]["schedule"].update(beta2=0.999),
+             "config.schedule: unexpected key 'beta2'"),
+        ],
+        ids=["document", "param", "moments", "moment_entry", "slow", "config", "config_part"],
+    )
+    def test_unexpected_key_named_at_each_object(self, tmp_path, fault, message):
+        _, path = self.rewritten_v4(tmp_path, lambda doc, section: fault(doc))
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            Optimizer.load(path)
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            # the first key missing in the order save writes, before any unexpected one
+            (lambda doc: [doc.pop("t"), doc.pop("preset"), doc.update(dtype="<f8")],
+             "preset: missing"),
+            (lambda doc: doc["params"][0].update(value=doc["params"][0].pop("values")),
+             "params[0].values: missing"),
+            (lambda doc: doc["moments"]["b"].update(v=doc["moments"]["b"].pop("m_prev2")),
+             "moments['b'].m_prev2: missing"),
+            # a param's keys are checked with its entry, before the section's length
+            (lambda doc: [doc["params"][1].pop("values"), doc["params"][0].update(shape=[9])],
+             "params[1].values: missing"),
+        ],
+        ids=["document", "param_key_renamed", "moment_slot_renamed", "param_before_section"],
+    )
+    def test_first_missing_key_named(self, tmp_path, fault, message):
+        _, path = self.rewritten_v4(tmp_path, lambda doc, section: fault(doc))
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             Optimizer.load(path)
 
     @staticmethod

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -175,6 +176,25 @@ class TestMomentConfig:
     def test_rejects_out_of_range(self, kwargs):
         with pytest.raises(ValueError):
             MomentConfig(**kwargs)
+
+
+class TestDecayConfig:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"weight_decay": -1.0}, "weight_decay: must be >= 0.0, got -1.0"),
+            ({"weight_decay": math.nan}, "weight_decay: expected a finite number, got nan"),
+            ({"norm_loss": "no"}, "norm_loss: expected true or false, got 'no'"),
+            ({"stable": 1}, "stable: expected true or false, got 1"),
+        ],
+        ids=["negative", "nan", "string_switch", "int_switch"],
+    )
+    def test_rejects_what_the_config_rejects(self, kwargs, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            DecayConfig(**kwargs)
+
+    def test_int_weight_decay_stored_as_float(self):
+        assert type(DecayConfig(weight_decay=0).weight_decay) is float
 
 
 class TestCombinedDecay:

@@ -110,6 +110,12 @@ class TestGradientCentralize:
         out = gradient_centralize(g.array)
         np.testing.assert_allclose(out.ravel(), [-1, 0, 1, -1, 0, 1], atol=1e-15)
 
+    def test_rank3_mean_over_all_axes_but_the_first(self):
+        g = ParamTensor("g", (2, 3, 2), np.arange(12.0) ** 2)
+        out = gradient_centralize(g.array)
+        expected = g.array - mean_all_but_first(g.array)[:, None, None]
+        np.testing.assert_allclose(out, expected, rtol=1e-15, atol=0)
+
 
 class TestUnitLayout:
     """The flat form: a head of rank-1 elements, then ``units`` over the tail."""
