@@ -10,6 +10,15 @@ blobs MLP problem builds its layer layout and its labels' smoothed targets
 at the same time, once, and each evaluate then only checks the params'
 shapes against that layout before the backward pass.
 
+The layout groups the layers into runs: each maximal stretch of consecutive
+layers with one weight shape, a lone layer being a run of one (the 16-layer
+deep MLP's fourteen 16x16 hidden layers are one run). An evaluate writes
+every layer's input, activation slope and pre-activation gradient into a
+scratch the problem keeps, built on the first evaluate of a row count and
+rebuilt only when the count changes, and computes each run's weight and
+bias gradients with one stacked matmul and one row sum. Because of that
+scratch a problem must not evaluate from two threads at once.
+
 Weight init is uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)]; biases start
 at zero.
 """
@@ -19,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, groupby
 from typing import Callable, ClassVar, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -88,29 +97,35 @@ def _ce_loss(logp: np.ndarray, q: np.ndarray) -> float:
     return float(-(q * logp).sum() / q.shape[0])
 
 
-def _smoothed_ce(logits: np.ndarray, q: np.ndarray) -> tuple[float, np.ndarray]:
+def _smoothed_ce(logits: np.ndarray, q: np.ndarray, out: np.ndarray) -> float:
+    """The batch-mean smoothed cross-entropy; its gradient in the logits is
+    written into ``out``."""
     logp = _log_softmax(logits)
-    return _ce_loss(logp, q), (np.exp(logp) - q) / q.shape[0]
+    loss = _ce_loss(logp, q)
+    np.subtract(np.exp(logp, out=logp), q, out=out)
+    out /= q.shape[0]
+    return loss
 
 
 # -- MLP with manual backprop -------------------------------------------------
 
-def _tanh_slope(a: np.ndarray) -> np.ndarray:
-    slope = a * a
+def _tanh_slope(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    slope = np.multiply(a, a, out=out)
     return np.subtract(1.0, slope, out=slope)
 
 
-# name -> (activation, taking an optional ``out``, and its derivative written
-# in the activation's output a), so the backward pass reads the stored
-# activations instead of recomputing them. 1 - a*a and a > 0 must give the
-# same bits as the pre-activation forms 1 - tanh(z)**2 and z > 0
-# (tests/test_problems.py pins both).
+def _relu_slope(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.greater(a, 0.0, out=np.empty_like(a) if out is None else out)
+
+
+# name -> (activation, and its derivative written in the activation's output
+# a), each taking an optional float64 ``out`` of a's shape to write into, so
+# the backward pass reads the stored activations instead of recomputing them.
+# 1 - a*a and a > 0 must give the same bits as the pre-activation forms
+# 1 - tanh(z)**2 and z > 0 (tests/test_problems.py pins both).
 ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
     "tanh": (np.tanh, _tanh_slope),
-    "relu": (
-        lambda z, out=None: np.maximum(z, 0.0, out=out),
-        lambda a: (a > 0.0).astype(np.float64),
-    ),
+    "relu": (lambda z, out=None: np.maximum(z, 0.0, out=out), _relu_slope),
 }
 
 
@@ -131,14 +146,18 @@ def mlp_init(widths: Sequence[int], rng: np.random.Generator) -> list[ParamTenso
 class _Layout(NamedTuple):
     """The flat gradient layout of an MLP's params, from its widths: each
     param's shape, the offsets ``starts`` at which each param's ``(lo, hi)``
-    span begins, and the param indices in the order the backward pass writes
+    span begins, the param indices in the order the backward pass writes
     them (last layer first, weight before bias), the order in which a
-    non-finite gradient is named."""
+    non-finite gradient is named, and the ``runs`` of layers: each maximal
+    stretch of consecutive layers with one weight shape, as its first layer
+    and its layer count, in layer order. A layer between two of other shapes
+    is a run of one."""
 
     shapes: tuple[tuple[int, ...], ...]
     starts: tuple[int, ...]
     spans: tuple[tuple[int, int], ...]
     backward: tuple[int, ...]
+    runs: tuple[tuple[int, int], ...]
 
 
 def _layout(widths: Sequence[int]) -> _Layout:
@@ -149,16 +168,20 @@ def _layout(widths: Sequence[int]) -> _Layout:
     )
     starts = tuple(accumulate(map(math.prod, shapes), initial=0))
     backward = tuple(j for i in reversed(range(len(widths) - 1)) for j in (2 * i, 2 * i + 1))
-    return _Layout(shapes, starts, tuple(zip(starts, starts[1:])), backward)
+    counts = [len(list(group)) for _, group in groupby(shapes[::2])]
+    runs = tuple(zip(accumulate(counts, initial=0), counts))
+    return _Layout(shapes, starts, tuple(zip(starts, starts[1:])), backward, runs)
 
 
-def _forward(params, x: np.ndarray, act: Callable) -> Iterator[np.ndarray]:
+def _forward(params, x: np.ndarray, act: Callable, outs=None) -> Iterator[np.ndarray]:
     """Each layer's output in turn, the logits last: affine layers with
-    ``act`` between them, final layer linear. The pass itself holds only the
-    layer it computes and the one before it."""
+    ``act`` between them, final layer linear. Given ``outs``, one [rows,
+    width] array per layer, each layer is written into its own (evaluate
+    passes its scratch); without, the pass allocates each layer and holds
+    only the one it computes and the one before it."""
     last = len(params) - 2
     for i in range(0, len(params), 2):
-        z = x @ params[i].array.T
+        z = np.matmul(x, params[i].array.T, out=None if outs is None else outs[i // 2])
         z += params[i + 1].values
         x = act(z, out=z) if i < last else z
         yield x
@@ -170,31 +193,84 @@ def _logits(params, x: np.ndarray, act: Callable) -> np.ndarray:
     return logits
 
 
+class _Scratch:
+    """The working arrays of an MLP evaluate over ``rows`` rows, for widths
+    w_0..w_L, as row-major [rows, w] views of two flat buffers:
+
+    - ``acts``: each layer's input, acts[0] the batch's inputs, then the logits;
+    - ``d_z``: each layer's pre-activation gradient. Before the reverse pass
+      writes layer i-1's, its place holds the activation's slope at layer
+      i's input: one call writes every slope, from the hidden layers'
+      stretch ``hidden`` of ``acts`` into the same stretch ``slopes`` of
+      ``d_z``.
+
+    The layers of a run lie side by side in each buffer, so each entry of
+    ``runs`` reads a run's inputs and gradients as one [k, rows, w] stack
+    each: ``(inputs, grads, first layer, k)``. Each entry of ``backward`` is
+    a layer i >= 1, last first, with its gradient, layer i-1's, and a view
+    of one layer-sized buffer for ``d_z @ W`` before the slope multiplies it."""
+
+    def __init__(self, layout: _Layout, widths: Sequence[int], rows: int) -> None:
+        self.rows = rows
+        # layer i's input starts at at[i] in acts; layer i's gradient, of
+        # layer i+1's input's width, starts at past[i] in d_z
+        at = [rows * w for w in accumulate(widths, initial=0)]
+        past = [a - at[1] for a in at[1:]]
+        acts, d_z = np.empty(at[-1]), np.empty(past[-1])
+        self.hidden, self.slopes = acts[at[1] : at[-2]], d_z[: past[-2]]
+        product = np.empty(rows * max(widths[1:-1], default=0))
+
+        def stack(buf: np.ndarray, starts: list[int], lo: int, hi: int) -> np.ndarray:
+            """Layers lo..hi-1 of ``buf``, all of one width, as [hi - lo, rows, width]."""
+            return buf[starts[lo] : starts[hi]].reshape(hi - lo, rows, -1)
+
+        n = len(widths) - 1
+        self.acts = [stack(acts, at, i, i + 1)[0] for i in range(n + 1)]
+        self.d_z = [stack(d_z, past, i, i + 1)[0] for i in range(n)]
+        self.backward = tuple(
+            (i, self.d_z[i], self.d_z[i - 1], product[: rows * widths[i]].reshape(rows, -1))
+            for i in reversed(range(1, n))
+        )
+        self.runs = tuple(
+            (stack(acts, at, first, first + k), stack(d_z, past, first, first + k), first, k)
+            for first, k in layout.runs
+        )
+
+
 def _backprop(
-    params, layout: _Layout, x: np.ndarray, q: np.ndarray, act: Callable, act_deriv: Callable
+    params, layout: _Layout, scratch: _Scratch, q: np.ndarray, act: Callable, act_deriv: Callable
 ) -> tuple[float, tuple[ParamTensor, ...]]:
     """Batch-mean smoothed cross-entropy of the MLP and its exact gradients,
-    for params laid out as ``layout``, inputs ``x`` and smoothed targets
-    ``q``, all checked by the caller.
+    for params laid out as ``layout``, inputs in ``scratch.acts[0]`` and
+    smoothed targets ``q``, all checked by the caller.
 
-    The backward pass is the usual reverse pass; all gradients are divided by
-    the batch size to match the mean reduction. It writes them into one fresh
-    buffer, in the params' order, that is checked finite once; the gradients
-    are read-only views of it. A non-finite gradient raises
-    ``NonFiniteError`` naming the first tensor the pass wrote non-finite:
-    last layer first, weight before bias."""
-    acts = [x, *_forward(params, x, act)]
-    loss, d_z = _smoothed_ce(acts[-1], q)
-    starts = layout.starts
+    The forward pass writes each layer into the scratch, and one call of
+    ``act_deriv`` then writes every hidden layer's slope in the place of the
+    pre-activation gradient it multiplies. The reverse pass keeps two calls
+    per layer, ``d_z @ W`` and its product with that slope, written over the
+    slope; each run's weight gradients are then one
+    stacked matmul of its gradients and inputs, and its bias gradients one
+    sum over the rows. All gradients are divided by the batch size to match
+    the mean reduction. They are written into one fresh buffer, in the
+    params' order, that is checked finite once; the gradients are read-only
+    views of it, and the scratch is never part of them. A non-finite
+    gradient raises ``NonFiniteError`` naming the first tensor the pass
+    wrote non-finite: last layer first, weight before bias."""
+    acts, d_z = scratch.acts, scratch.d_z
+    for _ in _forward(params, acts[0], act, acts[1:]):
+        pass
+    loss = _smoothed_ce(acts[-1], q, d_z[-1])
+    act_deriv(scratch.hidden, out=scratch.slopes)
+    for i, d_out, d_in, product in scratch.backward:
+        np.matmul(d_out, params[2 * i].array, out=product)
+        np.multiply(product, d_in, out=d_in)  # d_in held the slope
+    starts, shapes = layout.starts, layout.shapes
     flat = np.empty(starts[-1])
-    for i in reversed(range(len(params) // 2)):
-        w = params[2 * i]
-        lo, mid, hi = starts[2 * i : 2 * i + 3]
-        np.matmul(d_z.T, acts[i], out=flat[lo:mid].reshape(w.shape))
-        d_z.sum(axis=0, out=flat[mid:hi])
-        if i > 0:
-            d_z = d_z @ w.array
-            d_z *= act_deriv(acts[i])
+    for inputs, grads, first, k in scratch.runs:
+        lo, mid, hi = starts[2 * first : 2 * first + 3]
+        per_layer = flat[lo : lo + k * (hi - lo)].reshape(k, hi - lo)  # weight, then bias
+        np.matmul(grads.mT, inputs, out=per_layer[:, : mid - lo].reshape(k, *shapes[2 * first]))
+        np.add.reduce(grads, axis=1, out=per_layer[:, mid - lo :])
     if not np.isfinite(flat).all():
         order = layout.backward
         _raise_nonfinite([params[j] for j in order], [layout.spans[j] for j in order], flat)
@@ -302,7 +378,9 @@ class BlobsMLPProblem:
 
     ``data_seed``, ``n``, ``d``, ``classes`` and ``separation`` are
     ``make_blobs``'s arguments; the data is drawn on the first evaluate or
-    metrics call. Every weight, and the n x d inputs, must fit one array."""
+    metrics call. Every weight, and the n x d inputs, must fit one array.
+    ``evaluate`` works in a scratch the problem holds, so a problem must not
+    evaluate from two threads at once."""
 
     name: ClassVar[str] = "blobs_mlp"
     data_seed: int = bounded(0, ge=0)
@@ -315,6 +393,7 @@ class BlobsMLPProblem:
     activation: str = "tanh"
     alpha: float = bounded(0.1, ge=0.0, lt=1.0)
     widths: tuple[int, ...] = field(init=False)
+    _scratch: _Scratch | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         check_fields(self)
@@ -365,11 +444,24 @@ class BlobsMLPProblem:
             raise ValueError(f"widths {self.widths} need {len(shapes)} params, got {len(params)}")
 
     def evaluate(self, params: Sequence[ParamTensor], batch=None):
+        """Batch-mean loss and exact gradients over the rows ``batch`` indexes,
+        every row if None; an empty batch raises ``ValueError``. The working
+        arrays live in a scratch built on the first call for a row count and
+        rebuilt only when the count changes."""
         self._check_shapes(params)
         x, q = self.data[0], self.targets
-        if batch is not None:
-            x, q = x[batch], q[batch]
-        return _backprop(params, self.layout, x, q, *ACTIVATIONS[self.activation])
+        rows = len(x) if batch is None else len(batch)
+        if rows == 0:
+            raise ValueError("batch: expected at least one row index, got none")
+        scratch = self._scratch
+        if scratch is None or scratch.rows != rows:
+            scratch = self._scratch = _Scratch(self.layout, self.widths, rows)
+        if batch is None:
+            np.copyto(scratch.acts[0], x)
+        else:
+            np.take(x, batch, axis=0, out=scratch.acts[0])
+            q = q[batch]
+        return _backprop(params, self.layout, scratch, q, *ACTIVATIONS[self.activation])
 
     def metrics(self, params: Sequence[ParamTensor]):
         """Full-dataset loss and accuracy from one forward pass; the loss is

@@ -307,20 +307,75 @@ class TestMLP:
         loss, _ = problem.evaluate(params)
         assert np.float64(problem.metrics(params)[0]).tobytes() == np.float64(loss).tobytes()
 
-    @pytest.mark.parametrize("batched", [True, False], ids=["batch", "full"])
-    @pytest.mark.parametrize("hidden", [(), (5,), (5,) * 15], ids=["h0", "h1", "h15"])
+    # Widths (6, *hidden, 4): "mixed" mixes runs of equal weight shapes with
+    # lone layers, "h8x2" is lone layers only, and "edges" puts the first
+    # layer (which reads the inputs) and the output layer in runs of two.
+    @pytest.mark.parametrize("rows", [9, None, 1, 2], ids=["batch", "full", "batch1", "batch2"])
+    @pytest.mark.parametrize(
+        "hidden",
+        [(), (5,), (5,) * 15, (5, 5, 5, 3, 3, 5), (8, 8), (6, 6, 4, 4)],
+        ids=["h0", "h1", "h15", "mixed", "h8x2", "edges"],
+    )
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
-    def test_problem_evaluate_gives_the_bits_of_mlp_eval(self, activation, hidden, batched):
+    def test_problem_evaluate_gives_the_bits_of_mlp_eval(self, activation, hidden, rows):
         problem = BlobsMLPProblem(
-            **BLOBS, hidden=hidden, batch_size=9, activation=activation
+            **BLOBS, hidden=hidden, batch_size=rows or 1, activation=activation
         )
         params = problem.init_params(philox(0))
-        batch = problem.sample_batch(philox(1)) if batched else np.arange(40)
-        loss, grads = problem.evaluate(params, batch if batched else None)
+        batch = np.arange(40) if rows is None else problem.sample_batch(philox(1))
+        loss, grads = problem.evaluate(params, None if rows is None else batch)
         x, y = problem.data
         _, expected_loss, expected = reference_of(params, x[batch], y[batch], activation)
         assert np.float64(loss).tobytes() == np.float64(expected_loss).tobytes()
         assert [g.values.tobytes() for g in grads] == [e.tobytes() for e in expected]
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    def test_evaluate_after_a_row_count_change_gives_a_fresh_problems_bits(self, activation):
+        """The scratch built for one row count is rebuilt for another and again
+        for the first: no call reads arrays left by a call of another count."""
+        fields = dict(BLOBS, hidden=(5, 5, 5, 3, 3, 5), batch_size=9, activation=activation)
+        problem = BlobsMLPProblem(**fields)
+        params = problem.init_params(philox(0))
+        for rows, seed in [(9, 1), (2, 2), (None, 0), (9, 3), (9, 4)]:
+            batch = None if rows is None else philox(seed).integers(0, 40, size=rows)
+            loss, grads = problem.evaluate(params, batch)
+            fresh_loss, fresh = BlobsMLPProblem(**fields).evaluate(params, batch)
+            assert np.float64(loss).tobytes() == np.float64(fresh_loss).tobytes(), rows
+            assert [g.values.tobytes() for g in grads] == [g.values.tobytes() for g in fresh]
+
+    def test_deep_mlp_evaluate_reuses_its_scratch(self):
+        """A second evaluate of the deep MLP's batch size allocates the gradient
+        buffer and the loss's batch-sized temporaries, not its layers: one
+        128 x 16 float64 layer array is 16 KB, and each of the 15 hidden layers
+        has an activation, a slope and a pre-activation gradient. The first
+        call's gradients keep their bytes, so they never alias the scratch."""
+        problem = BlobsMLPProblem(
+            n=2000, d=20, classes=4, separation=8.0, hidden=(16,) * 15, batch_size=128
+        )
+        params = problem.init_params(philox(0))
+        rng = philox(1)
+        _, first = problem.evaluate(params, problem.sample_batch(rng))
+        kept = [g.values.tobytes() for g in first]
+        batch = problem.sample_batch(rng)
+        tracemalloc.start()
+        try:
+            _, second = problem.evaluate(params, batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        grad_bytes = 8 * sum(p.size for p in params)
+        loss_bytes = 8 * problem.batch_size * problem.classes  # one [rows, classes] array
+        # four loss arrays' room also holds the 32 returned tensors' objects
+        assert peak <= grad_bytes + 4 * loss_bytes, (peak, grad_bytes)
+        assert [g.values.tobytes() for g in first] == kept
+        assert [g.values.tobytes() for g in second] != kept
+
+    def test_evaluate_rejects_an_empty_batch(self):
+        problem = BlobsMLPProblem(**BLOBS, hidden=(5,), batch_size=9)
+        params = problem.init_params(philox(0))
+        with pytest.raises(ValueError) as excinfo:
+            problem.evaluate(params, np.array([], dtype=np.int64))
+        assert str(excinfo.value) == "batch: expected at least one row index, got none"
 
     @staticmethod
     def filled(layers):
@@ -356,6 +411,22 @@ class TestMLP:
                 1e300,
                 [1] * 5,
                 "w1",
+            ),
+            # w1 and w2 are one run of 4x4 layers, and both overflow: the ±1.7e308
+            # output weights meet a2 = tanh(1e-3), so the logits stay finite,
+            # but d_z2 is ~6.5e307, and w2's ±1 columns carry 4x that into d_z1.
+            # The backward pass writes w2 first, so the later layer is named.
+            (
+                "tanh",
+                [
+                    (4, 3, 0.0, 1.5),
+                    (4, 4, 0.0, 1.5),
+                    (4, 4, [[1.0, -1.0, 1.0, -1.0]] * 4, 1e-3),
+                    (2, 4, [[1.7e308] * 4, [-1.7e308] * 4], 0.0),
+                ],
+                1e300,
+                [1] * 5,
+                "w2",
             ),
         ]
         for activation, layers, x, y, named in cases:
